@@ -43,29 +43,23 @@ def components_from_fields(u_m1, u_p1, u_m2, u_p2) -> np.ndarray:
 class TruncatedSystem:
     """Precomputed multiplier tables and the nonlinearity for one (grid, b).
 
-    ``dealias`` applies the grid's 2/3-rule mask to every quadratic product;
-    switching it off is only sensible for diagnostics on well-resolved data.
-    ``k_cut`` optionally restricts the system further, to the Galerkin
-    subspace |k| <= k_cut: the quadratic symbols grow superlinearly in k, so
-    once the coupling through a carrier of size eps exceeds the dispersive
-    detuning (which saturates near omega(k0)), retained modes above a
-    threshold ~ (1/eps)^{2/3} are violently amplified.  Long-horizon runs
-    therefore fix the retained band instead of letting it grow with n.
-    ``extra_keep`` intersects an arbitrary caller-supplied mode mask (e.g. a
-    union of wave-packet bands) with the rules above.
+    Every quadratic product is dealiased by the grid's 2/3-rule mask.
+    ``extra_keep`` intersects a caller-supplied mode mask (e.g. a union of
+    wave-packet bands) with that rule.  Long-horizon runs need it: the
+    quadratic symbols grow superlinearly in k, so once the coupling through
+    a carrier of size eps exceeds the dispersive detuning (which saturates
+    near omega(k0)), retained modes above a threshold ~ (1/eps)^{2/3} are
+    violently amplified; fixing the retained band keeps them out instead of
+    letting the band grow with n.
     """
 
     grid: Grid1D
     b: float
-    dealias: bool = True
-    k_cut: float | None = None
     extra_keep: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.b < 0.0:
             raise ValueError(f"Bond number must be nonnegative, got {self.b}")
-        if self.k_cut is not None and self.k_cut <= 0.0:
-            raise ValueError(f"k_cut must be positive, got {self.k_cut}")
         if self.extra_keep is not None and self.extra_keep.shape != (self.grid.n_points,):
             raise ValueError("extra_keep must be one boolean per grid mode")
 
@@ -108,10 +102,7 @@ class TruncatedSystem:
 
     @cached_property
     def _keep(self) -> np.ndarray:
-        keep = (self.grid.dealias_keep if self.dealias
-                else np.ones(self.grid.n_points, dtype=bool))
-        if self.k_cut is not None:
-            keep = keep & (np.abs(self._k) <= self.k_cut)
+        keep = self.grid.dealias_keep
         if self.extra_keep is not None:
             keep = keep & self.extra_keep.astype(bool)
         return keep

@@ -9,9 +9,15 @@ here:
   through a black-box bilinear operator — typically the quadratic part of
   the evolution equations — and reads off the output coefficient.
 
-Their agreement is a central correctness check; nothing in this module
-reaches into :mod:`arcwave.equations` internals beyond calling its
-``nonlinear`` evaluation.
+The closed forms are the production route: the triad coefficients of
+:func:`arcwave.resonance.stability` and :func:`arcwave.twi.twi_coeffs`, the
+first-block normal-form kernels and the first-block reweighting all
+evaluate ``first_block_symbol`` at the exact wavenumbers.  Extraction is the
+test oracle the closed forms are checked against, and it still serves the
+one quantity without a closed form: the second-block residual curves
+(``_curve_cached``) and the operational residual ``q_residual``.  Nothing in
+this module reaches into :mod:`arcwave.equations` internals beyond calling
+its ``nonlinear`` evaluation.
 
 Residual symbols (the first-block commutator remainder and the second-block
 leftover) are *defined* operationally as extracted-total minus closed forms;
@@ -57,7 +63,6 @@ __all__ = [
     "delta0_for",
     "delta1_for",
     "default_params",
-    "stability_ratio_coefficients",
     "DEFAULT_EXTRACTION_GRID",
 ]
 
@@ -851,49 +856,3 @@ def default_params(k0: float, b: float, eps: float = 0.1) -> KernelParams:
     delta1 = delta1_for(k0, k1) if k1 is not None else 0.5
     return KernelParams(eps=eps, delta0=delta0_for(k0, b), delta1=delta1,
                         b=b, k0=k0, k1=k1)
-
-
-# ---------------------------------------------------------------------------
-# stability plumbing used by resonance.stability
-# ---------------------------------------------------------------------------
-
-
-def _pow2_at_least(x: float) -> int:
-    n = 1
-    while n < x:
-        n *= 2
-    return n
-
-
-def extraction_grid_for(k_max: float, density: int = 512,
-                        n_cap: int = 1 << 18) -> Grid1D:
-    """Grid whose dealiased band covers |k| <= k_max at spacing 1/density.
-
-    The density is lowered (in powers of two) when the cap on the point
-    count would otherwise be exceeded.
-    """
-    d = density
-    while d > 4 and 3 * d * (k_max + 2.0) > n_cap:
-        d //= 2
-    n = _pow2_at_least(3.0 * d * (k_max + 2.0))
-    return Grid1D(n_points=n, length=2.0 * np.pi * d)
-
-
-def stability_ratio_coefficients(k0: float, b: float, k1: float,
-                                 grid: Optional[Grid1D] = None
-                                 ) -> tuple[complex, complex, tuple[float, float]]:
-    """Extracted interaction coefficients whose ratio decides stability.
-
-    Returns (numerator, denominator, snapped (k1, k1-k0)): the numerator is
-    the kernel of the u_{-1}-equation at inserts (k0, k1-k0) read at k1, the
-    denominator the kernel at inserts (k0, -k1) read at k0-k1.
-    """
-    if grid is None:
-        grid = extraction_grid_for(k1 + k0)
-    fund = grid.fundamental
-    k0s = round(k0 / fund) * fund
-    k1s = round(k1 / fund) * fund
-    op = equation_cross_operator(b, -1, -1, -1)
-    c_num = extract_kernel(op, k0s, k1s - k0s, grid=grid)
-    c_den = extract_kernel(op, k0s, -k1s, grid=grid)
-    return c_num, c_den, (k1s, k1s - k0s)

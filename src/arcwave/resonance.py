@@ -442,11 +442,13 @@ def stability(k0: float, b: float) -> StabilityVerdict:
 
     For b in (0, b0) the carrier resonates with the pair (k1, k0-k1) and the
     verdict is the sign of the interaction-coefficient ratio at that triad
-    (negative ratio = stable); the ratio comes from numerical kernel
-    extraction of the first-block equation.  The equivalent closed
-    characterization — k0 is stable iff it is not the largest wavenumber of
-    its triad — is evaluated alongside and reported as
-    ``characterization_agrees``.
+    (negative ratio = stable).  Both coefficients are the closed-form
+    first-block symbol of the u_{-1} equation evaluated at the exact k1:
+    the numerator at inserts (k0, k1-k0), the denominator at (k0, -k1).
+    Kernel extraction from the equations reproduces them and serves as the
+    test oracle.  The equivalent closed characterization — k0 is stable iff
+    it is not the largest wavenumber of its triad — is evaluated alongside
+    and reported as ``characterization_agrees``.
 
     Outside (0, b0) there is no resonant partner above k0 and the carrier is
     reported stable by absence of extra resonances.
@@ -458,14 +460,13 @@ def stability(k0: float, b: float) -> StabilityVerdict:
             reason="no resonant partner above k0 for this Bond number",
         )
 
-    from . import kernels  # deferred: kernels imports this module
+    from .kernels import first_block_symbol  # deferred: kernels imports this module
 
     k1 = k1_of_b(k0, b)
-    c1, c2, triad = kernels.stability_ratio_coefficients(k0, b, k1)
-    if abs(c2) == 0.0:
-        raise ValueError(
-            f"kernel extraction returned a zero denominator at triad {triad}"
-        )
+    c1 = first_block_symbol(-1, -1, k0, k1 - k0, b)
+    c2 = first_block_symbol(-1, -1, k0, -k1, b)
+    if c2 == 0.0:
+        raise ValueError(f"the triad denominator vanishes at k1={k1}")
     ratio = float((c1 / c2).real)
     stable = ratio < 0.0
     max_criterion_stable = k0 < max(k1, abs(k0 - k1))
@@ -473,5 +474,5 @@ def stability(k0: float, b: float) -> StabilityVerdict:
         stable=stable,
         ratio=ratio,
         characterization_agrees=(stable == max_criterion_stable),
-        reason=f"triad ({k0}, {triad[0]}, {triad[1]})",
+        reason=f"triad ({k0}, {k1}, {k1 - k0})",
     )

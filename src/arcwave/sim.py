@@ -43,23 +43,17 @@ __all__ = [
     "ScanRow",
     "ErrorScanResult",
     "ResidualNorms",
-    "rhs",
-    "step",
     "run",
     "residual",
     "residual_orders",
     "error_scan",
     "consistency_residual",
-    "diag_transform",
     "to_diagonal",
     "from_diagonal",
     "energy_diagnostic",
     "packet_initial_state",
     "scan_grid_length",
 ]
-
-INTEGRATORS = ("IFRK4",)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -72,16 +66,9 @@ class SimConfig:
     length: float
     dt: float
     t_end: float
-    integrator: str = "IFRK4"
-    dealias: bool = True
-    corrections: bool = True
-    k_cut: Optional[float] = None
     band_halfwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(
-                f"unknown integrator {self.integrator!r}; available: {INTEGRATORS}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0.0:
@@ -110,8 +97,7 @@ class SimConfig:
         extra = None
         if self.band_halfwidth is not None:
             extra = band_mask(self.grid, self.k0, self.band_halfwidth)
-        return TruncatedSystem(self.grid, self.b, dealias=self.dealias,
-                               k_cut=self.k_cut, extra_keep=extra)
+        return TruncatedSystem(self.grid, self.b, extra_keep=extra)
 
     @cached_property
     def model(self) -> ModelParams:
@@ -161,15 +147,8 @@ def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
 
 
 # ---------------------------------------------------------------------------
-# right-hand side and stepping
+# stepping
 # ---------------------------------------------------------------------------
-
-
-def rhs(state: SimState, config: SimConfig) -> tuple[SpectralField, ...]:
-    """Full tendency (linear + quadratic) of the four components."""
-    mat = config.system.full_rhs(state.matrix)
-    return tuple(SpectralField.from_coefficients(state.grid, row, is_real=True)
-                 for row in mat)
 
 
 def _lawson_step(system: TruncatedSystem, U: np.ndarray, dt: float,
@@ -184,23 +163,11 @@ def _lawson_step(system: TruncatedSystem, U: np.ndarray, dt: float,
     return e_full * U + (dt / 6.0) * (e_full * N1 + 2.0 * e_half * (N2 + N3) + N4)
 
 
-def step(state: SimState, config: SimConfig) -> SimState:
-    """Advance one dt with the integrating-factor RK4."""
-    lam = config.system.linear_symbols
-    out = _lawson_step(config.system, state.matrix, config.dt,
-                       np.exp(lam * config.dt), np.exp(lam * 0.5 * config.dt),
-                       linear_only=False)
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError(f"non-finite state after one step from t={state.t:.6g}")
-    return SimState.from_matrix(state.grid, out, state.t + config.dt)
-
-
 @dataclass(frozen=True)
 class SimRun:
     config: SimConfig
     samples: tuple[SimState, ...]
     final: SimState
-    steps: int
 
 
 def run(config: SimConfig, initial: SimState, *, sample_every: int = 0,
@@ -235,8 +202,7 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0,
         samples.append(final)
     else:
         samples = [initial, final]
-    return SimRun(config=config, samples=tuple(samples), final=final,
-                  steps=n_steps)
+    return SimRun(config=config, samples=tuple(samples), final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +309,7 @@ class ScanTemplate:
     amplification needs modes above them (threshold shrinking to
     ~(1/eps)^{2/3} as eps grows) or the sliver between the harmonic bands, so
     the restriction measures the modulation approximation instead of the
-    cascade.  ``k_cut`` is the blunter instrument (everything below one
-    cutoff); both feed :class:`SimConfig` unchanged.
+    cascade.  It feeds :class:`SimConfig` unchanged.
     """
 
     k0: float = 2.0
@@ -357,7 +322,6 @@ class ScanTemplate:
     corrections: bool = True
     n_samples: int = 24
     length_scale: float = 35.0
-    k_cut: Optional[float] = None
     band_halfwidth: Optional[float] = 0.9
 
     def __post_init__(self) -> None:
@@ -403,39 +367,29 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
     L = scan_grid_length(eps, template.length_scale)
     config = SimConfig(eps=eps, k0=template.k0, b=template.b, n=template.n,
                        length=L, dt=template.dt, t_end=t_end,
-                       corrections=template.corrections, k_cut=template.k_cut,
                        band_halfwidth=template.band_halfwidth)
     env_grid = Grid1D(template.n_env, eps * L)
     A = _sech_envelope(env_grid)
     model = config.model
     packet = wave_packet(A, eps, model, corrections=template.corrections)
     coeffs = nls_coefficients(template.k0, template.b)
+    keep = config.system.keep_mask
 
-    system = config.system
-    keep = system.keep_mask
-    lam = system.linear_symbols
-    e_full = np.exp(lam * config.dt)
-    e_half = np.exp(lam * 0.5 * config.dt)
-
+    U0 = packet_initial_state(packet, config).matrix
+    U0[:, ~keep] = 0.0
     n_steps = config.n_steps
     block = max(1, n_steps // template.n_samples)
+    out = run(config, SimState.from_matrix(config.grid, U0, 0.0),
+              sample_every=block)
 
-    U = np.array([f.coefficients for f in build(packet, config.grid, 0.0)])
-    U[:, ~keep] = 0.0
     sup_error = 0.0
-    approx_size = _split_norm(U, config.grid)
+    approx_size = _split_norm(U0, config.grid)
     flagged = False
     done = 0
     A_now = A
-    while done < n_steps:
+    for state in out.samples[1:]:
         todo = min(block, n_steps - done)
-        for i in range(todo):
-            U = _lawson_step(system, U, config.dt, e_full, e_half, False)
         done += todo
-        if not np.all(np.isfinite(U)):
-            raise RuntimeError(f"non-finite state after step {done} "
-                               f"(eps={eps}, b={template.b})")
-        t_now = done * config.dt
         # advance the envelope over the same slow-time window
         dtau_window = eps**2 * config.dt * todo
         A_now = nls_solve(A_now, coeffs, dtau=eps**2 * config.dt,
@@ -445,9 +399,9 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
             EnvelopeField(env_grid, A_now.values), eps, model,
             corrections=template.corrections)
         ref = np.array([f.coefficients
-                        for f in build(comparison, config.grid, t_now)])
+                        for f in build(comparison, config.grid, state.t)])
         ref[:, ~keep] = 0.0
-        err = _split_norm(U - ref, config.grid)
+        err = _split_norm(state.matrix - ref, config.grid)
         size = _split_norm(ref, config.grid)
         approx_size = max(approx_size, size)
         sup_error = max(sup_error, err)
@@ -467,7 +421,13 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
     equation; the recorded error is the worst sampled distance in the mixed
     (L2, H2) norm.  A run whose error exceeds the approximation's own size
     is flagged (instability or horizon too long) but still enters the fit.
+    Fewer than two eps values leave no slope to fit and are refused before
+    any run starts.
     """
+    if len(eps_list) < 2:
+        raise ValueError(
+            f"an error scan needs at least two eps values to fit a slope, "
+            f"got {len(eps_list)}")
     rows = tuple(_scan_single(eps, template) for eps in eps_list)
     log_eps = np.log([row.eps for row in rows])
     log_err = np.log([row.sup_error for row in rows])
@@ -514,16 +474,6 @@ def from_diagonal(u_m1: SpectralField, u_p1: SpectralField,
     kappa = apply_multiplier(sig_inv, u_m2 - u_p2)
     delta_aa = u_m2 + u_p2
     return y, v, kappa, delta_aa
-
-
-def diag_transform(fields: tuple[SpectralField, ...], b: float,
-                   direction: str = "forward") -> tuple[SpectralField, ...]:
-    """Dispatch between the two directions of the diagonalizing transform."""
-    if direction == "forward":
-        return to_diagonal(*fields, b)
-    if direction == "inverse":
-        return from_diagonal(*fields, b)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def energy_diagnostic(state: SimState, packet: WavePacket, l: int,

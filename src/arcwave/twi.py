@@ -7,23 +7,23 @@ exchange energy through a closed ODE system
     A0' = c0 * conj(A1 * A2),   A1' = c1 * conj(A0 * A2),
     A2' = c2 * conj(A0 * A1).
 
-The coefficients are read off the first-component evolution equation by
-kernel extraction at the triad points; the single-mode subspaces are fixed
-points, and the ratio c1/c2 decides whether the (A0, 0, 0) subspace is
-stable (ratio < 0) or sheds energy into the partner modes (ratio > 0).
+The coefficients are the closed-form first-block symbol of the
+first-component evolution equation at the exact triad points (kernel
+extraction from the equations is their test oracle); the single-mode
+subspaces are fixed points, and the ratio c1/c2 decides whether the
+(A0, 0, 0) subspace is stable (ratio < 0) or sheds energy into the partner
+modes (ratio > 0).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .kernels import equation_cross_operator, extract_kernel, extraction_grid_for
+from .kernels import first_block_symbol
 from .resonance import r_hat
-from .spectral import Grid1D
 
 __all__ = [
     "TWIState",
@@ -33,7 +33,6 @@ __all__ = [
     "conserved_E",
     "default_dt",
     "integrate",
-    "m0_growth_rate",
     "m0_growth_factor",
 ]
 
@@ -62,11 +61,11 @@ class TWIState:
 
 @dataclass(frozen=True)
 class TWICoeffs:
-    """Extracted triad interaction coefficients.
+    """Triad interaction coefficients.
 
-    ``triad`` stores the grid-snapped carrier wavenumbers (they sum to zero
-    exactly); ``resonance_defect`` is |r| at the requested partner
-    wavenumber, recorded so a sloppy triad is visible downstream.
+    ``triad`` stores the carrier wavenumbers (they sum to zero exactly);
+    ``resonance_defect`` is |r| at the requested partner wavenumber,
+    recorded so a sloppy triad is visible downstream.
     """
 
     c0: complex
@@ -76,21 +75,20 @@ class TWICoeffs:
     resonance_defect: float = 0.0
 
     def ratio(self) -> float:
-        """Stability discriminant c1/c2 (real up to extraction noise)."""
+        """Stability discriminant c1/c2 (real up to rounding)."""
         if self.c2 == 0:
             raise ZeroDivisionError("c2 vanishes; the triad ratio is undefined")
         return (self.c1 / self.c2).real
 
 
-def twi_coeffs(k0: float, k1: float, b: float, ell: int = 1,
-               grid: Optional[Grid1D] = None) -> TWICoeffs:
-    """Extract the triad coefficients for the partner pair (k0, k1).
+def twi_coeffs(k0: float, k1: float, b: float, ell: int = 1) -> TWICoeffs:
+    """Triad coefficients for the partner pair (k0, k1).
 
-    The triad carriers are (-ell*k0, ell*k1, -ell*(k1-k0)).  Both
-    wavenumbers are snapped to the extraction grid first, so the carriers
-    sum to zero exactly.  A partner that is not actually resonant (|r| at
-    k1 above tolerance) produces a warning, not an error — the ODE system
-    is well defined regardless.
+    The triad carriers are (-ell*k0, ell*k1, -ell*(k1-k0)); each coefficient
+    is the closed-form first-block symbol of the u_{-1} equation at the exact
+    wavenumbers.  A partner that is not actually resonant (|r| at k1 above
+    tolerance) produces a warning, not an error — the ODE system is well
+    defined regardless.
     """
     if ell not in (-1, 1):
         raise ValueError(f"ell must be +/-1, got {ell}")
@@ -102,18 +100,11 @@ def twi_coeffs(k0: float, k1: float, b: float, ell: int = 1,
             f"(k0={k0}, k1={k1}) is not resonant at b={b}: |r|={defect:.3e}",
             stacklevel=2,
         )
-    if grid is None:
-        grid = extraction_grid_for(max(abs(k0), abs(k1), abs(k1 - k0)))
-    fund = grid.fundamental
-    k0s = round(k0 / fund) * fund
-    k1s = round(k1 / fund) * fund
-
-    op = equation_cross_operator(b, -1, slot_a=-1, slot_b=-1)
     # coefficient of conj(A1 A2) at carrier -ell*k0, and cyclic
-    c0 = extract_kernel(op, -ell * k1s, ell * (k1s - k0s), grid=grid)
-    c1 = extract_kernel(op, ell * k0s, ell * (k1s - k0s), grid=grid)
-    c2 = extract_kernel(op, ell * k0s, -ell * k1s, grid=grid)
-    triad = (-ell * k0s, ell * k1s, -ell * (k1s - k0s))
+    c0 = first_block_symbol(-1, -1, -ell * k1, ell * (k1 - k0), b)
+    c1 = first_block_symbol(-1, -1, ell * k0, ell * (k1 - k0), b)
+    c2 = first_block_symbol(-1, -1, ell * k0, -ell * k1, b)
+    triad = (-ell * k0, ell * k1, -ell * (k1 - k0))
     return TWICoeffs(c0=c0, c1=c1, c2=c2, triad=triad, resonance_defect=defect)
 
 
@@ -189,28 +180,6 @@ def integrate(state: TWIState, coeffs: TWICoeffs, dt: float,
     E = np.abs(arr[:, 1]) ** 2 - ratio * np.abs(arr[:, 2]) ** 2
     return Trajectory(tau=np.array(taus), A0=arr[:, 0], A1=arr[:, 1],
                       A2=arr[:, 2], E=E, blew_up=blew_up)
-
-
-def m0_growth_rate(coeffs: TWICoeffs, delta: float = 1e-4,
-                   a0: complex = 1.0 + 0.0j) -> float:
-    """Measured growth rate of a small perturbation of the single-mode
-    subspace (A0, 0, 0).
-
-    Protocol: seed A1 = A2 = delta, integrate across one predicted e-fold
-    (or a fixed window when the linearization predicts no growth), and fit
-    a least-squares line to log|A1|.  Positive slopes mean the subspace
-    sheds energy into the partners.
-    """
-    # linearization about (a0, 0, 0): d^2 A1/dtau^2 = c1 conj(c2) |a0|^2 A1
-    mu = (coeffs.c1 * np.conj(coeffs.c2) * abs(a0) ** 2).real
-    predicted = np.sqrt(mu) if mu > 0 else 0.0
-    window = 1.0 / predicted if predicted > 0 else 10.0 / max(abs(coeffs.c1), 1e-12)
-    state = TWIState(A0=a0, A1=delta + 0j, A2=delta + 0j)
-    dt = min(default_dt(state, coeffs), window / 200.0)
-    traj = integrate(state, coeffs, dt, window)
-    log_a1 = np.log(np.abs(traj.A1))
-    slope = np.polyfit(traj.tau, log_a1, 1)[0]
-    return float(slope)
 
 
 def m0_growth_factor(coeffs: TWICoeffs, delta: float = 1e-4,

@@ -21,7 +21,6 @@ from arcwave.kernels import (
     delta1_for,
     equation_cross_operator,
     extract_kernel,
-    extraction_grid_for,
     first_block_symbol,
     n_hat,
     q13_closed,
@@ -32,12 +31,12 @@ from arcwave.kernels import (
     rho_hat,
     second_block_residual_curve,
     second_block_total_curve,
-    stability_ratio_coefficients,
     theta_hat,
     theta_inv_hat,
     xi_hat,
     zeta_hat,
 )
+from arcwave.resonance import stability
 
 K0 = 2.0
 PARAMS_BAND = default_params(K0, 0.1)       # k1 ~ 4.3, resonant band active
@@ -299,14 +298,6 @@ def test_extract_kernel_doubling_check_accepts_clean_values():
     assert a == b
 
 
-def test_extraction_grid_sizing():
-    g = extraction_grid_for(10.0)
-    assert g.n_points >= 3 * 512 * 12
-    assert g.n_points & (g.n_points - 1) == 0  # power of two
-    cap = extraction_grid_for(4000.0)
-    assert cap.n_points <= 1 << 18
-
-
 # --------------------------------------------------------------------------
 # normal-form multipliers
 # --------------------------------------------------------------------------
@@ -457,12 +448,10 @@ def test_default_params_fills_the_band_fields():
 
 
 def test_stability_ratio_near_frozen_value():
-    k1 = 2.49556787092591
-    c_num, c_den, triad = stability_ratio_coefficients(K0, 0.2, k1)
-    ratio = (c_num / c_den).real
-    assert ratio == pytest.approx(-11.272797299870098, abs=0.05)
-    # triad = (snapped k1, snapped k1 - snapped k0): difference recovers k0
-    assert triad[0] - triad[1] == pytest.approx(K0, abs=1e-12)
+    # closed-form ratio at the exact k1 against the 30-digit mpmath value
+    verdict = stability(K0, 0.2)
+    assert verdict.ratio == pytest.approx(-11.272797299870098, rel=1e-12)
+    assert verdict.stable and verdict.characterization_agrees
 
 
 def test_curve_cache_is_idempotent_under_concurrency():

@@ -194,7 +194,7 @@ class TestStability:
     def test_subcritical_triad_is_stable(self):
         v = stability(K0, 0.2)
         assert v.stable
-        assert v.ratio == pytest.approx(-11.272797299870098, abs=0.05)
+        assert v.ratio == pytest.approx(-11.272797299870098, rel=1e-12)
         assert v.characterization_agrees
         assert "triad" in v.reason
 

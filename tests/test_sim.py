@@ -15,13 +15,12 @@ from arcwave.sim import (
     SimConfig,
     SimState,
     consistency_residual,
-    diag_transform,
     energy_diagnostic,
     error_scan,
     from_diagonal,
     packet_initial_state,
     residual,
-    rhs,
+    residual_orders,
     run,
     scan_grid_length,
     to_diagonal,
@@ -104,7 +103,7 @@ def good_config(**overrides):
         (dict(n=8), "grid too small"),
         (dict(length=-2.0), "length"),
         (dict(k0=1.7), "not a grid mode"),
-        (dict(integrator="RK4"), "integrator"),
+        (dict(dt=float("nan")), "dt"),
         (dict(eps=0.0), "eps"),
         (dict(eps=1.5), "eps"),
         (dict(band_halfwidth=0.0), "band_halfwidth"),
@@ -139,8 +138,7 @@ def test_config_derived_objects():
 def test_rhs_zero_state_is_zero():
     config = good_config()
     state = SimState(*[SpectralField.zero(config.grid) for _ in range(4)])
-    for f in rhs(state, config):
-        assert norm_l2(f) == 0.0
+    assert np.all(config.system.full_rhs(state.matrix) == 0.0)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.13])
@@ -156,7 +154,7 @@ def test_rhs_single_carrier_mode_matches_closed_form(b):
     U[0, grid.mode_index(K0)] = 0.5
     U[0, grid.mode_index(-K0)] = 0.5
     state = SimState.from_matrix(grid, U, 0.0)
-    quad = np.array([f.coefficients for f in rhs(state, config)])
+    quad = config.system.full_rhs(state.matrix)
     quad -= config.system.linear_symbols * U  # strip the linear part
 
     assert np.max(np.abs(quad[:, 0])) == 0.0
@@ -233,7 +231,7 @@ def test_run_sampling_semantics():
     config = good_config(n=64, dt=0.1, t_end=1.0)
     state = random_state(config.grid, 1e-3, seed=1)
     out = run(config, state, sample_every=3)
-    assert out.steps == 10
+    assert config.n_steps == 10
     assert [round(s.t, 10) for s in out.samples] == [0.0, 0.3, 0.6, 0.9, 1.0]
     assert np.array_equal(out.samples[-1].matrix, out.final.matrix)
     bare = run(config, state)
@@ -309,8 +307,35 @@ def test_error_scan_fast_horizon_decreases_with_eps():
     assert errs[0] > errs[1] > 0.0
     assert np.isfinite(result.slope)
     assert result.rows[0].t_end == pytest.approx(0.5 / 0.2, rel=0.05)
-    for row in result.rows:
-        assert row.approx_size > 0.0
+    # frozen rows of this template: both saturate (error above size), as
+    # on the default horizon
+    assert errs == pytest.approx([130.97209067526984, 68.89317119931987], rel=1e-10)
+    sizes = [row.approx_size for row in result.rows]
+    assert sizes == pytest.approx([94.998830861791, 61.793499947380745], rel=1e-10)
+    assert all(row.flagged for row in result.rows)
+
+
+def test_error_scan_refuses_fewer_than_two_eps():
+    with pytest.raises(ValueError, match="at least two eps"):
+        error_scan((0.2,))
+    with pytest.raises(ValueError, match="at least two eps"):
+        error_scan(())
+
+
+def test_residual_orders_frozen():
+    # The second-order packet's residual only drops below the leading-order
+    # one at eps = 0.05: it is larger at 0.2 and 0.1.
+    out = residual_orders()
+    assert out["eps"] == (0.2, 0.1, 0.05)
+    assert out["leading"] == pytest.approx(
+        (7.372384147106365, 2.3496893678339155, 0.8075113057009058), rel=1e-10)
+    assert out["second"] == pytest.approx(
+        (26.710049187076564, 3.7978147715387456, 0.6587417801351068), rel=1e-10)
+    log_eps = np.log(out["eps"])
+    assert out["order_leading"] == pytest.approx(
+        np.polyfit(log_eps, np.log(out["leading"]), 1)[0], rel=1e-12)
+    assert out["order_second"] == pytest.approx(
+        np.polyfit(log_eps, np.log(out["second"]), 1)[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +391,8 @@ def test_diag_transform_round_trip():
         c[~grid.dealias_keep] = 0.0
         fields.append(hermitian_symmetrize(
             SpectralField.from_coefficients(grid, c, is_real=False)))
-    forward = diag_transform(tuple(fields), 0.17, "forward")
-    back = diag_transform(forward, 0.17, "inverse")
+    forward = to_diagonal(*fields, 0.17)
+    back = from_diagonal(*forward, 0.17)
     for orig, rec in zip(fields, back):
         assert np.max(np.abs(orig.coefficients - rec.coefficients)) < 1e-12
 
@@ -391,13 +416,6 @@ def test_diag_transform_single_mode_rows():
     u_m1, u_p1, _, _ = to_diagonal(zero, cos_alpha, zero, zero, b)
     assert np.allclose(u_m1.values_real(), 0.5 * np.cos(grid.alpha), atol=1e-14)
     assert np.allclose(u_p1.values_real(), 0.5 * np.cos(grid.alpha), atol=1e-14)
-
-
-def test_diag_transform_rejects_unknown_direction():
-    grid = Grid1D(64, 2 * np.pi)
-    zeros = tuple(SpectralField.zero(grid) for _ in range(4))
-    with pytest.raises(ValueError, match="direction"):
-        diag_transform(zeros, 0.1, "sideways")
 
 
 def test_from_diagonal_recovers_geometry():

@@ -1,4 +1,4 @@
-"""Triad amplitude system: coefficient extraction, conservation, stability."""
+"""Triad amplitude system: closed-form coefficients, conservation, stability."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,9 @@ from arcwave.twi import (
 )
 
 K0 = 2.0
-# frozen from a 30-digit extraction at the exact partner wavenumbers; the
-# grid-snapped extraction is allowed a small drift (snap moves k1 by ~5e-4)
+# frozen from the 30-digit mpmath cross kernel at the exact partner
+# wavenumbers (scripts/derive_kernel_oracles.py); the closed-form symbol is
+# evaluated at the same wavenumbers, so only rounding separates the two
 RATIO_TABLE = {
     0.2: (2.49556787092591, -11.272797299870098),
     0.1: (4.3001037060984473, -3.4550553851902946),
@@ -40,12 +41,12 @@ def coeffs_b02():
 def test_extracted_ratio_against_frozen_table(b):
     k1, expected = RATIO_TABLE[b]
     co = twi_coeffs(K0, k1, b)
-    assert co.ratio() == pytest.approx(expected, abs=0.05)
+    assert co.ratio() == pytest.approx(expected, rel=1e-12)
 
 
 def test_unstable_partner_below_k0():
     co = twi_coeffs(K0, UNSTABLE_K1, UNSTABLE_B)
-    assert co.ratio() == pytest.approx(UNSTABLE_RATIO, abs=0.05)
+    assert co.ratio() == pytest.approx(UNSTABLE_RATIO, rel=1e-12)
     assert co.ratio() > 0
 
 
@@ -167,7 +168,7 @@ def test_growth_iff_positive_ratio_synthetic():
 
 
 def test_growth_iff_positive_ratio_extracted(coeffs_b02):
-    # stable extracted coefficients: perturbation stays pinned near delta
+    # stable closed-form coefficients: perturbation stays pinned near delta
     assert m0_growth_factor(coeffs_b02) < 10.0
     unstable = twi_coeffs(K0, UNSTABLE_K1, UNSTABLE_B)
     assert m0_growth_factor(unstable) >= 10.0
