@@ -77,8 +77,7 @@ class TruncatedSystem:
     def _inv_ik(self) -> np.ndarray:
         k = self._k
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(k != 0.0, 1.0 / (1j * k), 0.0 + 0.0j)
-        return v
+            return np.where(k != 0.0, 1.0 / (1j * k), 0.0 + 0.0j)
 
     @cached_property
     def _inv_ik2(self) -> np.ndarray:
@@ -97,20 +96,20 @@ class TruncatedSystem:
         return 1.0 / self._sig
 
     @cached_property
-    def _one_plus_K0sq(self) -> np.ndarray:
-        return 1.0 + self._K0**2
+    def _post(self) -> np.ndarray:
+        """Multipliers of the product sums in ``nonlinear``: E1, X1 (2), E2, X2 (4)."""
+        h = 0.5 * self._ik
+        hs = h * self._sig
+        hsK = hs * self._K0
+        return np.array([0.5 * h, hs, hsK, h, hs, self._ik * hs, hsK, self._ik * hsK])
 
     @cached_property
-    def _keep(self) -> np.ndarray:
+    def keep_mask(self) -> np.ndarray:
+        """Boolean mask of the modes the quadratic terms are allowed to feed."""
         keep = self.grid.dealias_keep
         if self.extra_keep is not None:
             keep = keep & self.extra_keep.astype(bool)
         return keep
-
-    @property
-    def keep_mask(self) -> np.ndarray:
-        """Boolean mask of the modes the quadratic terms are allowed to feed."""
-        return self._keep
 
     @cached_property
     def omega_values(self) -> np.ndarray:
@@ -125,11 +124,11 @@ class TruncatedSystem:
     # ------------------------------------------------------------- plumbing
 
     def _phys(self, c: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(c) * self.grid.n_points
+        return np.fft.ifft(c, norm="forward")
 
     def _coeff(self, p: np.ndarray) -> np.ndarray:
-        out = np.fft.fft(p) / self.grid.n_points
-        out[~self._keep] = 0.0
+        out = np.fft.fft(p, norm="forward")
+        out[..., ~self.keep_mask] = 0.0
         return out
 
     # ------------------------------------------------------------ evaluation
@@ -139,96 +138,52 @@ class TruncatedSystem:
 
         The linear part (see ``linear_symbols``) is handled separately so the
         integrating-factor stepper can advance it exactly.
+
+        Each block is a common part plus or minus a difference part,
+        n_{-/+1} = E1 -/+ X1 and n_{-/+2} = E2 -/+ X2, by two identities:
+
+        * commutator minus flat piece, K0 (K0 pr(g, f) - pr(g, K0 f))
+          - (1 + K0^2) pr(g, f) = -(pr(g, f) + K0 pr(g, K0 f)), g = sigma^{-1} d;
+        * -ik pr(da^{-2} s2, u_{-/+2}) -/+ (ik/2)[sigma, da^{-2} s2] sigma^{-1} d2
+          = -(ik/2) pr(da^{-2} s2, s2) -/+ (ik/2) sigma pr(da^{-2} s2, sigma^{-1} d2),
+          since u_{-/+2} - (-/+ d2)/2 = s2/2.
+
+        So each distinct product is formed once, and products sharing a
+        coefficient-space multiplier are summed before the forward transform:
+        one inverse FFT of 11 precursors, one forward FFT of 8 product sums.
         """
-        u_m1, u_p1, u_m2, u_p2 = state
         ik = self._ik
         K0 = self._K0
-        sig = self._sig
         sig_inv = self._sig_inv
-        opk = self._one_plus_K0sq
+        K0_inv_ik = K0 * self._inv_ik
 
-        s1 = u_m1 + u_p1
-        d1 = u_m1 - u_p1
-        s2 = u_m2 + u_p2
-        d2 = u_m2 - u_p2
+        s1, s2 = state[0::2] + state[1::2]
+        d1, d2 = state[0::2] - state[1::2]
+        sid1 = sig_inv * d1
+        sid2 = sig_inv * d2
+        ia1s2 = self._inv_ik * s2
 
         # physical-space precursors
-        P_s1 = self._phys(s1)
-        P_K0s1 = self._phys(K0 * s1)
-        P_sid1 = self._phys(sig_inv * d1)
-        P_um2 = self._phys(u_m2)
-        P_up2 = self._phys(u_p2)
-        P_d2 = self._phys(d2)
-        P_sid2 = self._phys(sig_inv * d2)
-        P_ia2s2 = self._phys(self._inv_ik2 * s2)
-        P_ia1s2 = self._phys(self._inv_ik * s2)
-        P_K0ia1s2 = self._phys(K0 * self._inv_ik * s2)
-        P_K0iasid2 = self._phys(K0 * self._inv_ik * sig_inv * d2)
-        P_iasid2 = self._phys(self._inv_ik * sig_inv * d2)
-        P_K0sid2a = self._phys(K0 * sig_inv * ik * d2)
+        (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
+         P_iasid2, P_K0iasid2, P_K0sid2a) = self._phys(np.array([
+            s1, K0 * s1, sid1, s2, sid2, self._inv_ik2 * s2, ia1s2,
+            K0_inv_ik * s2, self._inv_ik * sid2, K0_inv_ik * sid2,
+            K0 * ik * sid2]))
 
-        # ---- first block --------------------------------------------------
-        sq_s1 = self._coeff(P_s1 * P_s1)
-        sq_K0s1 = self._coeff(P_K0s1 * P_K0s1)
-        pr_sid1_s1 = self._coeff(P_sid1 * P_s1)
-        pr_sid1_K0s1 = self._coeff(P_sid1 * P_K0s1)
-
-        even1 = -0.25 * ik * sq_s1 + 0.25 * ik * sq_K0s1
-        comm1 = 0.5 * ik * sig * K0 * (K0 * pr_sid1_s1 - pr_sid1_K0s1)
-        flat1 = 0.5 * ik * sig * opk * pr_sid1_s1
-
-        n_m1 = even1 + comm1 - flat1
-        n_p1 = even1 - comm1 + flat1
-
-        # ---- second block -------------------------------------------------
-        pr_ia2_um2 = self._coeff(P_ia2s2 * P_um2)
-        pr_ia2_up2 = self._coeff(P_ia2s2 * P_up2)
-        pr_ia2_sid2 = self._coeff(P_ia2s2 * P_sid2)
-        pr_ia2_d2 = self._coeff(P_ia2s2 * P_d2)
-        pr_K0iasid2_sid2 = self._coeff(P_K0iasid2 * P_sid2)
-        pr_sid2_K0sid2a = self._coeff(P_sid2 * P_K0sid2a)
-        sq_ia1s2 = self._coeff(P_ia1s2 * P_ia1s2)
-        sq_K0ia1s2 = self._coeff(P_K0ia1s2 * P_K0ia1s2)
-        pr_sid1_ia1s2 = self._coeff(P_sid1 * P_ia1s2)
-        pr_sid1_K0ia1s2 = self._coeff(P_sid1 * P_K0ia1s2)
-        pr_iasid2_ia1s2 = self._coeff(P_iasid2 * P_ia1s2)
-        pr_iasid2_K0ia1s2 = self._coeff(P_iasid2 * P_K0ia1s2)
-
-        # [sigma, f] g = sigma(f g) - f * (sigma g) with f = dalpha^{-2} s2,
-        # g = sigma^{-1} d2 (so sigma g = d2)
-        comm_sig = sig * pr_ia2_sid2 - pr_ia2_d2
-
-        shared2 = (
-            0.5 * ik * pr_K0iasid2_sid2
-            - 0.5 * self.b * ik * pr_sid2_K0sid2a
-            - 0.5 * ik * sq_ia1s2
-            + 0.5 * ik * sq_K0ia1s2
-        )
-        comm2 = 0.5 * ik * ik * sig * K0 * (K0 * pr_sid1_ia1s2 - pr_sid1_K0ia1s2)
-        flat2 = 0.5 * ik * ik * sig * opk * pr_sid1_ia1s2
-        comm3 = 0.5 * ik * sig * K0 * (K0 * pr_iasid2_ia1s2 - pr_iasid2_K0ia1s2)
-        flat3 = 0.5 * ik * sig * opk * pr_iasid2_ia1s2
-
-        n_m2 = (
-            -ik * pr_ia2_um2
-            - 0.5 * ik * comm_sig
-            + shared2
-            + comm2
-            - flat2
-            + comm3
-            - flat3
-        )
-        n_p2 = (
-            -ik * pr_ia2_up2
-            + 0.5 * ik * comm_sig
-            + shared2
-            - comm2
-            + flat2
-            - comm3
-            + flat3
-        )
-
-        return np.array([n_m1, n_p1, n_m2, n_p2])
+        # product sums, one per coefficient-space multiplier (see _post)
+        G = self._post * self._coeff(np.array([
+            P_K0s1 * P_K0s1 - P_s1 * P_s1,
+            P_sid1 * P_s1,
+            P_sid1 * P_K0s1,
+            P_K0iasid2 * P_sid2 - P_ia2s2 * P_s2 - P_ia1s2 * P_ia1s2
+            + P_K0ia1s2 * P_K0ia1s2 - self.b * P_sid2 * P_K0sid2a,
+            P_ia2s2 * P_sid2 + P_iasid2 * P_ia1s2,
+            P_sid1 * P_ia1s2,
+            P_iasid2 * P_K0ia1s2,
+            P_sid1 * P_K0ia1s2,
+        ]))
+        E1, X1, E2, X2 = G[0], G[1] + G[2], G[3], G[4] + G[5] + G[6] + G[7]
+        return np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
 
     def full_rhs(self, state: np.ndarray) -> np.ndarray:
         """Linear plus nonlinear tendency."""

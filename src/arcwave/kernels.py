@@ -563,8 +563,12 @@ def _second_block_total_cached(params: KernelParams, j1: int, j2: int,
                                       composite_carrier=True)
     closed = _closed_second_block_on_grid(j1, j2, l, grid, params, (1, 2, 3, 4))
     residual = extracted - closed
-    # the m=0 grid point hits the 1/m^2 weight head-on; the residual itself
-    # is continuous there, so patch it from the neighbours
+    # the m=0 grid point hits the 1/m^2 weight head-on, so it is replaced by
+    # the mean of its two neighbours.  The residual is *not* continuous
+    # there: it keeps a 1/m^2 piece, m^2 * residual -> about -i k l^2, from
+    # -ik pr(dalpha^{-2} s2, u_{-2}), which the mu = 4 closed form lacks.
+    # The patched value is a convention, not a limit, and n_hat reads it at
+    # round(k) for the carrier-band wavenumbers.
     m_zero = np.nonzero(grid.mode_numbers == jl)[0]
     if m_zero.size:
         i = int(m_zero[0])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -69,10 +69,11 @@ class SimConfig:
     band_halfwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
+            raise ValueError(
+                f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.n < 16:
             raise ValueError(f"grid too small: n={self.n}")
         if not self.length > 0.0:
@@ -476,6 +477,27 @@ def from_diagonal(u_m1: SpectralField, u_p1: SpectralField,
     return y, v, kappa, delta_aa
 
 
+@lru_cache(maxsize=16)
+def _energy_tables(grid: Grid1D, params: KernelParams,
+                   l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of the modified energy on the grid's wavenumbers.
+
+    Returns rho_hat(j1, l) as a (2, n) array and n_hat(j1, j2, ell, slot) as a
+    (2, 2, 2, 2, n) array, indexed in the orders j1, j2 in (-2, 2),
+    ell in (-1, 1), slot in (1, 2).  They depend on (grid, params, l) only,
+    so every sample of a run shares them.
+    """
+    k = grid.wavenumbers
+    rho = np.array([rho_hat(j1, l, k, params) for j1 in (-2, 2)], dtype=float)
+    nh = np.array([[[[n_hat(j1, j2, ell, j, k, params) for j in (1, 2)]
+                     for ell in (-1, 1)]
+                    for j2 in (-2, 2)]
+                   for j1 in (-2, 2)])
+    rho.setflags(write=False)
+    nh.setflags(write=False)
+    return rho, nh
+
+
 def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
                       params: KernelParams) -> float:
     """Modified-energy functional of the second-block error at derivative order l.
@@ -490,39 +512,31 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     grid = state.grid
     eps = packet.eps
     k = grid.wavenumbers
+    rho, nh = _energy_tables(grid, params, l)
     approx = build(packet, grid, state.t)
     t_inv = theta_inv_hat(k, eps, params.delta0)
     R = [(state.fields[i].coefficients - approx[i].coefficients)
          * t_inv / eps**2.5 for i in range(4)]
 
     psi_plus, psi_minus = carrier_halves(packet, grid, state.t)
-    psi_phys = {1: psi_plus.values(), -1: psi_minus.values()}
+    psi_phys = (psi_minus.values(), psi_plus.values())
 
     n_pts = grid.n_points
     inv_ik = np.where(k == 0.0, 0.0, -1j / np.where(k == 0.0, 1.0, k))
 
-    def coeff(phys: np.ndarray) -> np.ndarray:
-        return np.fft.fft(phys) / n_pts
-
-    def phys(c: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(c) * n_pts
+    # carrier products psi_ell * f and psi_ell * dalpha^{-1} f: (j2, ell, slot)
+    f_phys, g_phys = np.fft.ifft(np.array([R[2:], [inv_ik * f for f in R[2:]]])) * n_pts
+    carrier = np.fft.fft(np.array([[(psi * f, psi * g) for psi in psi_phys]
+                                   for f, g in zip(f_phys, g_phys)])) / n_pts
 
     dl = (1j * k) ** l
     L = grid.length
     total = 0.0
-    for j1 in (-2, 2):
-        row = 2 if j1 < 0 else 3
-        rho = np.asarray(rho_hat(j1, l, k, params), dtype=float)
-        Rl = dl * R[row]
-        total += 0.5 * L * float(np.sum(rho * np.abs(Rl) ** 2))
-        for j2 in (-2, 2):
-            f = R[2 if j2 < 0 else 3]
-            f_phys = phys(f)
-            g_phys = phys(inv_ik * f)
-            N = np.zeros(n_pts, dtype=complex)
-            for ell in (-1, 1):
-                N += n_hat(j1, j2, ell, 1, k, params) * coeff(psi_phys[ell] * f_phys)
-                N += n_hat(j1, j2, ell, 2, k, params) * coeff(psi_phys[ell] * g_phys)
+    for i1 in range(2):
+        Rl = dl * R[2 + i1]
+        total += 0.5 * L * float(np.sum(rho[i1] * np.abs(Rl) ** 2))
+        for i2 in range(2):
+            N = np.sum(nh[i1, i2] * carrier[i2], axis=(0, 1))
             total += eps * L * float(
-                np.real(np.sum(np.conj(Rl) * rho * dl * N)))
+                np.real(np.sum(np.conj(Rl) * rho[i1] * dl * N)))
     return total

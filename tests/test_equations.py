@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcwave.dispersion import k0_symbol, omega, sigma_inv
+from arcwave.dispersion import k0_symbol, omega, sigma, sigma_inv
 from arcwave.equations import COMPONENT_INDEX, TruncatedSystem, components_from_fields
 from arcwave.spectral import (
     Grid1D,
@@ -178,3 +178,120 @@ def test_consistency_defect_detects_unslaved_state():
 def test_bond_number_validation():
     with pytest.raises(ValueError):
         TruncatedSystem(GRID, -0.01)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the term-by-term evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_nonlinear(grid, b, keep, state):
+    """Frozen term-by-term nonlinearity: one transform per precursor and per
+    product, with the commutator and flat pieces formed separately."""
+    n = grid.n_points
+    k = grid.wavenumbers
+    ik = 1j * k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_ik = np.where(k != 0.0, 1.0 / (1j * k), 0.0 + 0.0j)
+    inv_ik2 = inv_ik**2
+    K0 = -1j * np.tanh(k)
+    sig = sigma(k, b).astype(np.complex128)
+    sig_inv = 1.0 / sig
+    opk = 1.0 + K0**2
+
+    def phys(c):
+        return np.fft.ifft(c) * n
+
+    def coeff(p):
+        out = np.fft.fft(p) / n
+        out[~keep] = 0.0
+        return out
+
+    u_m1, u_p1, u_m2, u_p2 = state
+    s1, d1 = u_m1 + u_p1, u_m1 - u_p1
+    s2, d2 = u_m2 + u_p2, u_m2 - u_p2
+
+    P_s1 = phys(s1)
+    P_K0s1 = phys(K0 * s1)
+    P_sid1 = phys(sig_inv * d1)
+    P_um2 = phys(u_m2)
+    P_up2 = phys(u_p2)
+    P_d2 = phys(d2)
+    P_sid2 = phys(sig_inv * d2)
+    P_ia2s2 = phys(inv_ik2 * s2)
+    P_ia1s2 = phys(inv_ik * s2)
+    P_K0ia1s2 = phys(K0 * inv_ik * s2)
+    P_K0iasid2 = phys(K0 * inv_ik * sig_inv * d2)
+    P_iasid2 = phys(inv_ik * sig_inv * d2)
+    P_K0sid2a = phys(K0 * sig_inv * ik * d2)
+
+    pr_sid1_s1 = coeff(P_sid1 * P_s1)
+    even1 = -0.25 * ik * coeff(P_s1 * P_s1) + 0.25 * ik * coeff(P_K0s1 * P_K0s1)
+    comm1 = 0.5 * ik * sig * K0 * (K0 * pr_sid1_s1 - coeff(P_sid1 * P_K0s1))
+    flat1 = 0.5 * ik * sig * opk * pr_sid1_s1
+
+    pr_sid1_ia1s2 = coeff(P_sid1 * P_ia1s2)
+    pr_iasid2_ia1s2 = coeff(P_iasid2 * P_ia1s2)
+    comm_sig = sig * coeff(P_ia2s2 * P_sid2) - coeff(P_ia2s2 * P_d2)
+    shared2 = (0.5 * ik * coeff(P_K0iasid2 * P_sid2)
+               - 0.5 * b * ik * coeff(P_sid2 * P_K0sid2a)
+               - 0.5 * ik * coeff(P_ia1s2 * P_ia1s2)
+               + 0.5 * ik * coeff(P_K0ia1s2 * P_K0ia1s2))
+    comm2 = 0.5 * ik * ik * sig * K0 * (K0 * pr_sid1_ia1s2
+                                        - coeff(P_sid1 * P_K0ia1s2))
+    flat2 = 0.5 * ik * ik * sig * opk * pr_sid1_ia1s2
+    comm3 = 0.5 * ik * sig * K0 * (K0 * pr_iasid2_ia1s2
+                                   - coeff(P_iasid2 * P_K0ia1s2))
+    flat3 = 0.5 * ik * sig * opk * pr_iasid2_ia1s2
+
+    n_m2 = (-ik * coeff(P_ia2s2 * P_um2) - 0.5 * ik * comm_sig + shared2
+            + comm2 - flat2 + comm3 - flat3)
+    n_p2 = (-ik * coeff(P_ia2s2 * P_up2) + 0.5 * ik * comm_sig + shared2
+            - comm2 + flat2 - comm3 + flat3)
+    return np.array([even1 + comm1 - flat1, even1 - comm1 + flat1, n_m2, n_p2])
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("b", [0.0, 0.05, 0.13, 0.3])
+def test_nonlinear_matches_term_by_term_reference(n, b):
+    grid = Grid1D(n_points=n, length=2 * np.pi)
+    system = TruncatedSystem(grid, b)
+    rng = np.random.default_rng(n + int(100 * b))
+    hermitian = random_real_state(rng, grid)
+    complex_state = (rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))) * 1e-2
+    complex_state[:, ~grid.dealias_keep] = 0.0
+    for state in (hermitian, complex_state):
+        ref = reference_nonlinear(grid, b, system.keep_mask, state)
+        out = system.nonlinear(state)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(out[:, 0] == 0.0)
+
+
+def test_nonlinear_matches_reference_on_band_restricted_mask():
+    grid = Grid1D(n_points=1024, length=16 * np.pi)
+    k = grid.wavenumbers
+    band = np.abs(np.abs(k) - 2.0) <= 0.9
+    system = TruncatedSystem(grid, 0.05, extra_keep=band)
+    state = random_real_state(np.random.default_rng(4), grid)
+    ref = reference_nonlinear(grid, 0.05, system.keep_mask, state)
+    out = system.nonlinear(state)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    system = TruncatedSystem(GRID, BOND)
+    state = random_real_state(np.random.default_rng(9))
+    system.nonlinear(state)  # build the cached tables outside the count
+    monkeypatch.setattr(np.fft, "ifft", counting("ifft", np.fft.ifft))
+    monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
+    system.nonlinear(state)
+    n = GRID.n_points
+    assert calls == [("ifft", (11, n)), ("fft", (8, n))]

@@ -107,6 +107,9 @@ def good_config(**overrides):
         (dict(eps=0.0), "eps"),
         (dict(eps=1.5), "eps"),
         (dict(band_halfwidth=0.0), "band_halfwidth"),
+        (dict(dt=float("inf")), "dt"),
+        (dict(t_end=float("nan")), "t_end"),
+        (dict(t_end=float("inf")), "t_end"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -534,3 +537,25 @@ def test_energy_bounded_on_monitored_run(monitored_run):
     assert l0.max() <= 6e7
     increments = np.diff(l0)
     assert np.max(increments[-3:]) <= 0.7 * np.max(increments)
+
+
+@pytest.mark.parametrize(
+    "index,l,expected",
+    [
+        (3, 0, 2715833.2711673),
+        (3, 2, 3500939342.538256),
+        (10, 0, 20232414.832201213),
+        (10, 2, 9980157452.369604),
+    ],
+)
+def test_energy_frozen_on_monitored_run(index, l, expected, monitored_run):
+    # frozen at t = 3 and t = 10: the weight tables are cached across samples
+    # and calls, so a stale or misindexed table shows here
+    config = monitored_run["config"]
+    params = default_params(K0, BOND, EPS)
+    state = monitored_run["run"].samples[index]
+    packet_now = wave_packet(monitored_run["envelopes"][index], EPS,
+                             config.model, corrections=True)
+    assert state.t == pytest.approx(float(index))
+    assert energy_diagnostic(state, packet_now, l, params) == pytest.approx(
+        expected, rel=1e-12)
