@@ -5,6 +5,11 @@ coefficients in the order
 
     index 0: u_{-1}    index 1: u_{+1}    index 2: u_{-2}    index 3: u_{+2}
 
+The four fields are real, so the time loop carries only their ``rfft`` half
+spectra, (4, n//2 + 1), and ``TruncatedSystem.nonlinear`` works in that
+layout; complex full-layout inputs (kernel extraction) reach the same
+product list by polarization in ``full_nonlinear``.
+
 The first block evolves under -/+ i*omega plus quadratic terms built from
 s1 = u_{-1}+u_{+1} and d1 = u_{-1}-u_{+1}; the second block sees additional
 quadratic interactions through s2, d2 and the antiderivative weights.  Every
@@ -26,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .dispersion import omega, sigma
-from .spectral import Grid1D
+from .spectral import Grid1D, full_spectrum, half_spectrum
 
 __all__ = ["TruncatedSystem", "components_from_fields", "COMPONENT_INDEX"]
 
@@ -96,12 +101,28 @@ class TruncatedSystem:
         return 1.0 / self._sig
 
     @cached_property
+    def _pre(self) -> np.ndarray:
+        """Multipliers of the 11 precursors in ``nonlinear``, on 0 <= k < k_Nyquist."""
+        m = self.grid.n_points // 2
+        ik, K0, sig_inv, inv_ik = (self._ik[:m], self._K0[:m], self._sig_inv[:m],
+                                   self._inv_ik[:m])
+        one = np.ones(m, dtype=np.complex128)
+        return np.array([one, K0, sig_inv, one, sig_inv, inv_ik**2, inv_ik,
+                         K0 * inv_ik, inv_ik * sig_inv, K0 * inv_ik * sig_inv,
+                         K0 * ik * sig_inv])
+
+    #: row of (s1, s2, d1, d2) each precursor multiplier acts on
+    _PRE_SOURCE = np.array([0, 0, 2, 1, 3, 1, 1, 1, 3, 3, 3])
+
+    @cached_property
     def _post(self) -> np.ndarray:
-        """Multipliers of the product sums in ``nonlinear``: E1, X1 (2), E2, X2 (4)."""
+        """Multipliers of the product sums in ``nonlinear`` on the half spectrum,
+        zero outside ``keep_mask``: E1, X1 (2), E2, X2 (4)."""
         h = 0.5 * self._ik
         hs = h * self._sig
         hsK = hs * self._K0
-        return np.array([0.5 * h, hs, hsK, h, hs, self._ik * hs, hsK, self._ik * hsK])
+        post = np.array([0.5 * h, hs, hsK, h, hs, self._ik * hs, hsK, self._ik * hsK])
+        return (post * self.keep_mask)[:, : self.grid.n_points // 2 + 1]
 
     @cached_property
     def keep_mask(self) -> np.ndarray:
@@ -121,23 +142,33 @@ class TruncatedSystem:
         iw = 1j * self.omega_values
         return np.array([-iw, iw, -iw, iw])
 
-    # ------------------------------------------------------------- plumbing
+    @cached_property
+    def half_linear_symbols(self) -> np.ndarray:
+        """``linear_symbols`` on the half spectrum, (4, n//2 + 1).
 
-    def _phys(self, c: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(c, norm="forward")
-
-    def _coeff(self, p: np.ndarray) -> np.ndarray:
-        out = np.fft.fft(p, norm="forward")
-        out[..., ~self.keep_mask] = 0.0
-        return out
+        The Nyquist column is 0: omega is odd, and an odd symbol maps the
+        Nyquist mode of a real field, cos(k_N alpha), to a multiple of
+        sin(k_N alpha), which vanishes at every grid point.  So that mode
+        keeps its value; ``nonlinear`` neither reads nor writes it either.
+        """
+        lam = half_spectrum(self.linear_symbols).copy()
+        lam[:, self.grid.n_points // 2] = 0.0
+        return lam
 
     # ------------------------------------------------------------ evaluation
 
     def nonlinear(self, state: np.ndarray) -> np.ndarray:
-        """Quadratic part of d(state)/dt; input and output are (4, n) coefficients.
+        """Quadratic part of d(state)/dt for four real fields.
 
-        The linear part (see ``linear_symbols``) is handled separately so the
-        integrating-factor stepper can advance it exactly.
+        Input and output are ``rfft`` half spectra, shape (..., 4, n//2 + 1)
+        (see :func:`arcwave.spectral.half_spectrum`); leading batch axes are
+        evaluated together.  The linear part (see ``linear_symbols``) is
+        handled separately so the integrating-factor stepper can advance it
+        exactly.  Complex full-layout states go through ``full_nonlinear``.
+
+        Nyquist column (index n//2): it lies outside every keep mask.  The
+        input's Nyquist column is ignored, as if it were 0 (the precursors
+        are formed from the columns below it), and the output's is 0.
 
         Each block is a common part plus or minus a difference part,
         n_{-/+1} = E1 -/+ X1 and n_{-/+2} = E2 -/+ X2, by two identities:
@@ -150,28 +181,22 @@ class TruncatedSystem:
 
         So each distinct product is formed once, and products sharing a
         coefficient-space multiplier are summed before the forward transform:
-        one inverse FFT of 11 precursors, one forward FFT of 8 product sums.
+        one ``irfft`` of 11 precursors, one ``rfft`` of 8 product sums.
         """
-        ik = self._ik
-        K0 = self._K0
-        sig_inv = self._sig_inv
-        K0_inv_ik = K0 * self._inv_ik
-
-        s1, s2 = state[0::2] + state[1::2]
-        d1, d2 = state[0::2] - state[1::2]
-        sid1 = sig_inv * d1
-        sid2 = sig_inv * d2
-        ia1s2 = self._inv_ik * s2
+        n = self.grid.n_points
+        m = n // 2
+        batch = state.shape[:-2]
+        # component axis first, the batch axes flattened into one behind it
+        u = state[..., :m].reshape(-1, 4, m).swapaxes(0, 1)
+        sd = np.array([u[0] + u[1], u[2] + u[3], u[0] - u[1], u[2] - u[3]])
 
         # physical-space precursors
         (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
-         P_iasid2, P_K0iasid2, P_K0sid2a) = self._phys(np.array([
-            s1, K0 * s1, sid1, s2, sid2, self._inv_ik2 * s2, ia1s2,
-            K0_inv_ik * s2, self._inv_ik * sid2, K0_inv_ik * sid2,
-            K0 * ik * sid2]))
+         P_iasid2, P_K0iasid2, P_K0sid2a) = np.fft.irfft(
+             self._pre[:, None, :] * sd[self._PRE_SOURCE], n, norm="forward")
 
         # product sums, one per coefficient-space multiplier (see _post)
-        G = self._post * self._coeff(np.array([
+        G = self._post[:, None, :] * np.fft.rfft(np.array([
             P_K0s1 * P_K0s1 - P_s1 * P_s1,
             P_sid1 * P_s1,
             P_sid1 * P_K0s1,
@@ -181,13 +206,31 @@ class TruncatedSystem:
             P_sid1 * P_ia1s2,
             P_iasid2 * P_K0ia1s2,
             P_sid1 * P_K0ia1s2,
-        ]))
+        ]), norm="forward")
         E1, X1, E2, X2 = G[0], G[1] + G[2], G[3], G[4] + G[5] + G[6] + G[7]
-        return np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
+        out = np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
+        return out.swapaxes(0, 1).reshape(batch + (4, m + 1))
+
+    def full_nonlinear(self, state: np.ndarray) -> np.ndarray:
+        """``nonlinear`` on full-layout (..., 4, n) coefficients, complex allowed.
+
+        Writes U = A + iB with A, B the coefficients of real fields and uses
+        that the nonlinearity N is a quadratic form:
+        N(U) = N(A) - N(B) + i [N(A + B) - N(A) - N(B)], with the three
+        evaluations in one batched ``nonlinear`` call.  The Nyquist column
+        follows ``nonlinear``'s convention.
+        """
+        n = self.grid.n_points
+        U = half_spectrum(state)
+        flipped = np.conj(state[..., half_spectrum(self.grid._conjugate_index)])
+        A = 0.5 * (U + flipped)
+        B = -0.5j * (U - flipped)
+        NA, NB, NAB = full_spectrum(self.nonlinear(np.stack([A, B, A + B])), n)
+        return NA - NB + 1j * (NAB - NA - NB)
 
     def full_rhs(self, state: np.ndarray) -> np.ndarray:
-        """Linear plus nonlinear tendency."""
-        return self.linear_symbols * state + self.nonlinear(state)
+        """Linear plus nonlinear tendency on full-layout coefficients."""
+        return self.linear_symbols * state + self.full_nonlinear(state)
 
     # ------------------------------------------------- consistency relations
 
@@ -211,7 +254,9 @@ class TruncatedSystem:
 
         first = self._inv_ik * self._sig_inv * d2 - self._sig_inv * self._ik * d1
 
-        prod = self._coeff(self._phys(self._K0 * s1) * self._phys(self._sig_inv * d2))
+        prod = np.fft.fft(np.fft.ifft(self._K0 * s1, norm="forward")
+                          * np.fft.ifft(self._sig_inv * d2, norm="forward"),
+                          norm="forward") * self.keep_mask
         second = self._inv_ik2 * s2 - s1 + self._inv_ik * prod
         # the relation is only meaningful mode-by-mode away from k=0, where
         # the antiderivatives are defined

@@ -17,7 +17,7 @@ test oracle the closed forms are checked against, and it still serves the
 one quantity without a closed form: the second-block residual curves
 (``_curve_cached``) and the operational residual ``q_residual``.  Nothing in
 this module reaches into :mod:`arcwave.equations` internals beyond calling
-its ``nonlinear`` evaluation.
+its ``full_nonlinear`` evaluation.
 
 Residual symbols (the first-block commutator remainder and the second-block
 leftover) are *defined* operationally as extracted-total minus closed forms;
@@ -359,11 +359,9 @@ def equation_cross_operator(b: float, j1: int, slot_a: SlotSpec = -1,
         system = _system_for(f.grid, b)
         a_state = _insert(f.grid, sa, f)
         b_state = _insert(f.grid, sb, g)
-        cross = (
-            system.nonlinear(a_state + b_state)
-            - system.nonlinear(a_state)
-            - system.nonlinear(b_state)
-        )
+        both, a_only, b_only = system.full_nonlinear(
+            np.stack([a_state + b_state, a_state, b_state]))
+        cross = both - a_only - b_only
         return SpectralField.from_coefficients(f.grid, cross[row])
 
     return op

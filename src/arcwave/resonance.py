@@ -14,12 +14,12 @@ issues the stability verdict for the carrier.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import omega, omega_deriv
 
@@ -46,6 +46,84 @@ ZERO_XTOL = 1e-12
 BOND_XTOL = 1e-12
 #: |r| threshold below which a stationary point counts as a double zero
 TANGENCY_TOL = 1e-8
+
+
+#: relative tolerance of every root: four float64 ulps, as in scipy's brentq
+BRENT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = BRENT_RTOL, maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A line-by-line port of scipy's ``brentq`` (``scipy/optimize/Zeros/brentq.c``):
+    the same steps, stopping rule |bracket|/2 < (xtol + rtol |x|)/2,
+    evaluation order and errors, so roots and evaluation counts match it
+    exactly.  Written out here so that importing arcwave does not load
+    ``scipy.optimize``.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def fx(x: float) -> float:
+        value = float(f(x))
+        if math.isnan(value):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return value
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fx(xpre)
+    fcur = fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 class Classification(str, enum.Enum):
@@ -206,7 +284,7 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     # --- transversal zeros by bracketing
     sign_change = np.where(rv[:-1] * rv[1:] < 0.0)[0]
     for i in sign_change:
-        z = brentq(rfun, ks[i], ks[i + 1], xtol=ZERO_XTOL)
+        z = _brentq(rfun, ks[i], ks[i + 1], xtol=ZERO_XTOL)
         if abs(z - k0) > 1e-7:
             zeros.append(float(z))
 
@@ -321,12 +399,12 @@ def critical_bonds(k0: float) -> CriticalBonds:
     if at_half(blo) * at_half(bhi) > 0:
         trace = [(bb, at_half(bb)) for bb in np.linspace(0.01, third - 0.01, 9)]
         raise ValueError(f"failed to bracket b1 for k0={k0}; scan trace {trace}")
-    b1 = brentq(at_half, blo, bhi, xtol=BOND_XTOL)
+    b1 = _brentq(at_half, blo, bhi, xtol=BOND_XTOL)
 
     if slope_at_k0(blo) * slope_at_k0(bhi) > 0:
         trace = [(bb, slope_at_k0(bb)) for bb in np.linspace(0.01, third - 0.01, 9)]
         raise ValueError(f"failed to bracket b0 for k0={k0}; scan trace {trace}")
-    b0 = brentq(slope_at_k0, blo, bhi, xtol=BOND_XTOL)
+    b0 = _brentq(slope_at_k0, blo, bhi, xtol=BOND_XTOL)
 
     # fold-point polish: both seeds should already satisfy the 2-system
     k1_star, b1_star = _fold_newton(k0 / 2.0, b1, k0)
@@ -360,7 +438,7 @@ def k1_of_b(k0: float, b: float) -> float:
         hi = k0 + 2.0 * (hi - k0)
         if hi > 1e9:
             raise ValueError(f"no sign change located below k={hi:.3g}")
-    return float(brentq(rfun, lo, hi, xtol=ZERO_XTOL, maxiter=200))
+    return float(_brentq(rfun, lo, hi, xtol=ZERO_XTOL, maxiter=200))
 
 
 def inflection_points(b: float) -> InflectionPoints:
@@ -384,14 +462,14 @@ def inflection_points(b: float) -> InflectionPoints:
         hi *= 2.0
         if hi > 1e6:
             raise ValueError(f"failed to bracket k3 for b={b}")
-    k3 = brentq(d2, lo, hi, xtol=1e-12)
+    k3 = _brentq(d2, lo, hi, xtol=1e-12)
 
     hi4 = max(2.0 * k3, 1.0)
     while d3(hi4) > 0.0:
         hi4 *= 2.0
         if hi4 > 1e6:
             raise ValueError(f"failed to bracket k4 for b={b}")
-    k4 = brentq(d3, k3, hi4, xtol=1e-12)
+    k4 = _brentq(d3, k3, hi4, xtol=1e-12)
     return InflectionPoints(k3=float(k3), k4=float(k4))
 
 

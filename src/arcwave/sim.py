@@ -25,7 +25,8 @@ from .dispersion import ModelParams, sigma, sigma_inv
 from .equations import TruncatedSystem
 from .kernels import KernelParams, n_hat, rho_hat, theta_inv_hat
 from .nls import EnvelopeField, NLSCoeffs, nls_coefficients, solve as nls_solve
-from .spectral import Grid1D, SpectralField, apply_multiplier
+from .spectral import (Grid1D, SpectralField, apply_multiplier, full_spectrum,
+                       half_spectrum)
 from .wavepacket import (
     WavePacket,
     band_mask,
@@ -155,6 +156,7 @@ def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
 def _lawson_step(system: TruncatedSystem, U: np.ndarray, dt: float,
                  e_full: np.ndarray, e_half: np.ndarray,
                  linear_only: bool) -> np.ndarray:
+    """One IFRK4 step of the half-spectrum state U, shape (4, n//2 + 1)."""
     if linear_only:
         return e_full * U
     N1 = system.nonlinear(U)
@@ -175,6 +177,13 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0,
         linear_only: bool = False) -> SimRun:
     """March the state to t_end; optionally keep every ``sample_every``-th state.
 
+    The loop carries the four real fields as ``rfft`` half spectra and
+    expands them to full-layout :class:`SimState` s only at the samples and
+    the final state, by conjugation (no transform), so the zero mode is
+    copied bitwise and a state that starts real stays exactly real.  The
+    Nyquist column keeps its initial value (see
+    ``TruncatedSystem.half_linear_symbols``).
+
     Aborts with the step index on the first non-finite coefficient, which in
     practice means the quadratic terms have blown up (the linear part cannot:
     its phases have modulus one).
@@ -182,12 +191,16 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0,
     if initial.grid.n_points != config.n or initial.grid.length != config.length:
         raise ValueError("initial state lives on a different grid than the config")
     system = config.system
-    lam = system.linear_symbols
+    n = config.n
+    lam = system.half_linear_symbols
     dt = config.dt
     e_full = np.exp(lam * dt)
     e_half = np.exp(lam * 0.5 * dt)
 
-    U = initial.matrix
+    def state_at(U: np.ndarray, t: float) -> SimState:
+        return SimState.from_matrix(config.grid, full_spectrum(U, n), t)
+
+    U = half_spectrum(initial.matrix)
     t = initial.t
     samples = [initial]
     n_steps = config.n_steps
@@ -197,8 +210,8 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0,
         if not np.all(np.isfinite(U)):
             raise RuntimeError(f"non-finite state after step {i + 1} (t={t:.6g})")
         if sample_every and (i + 1) % sample_every == 0 and (i + 1) != n_steps:
-            samples.append(SimState.from_matrix(config.grid, U, t))
-    final = SimState.from_matrix(config.grid, U, t)
+            samples.append(state_at(U, t))
+    final = state_at(U, t)
     if sample_every:
         samples.append(final)
     else:

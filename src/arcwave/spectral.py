@@ -31,6 +31,8 @@ __all__ = [
     "commutator_apply",
     "multiply",
     "hermitian_symmetrize",
+    "half_spectrum",
+    "full_spectrum",
     "norm_l2",
     "norm_sobolev",
 ]
@@ -334,6 +336,26 @@ def hermitian_symmetrize(f: SpectralField) -> SpectralField:
     nyq = f.grid.n_points // 2
     sym[nyq] = sym[nyq].real
     return SpectralField(f.grid, sym, True)
+
+
+def half_spectrum(c: np.ndarray) -> np.ndarray:
+    """Columns 0..n/2 of full-layout coefficients (..., n): the ``rfft`` layout.
+
+    For real fields these columns determine the rest.  Returns a view.
+    """
+    return c[..., : c.shape[-1] // 2 + 1]
+
+
+def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """Full-layout coefficients (..., n) of real fields from their half spectra.
+
+    An exact copy with conjugation, no transform: c(-k) = conj(c(k)) for
+    0 < k < k_Nyquist, and columns 0 and n/2 are copied as they are.
+    """
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : n // 2 + 1] = half
+    out[..., n // 2 + 1:] = np.conj(half[..., n // 2 - 1: 0: -1])
+    return out
 
 
 def norm_l2(f: SpectralField) -> float:

@@ -10,6 +10,8 @@ from arcwave.spectral import (
     SpectralField,
     apply_multiplier,
     derivative,
+    full_spectrum,
+    half_spectrum,
     hermitian_symmetrize,
     multiply,
 )
@@ -43,7 +45,8 @@ def cross_value(system, j1, j2, l, m):
     b = np.zeros((4, grid.n_points), dtype=complex)
     a[COMPONENT_INDEX[-1], grid.mode_index(l)] = 1.0
     b[COMPONENT_INDEX[j2], grid.mode_index(m)] = 1.0
-    cross = system.nonlinear(a + b) - system.nonlinear(a) - system.nonlinear(b)
+    cross = (system.full_nonlinear(a + b) - system.full_nonlinear(a)
+             - system.full_nonlinear(b))
     return cross[COMPONENT_INDEX[j1], grid.mode_index(l + m)]
 
 
@@ -60,15 +63,16 @@ def test_nonlinearity_zero_mode_vanishes_exactly():
     system = TruncatedSystem(GRID, BOND)
     for _ in range(5):
         state = random_real_state(rng)
-        n = system.nonlinear(state)
+        n = system.nonlinear(half_spectrum(state))
         assert np.max(np.abs(n[:, 0])) == 0.0
+        assert np.max(np.abs(system.full_nonlinear(state)[:, 0])) == 0.0
 
 
 def test_nonlinearity_preserves_reality():
     rng = np.random.default_rng(3)
     system = TruncatedSystem(GRID, BOND)
     state = random_real_state(rng, scale=0.05)
-    n = system.nonlinear(state)
+    n = system.full_nonlinear(state)
     for row in n:
         flipped = np.conj(row[GRID._conjugate_index])
         assert np.max(np.abs(row - flipped)) < 1e-13 * max(1.0, np.max(np.abs(row)))
@@ -77,7 +81,7 @@ def test_nonlinearity_preserves_reality():
 def test_nonlinearity_is_homogeneous_quadratic():
     rng = np.random.default_rng(5)
     system = TruncatedSystem(GRID, BOND)
-    state = random_real_state(rng)
+    state = half_spectrum(random_real_state(rng))
     n1 = system.nonlinear(state)
     n3 = system.nonlinear(3.0 * state)
     assert np.allclose(n3, 9.0 * n1, rtol=1e-12, atol=1e-18)
@@ -86,8 +90,8 @@ def test_nonlinearity_is_homogeneous_quadratic():
 def test_cross_part_is_symmetric_bilinear():
     rng = np.random.default_rng(8)
     system = TruncatedSystem(GRID, BOND)
-    a = random_real_state(rng)
-    b = random_real_state(rng)
+    a = half_spectrum(random_real_state(rng))
+    b = half_spectrum(random_real_state(rng))
 
     def cross(x, y):
         return system.nonlinear(x + y) - system.nonlinear(x) - system.nonlinear(y)
@@ -112,7 +116,7 @@ def test_full_rhs_splits_into_linear_plus_nonlinear():
     system = TruncatedSystem(GRID, BOND)
     state = random_real_state(rng)
     total = system.full_rhs(state)
-    assert np.allclose(total, system.linear_symbols * state + system.nonlinear(state),
+    assert np.allclose(total, system.linear_symbols * state + system.full_nonlinear(state),
                        rtol=0, atol=0)
 
 
@@ -185,17 +189,22 @@ def test_bond_number_validation():
 # ---------------------------------------------------------------------------
 
 
-def reference_nonlinear(grid, b, keep, state):
+def reference_nonlinear(grid, b, keep, state, dtype=np.complex128):
     """Frozen term-by-term nonlinearity: one transform per precursor and per
-    product, with the commutator and flat pieces formed separately."""
+    product, with the commutator and flat pieces formed separately.
+
+    ``dtype=np.clongdouble`` evaluates the same tables and products in
+    extended precision (numpy >= 2 transforms long doubles natively).
+    """
+    real = np.finfo(dtype).dtype
     n = grid.n_points
-    k = grid.wavenumbers
+    k = grid.wavenumbers.astype(real)
     ik = 1j * k
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_ik = np.where(k != 0.0, 1.0 / (1j * k), 0.0 + 0.0j)
     inv_ik2 = inv_ik**2
     K0 = -1j * np.tanh(k)
-    sig = sigma(k, b).astype(np.complex128)
+    sig = sigma(grid.wavenumbers, b).astype(dtype)
     sig_inv = 1.0 / sig
     opk = 1.0 + K0**2
 
@@ -207,7 +216,7 @@ def reference_nonlinear(grid, b, keep, state):
         out[~keep] = 0.0
         return out
 
-    u_m1, u_p1, u_m2, u_p2 = state
+    u_m1, u_p1, u_m2, u_p2 = np.asarray(state, dtype=dtype)
     s1, d1 = u_m1 + u_p1, u_m1 - u_p1
     s2, d2 = u_m2 + u_p2, u_m2 - u_p2
 
@@ -251,31 +260,103 @@ def reference_nonlinear(grid, b, keep, state):
     return np.array([even1 + comm1 - flat1, even1 - comm1 + flat1, n_m2, n_p2])
 
 
+#: the extended-precision reference needs a long double wider than float64
+#: and transforms that keep it (numpy >= 2)
+LONG_DOUBLE_FFT = (
+    np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+    and np.fft.fft(np.zeros(4, dtype=np.clongdouble)).dtype == np.clongdouble)
+
+
+def assert_matches_reference(out, grid, b, keep, state):
+    """``out`` is within 1e-13 of the maximum of the long-double reference,
+    or no farther from it than three float64 evaluations of the reference
+    (``full_nonlinear`` combines three).
+
+    The second clause covers n = 4096 with b > 0: there the product sums
+    X1 and X2 are ~25x the output and cancel (the K0^2 -> -1 identity), and
+    the multipliers up to |k^2 sigma| ~ 1e7 amplify transform round-off, so
+    no float64 evaluation gets within 1e-13 of the maximum.
+    """
+    exact = reference_nonlinear(grid, b, keep, state, np.clongdouble)
+    ref = reference_nonlinear(grid, b, keep, state)
+    scale = float(np.max(np.abs(exact)))
+    err = float(np.max(np.abs(out - exact)))
+    assert err <= max(1e-13 * scale, 3.0 * float(np.max(np.abs(ref - exact))))
+    assert np.all(out[:, 0] == 0.0)
+
+
+def random_complex_state(rng, grid, scale=1e-2):
+    n = grid.n_points
+    state = (rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))) * scale
+    state[:, ~grid.dealias_keep] = 0.0
+    return state
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="needs long-double transforms")
 @pytest.mark.parametrize("n", [256, 1024, 4096])
 @pytest.mark.parametrize("b", [0.0, 0.05, 0.13, 0.3])
 def test_nonlinear_matches_term_by_term_reference(n, b):
+    # Hermitian states through the half layout, complex ones through the
+    # polarization adapter
     grid = Grid1D(n_points=n, length=2 * np.pi)
     system = TruncatedSystem(grid, b)
     rng = np.random.default_rng(n + int(100 * b))
     hermitian = random_real_state(rng, grid)
-    complex_state = (rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))) * 1e-2
-    complex_state[:, ~grid.dealias_keep] = 0.0
-    for state in (hermitian, complex_state):
-        ref = reference_nonlinear(grid, b, system.keep_mask, state)
-        out = system.nonlinear(state)
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.all(out[:, 0] == 0.0)
+    complex_state = random_complex_state(rng, grid)
+    out = full_spectrum(system.nonlinear(half_spectrum(hermitian)), n)
+    assert_matches_reference(out, grid, b, system.keep_mask, hermitian)
+    out = system.full_nonlinear(complex_state)
+    assert_matches_reference(out, grid, b, system.keep_mask, complex_state)
 
 
+@pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="needs long-double transforms")
 def test_nonlinear_matches_reference_on_band_restricted_mask():
     grid = Grid1D(n_points=1024, length=16 * np.pi)
     k = grid.wavenumbers
     band = np.abs(np.abs(k) - 2.0) <= 0.9
     system = TruncatedSystem(grid, 0.05, extra_keep=band)
     state = random_real_state(np.random.default_rng(4), grid)
-    ref = reference_nonlinear(grid, 0.05, system.keep_mask, state)
-    out = system.nonlinear(state)
-    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    out = full_spectrum(system.nonlinear(half_spectrum(state)), grid.n_points)
+    assert_matches_reference(out, grid, 0.05, system.keep_mask, state)
+
+
+def test_nonlinear_batch_matches_single_calls():
+    rng = np.random.default_rng(12)
+    system = TruncatedSystem(GRID, BOND)
+    batch = np.stack([half_spectrum(random_real_state(rng)) for _ in range(3)])
+    out = system.nonlinear(batch)
+    assert out.shape == batch.shape
+    for state, row in zip(batch, out):
+        assert np.array_equal(row, system.nonlinear(state))
+
+
+def test_full_nonlinear_of_hermitian_state_is_nonlinear_exactly():
+    # B = 0 exactly for a Hermitian input, so the polarization is exact
+    system = TruncatedSystem(GRID, BOND)
+    state = random_real_state(np.random.default_rng(13))
+    half = system.nonlinear(half_spectrum(state))
+    assert np.array_equal(system.full_nonlinear(state),
+                          full_spectrum(half, GRID.n_points))
+
+
+def test_nyquist_column_is_ignored_and_returned_zero():
+    n = GRID.n_points
+    rng = np.random.default_rng(14)
+    system = TruncatedSystem(GRID, BOND)
+    state = random_real_state(rng)
+    with_nyquist = state.copy()
+    with_nyquist[:, n // 2] = rng.normal(size=4)
+    half = half_spectrum(with_nyquist)
+    out = system.nonlinear(half)
+    assert np.array_equal(out, system.nonlinear(half_spectrum(state)))
+    assert np.all(out[:, n // 2] == 0.0)
+    # the full-layout adapter follows the same convention, complex or not
+    cplx = random_complex_state(rng, GRID)
+    cplx_nyquist = cplx.copy()
+    cplx_nyquist[:, n // 2] = rng.normal(size=4) + 1j * rng.normal(size=4)
+    full = system.full_nonlinear(cplx_nyquist)
+    assert np.array_equal(full, system.full_nonlinear(cplx))
+    assert np.all(full[:, n // 2] == 0.0)
 
 
 def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
@@ -288,10 +369,11 @@ def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
         return wrapped
 
     system = TruncatedSystem(GRID, BOND)
-    state = random_real_state(np.random.default_rng(9))
+    state = half_spectrum(random_real_state(np.random.default_rng(9)))
     system.nonlinear(state)  # build the cached tables outside the count
-    monkeypatch.setattr(np.fft, "ifft", counting("ifft", np.fft.ifft))
-    monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     system.nonlinear(state)
     n = GRID.n_points
-    assert calls == [("ifft", (11, n)), ("fft", (8, n))]
+    # an unbatched state is one batch of one: 11 rows in, 8 rows out
+    assert calls == [("irfft", (11, 1, n // 2)), ("rfft", (8, 1, n))]

@@ -1,7 +1,10 @@
 """Packaging metadata and module exports point at things that exist."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -29,3 +32,19 @@ def test_all_exports_resolve(module):
     mod = importlib.import_module(f"arcwave.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"arcwave.{module}.__all__ names missing attributes: {missing}"
+
+
+def test_importing_arcwave_loads_no_scipy():
+    code = ("import sys\n"
+            f"for name in {MODULES!r}:\n"
+            "    __import__('arcwave.' + name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(arcwave.__path__[0]).parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    assert [d.split(">")[0] for d in PROJECT["dependencies"]] == ["numpy"]

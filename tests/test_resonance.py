@@ -241,3 +241,71 @@ class TestNonresonance:
             abs(omega_deriv(K0, 0.2, order=1) - 1.0), rel=1e-14)
         assert res.margins["nrb3"] == pytest.approx(
             abs(omega_deriv(K0, 0.2, order=2)), rel=1e-14)
+
+
+class TestBrentPort:
+    """The private Brent solver against ``scipy.optimize.brentq``."""
+
+    @staticmethod
+    def counted(f, calls):
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g
+
+    def test_roots_and_evaluations_match_scipy_on_every_root_finder(self, monkeypatch):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        from arcwave import resonance
+
+        port = resonance._brentq
+        seen = []
+
+        def both(f, a, b, **kw):
+            ours, theirs = [], []
+            root = port(self.counted(f, ours), a, b, **kw)
+            ref = brentq(self.counted(f, theirs), a, b, **kw)
+            assert root == ref
+            assert ours == theirs  # same evaluation points, in the same order
+            seen.append(len(ours))
+            return root
+
+        monkeypatch.setattr(resonance, "_brentq", both)
+        resonance.critical_bonds.cache_clear()
+        try:
+            for k0 in (1.0, 2.0, 3.0):
+                resonance.critical_bonds(k0)
+            for b in (0.002, 0.01, 0.05, 0.1, 0.15, 0.2, 0.23, 0.25, 0.3):
+                inflection_points(b)
+                find_zeros(K0, b, 60.0 if b >= 0.01 else 300.0)
+                if b < B0_K0_2:
+                    k1_of_b(K0, b)
+        finally:
+            resonance.critical_bonds.cache_clear()
+        assert len(seen) >= 30 and sum(seen) > 300
+
+    def test_errors_match_scipy(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        from arcwave.resonance import _brentq
+
+        cases = [
+            (lambda x: x * x + 1.0, -1.0, 1.0, {}),            # no sign change
+            (lambda x: np.cos(x) - x, 0.0, 1.0, {"maxiter": 2}),  # too few steps
+            (lambda x: np.nan if x > 0.5 else -1.0, 0.0, 1.0, {}),
+            (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
+            (lambda x: x, -1.0, 1.0, {"rtol": 1e-17}),
+            (lambda x: x, -1.0, 1.0, {"maxiter": -1}),
+        ]
+        def raised(solver, f, a, b, kw):
+            try:
+                solver(f, a, b, **kw)
+            except (ValueError, RuntimeError) as err:
+                return type(err), str(err)
+            return None
+
+        for f, a, b, kw in cases:
+            expected = raised(brentq, f, a, b, kw)
+            assert expected is not None
+            assert raised(_brentq, f, a, b, kw) == expected
+        # exact zeros at an end point return at once, as in scipy
+        assert _brentq(lambda x: x, 0.0, 1.0) == brentq(lambda x: x, 0.0, 1.0) == 0.0
+        assert _brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0

@@ -223,6 +223,26 @@ def test_mode_zero_is_conserved_exactly():
     assert np.array_equal(out.final.matrix[:, 0], mat[:, 0])
 
 
+def test_run_samples_are_exactly_real_with_the_zero_mode_bitwise(monitored_run):
+    # the loop carries half spectra and expands each sample by conjugation,
+    # so samples are exactly Hermitian (the packet's own initial state is
+    # not: its second block comes from complex transforms); the mean
+    # survives bit for bit, and the inert Nyquist column keeps its value
+    config = good_config(n=128, dt=0.05, t_end=2.0)
+    mat = random_state(config.grid, 0.02, seed=31).matrix
+    mat[:, 0] = np.array([0.125, -0.5, 0.25, 1.0])
+    mat[:, 64] = np.array([0.5, -0.25, 0.125, 2.0])
+    out = run(config, SimState.from_matrix(config.grid, mat, 0.0), sample_every=7)
+    packet_run = monitored_run["run"]
+    U0 = packet_run.samples[0].matrix
+    for s in out.samples[1:]:
+        assert s.reality_defect() == 0.0
+        assert np.array_equal(s.matrix[:, [0, 64]], mat[:, [0, 64]])
+    for s in packet_run.samples[1:]:
+        assert s.reality_defect() == 0.0
+        assert np.array_equal(s.matrix[:, 0], U0[:, 0])
+
+
 def test_reality_preserved_over_many_steps():
     config = good_config(n=128, dt=0.01, t_end=5.0, b=0.13)
     state = random_state(config.grid, 1e-3, seed=7)
