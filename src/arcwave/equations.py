@@ -65,8 +65,13 @@ class TruncatedSystem:
     def __post_init__(self) -> None:
         if self.b < 0.0:
             raise ValueError(f"Bond number must be nonnegative, got {self.b}")
-        if self.extra_keep is not None and self.extra_keep.shape != (self.grid.n_points,):
-            raise ValueError("extra_keep must be one boolean per grid mode")
+        if self.extra_keep is not None:
+            if self.extra_keep.shape != (self.grid.n_points,):
+                raise ValueError("extra_keep must be one boolean per grid mode")
+            # the half-spectrum multipliers stand for modes k and -k at once
+            keep = self.extra_keep.astype(bool)
+            if not np.array_equal(keep, keep[self.grid._conjugate_index]):
+                raise ValueError("extra_keep must be symmetric under k -> -k")
 
     # ---------------------------------------------------------------- tables
 

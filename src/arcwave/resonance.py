@@ -53,22 +53,15 @@ BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-12,
-            rtol: float = BRENT_RTOL, maxiter: int = 100) -> float:
+            maxiter: int = 100) -> float:
     """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
 
     A line-by-line port of scipy's ``brentq`` (``scipy/optimize/Zeros/brentq.c``):
-    the same steps, stopping rule |bracket|/2 < (xtol + rtol |x|)/2,
+    the same steps, stopping rule |bracket|/2 < (xtol + BRENT_RTOL |x|)/2,
     evaluation order and errors, so roots and evaluation counts match it
     exactly.  Written out here so that importing arcwave does not load
     ``scipy.optimize``.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-
     def fx(x: float) -> float:
         value = float(f(x))
         if math.isnan(value):
@@ -93,7 +86,7 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float = 2e-
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

@@ -291,9 +291,6 @@ class TestBrentPort:
             (lambda x: x * x + 1.0, -1.0, 1.0, {}),            # no sign change
             (lambda x: np.cos(x) - x, 0.0, 1.0, {"maxiter": 2}),  # too few steps
             (lambda x: np.nan if x > 0.5 else -1.0, 0.0, 1.0, {}),
-            (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
-            (lambda x: x, -1.0, 1.0, {"rtol": 1e-17}),
-            (lambda x: x, -1.0, 1.0, {"maxiter": -1}),
         ]
         def raised(solver, f, a, b, kw):
             try:
