@@ -9,6 +9,8 @@ constants that get frozen into the tests:
     first-block principal symbols,
   * the analytic leftover kernel (the "mild" residual part) against the raw
     cross kernel of the first-block equations,
+  * the raw cross kernel of the second-block equations with the composite
+    carrier (``raw_cross2``),
   * triad-interaction stability ratios at k0 = 2 for several Bond numbers,
   * second-order correction coefficients and the cubic coefficient nu of the
     modulation equation for the quadratic-truncated system.
@@ -59,6 +61,54 @@ def raw_cross(j1, j2, l, m, b):
     C2 = s1 * (-j2) * ik / 2 * sig(k, b) * K0(k) * (K0(k) - K0(l)) / sig(m, b)
     D2 = -s1 * (-j2) * ik / 2 * sig(k, b) * (1 + K0(k) ** 2) / sig(m, b)
     return A + B + C1 + D1 + C2 + D2
+
+
+# -- raw cross kernel of the second-block equations --------------------------
+#
+# The composite carrier (wavenumber l) sits in u_{-1} and, through the slaved
+# relation u_{-2} = dalpha^2 u_{-1}, in u_{-2}; the insertion (wavenumber m)
+# sits in component j2 in {-2,+2}.  Output k = l+m; j1 in {-2,+2} selects the
+# equation.  Antiderivatives use the zero-mode convention 1/(ik) := 0 at k = 0.
+
+
+def inv_ik(k):
+    return mp.mpc(0) if k == 0 else 1 / (I * k)
+
+
+def second_block_fields(k, s1, d1, s2, d2, b):
+    """The multiplied fields the second-block products are built from, for a
+    single mode at k whose block sums/differences are s1, d1, s2, d2."""
+    sd2 = d2 / sig(k, b)
+    return {"s2": s2, "sd1": d1 / sig(k, b), "sd2": sd2,
+            "a2s2": inv_ik(k) ** 2 * s2, "a1s2": inv_ik(k) * s2,
+            "K0a1s2": K0(k) * inv_ik(k) * s2, "a1sd2": inv_ik(k) * sd2,
+            "K0a1sd2": K0(k) * inv_ik(k) * sd2, "K0dsd2": K0(k) * I * k * sd2}
+
+
+def raw_cross2(j1, j2, l, m, b):
+    k = l + m
+    ik = I * k
+    carrier = second_block_fields(l, 1, 1, -l**2, -l**2, b)
+    insert = second_block_fields(m, 0, 0, 1, -mp.sign(j2), b)
+
+    def pr(f, g):
+        return carrier[f] * insert[g] + insert[f] * carrier[g]
+
+    E2 = ik / 2 * (pr("K0a1sd2", "sd2") - pr("a2s2", "s2") - pr("a1s2", "a1s2")
+                   + pr("K0a1s2", "K0a1s2") - b * pr("sd2", "K0dsd2"))
+    X2 = ik / 2 * sig(k, b) * (pr("a2s2", "sd2") + pr("a1sd2", "a1s2")
+                               + ik * pr("sd1", "a1s2") + K0(k) * pr("a1sd2", "K0a1s2")
+                               + ik * K0(k) * pr("sd1", "K0a1s2"))
+    return E2 + mp.sign(j1) * X2
+
+
+def second_block_table():
+    print("\n== raw second-block cross kernel (composite carrier at l, insert at m) ==")
+    for (j1, j2, l, m, b) in [(-2, -2, 2, 1, mp.mpf(0)), (2, -2, 2, 3, mp.mpf("0.05")),
+                              (-2, 2, -2, 0, mp.mpf("0.1")), (2, 2, 3, -5, mp.mpf("0.13")),
+                              (-2, -2, 17, -15, mp.mpf("0.3"))]:
+        v = raw_cross2(j1, j2, mp.mpf(l), mp.mpf(m), b)
+        print(f"j1={j1:+d} j2={j2:+d} l={l} m={m} b={mp.nstr(b, 4)}: {mp.nstr(v, 20)}")
 
 
 def q11(j1, j2, l, m):
@@ -217,3 +267,4 @@ if __name__ == "__main__":
     check_K0_identity()
     twi_ratios()
     nu_table()
+    second_block_table()

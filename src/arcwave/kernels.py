@@ -1,45 +1,31 @@
-"""Cut-off weights, closed-form quadratic symbols, and kernel extraction.
+"""Cut-off weights, closed-form quadratic symbols and the normal-form kernels.
 
-Two independent routes to the same bilinear interaction coefficients live
-here:
+Every bilinear interaction coefficient used in production is a closed-form
+symbol evaluated from analytic formulas in the wavenumbers:
 
-* closed-form symbols (``q_symbol``, ``first_block_symbol``) evaluated
-  directly from analytic formulas in the wavenumbers;
-* numerical extraction (``extract_kernel``) that feeds single Fourier modes
-  through a black-box bilinear operator — typically the quadratic part of
-  the evolution equations — and reads off the output coefficient.
+* ``q_symbol``: the principal parts of each block;
+* ``first_block_symbol``: the full first-block cross kernel;
+* ``second_block_symbol``: the full second-block cross kernel, composite
+  carrier included.
 
-The closed forms are the production route: the triad coefficients of
-:func:`arcwave.resonance.stability` and :func:`arcwave.twi.twi_coeffs`, the
-first-block normal-form kernels and the first-block reweighting all
-evaluate ``first_block_symbol`` at the exact wavenumbers.  Extraction is the
-test oracle the closed forms are checked against, and it still serves the
-one quantity without a closed form: the second-block residual curves
-(``_curve_cached``) and the operational residual ``q_residual``.  Nothing in
-this module reaches into :mod:`arcwave.equations` internals beyond calling
-its ``full_nonlinear`` evaluation.
-
-Residual symbols (the first-block commutator remainder and the second-block
-leftover) are *defined* operationally as extracted-total minus closed forms;
-an analytic expression for the first-block remainder is kept as a fast path
-and is itself validated against the operational definition in the tests.
-
-Wavenumbers handed to extraction-backed routines are snapped to the nearest
-grid mode; analytic routines evaluate at the exact argument.
+The triad coefficients of :func:`arcwave.resonance.stability` and
+:func:`arcwave.twi.twi_coeffs`, the normal-form kernels ``n_hat`` and the
+reweighting ``rho_hat`` all evaluate these symbols.  The tests check them
+against an independent route: extraction from
+:class:`arcwave.equations.TruncatedSystem` on a grid, kept in the test
+suite's ``kernel_oracle`` module, and mpmath values from
+``scripts/derive_kernel_oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .dispersion import k0_symbol, omega, omega_deriv, sigma, sigma_inv
-from .equations import COMPONENT_INDEX, TruncatedSystem
-from .resonance import critical_bonds, k1_of_b, r_general, r_hat
-from .spectral import Grid1D, SpectralField
+from .resonance import critical_bonds, k1_of_b, r_hat
 
 __all__ = [
     "KernelParams",
@@ -49,28 +35,14 @@ __all__ = [
     "zeta_hat",
     "q_symbol",
     "first_block_symbol",
-    "q13_closed",
-    "q_residual",
-    "extract_kernel",
-    "equation_cross_operator",
-    "q_term_operator",
-    "equation_kernel_curve",
-    "second_block_residual_curve",
-    "second_block_total_curve",
+    "second_block_symbol",
     "rho_hat",
     "rho_extremes",
     "n_hat",
     "delta0_for",
     "delta1_for",
     "default_params",
-    "DEFAULT_EXTRACTION_GRID",
 ]
-
-BilinearOperator = Callable[[SpectralField, SpectralField], SpectralField]
-SlotSpec = Union[int, Sequence[tuple[int, int]]]
-
-#: coarse standard grid: integer wavenumbers up to |k| = 1365 survive dealiasing
-DEFAULT_EXTRACTION_GRID = Grid1D(n_points=4096, length=2.0 * np.pi)
 
 #: |r| below this counts as a removable zero of a kernel denominator
 _RESONANT_EPS = 1e-9
@@ -218,9 +190,10 @@ def _check_pair(j1: int, j2: int) -> None:
 def q_symbol(j1: int, j2: int, mu: int, k, m, params: KernelParams):
     """Closed-form quadratic interaction symbol at output k, insert m.
 
-    The remaining wavenumber slot is l = k - m.  Only the closed-form range
-    mu <= 2|j1| is served here; the residual symbols are extraction-based
-    (see :func:`q_residual`).
+    The remaining wavenumber slot is l = k - m.  The principal parts are
+    mu <= 2|j1|; what the full kernels add beyond them is the difference
+    between :func:`first_block_symbol` or :func:`second_block_symbol` and
+    their sum.
     """
     _check_pair(j1, j2)
     if not (isinstance(mu, (int, np.integer)) and 1 <= mu <= 2 * abs(j1)):
@@ -258,31 +231,6 @@ def q_symbol(j1: int, j2: int, mu: int, k, m, params: KernelParams):
     return val if val.ndim else complex(val)
 
 
-def q13_closed(j1: int, j2: int, k, m, b: float):
-    """Analytic form of the first-block commutator remainder (fast path).
-
-    Equal, to rounding, to the operational extracted-minus-closed residual;
-    the equality is asserted in the test suite rather than assumed here.
-    """
-    _check_pair(j1, j2)
-    if abs(j1) != 1:
-        raise ValueError("the analytic remainder is a first-block object")
-    k = np.asarray(k, dtype=float)
-    m = np.asarray(m, dtype=float)
-    l = k - m
-    s1 = -float(np.sign(j1))
-    ik2 = 0.5j * k
-    K0 = k0_symbol
-    first = (
-        sigma(k, b) * K0(k) * (K0(k) - K0(m)) - sigma(k, b) * (1.0 + K0(k) ** 2)
-    ) * sigma_inv(l, b)
-    second = (sigma(k, b) - sigma(m, b)) * sigma_inv(m, b) + (
-        K0(k) * sigma(k, b) - K0(m) * sigma(m, b)
-    ) * K0(l) * sigma_inv(m, b)
-    val = np.asarray(s1 * (ik2 * first + j2 * ik2 * second))
-    return val if val.ndim else complex(val)
-
-
 def first_block_symbol(j1: int, j2: int, l, m, b: float):
     """Full analytic first-block cross kernel at inserts (l, m), output l+m.
 
@@ -310,340 +258,68 @@ def first_block_symbol(j1: int, j2: int, l, m, b: float):
     return val if val.ndim else complex(val)
 
 
-# ---------------------------------------------------------------------------
-# numerical extraction
-# ---------------------------------------------------------------------------
+def second_block_symbol(j1: int, j2: int, l, m, b: float):
+    """Full analytic second-block cross kernel at inserts (l, m), output l+m.
 
+    This is the coefficient of the product of a composite carrier mode at l
+    and a mode at m placed in component j2, read from the u_{j1} equation,
+    with both slot pairings included.  The carrier occupies u_{-1} directly
+    and u_{-2} through two alpha-derivatives (the slaved leading-order
+    relation u_{-2} = dalpha^2 u_{-1}).
 
-@lru_cache(maxsize=64)
-def _system_for(grid: Grid1D, b: float) -> TruncatedSystem:
-    """Shared lazy cache of equation tables; idempotent under races."""
-    return TruncatedSystem(grid, b)
+    Every second-block term of the equations is a product pr(f, g) of two
+    multiplied fields under an output multiplier; the u_{-/+2} equation is
+    E2 -/+ X2 with
 
+        E2 = (ik/2) [pr(K0 da^-1 sigma^-1 d2, sigma^-1 d2) - pr(da^-2 s2, s2)
+                     - pr(da^-1 s2, da^-1 s2) + pr(K0 da^-1 s2, K0 da^-1 s2)
+                     - b pr(sigma^-1 d2, K0 da sigma^-1 d2)]
+        X2 = (ik/2) sigma [pr(da^-2 s2, sigma^-1 d2) + pr(da^-1 sigma^-1 d2, da^-1 s2)
+                           + ik pr(sigma^-1 d1, da^-1 s2)
+                           + K0 pr(da^-1 sigma^-1 d2, K0 da^-1 s2)
+                           + ik K0 pr(sigma^-1 d1, K0 da^-1 s2)],
 
-def _normalize_slot(slot: SlotSpec) -> tuple[tuple[int, int], ...]:
-    if isinstance(slot, (int, np.integer)):
-        return ((int(slot), 0),)
-    return tuple((int(c), int(o)) for c, o in slot)
-
-
-def _insert(grid: Grid1D, slot: tuple[tuple[int, int], ...], f: SpectralField) -> np.ndarray:
-    state = np.zeros((4, grid.n_points), dtype=np.complex128)
-    ik = 1j * grid.wavenumbers
-    for comp, order in slot:
-        state[COMPONENT_INDEX[comp]] += (ik**order if order else 1.0) * f.coefficients
-    return state
-
-
-#: the second-block carrier occupies u_{-1} directly and u_{-2} through
-#: two alpha-derivatives (the slaved leading-order relation)
-SECOND_BLOCK_CARRIER: tuple[tuple[int, int], ...] = ((-1, 0), (-2, 2))
-
-
-def equation_cross_operator(b: float, j1: int, slot_a: SlotSpec = -1,
-                            slot_b: SlotSpec = -1) -> BilinearOperator:
-    """Bilinear cross part of the u_{j1}-equation nonlinearity.
-
-    ``slot_a``/``slot_b`` say where the two arguments are inserted: either a
-    single component label, or a sequence of (component, derivative-order)
-    pairs for composite inserts.  The returned operator works on any grid
-    (equation tables are cached per grid) and is exactly bilinear, since the
-    nonlinearity is homogeneous quadratic.
+    s = u_- + u_+ and d = u_- - u_+ per block, da = dalpha.  The symbol of
+    pr(f, g) is f(l) g(m) + f(m) g(l).  Antiderivatives follow the
+    equations' zero-mode convention, 1/(im) := 0 at m = 0, so the value
+    there is what the equations compute, not a limit.
     """
-    row = COMPONENT_INDEX[j1]
-    sa = _normalize_slot(slot_a)
-    sb = _normalize_slot(slot_b)
-
-    def op(f: SpectralField, g: SpectralField) -> SpectralField:
-        f._check_grid(g)
-        system = _system_for(f.grid, b)
-        a_state = _insert(f.grid, sa, f)
-        b_state = _insert(f.grid, sb, g)
-        both, a_only, b_only = system.full_nonlinear(
-            np.stack([a_state + b_state, a_state, b_state]))
-        cross = both - a_only - b_only
-        return SpectralField.from_coefficients(f.grid, cross[row])
-
-    return op
-
-
-def extract_kernel(bilinear_operator: BilinearOperator, l: float, m: float,
-                   grid: Optional[Grid1D] = None, check: bool = False) -> complex:
-    """Kernel value of a bilinear operator at the mode pair (l, m).
-
-    Feeds e^{il.alpha} and e^{im.alpha} through the operator and returns the
-    output coefficient at l+m.  Inputs are snapped to the nearest grid
-    modes; pairs whose input or output modes fall outside the dealiased
-    band are rejected, since the evaluation would be silently zeroed or
-    aliased.  With ``check=True`` the extraction is repeated on a grid with
-    doubled resolution and a mismatch raises.
-    """
-    if grid is None:
-        grid = DEFAULT_EXTRACTION_GRID
-    fund = grid.fundamental
-    jl = int(round(l / fund))
-    jm = int(round(m / fund))
-    band = grid.n_points // 3
-    if abs(jl) > band or abs(jm) > band:
-        raise ValueError(
-            f"input modes ({jl}, {jm}) fall outside the dealiased band "
-            f"|j| <= {band} of the extraction grid"
-        )
-    if abs(jl + jm) > band:
-        raise ValueError(
-            f"output mode {jl + jm} would be aliased/dealiased away on this grid"
-        )
-    ls, ms = jl * fund, jm * fund
-    f = SpectralField.from_mode(grid, ls)
-    g = SpectralField.from_mode(grid, ms)
-    out = bilinear_operator(f, g)
-    value = out.coefficient_at(ls + ms)
-    if check:
-        fine = Grid1D(n_points=2 * grid.n_points, length=grid.length)
-        f2 = SpectralField.from_mode(fine, ls)
-        g2 = SpectralField.from_mode(fine, ms)
-        value2 = bilinear_operator(f2, g2).coefficient_at(ls + ms)
-        scale = max(abs(value), abs(value2), 1e-30)
-        if abs(value - value2) > 1e-9 * scale + 1e-12:
-            raise ValueError(
-                f"extraction at (l={ls}, m={ms}) is grid-dependent: "
-                f"{value} vs {value2} on doubled resolution"
-            )
-    return value
-
-
-# ---------------------------------------------------------------------------
-# per-term physical realizations (independent route for the closed forms)
-# ---------------------------------------------------------------------------
-
-
-def q_term_operator(b: float, j1: int, j2: int, mu: int) -> BilinearOperator:
-    """Physical-space realization of one closed-form symbol as an operator.
-
-    Built from multiplier/product/commutator primitives, *not* from the
-    analytic product formula, so extracting its kernel and comparing with
-    :func:`q_symbol` is a genuine two-route test.  Argument order:
-    (carrier-slot field, insert-slot field).
-    """
-    from .spectral import antiderivative, apply_multiplier, commutator_apply, derivative, multiply
-
     _check_pair(j1, j2)
-    if not 1 <= mu <= 2 * abs(j1):
-        raise ValueError(f"mu={mu} out of closed-form range for |j1|={abs(j1)}")
-
-    def sig_arr(grid: Grid1D) -> np.ndarray:
-        return sigma(grid.wavenumbers, b).astype(np.complex128)
-
-    def sig_inv_arr(grid: Grid1D) -> np.ndarray:
-        return sigma_inv(grid.wavenumbers, b).astype(np.complex128)
-
-    def K0_arr(grid: Grid1D) -> np.ndarray:
-        return k0_symbol(grid.wavenumbers)
-
-    if abs(j1) == 1:
-        if mu == 1:
-            def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-                if j2 != j1:
-                    return SpectralField.zero(psi.grid, is_real=False)
-                return -derivative(multiply(psi, r))
-        else:
-            def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-                if j2 != -j1:
-                    return SpectralField.zero(psi.grid, is_real=False)
-                K0 = K0_arr(psi.grid)
-                return derivative(multiply(apply_multiplier(K0, psi),
-                                           apply_multiplier(K0, r)))
-        return op
-
+    if abs(j1) != 2:
+        raise ValueError("second_block_symbol serves the |j1|=2 block")
+    l = np.asarray(l, dtype=float)
+    m = np.asarray(m, dtype=float)
+    k = l + m
+    ik = 1j * k
     sj1 = 1.0 if j1 > 0 else -1.0
-    sj2 = 1.0 if j2 > 0 else -1.0
-    if mu == 1:
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-            if j2 != j1:
-                return SpectralField.zero(psi.grid, is_real=False)
-            return -derivative(multiply(psi, r))
-    elif mu == 2:
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-            g = psi.grid
-            lhs = apply_multiplier(K0_arr(g) * sig_inv_arr(g) * (1j * g.wavenumbers), psi)
-            rhs = apply_multiplier(sig_inv_arr(g), r)
-            return (-sj2) * 0.5 * derivative(multiply(lhs, rhs))
-    elif mu == 3:
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-            g = psi.grid
-            lhs = apply_multiplier(sig_inv_arr(g) * (1j * g.wavenumbers) ** 2, psi)
-            rhs = apply_multiplier(K0_arr(g) * sig_inv_arr(g) * (1j * g.wavenumbers), r)
-            return (-sj2) * (-0.5 * b) * derivative(multiply(lhs, rhs))
-    else:  # mu == 4
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-            g = psi.grid
-            inner = commutator_apply(
-                sig_arr(g),
-                antiderivative(r, 2),
-                apply_multiplier(sig_inv_arr(g) * (1j * g.wavenumbers) ** 2, psi),
-            )
-            return sj1 * 0.5 * derivative(inner)
-    return op
+    tau = 1.0 if j2 < 0 else -1.0          # d2 of the insert
+    Kl, Km = k0_symbol(l), k0_symbol(m)
+    sl, sm = sigma_inv(l, b), sigma_inv(m, b)
+    il = 1j * l
+    inv_im = np.where(m == 0.0, 0.0, 1.0 / (1j * np.where(m == 0.0, 1.0, m)))
 
+    # each field as (value on the carrier at l, value on the insert at m);
+    # the carrier has s1 = d1 = 1 and s2 = d2 = -l^2, the insert s2 = 1, d2 = tau
+    s2 = (-l**2, 1.0)
+    sid1 = (sl, 0.0)
+    sid2 = (-l**2 * sl, tau * sm)
+    ia2s2 = (np.where(l == 0.0, 0.0, 1.0), inv_im**2)
+    ia1s2 = (il, inv_im)
+    K0ia1s2 = (Kl * il, Km * inv_im)
+    iasid2 = (il * sl, tau * inv_im * sm)
+    K0iasid2 = (Kl * il * sl, tau * Km * inv_im * sm)
+    K0sid2a = (-l**2 * Kl * il * sl, tau * Km * 1j * m * sm)
 
-# ---------------------------------------------------------------------------
-# whole-curve extraction (comb trick) and residual symbols
-# ---------------------------------------------------------------------------
+    def pr(f, g):
+        return f[0] * g[1] + f[1] * g[0]
 
-
-def _comb_field(grid: Grid1D, skip_index: Optional[int] = None) -> SpectralField:
-    """Unit coefficient on every dealiased mode; a linear-response probe."""
-    c = np.where(grid.dealias_keep, 1.0 + 0.0j, 0.0j)
-    if skip_index is not None:
-        c[skip_index] = 0.0
-    return SpectralField.from_coefficients(grid, c, is_real=False)
-
-
-@lru_cache(maxsize=128)
-def _curve_cached(b: float, j1: int, j2: int, jl: int, grid: Grid1D,
-                  composite_carrier: bool) -> np.ndarray:
-    fund = grid.fundamental
-    l = jl * fund
-    carrier: SlotSpec = SECOND_BLOCK_CARRIER if composite_carrier else -1
-    op = equation_cross_operator(b, j1, carrier, j2)
-    a = SpectralField.from_mode(grid, l)
-    g = _comb_field(grid)
-    out = op(a, g).coefficients.copy()
-    # out[p] = kernel(p; l, p-l): valid only when both p and p-l are in band
-    jp = grid.mode_numbers
-    band = grid.n_points // 3
-    valid = (np.abs(jp) <= band) & (np.abs(jp - jl) <= band)
-    out[~valid] = np.nan
-    out.setflags(write=False)
-    return out
-
-
-def equation_kernel_curve(b: float, j1: int, j2: int, l: float,
-                          grid: Optional[Grid1D] = None,
-                          composite_carrier: bool = False) -> np.ndarray:
-    """Extracted kernel values q(k, l, k-l) for every grid wavenumber k.
-
-    One bilinear cross evaluation against a spectral comb recovers the whole
-    curve at once (the carrier is a single mode, so each output wavenumber
-    receives exactly one bilinear contribution).  Entries whose input or
-    output mode leaves the dealiased band are NaN.
-    """
-    if grid is None:
-        grid = DEFAULT_EXTRACTION_GRID
-    jl = int(round(l / grid.fundamental))
-    return _curve_cached(b, j1, j2, jl, grid, composite_carrier)
-
-
-def _closed_second_block_on_grid(j1: int, j2: int, l: float, grid: Grid1D,
-                                 params: KernelParams,
-                                 mus: tuple[int, ...]) -> np.ndarray:
-    """Sum of chosen closed second-block symbols along the curve m = k - l."""
-    k = grid.wavenumbers
-    m = k - l
-    total = np.zeros(grid.n_points, dtype=np.complex128)
-    safe_m = np.where(m == 0.0, 1.0, m)
-    for mu in mus:
-        if mu == 4:
-            # the only genuinely singular closed form at m=0
-            vals = np.where(m == 0.0, np.nan,
-                            q_symbol(j1, j2, 4, k, safe_m, params))
-        else:
-            vals = np.asarray(q_symbol(j1, j2, mu, k, m, params))
-        total = total + vals
-    return total
-
-
-@lru_cache(maxsize=128)
-def _second_block_total_cached(params: KernelParams, j1: int, j2: int,
-                               jl: int, grid: Grid1D) -> np.ndarray:
-    l = jl * grid.fundamental
-    extracted = equation_kernel_curve(params.b, j1, j2, l, grid,
-                                      composite_carrier=True)
-    closed = _closed_second_block_on_grid(j1, j2, l, grid, params, (1, 2, 3, 4))
-    residual = extracted - closed
-    # the m=0 grid point hits the 1/m^2 weight head-on, so it is replaced by
-    # the mean of its two neighbours.  The residual is *not* continuous
-    # there: it keeps a 1/m^2 piece, m^2 * residual -> about -i k l^2, from
-    # -ik pr(dalpha^{-2} s2, u_{-2}), which the mu = 4 closed form lacks.
-    # The patched value is a convention, not a limit, and n_hat reads it at
-    # round(k) for the carrier-band wavenumbers.
-    m_zero = np.nonzero(grid.mode_numbers == jl)[0]
-    if m_zero.size:
-        i = int(m_zero[0])
-        left = residual[grid.mode_index(l - grid.fundamental)]
-        right = residual[grid.mode_index(l + grid.fundamental)]
-        residual = residual.copy()
-        residual[i] = 0.5 * (left + right)
-    residual.setflags(write=False)
-    return residual
-
-
-def second_block_residual_curve(params: KernelParams, j1: int, j2: int,
-                                l: float, grid: Optional[Grid1D] = None
-                                ) -> np.ndarray:
-    """Operational second-block residual along m = k - l (m=0 patched)."""
-    if abs(j1) != 2 or j2 not in (j1, -j1):
-        raise ValueError(f"second block needs |j1|=2 and j2=+/-j1, got ({j1},{j2})")
-    if grid is None:
-        grid = DEFAULT_EXTRACTION_GRID
-    jl = int(round(l / grid.fundamental))
-    return _second_block_total_cached(params, j1, j2, jl, grid)
-
-
-def second_block_total_curve(params: KernelParams, j1: int, j2: int, l: float,
-                             grid: Optional[Grid1D] = None,
-                             include_mu4: bool = True) -> np.ndarray:
-    """Second-block kernel along m = k - l: closed forms plus the residual.
-
-    ``include_mu4=False`` drops the 1/m^2-weighted closed symbol, which is
-    what the normal-form kernels need (that term is fed the antiderivative
-    argument instead).
-    """
-    if grid is None:
-        grid = DEFAULT_EXTRACTION_GRID
-    residual = second_block_residual_curve(params, j1, j2, l, grid)
-    mus = (1, 2, 3, 4) if include_mu4 else (1, 2, 3)
-    closed = _closed_second_block_on_grid(
-        j1, j2, round(l / grid.fundamental) * grid.fundamental, grid, params, mus
-    )
-    return closed + residual
-
-
-def q_residual(j1: int, j2: int, k: float, m: float, params: KernelParams,
-               grid: Optional[Grid1D] = None) -> complex:
-    """Operational residual symbol: extracted total minus closed forms.
-
-    For the first block this is the commutator remainder; for the second
-    block the leftover beyond the four closed forms.  Arguments follow the
-    q_symbol convention (output k, insert m, carrier l = k - m).
-    """
-    _check_pair(j1, j2)
-    if grid is None:
-        grid = DEFAULT_EXTRACTION_GRID
-    l = k - m
-    if abs(j1) == 1:
-        op = equation_cross_operator(params.b, j1, -1, j2)
-        total = extract_kernel(op, l, m, grid=grid)
-        fund = grid.fundamental
-        ks = (round(l / fund) + round(m / fund)) * fund
-        ms = round(m / fund) * fund
-        closed = sum(
-            np.asarray(q_symbol(j1, j2, mu, ks, ms, params)).item()
-            for mu in (1, 2)
-        )
-        return total - closed
-    op = equation_cross_operator(params.b, j1, SECOND_BLOCK_CARRIER, j2)
-    total = extract_kernel(op, l, m, grid=grid)
-    fund = grid.fundamental
-    ks = (round(l / fund) + round(m / fund)) * fund
-    ms = round(m / fund) * fund
-    if ms == 0.0:
-        raise ValueError("second-block residual undefined at the m=0 grid point")
-    closed = sum(
-        np.asarray(q_symbol(j1, j2, mu, ks, ms, params)).item()
-        for mu in (1, 2, 3, 4)
-    )
-    return total - closed
+    e2 = 0.5 * ik * (pr(K0iasid2, sid2) - pr(ia2s2, s2) - pr(ia1s2, ia1s2)
+                     + pr(K0ia1s2, K0ia1s2) - b * pr(sid2, K0sid2a))
+    x2 = 0.5 * ik * sigma(k, b) * (
+        pr(ia2s2, sid2) + pr(iasid2, ia1s2) + ik * pr(sid1, ia1s2)
+        + k0_symbol(k) * (pr(iasid2, K0ia1s2) + ik * pr(sid1, K0ia1s2)))
+    val = np.asarray(e2 + sj1 * x2)
+    return val if val.ndim else complex(val)
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +327,45 @@ def q_residual(j1: int, j2: int, k: float, m: float, params: KernelParams,
 # ---------------------------------------------------------------------------
 
 
-def _curve_lookup(curve: np.ndarray, grid: Grid1D, k: np.ndarray) -> np.ndarray:
-    idx = np.round(k / grid.fundamental).astype(int) % grid.n_points
-    return curve[idx]
+def _lattice(k):
+    """Round wavenumbers to the integer lattice.
+
+    The second-block weights read ``second_block_symbol`` at integer k and
+    l only: the spacing of the 2*pi-periodic extraction grid those weights
+    were first read from.  Evaluating at the exact k is a correctness
+    change, not a refactor: next to the carrier the second-block kernels
+    then grow like 1/|k - l| or faster (see the FOUND line on exact-k
+    weights in CHANGES.md).
+    """
+    return np.round(np.asarray(k, dtype=float))
 
 
-def rho_hat(j1: int, l: int, k, params: KernelParams,
-            grid: Optional[Grid1D] = None):
+def _second_block_residual(j1: int, j2: int, k: np.ndarray, l: float,
+                           params: KernelParams) -> np.ndarray:
+    """``second_block_symbol`` minus the four closed forms, on the lattice.
+
+    At m = 0 the value is the mean of the m = +-1 neighbours.  That is a
+    convention, not a limit: the residual keeps a 1/m^2 piece,
+    m^2 * residual -> about -i k l^2 for j1 = -2, which the mu = 4 closed
+    form lacks (see the FOUND line on the second-block m = 0 patch in
+    CHANGES.md).
+    """
+    lr = float(_lattice(l))
+
+    def residual(kr: np.ndarray) -> np.ndarray:
+        m = kr - lr
+        safe_m = np.where(m == 0.0, 1.0, m)
+        closed = sum(np.asarray(q_symbol(j1, j2, mu, kr, safe_m, params))
+                     for mu in (1, 2, 3, 4))
+        return np.asarray(second_block_symbol(j1, j2, lr, m, params.b)) - closed
+
+    kr = _lattice(k)
+    res = residual(np.append(kr, [lr - 1.0, lr + 1.0]))
+    # the m = 0 patch: the mean of the residual at m = -1 and m = +1
+    return np.where(kr == lr, 0.5 * (res[-2] + res[-1]), res[:-2])
+
+
+def rho_hat(j1: int, l: int, k, params: KernelParams):
     """Energy reweighting symbol for derivative order ``l``.
 
     Away from the two resonance windows (and always for positive component
@@ -675,14 +383,12 @@ def rho_hat(j1: int, l: int, k, params: KernelParams,
     k1 = params.require_k1()
     k0 = params.k0
     gap = k1 - k0
-    if grid is None:
-        grid = DEFAULT_EXTRACTION_GRID
 
     def q_total(kv: np.ndarray, lv: float, mv: np.ndarray) -> np.ndarray:
         if abs(j1) == 1:
             return np.asarray(first_block_symbol(j1, j1, lv, mv, params.b))
-        curve = second_block_total_curve(params, j1, j1, lv, grid)
-        return _curve_lookup(curve, grid, kv)
+        lr = _lattice(lv)
+        return np.asarray(second_block_symbol(j1, j1, lr, _lattice(kv) - lr, params.b))
 
     out = np.ones_like(k_arr)
     for ell in (-1, 1):
@@ -701,7 +407,6 @@ def rho_hat(j1: int, l: int, k, params: KernelParams,
 
 
 def rho_extremes(j1: int, l: int, params: KernelParams,
-                 grid: Optional[Grid1D] = None,
                  n_samples: int = 4001) -> tuple[float, float]:
     """Measured (min, max) of rho_hat over the windows where it varies."""
     k1 = params.require_k1()
@@ -710,7 +415,7 @@ def rho_extremes(j1: int, l: int, params: KernelParams,
     for ell in (-1, 1):
         center = -ell * gap
         ks = np.linspace(center - gap, center + gap, n_samples)
-        pieces.append(np.asarray(rho_hat(j1, l, ks, params, grid)))
+        pieces.append(np.asarray(rho_hat(j1, l, ks, params)))
     allv = np.concatenate(pieces)
     allv = allv[np.isfinite(allv)]
     return float(np.min(allv)), float(np.max(allv))
@@ -727,8 +432,7 @@ def _r_denominator(j1: int, j2: int, k: np.ndarray, l: float, b: float) -> np.nd
     return 1j * (s1 * omega(k, b) + omega(np.full_like(k, l), b) - s2 * omega(k - l, b))
 
 
-def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams,
-          grid: Optional[Grid1D] = None):
+def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
     """Normal-form kernel: windowed interaction symbol over the resonance
     denominator, evaluated at (k, ell*k0, k - ell*k0).
 
@@ -747,8 +451,6 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams,
         raise ValueError(f"slot index j must be 1 or 2, got {j}")
     if j == 2 and abs(j1) != 2:
         raise ValueError("the antiderivative-slot kernel exists only for the second block")
-    if grid is None:
-        grid = DEFAULT_EXTRACTION_GRID
 
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
@@ -776,8 +478,7 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams,
             + np.asarray(q_symbol(j1, j2, 2, kn, m, params))
             + np.asarray(q_symbol(j1, j2, 3, kn, m, params))
         )
-        residual = second_block_residual_curve(params, j1, j2, l, grid)
-        qv = closed + _curve_lookup(residual, grid, k_arr)
+        qv = closed + _second_block_residual(j1, j2, k_arr, l, params)
     else:
         m = kn - l
         safe_m = np.where(m == 0.0, 1.0, m)

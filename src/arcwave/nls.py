@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -82,13 +84,17 @@ def mass(field: EnvelopeField) -> float:
     return float(field.grid.spacing * np.sum(np.abs(field.values) ** 2))
 
 
-def second_order_coefficients(k0: float, b: float) -> dict[str, float]:
+@lru_cache(maxsize=64)
+def second_order_coefficients(k0: float, b: float) -> Mapping[str, float]:
     """Second-harmonic and mean-flow response coefficients per component.
 
     Keys ``c_m2``/``c_p2`` scale A² on the double carrier in the -1/+1
     components; ``c_m0``/``c_p0`` scale |A|² on the mean flow.  All four are
     real.  Raises when an elimination denominator degenerates: "2om" for the
     second-harmonic mismatch, "cg" for the group-velocity one.
+
+    Cached on (k0, b), since every packet build asks for them; the result
+    is a read-only mapping because every caller shares it.
     """
     w0 = omega(k0, b)
     w2 = omega(2 * k0, b)
@@ -124,7 +130,7 @@ def second_order_coefficients(k0: float, b: float) -> dict[str, float]:
                 raise AssertionError(
                     f"{tag2} should be real, got {val}")  # pragma: no cover
             out[tag2] = float(np.real(val))
-    return out
+    return MappingProxyType(out)
 
 
 def nls_coefficients(k0: float, b: float) -> NLSCoeffs:

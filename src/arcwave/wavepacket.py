@@ -22,13 +22,7 @@ import numpy as np
 
 from .dispersion import ModelParams, k0_symbol, sigma_inv
 from .nls import EnvelopeField, second_order_coefficients
-from .spectral import (
-    Grid1D,
-    SpectralField,
-    apply_multiplier,
-    derivative,
-    multiply,
-)
+from .spectral import Grid1D, SpectralField, derivative, full_spectrum, half_spectrum
 
 __all__ = [
     "WavePacket",
@@ -145,8 +139,12 @@ def _band_coefficients(grid: Grid1D, env: Grid1D, profile: np.ndarray,
     out = np.zeros(grid.n_points, dtype=complex)
     kappa_eps = env.mode_numbers * grid.fundamental  # = eps * kappa exactly
     phases = np.exp(-1j * kappa_eps * cg * t)
-    for idx, j in enumerate(env.mode_numbers):
-        out[(ell * j0 + j) % grid.n_points] = g[idx] * phases[idx]
+    idx = (ell * j0 + env.mode_numbers) % grid.n_points
+    # real and imaginary parts formed apart round like numpy's complex
+    # scalar product (its vectorized product may fuse multiply-adds), so the
+    # result does not depend on the machine's SIMD support
+    out.real[idx] = g.real * phases.real - g.imag * phases.imag
+    out.imag[idx] = g.real * phases.imag + g.imag * phases.real
     return out
 
 
@@ -190,17 +188,28 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
     return u_m1, u_p1
 
 
+def _constraint_product(f: SpectralField, g: SpectralField, b: float) -> SpectralField:
+    """Dealiased product K0 f * siginv g of two real fields.
+
+    Formed with real transforms on the half spectrum, so the result is
+    exactly Hermitian.
+    """
+    grid = f.grid
+    n = grid.n_points
+    k = grid.wavenumbers
+    pf, pg = np.fft.irfft(half_spectrum(np.array(
+        [k0_symbol(k) * f.coefficients, sigma_inv(k, b) * g.coefficients])), n, norm="forward")
+    prod = full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
+    return SpectralField.from_coefficients(
+        grid, np.where(grid.dealias_keep, prod, 0.0), is_real=True)
+
+
 def _slave_second_block(u_m1: SpectralField, u_p1: SpectralField,
                         b: float) -> tuple[SpectralField, SpectralField]:
     """Constraint map: d2 = s1'', s2 = s1'' - (K0 s1 * siginv d2)'."""
-    grid = u_m1.grid
-    siginv = sigma_inv(grid.wavenumbers, b).astype(complex)
-    K0 = k0_symbol(grid.wavenumbers)
     s1 = u_m1 + u_p1
-    d1 = u_m1 - u_p1
-    d2 = derivative(d1, 2)
-    s2 = derivative(s1, 2) - derivative(
-        multiply(apply_multiplier(K0, s1), apply_multiplier(siginv, d2)))
+    d2 = derivative(u_m1 - u_p1, 2)
+    s2 = derivative(s1, 2) - derivative(_constraint_product(s1, d2, b))
     return 0.5 * (s2 + d2), 0.5 * (s2 - d2)
 
 
@@ -320,16 +329,12 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float,
 
     # linearized slaving: d2' = ds1'', s2' = ds1'' - (K0 ds1 * si d2)' - (K0 s1 * si dd2)'
     u_m1, u_p1 = _first_block(packet, grid, t, profiles)
-    b = p.b
-    siginv = sigma_inv(grid.wavenumbers, b).astype(complex)
-    K0 = k0_symbol(grid.wavenumbers)
     s1, d1 = u_m1 + u_p1, u_m1 - u_p1
     ds1, dd1 = du_m1 + du_p1, du_m1 - du_p1
     d2 = derivative(d1, 2)
     dd2 = derivative(dd1, 2)
     ds2 = derivative(ds1, 2) - derivative(
-        multiply(apply_multiplier(K0, ds1), apply_multiplier(siginv, d2))
-        + multiply(apply_multiplier(K0, s1), apply_multiplier(siginv, dd2)))
+        _constraint_product(ds1, d2, p.b) + _constraint_product(s1, dd2, p.b))
     du_m2 = 0.5 * (ds2 + dd2)
     du_p2 = 0.5 * (ds2 - dd2)
     return du_m1, du_p1, du_m2, du_p2

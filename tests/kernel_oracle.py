@@ -1,0 +1,288 @@
+"""Kernel extraction from the evolution equations: the tests' oracle.
+
+The closed-form symbols in :mod:`arcwave.kernels` are the production route.
+This module is the independent one they are checked against: it feeds
+single Fourier modes (or a spectral comb) through the quadratic part of
+:class:`arcwave.equations.TruncatedSystem`, treated as a black box, and
+reads off the output coefficients.  ``q_term_operator`` realizes each
+closed-form principal symbol from multiplier/product/commutator primitives,
+and ``q13_closed`` is the analytic first-block commutator remainder.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
+
+from arcwave.dispersion import k0_symbol, sigma, sigma_inv
+from arcwave.equations import COMPONENT_INDEX, TruncatedSystem
+from arcwave.kernels import _check_pair
+from arcwave.spectral import (
+    Grid1D,
+    SpectralField,
+    antiderivative,
+    apply_multiplier,
+    commutator_apply,
+    derivative,
+    multiply,
+)
+
+BilinearOperator = Callable[[SpectralField, SpectralField], SpectralField]
+SlotSpec = Union[int, Sequence[tuple[int, int]]]
+
+#: coarse standard grid: integer wavenumbers up to |k| = 1365 survive dealiasing
+DEFAULT_EXTRACTION_GRID = Grid1D(n_points=4096, length=2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# analytic first-block remainder
+# ---------------------------------------------------------------------------
+
+
+def q13_closed(j1: int, j2: int, k, m, b: float):
+    """Analytic form of the first-block commutator remainder (fast path).
+
+    Equal, to rounding, to the operational extracted-minus-closed residual;
+    the equality is asserted in the test suite rather than assumed here.
+    """
+    _check_pair(j1, j2)
+    if abs(j1) != 1:
+        raise ValueError("the analytic remainder is a first-block object")
+    k = np.asarray(k, dtype=float)
+    m = np.asarray(m, dtype=float)
+    l = k - m
+    s1 = -float(np.sign(j1))
+    ik2 = 0.5j * k
+    K0 = k0_symbol
+    first = (
+        sigma(k, b) * K0(k) * (K0(k) - K0(m)) - sigma(k, b) * (1.0 + K0(k) ** 2)
+    ) * sigma_inv(l, b)
+    second = (sigma(k, b) - sigma(m, b)) * sigma_inv(m, b) + (
+        K0(k) * sigma(k, b) - K0(m) * sigma(m, b)
+    ) * K0(l) * sigma_inv(m, b)
+    val = np.asarray(s1 * (ik2 * first + j2 * ik2 * second))
+    return val if val.ndim else complex(val)
+
+
+# ---------------------------------------------------------------------------
+# numerical extraction
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _system_for(grid: Grid1D, b: float) -> TruncatedSystem:
+    """Shared lazy cache of equation tables; idempotent under races."""
+    return TruncatedSystem(grid, b)
+
+
+def _normalize_slot(slot: SlotSpec) -> tuple[tuple[int, int], ...]:
+    if isinstance(slot, (int, np.integer)):
+        return ((int(slot), 0),)
+    return tuple((int(c), int(o)) for c, o in slot)
+
+
+def _insert(grid: Grid1D, slot: tuple[tuple[int, int], ...], f: SpectralField) -> np.ndarray:
+    state = np.zeros((4, grid.n_points), dtype=np.complex128)
+    ik = 1j * grid.wavenumbers
+    for comp, order in slot:
+        state[COMPONENT_INDEX[comp]] += (ik**order if order else 1.0) * f.coefficients
+    return state
+
+
+#: the second-block carrier occupies u_{-1} directly and u_{-2} through
+#: two alpha-derivatives (the slaved leading-order relation)
+SECOND_BLOCK_CARRIER: tuple[tuple[int, int], ...] = ((-1, 0), (-2, 2))
+
+
+def equation_cross_operator(b: float, j1: int, slot_a: SlotSpec = -1,
+                            slot_b: SlotSpec = -1) -> BilinearOperator:
+    """Bilinear cross part of the u_{j1}-equation nonlinearity.
+
+    ``slot_a``/``slot_b`` say where the two arguments are inserted: either a
+    single component label, or a sequence of (component, derivative-order)
+    pairs for composite inserts.  The returned operator works on any grid
+    (equation tables are cached per grid) and is exactly bilinear, since the
+    nonlinearity is homogeneous quadratic.
+    """
+    row = COMPONENT_INDEX[j1]
+    sa = _normalize_slot(slot_a)
+    sb = _normalize_slot(slot_b)
+
+    def op(f: SpectralField, g: SpectralField) -> SpectralField:
+        f._check_grid(g)
+        system = _system_for(f.grid, b)
+        a_state = _insert(f.grid, sa, f)
+        b_state = _insert(f.grid, sb, g)
+        both, a_only, b_only = system.full_nonlinear(
+            np.stack([a_state + b_state, a_state, b_state]))
+        cross = both - a_only - b_only
+        return SpectralField.from_coefficients(f.grid, cross[row])
+
+    return op
+
+
+def extract_kernel(bilinear_operator: BilinearOperator, l: float, m: float,
+                   grid: Optional[Grid1D] = None, check: bool = False) -> complex:
+    """Kernel value of a bilinear operator at the mode pair (l, m).
+
+    Feeds e^{il.alpha} and e^{im.alpha} through the operator and returns the
+    output coefficient at l+m.  Inputs are snapped to the nearest grid
+    modes; pairs whose input or output modes fall outside the dealiased
+    band are rejected, since the evaluation would be silently zeroed or
+    aliased.  With ``check=True`` the extraction is repeated on a grid with
+    doubled resolution and a mismatch raises.
+    """
+    if grid is None:
+        grid = DEFAULT_EXTRACTION_GRID
+    fund = grid.fundamental
+    jl = int(round(l / fund))
+    jm = int(round(m / fund))
+    band = grid.n_points // 3
+    if abs(jl) > band or abs(jm) > band:
+        raise ValueError(
+            f"input modes ({jl}, {jm}) fall outside the dealiased band "
+            f"|j| <= {band} of the extraction grid"
+        )
+    if abs(jl + jm) > band:
+        raise ValueError(
+            f"output mode {jl + jm} would be aliased/dealiased away on this grid"
+        )
+    ls, ms = jl * fund, jm * fund
+    f = SpectralField.from_mode(grid, ls)
+    g = SpectralField.from_mode(grid, ms)
+    out = bilinear_operator(f, g)
+    value = out.coefficient_at(ls + ms)
+    if check:
+        fine = Grid1D(n_points=2 * grid.n_points, length=grid.length)
+        f2 = SpectralField.from_mode(fine, ls)
+        g2 = SpectralField.from_mode(fine, ms)
+        value2 = bilinear_operator(f2, g2).coefficient_at(ls + ms)
+        scale = max(abs(value), abs(value2), 1e-30)
+        if abs(value - value2) > 1e-9 * scale + 1e-12:
+            raise ValueError(
+                f"extraction at (l={ls}, m={ms}) is grid-dependent: "
+                f"{value} vs {value2} on doubled resolution"
+            )
+    return value
+
+
+# ---------------------------------------------------------------------------
+# per-term physical realizations (independent route for the closed forms)
+# ---------------------------------------------------------------------------
+
+
+def q_term_operator(b: float, j1: int, j2: int, mu: int) -> BilinearOperator:
+    """Physical-space realization of one closed-form symbol as an operator.
+
+    Built from multiplier/product/commutator primitives, *not* from the
+    analytic product formula, so extracting its kernel and comparing with
+    :func:`q_symbol` is a genuine two-route test.  Argument order:
+    (carrier-slot field, insert-slot field).
+    """
+    _check_pair(j1, j2)
+    if not 1 <= mu <= 2 * abs(j1):
+        raise ValueError(f"mu={mu} out of closed-form range for |j1|={abs(j1)}")
+
+    def sig_arr(grid: Grid1D) -> np.ndarray:
+        return sigma(grid.wavenumbers, b).astype(np.complex128)
+
+    def sig_inv_arr(grid: Grid1D) -> np.ndarray:
+        return sigma_inv(grid.wavenumbers, b).astype(np.complex128)
+
+    def K0_arr(grid: Grid1D) -> np.ndarray:
+        return k0_symbol(grid.wavenumbers)
+
+    if abs(j1) == 1:
+        if mu == 1:
+            def op(psi: SpectralField, r: SpectralField) -> SpectralField:
+                if j2 != j1:
+                    return SpectralField.zero(psi.grid, is_real=False)
+                return -derivative(multiply(psi, r))
+        else:
+            def op(psi: SpectralField, r: SpectralField) -> SpectralField:
+                if j2 != -j1:
+                    return SpectralField.zero(psi.grid, is_real=False)
+                K0 = K0_arr(psi.grid)
+                return derivative(multiply(apply_multiplier(K0, psi),
+                                           apply_multiplier(K0, r)))
+        return op
+
+    sj1 = 1.0 if j1 > 0 else -1.0
+    sj2 = 1.0 if j2 > 0 else -1.0
+    if mu == 1:
+        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
+            if j2 != j1:
+                return SpectralField.zero(psi.grid, is_real=False)
+            return -derivative(multiply(psi, r))
+    elif mu == 2:
+        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
+            g = psi.grid
+            lhs = apply_multiplier(K0_arr(g) * sig_inv_arr(g) * (1j * g.wavenumbers), psi)
+            rhs = apply_multiplier(sig_inv_arr(g), r)
+            return (-sj2) * 0.5 * derivative(multiply(lhs, rhs))
+    elif mu == 3:
+        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
+            g = psi.grid
+            lhs = apply_multiplier(sig_inv_arr(g) * (1j * g.wavenumbers) ** 2, psi)
+            rhs = apply_multiplier(K0_arr(g) * sig_inv_arr(g) * (1j * g.wavenumbers), r)
+            return (-sj2) * (-0.5 * b) * derivative(multiply(lhs, rhs))
+    else:  # mu == 4
+        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
+            g = psi.grid
+            inner = commutator_apply(
+                sig_arr(g),
+                antiderivative(r, 2),
+                apply_multiplier(sig_inv_arr(g) * (1j * g.wavenumbers) ** 2, psi),
+            )
+            return sj1 * 0.5 * derivative(inner)
+    return op
+
+
+# ---------------------------------------------------------------------------
+# whole-curve extraction (comb trick)
+# ---------------------------------------------------------------------------
+
+
+def _comb_field(grid: Grid1D, skip_index: Optional[int] = None) -> SpectralField:
+    """Unit coefficient on every dealiased mode; a linear-response probe."""
+    c = np.where(grid.dealias_keep, 1.0 + 0.0j, 0.0j)
+    if skip_index is not None:
+        c[skip_index] = 0.0
+    return SpectralField.from_coefficients(grid, c, is_real=False)
+
+
+@lru_cache(maxsize=128)
+def _curve_cached(b: float, j1: int, j2: int, jl: int, grid: Grid1D,
+                  composite_carrier: bool) -> np.ndarray:
+    fund = grid.fundamental
+    l = jl * fund
+    carrier: SlotSpec = SECOND_BLOCK_CARRIER if composite_carrier else -1
+    op = equation_cross_operator(b, j1, carrier, j2)
+    a = SpectralField.from_mode(grid, l)
+    g = _comb_field(grid)
+    out = op(a, g).coefficients.copy()
+    # out[p] = kernel(p; l, p-l): valid only when both p and p-l are in band
+    jp = grid.mode_numbers
+    band = grid.n_points // 3
+    valid = (np.abs(jp) <= band) & (np.abs(jp - jl) <= band)
+    out[~valid] = np.nan
+    out.setflags(write=False)
+    return out
+
+
+def equation_kernel_curve(b: float, j1: int, j2: int, l: float,
+                          grid: Optional[Grid1D] = None,
+                          composite_carrier: bool = False) -> np.ndarray:
+    """Extracted kernel values q(k, l, k-l) for every grid wavenumber k.
+
+    One bilinear cross evaluation against a spectral comb recovers the whole
+    curve at once (the carrier is a single mode, so each output wavenumber
+    receives exactly one bilinear contribution).  Entries whose input or
+    output mode leaves the dealiased band are NaN.
+    """
+    if grid is None:
+        grid = DEFAULT_EXTRACTION_GRID
+    jl = int(round(l / grid.fundamental))
+    return _curve_cached(b, j1, j2, jl, grid, composite_carrier)

@@ -1,9 +1,9 @@
 """Kernel symbols, grid extraction, weights, and the normal-form multipliers.
 
-The module under test maintains two independent routes to every quadratic
-interaction coefficient — closed-form symbols and extraction from the
-evolution equations on a grid — so most tests here are cross-route
-comparisons at randomly drawn integer mode pairs.
+The closed-form symbols are checked against two independent routes:
+extraction from the evolution equations on a grid (``kernel_oracle``, most
+tests here, at randomly drawn integer mode pairs) and frozen mpmath values
+from ``scripts/derive_kernel_oracles.py``.
 """
 
 import concurrent.futures
@@ -11,32 +11,36 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+from arcwave import sim
 from arcwave.dispersion import k0_symbol, sigma_inv
+from arcwave.equations import TruncatedSystem
 from arcwave.kernels import (
-    DEFAULT_EXTRACTION_GRID,
-    SECOND_BLOCK_CARRIER,
     KernelParams,
     default_params,
     delta0_for,
     delta1_for,
-    equation_cross_operator,
-    extract_kernel,
     first_block_symbol,
     n_hat,
-    q13_closed,
-    q_residual,
     q_symbol,
-    q_term_operator,
     rho_extremes,
     rho_hat,
-    second_block_residual_curve,
-    second_block_total_curve,
+    second_block_symbol,
     theta_hat,
     theta_inv_hat,
     xi_hat,
     zeta_hat,
 )
 from arcwave.resonance import stability
+from arcwave.spectral import Grid1D
+from kernel_oracle import (
+    DEFAULT_EXTRACTION_GRID,
+    SECOND_BLOCK_CARRIER,
+    equation_cross_operator,
+    equation_kernel_curve,
+    extract_kernel,
+    q13_closed,
+    q_term_operator,
+)
 
 K0 = 2.0
 PARAMS_BAND = default_params(K0, 0.1)       # k1 ~ 4.3, resonant band active
@@ -212,7 +216,9 @@ def test_first_block_residual_equals_analytic_remainder():
             continue
         k = float(l + m)
         for (j1, j2) in [(-1, -1), (1, -1)]:
-            got = q_residual(j1, j2, k, float(m), p)
+            op = equation_cross_operator(p.b, j1, slot_a=-1, slot_b=j2)
+            got = extract_kernel(op, float(l), float(m)) - sum(
+                q_symbol(j1, j2, mu, k, float(m), p) for mu in (1, 2))
             want = q13_closed(j1, j2, k, float(m), p.b)
             assert close_mixed(got, want)
 
@@ -250,7 +256,7 @@ def test_comb_curve_agrees_with_single_probe_extraction():
     p = default_params(K0, 0.1)
     grid = DEFAULT_EXTRACTION_GRID
     l = 3.0
-    total = second_block_total_curve(p, -2, -2, l, grid=grid)
+    total = equation_kernel_curve(p.b, -2, -2, l, grid=grid, composite_carrier=True)
     op = equation_cross_operator(p.b, -2, slot_a=SECOND_BLOCK_CARRIER, slot_b=-2)
     for m in (-9.0, -2.0, 1.0, 4.0, 27.0):
         direct = extract_kernel(op, l, m, grid=grid)
@@ -260,13 +266,73 @@ def test_comb_curve_agrees_with_single_probe_extraction():
 def test_total_second_block_kernel_is_odd():
     p = default_params(K0, 0.1)
     k = np.array([4.0, 7.0, 11.0])
-    a = second_block_total_curve(p, -2, -2, 3.0, grid=DEFAULT_EXTRACTION_GRID)
-    c = second_block_total_curve(p, -2, -2, -3.0, grid=DEFAULT_EXTRACTION_GRID)
     grid = DEFAULT_EXTRACTION_GRID
+    a = equation_kernel_curve(p.b, -2, -2, 3.0, grid=grid, composite_carrier=True)
+    c = equation_kernel_curve(p.b, -2, -2, -3.0, grid=grid, composite_carrier=True)
     for kk in k:
         ia = grid.mode_index(kk)
         ic = grid.mode_index(-kk)
         assert abs(a[ia] + c[ic]) < 1e-10 * max(1.0, abs(a[ia]))
+    sym = second_block_symbol(-2, -2, 3.0, k - 3.0, p.b)
+    assert np.max(np.abs(sym + second_block_symbol(-2, -2, -3.0, 3.0 - k, p.b))) == 0.0
+
+
+@pytest.mark.parametrize("b", [0.0, 0.05, 0.13, 0.3])
+@pytest.mark.parametrize("j1,j2", [(-2, -2), (-2, 2), (2, -2), (2, 2)])
+def test_second_block_symbol_matches_extraction(j1, j2, b):
+    # the closed form against the comb extraction of the composite-carrier
+    # cross kernel; m = 0 is where the zero-mode convention 1/(im) := 0 acts
+    grid = DEFAULT_EXTRACTION_GRID
+    k = grid.wavenumbers[np.abs(grid.wavenumbers) <= 50.0]
+    for l in (2.0, -2.0, 3.0, -5.0, 17.0):
+        curve = equation_kernel_curve(b, j1, j2, l, composite_carrier=True)
+        want = curve[grid.mode_index(0.0) + np.round(k).astype(int)]
+        got = second_block_symbol(j1, j2, l, k - l, b)
+        for g, w, m in zip(got, want, k - l):
+            if m == 0.0:
+                assert abs(g - w) <= 1e-13 * abs(w)
+            else:
+                assert close_mixed(g, w, rel=1e-9)
+
+
+#: (j1, j2, l, m, b) -> raw_cross2 of scripts/derive_kernel_oracles.py (30 digits)
+SECOND_BLOCK_MPMATH = [
+    ((-2, -2, 2.0, 1.0, 0.0), -25.264954226886759338j),
+    ((2, -2, 2.0, 3.0, 0.05), -0.39924113540212531843j),
+    ((-2, 2, -2.0, 0.0, 0.1), 0.87959305905850304442j),
+    ((2, 2, 3.0, -5.0, 0.13), 2.2394875876340584751j),
+    ((-2, -2, 17.0, -15.0, 0.3), -0.0109164947693302113j),
+]
+
+
+@pytest.mark.parametrize("args,want", SECOND_BLOCK_MPMATH)
+def test_second_block_symbol_matches_mpmath(args, want):
+    assert abs(second_block_symbol(*args) - want) <= 1e-12
+
+
+def test_second_block_symbol_rejects_first_block():
+    with pytest.raises(ValueError):
+        second_block_symbol(-1, -1, 2.0, 1.0, 0.1)
+
+
+def test_production_weights_never_call_the_equations(monkeypatch):
+    # n_hat, rho_hat and the energy tables evaluate closed forms only; the
+    # equations serve as the tests' extraction oracle
+    def refuse(self, state):
+        raise AssertionError("production weights evaluated the equations")
+
+    monkeypatch.setattr(TruncatedSystem, "full_nonlinear", refuse)
+    monkeypatch.setattr(TruncatedSystem, "nonlinear", refuse)
+    p = default_params(K0, 0.07)
+    k = np.linspace(-6.0, 6.0, 97)
+    for (j1, j2) in [(-2, -2), (-2, 2), (2, -2), (2, 2)]:
+        for ell in (-1, 1):
+            for j in (1, 2):
+                assert np.all(np.isfinite(n_hat(j1, j2, ell, j, k, p)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_hat(-2, 1, k, p)
+        rho, nh = sim._energy_tables(Grid1D(256, 2.0 * np.pi * 7.0), p, 1)
+    assert np.all(np.isfinite(nh))
 
 
 # --------------------------------------------------------------------------
@@ -455,16 +521,16 @@ def test_stability_ratio_near_frozen_value():
 
 
 def test_curve_cache_is_idempotent_under_concurrency():
-    p = default_params(K0, 0.1)
+    b = 0.1
 
     def work(_):
-        c = second_block_total_curve(p, -2, -2, 2.0)
+        c = equation_kernel_curve(b, -2, -2, 2.0, composite_carrier=True)
         return c[DEFAULT_EXTRACTION_GRID.mode_index(5.0)]
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
         vals = list(ex.map(work, range(16)))
     assert len(set(vals)) == 1
 
-    cached = second_block_residual_curve(p, -2, -2, 2.0)
+    cached = equation_kernel_curve(b, -2, -2, 2.0, composite_carrier=True)
     with pytest.raises((ValueError, RuntimeError)):
         cached[0] = 0.0  # write-protected

@@ -74,6 +74,21 @@ def test_second_order_responses_frozen(b, table):
         assert c[key] == pytest.approx(val, rel=1e-7)
 
 
+def test_second_order_coefficients_are_cached_and_read_only(monkeypatch):
+    import arcwave.nls
+
+    first = second_order_coefficients(K0, 0.07)
+
+    def refuse(*args):
+        raise AssertionError("a repeat call recomputed the coefficients")
+
+    monkeypatch.setattr(arcwave.nls, "first_block_symbol", refuse)
+    again = second_order_coefficients(K0, 0.07)
+    assert again is first
+    with pytest.raises(TypeError):
+        again["c_m2"] = 0.0
+
+
 def test_second_harmonic_resonance_refuses_with_condition_name():
     with pytest.raises(ValueError, match="2om"):
         nls_coefficients(K0, B_SECOND_HARMONIC)

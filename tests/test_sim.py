@@ -225,9 +225,8 @@ def test_mode_zero_is_conserved_exactly():
 
 def test_run_samples_are_exactly_real_with_the_zero_mode_bitwise(monitored_run):
     # the loop carries half spectra and expands each sample by conjugation,
-    # so samples are exactly Hermitian (the packet's own initial state is
-    # not: its second block comes from complex transforms); the mean
-    # survives bit for bit, and the inert Nyquist column keeps its value
+    # so samples are exactly Hermitian; the mean survives bit for bit, and
+    # the inert Nyquist column keeps its value
     config = good_config(n=128, dt=0.05, t_end=2.0)
     mat = random_state(config.grid, 0.02, seed=31).matrix
     mat[:, 0] = np.array([0.125, -0.5, 0.25, 1.0])
@@ -241,6 +240,12 @@ def test_run_samples_are_exactly_real_with_the_zero_mode_bitwise(monitored_run):
     for s in packet_run.samples[1:]:
         assert s.reality_defect() == 0.0
         assert np.array_equal(s.matrix[:, 0], U0[:, 0])
+
+
+def test_packet_initial_state_is_exactly_real(monitored_run):
+    # the slaved second block is formed with real transforms
+    state = packet_initial_state(monitored_run["packet"], monitored_run["config"])
+    assert state.reality_defect() == 0.0
 
 
 def test_reality_preserved_over_many_steps():

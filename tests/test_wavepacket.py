@@ -19,6 +19,7 @@ from arcwave.equations import TruncatedSystem
 from arcwave.nls import EnvelopeField, nls_coefficients, second_order_coefficients
 from arcwave.spectral import Grid1D, derivative
 from arcwave.wavepacket import (
+    _band_coefficients,
     band_mask,
     build,
     build_time_derivative,
@@ -56,6 +57,20 @@ class TestRealization:
                              EPS, PARAMS)
         for f in build(packet, CARRIER, 0.0):
             assert np.all(f.coefficients == 0.0)
+
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_band_scatter_is_bitwise_the_per_mode_loop(self, ell):
+        # reference: one complex scalar product per envelope mode
+        rng = np.random.default_rng(ell)
+        profile = rng.normal(size=256) + 1j * rng.normal(size=256)
+        j0, cg, t = 112, 0.37, 2.9
+        g = np.fft.fft(profile) / ENVELOPE.n_points
+        phases = np.exp(-1j * ENVELOPE.mode_numbers * CARRIER.fundamental * cg * t)
+        want = np.zeros(CARRIER.n_points, dtype=complex)
+        for idx, j in enumerate(ENVELOPE.mode_numbers):
+            want[(ell * j0 + j) % CARRIER.n_points] = g[idx] * phases[idx]
+        got = _band_coefficients(CARRIER, ENVELOPE, profile, ell, j0, cg, EPS, t)
+        assert got.tobytes() == want.tobytes()
 
     def test_realized_fields_are_real(self):
         packet = wave_packet(sech_envelope(), EPS, PARAMS)
