@@ -8,7 +8,9 @@ coefficients in the order
 The four fields are real, so the time loop carries only their ``rfft`` half
 spectra, (4, n//2 + 1), and ``TruncatedSystem.nonlinear`` works in that
 layout; complex full-layout inputs (kernel extraction) reach the same
-product list by polarization in ``full_nonlinear``.
+product list by polarization in ``full_nonlinear``.  The first block alone,
+(2, n//2 + 1), is accepted too: it is autonomous, and its products are the
+prefix of the list.
 
 The first block evolves under -/+ i*omega plus quadratic terms built from
 s1 = u_{-1}+u_{+1} and d1 = u_{-1}-u_{+1}; the second block sees additional
@@ -107,7 +109,8 @@ class TruncatedSystem:
 
     @cached_property
     def _pre(self) -> np.ndarray:
-        """Multipliers of the 11 precursors in ``nonlinear``, on 0 <= k < k_Nyquist."""
+        """Multipliers of the 11 precursors in ``nonlinear``, on 0 <= k < k_Nyquist;
+        the first three are the first block's."""
         m = self.grid.n_points // 2
         ik, K0, sig_inv, inv_ik = (self._ik[:m], self._K0[:m], self._sig_inv[:m],
                                    self._inv_ik[:m])
@@ -116,8 +119,9 @@ class TruncatedSystem:
                          K0 * inv_ik, inv_ik * sig_inv, K0 * inv_ik * sig_inv,
                          K0 * ik * sig_inv])
 
-    #: row of (s1, s2, d1, d2) each precursor multiplier acts on
-    _PRE_SOURCE = np.array([0, 0, 2, 1, 3, 1, 1, 1, 3, 3, 3])
+    #: row of (s1, d1, s2, d2) each precursor multiplier acts on; the first
+    #: block's three precursors come first and read only s1 and d1
+    _PRE_SOURCE = np.array([0, 0, 1, 2, 3, 2, 2, 2, 3, 3, 3])
 
     @cached_property
     def _post(self) -> np.ndarray:
@@ -128,6 +132,16 @@ class TruncatedSystem:
         hsK = hs * self._K0
         post = np.array([0.5 * h, hs, hsK, h, hs, self._ik * hs, hsK, self._ik * hsK])
         return (post * self.keep_mask)[:, : self.grid.n_points // 2 + 1]
+
+    @cached_property
+    def _stages(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per input row count of ``nonlinear``: the precursor multipliers, the
+        row of (s1, d1, s2, d2) each acts on, and the product-sum
+        multipliers, with a batch axis.  The first block alone (2 rows)
+        takes the prefix of each."""
+        return {rows: (self._pre[:n_pre, None, :], self._PRE_SOURCE[:n_pre],
+                       self._post[:n_post, None, :])
+                for rows, n_pre, n_post in ((2, 3, 3), (4, 11, 8))}
 
     @cached_property
     def keep_mask(self) -> np.ndarray:
@@ -163,13 +177,20 @@ class TruncatedSystem:
     # ------------------------------------------------------------ evaluation
 
     def nonlinear(self, state: np.ndarray) -> np.ndarray:
-        """Quadratic part of d(state)/dt for four real fields.
+        """Quadratic part of d(state)/dt for four, or the first two, real fields.
 
-        Input and output are ``rfft`` half spectra, shape (..., 4, n//2 + 1)
-        (see :func:`arcwave.spectral.half_spectrum`); leading batch axes are
-        evaluated together.  The linear part (see ``linear_symbols``) is
-        handled separately so the integrating-factor stepper can advance it
-        exactly.  Complex full-layout states go through ``full_nonlinear``.
+        Input and output are ``rfft`` half spectra, shape (..., r, n//2 + 1)
+        with r = 4 (u_{-/+1}, u_{-/+2}) or r = 2 (the first block u_{-/+1}
+        alone); see :func:`arcwave.spectral.half_spectrum`.  Leading batch
+        axes are evaluated together.  The linear part (see
+        ``linear_symbols``) is handled separately so the integrating-factor
+        stepper can advance it exactly.  Complex full-layout states go
+        through ``full_nonlinear``.
+
+        The first block is autonomous: its products read only s1 and d1, so
+        the r = 2 call is the prefix of the r = 4 call's product list (3 of
+        the 11 precursors, 3 of the 8 product sums) and returns rows 0-1 of
+        the r = 4 output bit for bit.
 
         Nyquist column (index n//2): it lies outside every keep mask.  The
         input's Nyquist column is ignored, as if it were 0 (the precursors
@@ -186,35 +207,52 @@ class TruncatedSystem:
 
         So each distinct product is formed once, and products sharing a
         coefficient-space multiplier are summed before the forward transform:
-        one ``irfft`` of 11 precursors, one ``rfft`` of 8 product sums.
+        one ``irfft`` of 11 (3) precursors, one ``rfft`` of 8 (3) product sums.
         """
+        rows = state.shape[-2]
+        if rows not in self._stages:
+            raise ValueError(
+                f"nonlinear takes 4 components or the first block's 2, got {rows}")
+        pre, source, post = self._stages[rows]
         n = self.grid.n_points
         m = n // 2
         batch = state.shape[:-2]
         # component axis first, the batch axes flattened into one behind it
-        u = state[..., :m].reshape(-1, 4, m).swapaxes(0, 1)
-        sd = np.array([u[0] + u[1], u[2] + u[3], u[0] - u[1], u[2] - u[3]])
+        u = state[..., :m].reshape(-1, rows, m).swapaxes(0, 1)
+        sd = [u[0] + u[1], u[0] - u[1]]
+        if rows == 4:
+            sd += [u[2] + u[3], u[2] - u[3]]
 
         # physical-space precursors
-        (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
-         P_iasid2, P_K0iasid2, P_K0sid2a) = np.fft.irfft(
-             self._pre[:, None, :] * sd[self._PRE_SOURCE], n, norm="forward")
-
-        # product sums, one per coefficient-space multiplier (see _post)
-        G = self._post[:, None, :] * np.fft.rfft(np.array([
+        P = np.fft.irfft(pre * np.array(sd)[source], n, norm="forward")
+        if rows == 2:
+            P_s1, P_K0s1, P_sid1 = P
+        else:
+            (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
+             P_iasid2, P_K0iasid2, P_K0sid2a) = P
+        products = [
             P_K0s1 * P_K0s1 - P_s1 * P_s1,
             P_sid1 * P_s1,
             P_sid1 * P_K0s1,
-            P_K0iasid2 * P_sid2 - P_ia2s2 * P_s2 - P_ia1s2 * P_ia1s2
-            + P_K0ia1s2 * P_K0ia1s2 - self.b * P_sid2 * P_K0sid2a,
-            P_ia2s2 * P_sid2 + P_iasid2 * P_ia1s2,
-            P_sid1 * P_ia1s2,
-            P_iasid2 * P_K0ia1s2,
-            P_sid1 * P_K0ia1s2,
-        ]), norm="forward")
-        E1, X1, E2, X2 = G[0], G[1] + G[2], G[3], G[4] + G[5] + G[6] + G[7]
-        out = np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
-        return out.swapaxes(0, 1).reshape(batch + (4, m + 1))
+        ]
+        if rows == 4:
+            products += [
+                P_K0iasid2 * P_sid2 - P_ia2s2 * P_s2 - P_ia1s2 * P_ia1s2
+                + P_K0ia1s2 * P_K0ia1s2 - self.b * P_sid2 * P_K0sid2a,
+                P_ia2s2 * P_sid2 + P_iasid2 * P_ia1s2,
+                P_sid1 * P_ia1s2,
+                P_iasid2 * P_K0ia1s2,
+                P_sid1 * P_K0ia1s2,
+            ]
+
+        # product sums, one per coefficient-space multiplier (see _post)
+        G = post * np.fft.rfft(np.array(products), norm="forward")
+        E1, X1 = G[0], G[1] + G[2]
+        out = [E1 - X1, E1 + X1]
+        if rows == 4:
+            E2, X2 = G[3], G[4] + G[5] + G[6] + G[7]
+            out += [E2 - X2, E2 + X2]
+        return np.array(out).swapaxes(0, 1).reshape(batch + (rows, m + 1))
 
     def full_nonlinear(self, state: np.ndarray) -> np.ndarray:
         """``nonlinear`` on full-layout (..., 4, n) coefficients, complex allowed.

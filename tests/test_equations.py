@@ -394,3 +394,86 @@ def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
     n = GRID.n_points
     # an unbatched state is one batch of one: 11 rows in, 8 rows out
     assert calls == [("irfft", (11, 1, n // 2)), ("rfft", (8, 1, n))]
+    # the first block alone: 3 rows in, 3 rows out
+    calls.clear()
+    system.nonlinear(state[:2])
+    assert calls == [("irfft", (3, 1, n // 2)), ("rfft", (3, 1, n))]
+
+
+# ---------------------------------------------------------------------------
+# the first block alone
+# ---------------------------------------------------------------------------
+
+
+def parent_nonlinear(system, state):
+    """The four-component ``nonlinear`` as it was before the first block became
+    a prefix of its product list: (s1, s2, d1, d2) order, 11 precursors
+    unpacked by name, 8 product sums."""
+    n = system.grid.n_points
+    m = n // 2
+    batch = state.shape[:-2]
+    u = state[..., :m].reshape(-1, 4, m).swapaxes(0, 1)
+    sd = np.array([u[0] + u[1], u[2] + u[3], u[0] - u[1], u[2] - u[3]])
+    source = np.array([0, 0, 2, 1, 3, 1, 1, 1, 3, 3, 3])
+    (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
+     P_iasid2, P_K0iasid2, P_K0sid2a) = np.fft.irfft(
+         system._pre[:, None, :] * sd[source], n, norm="forward")
+    G = system._post[:, None, :] * np.fft.rfft(np.array([
+        P_K0s1 * P_K0s1 - P_s1 * P_s1,
+        P_sid1 * P_s1,
+        P_sid1 * P_K0s1,
+        P_K0iasid2 * P_sid2 - P_ia2s2 * P_s2 - P_ia1s2 * P_ia1s2
+        + P_K0ia1s2 * P_K0ia1s2 - system.b * P_sid2 * P_K0sid2a,
+        P_ia2s2 * P_sid2 + P_iasid2 * P_ia1s2,
+        P_sid1 * P_ia1s2,
+        P_iasid2 * P_K0ia1s2,
+        P_sid1 * P_K0ia1s2,
+    ]), norm="forward")
+    E1, X1, E2, X2 = G[0], G[1] + G[2], G[3], G[4] + G[5] + G[6] + G[7]
+    out = np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
+    return out.swapaxes(0, 1).reshape(batch + (4, m + 1))
+
+
+def first_block_systems():
+    grid = Grid1D(n_points=1024, length=16 * np.pi)
+    band = np.abs(np.abs(grid.wavenumbers) - 2.0) <= 0.9
+    for b in (0.0, 0.05):
+        for extra in (None, band):
+            yield TruncatedSystem(grid, b, extra_keep=extra)
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_first_block_nonlinear_is_rows_0_1_of_the_four_row_call(batch):
+    # the first block's products read only s1 and d1 and are the prefix of
+    # the product list, so the 2-row call is the 4-row call's rows 0-1 bit
+    # for bit, whatever the second block holds
+    rng = np.random.default_rng(17)
+    for system in first_block_systems():
+        grid = system.grid
+        state = np.array([half_spectrum(random_real_state(rng, grid, scale=0.1))
+                          for _ in range(int(np.prod(batch)))]).reshape(
+                              batch + (4, grid.n_points // 2 + 1))
+        full = system.nonlinear(state)
+        first = system.nonlinear(state[..., :2, :])
+        assert first.shape == batch + (2, grid.n_points // 2 + 1)
+        assert np.array_equal(first, full[..., :2, :])
+        assert np.any(first != 0.0)
+
+
+def test_four_row_nonlinear_is_bitwise_the_parent_product_list():
+    rng = np.random.default_rng(18)
+    for system in first_block_systems():
+        grid = system.grid
+        for batch in ((), (3,)):
+            state = np.array([half_spectrum(random_real_state(rng, grid, scale=0.1))
+                              for _ in range(int(np.prod(batch)))]).reshape(
+                                  batch + (4, grid.n_points // 2 + 1))
+            assert np.array_equal(system.nonlinear(state), parent_nonlinear(system, state))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5, 8])
+def test_nonlinear_refuses_other_row_counts(rows):
+    system = TruncatedSystem(GRID, BOND)
+    state = np.zeros((rows, GRID.n_points // 2 + 1), dtype=complex)
+    with pytest.raises(ValueError, match=f"got {rows}"):
+        system.nonlinear(state)

@@ -5,12 +5,16 @@ measured once on the frozen protocol below and asserted with explicit
 margins; the protocol is deterministic, so reruns reproduce the numbers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from arcwave.kernels import default_params, first_block_symbol, rho_extremes, theta_inv_hat
 from arcwave.nls import EnvelopeField, nls_coefficients, solve as nls_solve
+from arcwave import sim
 from arcwave.sim import (
+    ScanRow,
     ScanTemplate,
     SimConfig,
     SimState,
@@ -25,12 +29,15 @@ from arcwave.sim import (
     scan_grid_length,
     to_diagonal,
 )
-from arcwave.spectral import Grid1D, SpectralField, hermitian_symmetrize, norm_l2
+from arcwave.spectral import (Grid1D, SpectralField, full_spectrum, half_spectrum,
+                              hermitian_symmetrize, norm_l2)
 from arcwave.wavepacket import build, wave_packet
 
 K0 = 2.0
 EPS = 0.1
 BOND = 0.05
+#: the error-scan template of the fast tests: horizon tau0/eps on n = 512
+FAST_TEMPLATE = ScanTemplate(b=0.0, n=512, n_env=128, horizon="tau0_over_eps")
 
 
 def random_state(grid, scale, seed):
@@ -266,6 +273,25 @@ def test_run_sampling_semantics():
     assert len(bare.samples) == 2
 
 
+@pytest.mark.parametrize("b", [0.0, BOND])
+def test_first_block_march_is_bitwise_rows_0_1_of_the_four_component_run(b):
+    # the first block is autonomous, so marching it alone reproduces the
+    # four-component run's rows 0-1 bit for bit at every sample, both from
+    # a packet (second block slaved) and from a random state (not slaved)
+    packet_config, _, U0 = sim._scan_problem(0.2, replace(FAST_TEMPLATE, b=b))
+    random_config = good_config(b=b, t_end=2.0)
+    cases = ((packet_config, SimState.from_matrix(packet_config.grid, U0, 0.0), 7),
+             (random_config, random_state(random_config.grid, 0.02, seed=37), 3))
+    for config, state, every in cases:
+        out = run(config, state, sample_every=every)
+        marched = list(sim._march(config.system, half_spectrum(state.matrix[:2]),
+                                  state.t, config.dt, config.n_steps, every))
+        assert len(marched) == len(out.samples) - 1
+        for (t, V), sample in zip(marched, out.samples[1:]):
+            assert t == sample.t
+            assert np.array_equal(full_spectrum(V, config.n), sample.matrix[:2])
+
+
 def test_run_rejects_mismatched_grid():
     config = good_config(n=128)
     state = random_state(Grid1D(64, 8 * np.pi), 1e-3, seed=2)
@@ -328,19 +354,122 @@ def test_scan_template_validation():
         ScanTemplate(tau0=0.0)
 
 
+def free_scan_rows(eps_list, template):
+    """(sup error, sup size) per eps in the mixed norm for the free march:
+    both blocks marched by ``run``, the second never re-slaved.  The
+    reference for why ``error_scan`` re-slaves the second block."""
+    rows = []
+    for eps in eps_list:
+        config, packet, U0 = sim._scan_problem(eps, template)
+        grid, keep = config.grid, config.system.keep_mask
+        coeffs = nls_coefficients(template.k0, template.b)
+        block = max(1, config.n_steps // template.n_samples)
+        out = run(config, SimState.from_matrix(grid, U0, 0.0), sample_every=block)
+        A_now, prev_t = packet.A, 0.0
+        err, size = 0.0, sim._split_norm(U0, grid)
+        for s in out.samples[1:]:
+            steps = round((s.t - prev_t) / config.dt)
+            A_now = nls_solve(A_now, coeffs, dtau=eps**2 * config.dt,
+                              tau_end=A_now.tau + eps**2 * config.dt * steps,
+                              sample_every=steps).final()
+            prev_t = s.t
+            reference = wave_packet(EnvelopeField(packet.A.grid, A_now.values), eps,
+                                    config.model, corrections=template.corrections)
+            ref = np.array([f.coefficients for f in build(reference, grid, s.t)])
+            ref[:, ~keep] = 0.0
+            err = max(err, sim._split_norm(s.matrix - ref, grid))
+            size = max(size, sim._split_norm(ref, grid))
+        rows.append((err, size))
+    return rows
+
+
+def assert_scan_rows(result, eps, first, second, mixed, sizes, slope):
+    rows = result.rows
+    assert [row.eps for row in rows] == list(eps)
+    assert [row.first_block_error for row in rows] == pytest.approx(first, rel=1e-9)
+    assert [row.second_block_error for row in rows] == pytest.approx(second, rel=1e-9)
+    assert [row.sup_error for row in rows] == pytest.approx(mixed, rel=1e-9)
+    assert [row.approx_size for row in rows] == pytest.approx(sizes, rel=1e-10)
+    assert result.slope == pytest.approx(slope, rel=1e-9)
+    assert not any(row.flagged for row in rows)
+    assert result.slope >= 1.5
+    for row in rows:
+        assert max(row.first_block_error, row.second_block_error) <= row.sup_error
+        assert row.sup_error <= np.hypot(row.first_block_error, row.second_block_error)
+
+
 def test_error_scan_fast_horizon_decreases_with_eps():
-    template = ScanTemplate(b=0.0, n=512, n_env=128, horizon="tau0_over_eps")
-    result = error_scan((0.2, 0.15), template)
+    result = error_scan((0.2, 0.15), FAST_TEMPLATE)
     errs = [row.sup_error for row in result.rows]
     assert errs[0] > errs[1] > 0.0
-    assert np.isfinite(result.slope)
     assert result.rows[0].t_end == pytest.approx(0.5 / 0.2, rel=0.05)
-    # frozen rows of this template: both saturate (error above size), as
-    # on the default horizon
+    # frozen rows of this template: the marched first block plus the
+    # re-slaved second block stay well inside the packet's size
+    assert_scan_rows(result, (0.2, 0.15),
+                     first=[0.1874885413266521, 0.07323250795883408],
+                     second=[52.9848661196385, 19.88668154740133],
+                     mixed=[52.985194630524674, 19.886815421211477],
+                     sizes=[94.998830861791, 61.793499947380745],
+                     slope=3.4063838218243543)
+
+
+def test_free_second_block_saturates_on_the_fast_horizon():
+    # the former rows of the fast-horizon template: with the second block
+    # marched freely instead of re-slaved, both rows exceed the size
+    rows = free_scan_rows((0.2, 0.15), FAST_TEMPLATE)
+    errs, sizes = zip(*rows)
     assert errs == pytest.approx([130.97209067526984, 68.89317119931987], rel=1e-10)
-    sizes = [row.approx_size for row in result.rows]
     assert sizes == pytest.approx([94.998830861791, 61.793499947380745], rel=1e-10)
-    assert all(row.flagged for row in result.rows)
+    assert all(e > s for e, s in rows)
+
+
+def test_error_scan_benchmark_template_rows_frozen():
+    # the scan the benchmark runs: tau0 = 0.1 on the tau0/eps^2 horizon
+    result = error_scan((0.15, 0.10, 0.07), ScanTemplate(tau0=0.1))
+    assert_scan_rows(result, (0.15, 0.10, 0.07),
+                     first=[0.0736599217814319, 0.026312124707877624,
+                            0.009476764779795565],
+                     second=[20.247727495582367, 5.722753283806413,
+                             1.8202403924919448],
+                     mixed=[20.247860783085216, 5.722805995611561,
+                            1.8202644024398515],
+                     sizes=[61.845564323293225, 34.71031696190037,
+                            21.634451069793542],
+                     slope=3.1599151348406496)
+
+
+def test_free_second_block_constraint_defect_collapses_at_fixed_slow_time():
+    # Why the free second block left the scan: the first constraint
+    # relation starts at machine zero and, at fixed slow time tau = eps^2 t,
+    # reaches the same O(1) fraction of |u_{-1}| for every eps, instead of
+    # falling with eps.  Measured at tau = 0.05 on the default scan set-up.
+    ratios = []
+    for eps in (0.2, 0.1):
+        config, _, U0 = sim._scan_problem(eps, ScanTemplate())
+        config = replace(config, t_end=0.05 / eps**2)
+        first0, _ = config.system.consistency_defect(U0)
+        assert np.max(np.abs(first0)) < 1e-15 * np.max(np.abs(U0[0]))
+        final = run(config, SimState.from_matrix(config.grid, U0, 0.0)).final
+        first, _ = config.system.consistency_defect(final.matrix)
+        ratios.append(float(np.linalg.norm(first) / np.linalg.norm(final.matrix[0])))
+    assert ratios == pytest.approx([1.084747454505155, 0.7538750203055976], rel=1e-9)
+    assert 0.5 <= min(ratios) and max(ratios) <= 1.5
+
+
+def test_error_scan_refuses_to_fit_through_flagged_rows(monkeypatch):
+    def fake_row(eps, template):
+        return ScanRow(eps=eps, b=0.0, sup_error=2.0 * eps, approx_size=1.0,
+                       t_end=1.0, flagged=eps > 0.15, first_block_error=0.5 * eps,
+                       second_block_error=2.0 * eps)
+
+    monkeypatch.setattr(sim, "_scan_single", fake_row)
+    with pytest.raises(ValueError, match="flagged") as info:
+        error_scan((0.9, 0.6, 0.1))
+    message = str(info.value)
+    assert "eps=0.9: error 1.8, size 1" in message
+    assert "eps=0.6: error 1.2, size 1" in message
+    assert "eps=0.1" not in message
+    assert error_scan((0.15, 0.1)).slope == pytest.approx(1.0)
 
 
 def test_error_scan_refuses_fewer_than_two_eps():
