@@ -19,6 +19,11 @@ quadratic term is an exact alpha-derivative, so the zero mode of the
 nonlinearity vanishes identically (the final multiplication by ik enforces
 this at machine level: ik = 0 at k = 0).
 
+The constraint relations that tie the second block to the first live here
+too, once: ``slave_second_block`` maps a first block to its slaved second
+block, and ``TruncatedSystem.consistency_defect`` measures how far a state
+is from that map, with the same product.
+
 This module is deliberately free of any closed-form interaction symbols: the
 kernel-extraction machinery treats the functions here as a black box and
 compares against analytic symbols derived elsewhere, which keeps the two
@@ -32,10 +37,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .dispersion import omega, sigma
+from .dispersion import k0_symbol, omega, sigma, sigma_inv
 from .spectral import Grid1D, full_spectrum, half_spectrum
 
-__all__ = ["TruncatedSystem", "components_from_fields", "COMPONENT_INDEX"]
+__all__ = ["TruncatedSystem", "components_from_fields", "slave_second_block",
+           "COMPONENT_INDEX"]
 
 #: component label -> row index in the (4, n) state array
 COMPONENT_INDEX = {-1: 0, 1: 1, -2: 2, 2: 3}
@@ -44,6 +50,40 @@ COMPONENT_INDEX = {-1: 0, 1: 1, -2: 2, 2: 3}
 def components_from_fields(u_m1, u_p1, u_m2, u_p2) -> np.ndarray:
     """Stack four coefficient vectors into the (4, n) state layout."""
     return np.array([u_m1, u_p1, u_m2, u_p2], dtype=np.complex128)
+
+
+def _constraint_product(grid: Grid1D, f: np.ndarray, g: np.ndarray,
+                        b: float) -> np.ndarray:
+    """Product K0 f * sigma^{-1} g of real fields, full-layout (..., n), not dealiased.
+
+    Formed with real transforms on the half spectrum, so the result is
+    exactly Hermitian.
+    """
+    n = grid.n_points
+    k = grid.wavenumbers
+    pf, pg = np.fft.irfft(half_spectrum(np.array(
+        [k0_symbol(k) * f, sigma_inv(k, b) * g])), n, norm="forward")
+    return full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
+
+
+def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
+    """Constraint map: the second block u_{-/+2} slaved to the first block u_{-/+1}.
+
+    ``first`` holds the full-layout coefficients of u_{-1} and u_{+1} of real
+    fields, shape (..., 2, n); the result has the same shape.  With
+    s = u_{-} + u_{+} and d = u_{-} - u_{+} per block, the map is
+
+        d2 = d1'',    s2 = s1'' - (K0 s1 * sigma^{-1} d2)',
+
+    the product dealiased by the grid's 2/3 rule.  These are the relations
+    ``TruncatedSystem.consistency_defect`` measures.
+    """
+    ik = 1j * grid.wavenumbers
+    s1 = first[..., 0, :] + first[..., 1, :]
+    d2 = (first[..., 0, :] - first[..., 1, :]) * ik**2
+    prod = np.where(grid.dealias_keep, _constraint_product(grid, s1, d2, b), 0.0)
+    s2 = s1 * ik**2 - prod * ik
+    return np.stack([0.5 * (s2 + d2), 0.5 * (s2 - d2)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -286,8 +326,10 @@ class TruncatedSystem:
             dalpha^{-2} s2 - s1 + dalpha^{-1}(K0 s1 * sigma^{-1} d2)
 
         which vanish (up to the dropped cubic remainders) on solutions whose
-        second block is slaved to the first.  The zero mode of each relation
-        is excluded by construction (antiderivative convention).
+        second block is slaved to the first (:func:`slave_second_block`).
+        The four fields must be real: the product is formed with real
+        transforms.  The zero mode of each relation is excluded by
+        construction (antiderivative convention).
         """
         u_m1, u_p1, u_m2, u_p2 = state
         s1 = u_m1 + u_p1
@@ -297,9 +339,7 @@ class TruncatedSystem:
 
         first = self._inv_ik * self._sig_inv * d2 - self._sig_inv * self._ik * d1
 
-        prod = np.fft.fft(np.fft.ifft(self._K0 * s1, norm="forward")
-                          * np.fft.ifft(self._sig_inv * d2, norm="forward"),
-                          norm="forward") * self.keep_mask
+        prod = _constraint_product(self.grid, s1, d2, self.b) * self.keep_mask
         second = self._inv_ik2 * s2 - s1 + self._inv_ik * prod
         # the relation is only meaningful mode-by-mode away from k=0, where
         # the antiderivatives are defined

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dispersion import k0_symbol, omega, omega_deriv, sigma, sigma_inv
-from .resonance import critical_bonds, k1_of_b, r_hat
+from .dispersion import k0_symbol, omega_deriv, sigma, sigma_inv
+from .resonance import critical_bonds, k1_of_b, r_general, r_hat
 
 __all__ = [
     "KernelParams",
@@ -426,12 +426,6 @@ def rho_extremes(j1: int, l: int, params: KernelParams,
 # ---------------------------------------------------------------------------
 
 
-def _r_denominator(j1: int, j2: int, k: np.ndarray, l: float, b: float) -> np.ndarray:
-    s1 = 1.0 if j1 > 0 else -1.0
-    s2 = 1.0 if j2 > 0 else -1.0
-    return 1j * (s1 * omega(k, b) + omega(np.full_like(k, l), b) - s2 * omega(k - l, b))
-
-
 def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
     """Normal-form kernel: windowed interaction symbol over the resonance
     denominator, evaluated at (k, ell*k0, k - ell*k0).
@@ -457,11 +451,11 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
     b, k0, eps, d0 = params.b, params.k0, params.eps, params.delta0
     l = ell * k0
 
-    r0 = _r_denominator(j1, j2, k_arr, l, b)
+    r0 = r_general(j1, j2, k_arr, l, k_arr - l, b)
     # nudge direction follows the carrier sign so that the exact conjugation
     # symmetry between (k, ell) and (-k, -ell) survives the regularization
     kn = np.where(np.abs(r0) < _RESONANT_EPS, k_arr + ell * _NUDGE, k_arr)
-    r = _r_denominator(j1, j2, kn, l, b)
+    r = r_general(j1, j2, kn, l, kn - l, b)
 
     bracket = (
         np.asarray(zeta_hat(j1, j2, ell, kn, params))
@@ -517,8 +511,9 @@ def delta0_for(k0: float, b: float, margin: float = 0.1) -> float:
 
     combos = [(j1, j2, ell) for j1 in (-1, 1) for j2 in (-1, 1) for ell in (-1, 1)]
     limits = {}
+    zero = np.zeros(1)
     for j1, j2, ell in combos:
-        r0 = abs(complex(_r_denominator(j1, j2, np.array([0.0]), ell * k0, b)[0]))
+        r0 = abs(complex(r_general(j1, j2, zero, ell * k0, zero - ell * k0, b)[0]))
         if r0 > 1e-9:
             limits[(j1, j2, ell)] = r0
 
@@ -532,7 +527,7 @@ def delta0_for(k0: float, b: float, margin: float = 0.1) -> float:
         if ok:
             window = np.linspace(-delta, delta, 401)
             for (j1, j2, ell), r0 in limits.items():
-                vals = np.abs(_r_denominator(j1, j2, window, ell * k0, b))
+                vals = np.abs(r_general(j1, j2, window, ell * k0, window - ell * k0, b))
                 if np.min(vals) < margin * r0:
                     ok = False
                     break

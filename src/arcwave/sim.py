@@ -22,20 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .dispersion import ModelParams, sigma, sigma_inv
-from .equations import TruncatedSystem
+from .equations import TruncatedSystem, slave_second_block
 from .kernels import KernelParams, n_hat, rho_hat, theta_inv_hat
 from .nls import EnvelopeField, NLSCoeffs, nls_coefficients, solve as nls_solve
 from .spectral import (Grid1D, SpectralField, apply_multiplier, full_spectrum,
                        half_spectrum)
-from .wavepacket import (
-    WavePacket,
-    _slave_second_block,
-    band_mask,
-    build,
-    build_time_derivative,
-    carrier_halves,
-    wave_packet,
-)
+from .wavepacket import (WavePacket, band_mask, build, build_time_derivative,
+                         carrier_halves, wave_packet)
 
 __all__ = [
     "SimConfig",
@@ -113,40 +106,34 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Four real fields plus the clock."""
+    """Four real fields plus the clock.
 
-    u_m1: SpectralField
-    u_p1: SpectralField
-    u_m2: SpectralField
-    u_p2: SpectralField
+    ``matrix`` is a read-only copy of the (4, n) coefficients in component
+    order (-1, +1, -2, +2); code that edits a state's coefficients copies
+    them first.
+    """
+
+    grid: Grid1D
+    matrix: np.ndarray
     t: float = 0.0
 
-    @property
-    def fields(self) -> tuple[SpectralField, ...]:
-        return (self.u_m1, self.u_p1, self.u_m2, self.u_p2)
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.u_m1.grid
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(4, n) coefficient stack in component order (-1, +1, -2, +2)."""
-        return np.array([f.coefficients for f in self.fields])
-
-    @classmethod
-    def from_matrix(cls, grid: Grid1D, mat: np.ndarray, t: float) -> "SimState":
-        fields = [SpectralField.from_coefficients(grid, row, is_real=True)
-                  for row in mat]
-        return cls(*fields, t=t)
+    def __post_init__(self) -> None:
+        mat = np.array(self.matrix, dtype=np.complex128)
+        if mat.shape != (4, self.grid.n_points):
+            raise ValueError(
+                f"state matrix has shape {mat.shape}, expected (4, {self.grid.n_points})")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     def reality_defect(self) -> float:
-        return max(f.hermitian_defect() for f in self.fields)
+        """max |c(-k) - conj(c(k))| over the four fields (0 when exactly real)."""
+        flipped = np.conj(self.matrix[:, self.grid._conjugate_index])
+        return float(np.max(np.abs(self.matrix - flipped)))
 
 
 def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
     """Realize the packet on the run grid at t = 0."""
-    return SimState(*build(packet, config.grid, 0.0), t=0.0)
+    return SimState(config.grid, build(packet, config.grid, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +142,8 @@ def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
 
 
 def _lawson_step(system: TruncatedSystem, U: np.ndarray, dt: float,
-                 e_full: np.ndarray, e_half: np.ndarray,
-                 linear_only: bool) -> np.ndarray:
+                 e_full: np.ndarray, e_half: np.ndarray) -> np.ndarray:
     """One IFRK4 step of the half-spectrum state U, shape (r, n//2 + 1)."""
-    if linear_only:
-        return e_full * U
     N1 = system.nonlinear(U)
     N2 = system.nonlinear(e_half * (U + 0.5 * dt * N1))
     N3 = system.nonlinear(e_half * U + 0.5 * dt * N2)
@@ -168,7 +152,7 @@ def _lawson_step(system: TruncatedSystem, U: np.ndarray, dt: float,
 
 
 def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
-           n_steps: int, sample_every: int = 0, linear_only: bool = False):
+           n_steps: int, sample_every: int = 0):
     """The Lawson loop: march half spectra U, (r, n//2 + 1), for n_steps steps.
 
     r = 4 marches both blocks; r = 2 marches the first block alone, which is
@@ -186,7 +170,7 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     e_half = np.exp(lam * 0.5 * dt)
     t = t0
     for i in range(n_steps):
-        U = _lawson_step(system, U, dt, e_full, e_half, linear_only)
+        U = _lawson_step(system, U, dt, e_full, e_half)
         t = t0 + (i + 1) * dt
         if not np.all(np.isfinite(U)):
             raise RuntimeError(f"non-finite state after step {i + 1} (t={t:.6g})")
@@ -202,14 +186,13 @@ class SimRun:
     final: SimState
 
 
-def run(config: SimConfig, initial: SimState, *, sample_every: int = 0,
-        linear_only: bool = False) -> SimRun:
+def run(config: SimConfig, initial: SimState, *, sample_every: int = 0) -> SimRun:
     """March the state to t_end; optionally keep every ``sample_every``-th state.
 
     The loop (``_march``) carries the four real fields as ``rfft`` half
-    spectra; this wrapper expands them to full-layout :class:`SimState` s
-    only at the samples and the final state, by conjugation (no transform),
-    so the zero mode is copied bitwise and a state that starts real stays
+    spectra; this wrapper expands them to the full-layout (4, n) matrices of
+    :class:`SimState` s only at the samples and the final state, by
+    conjugation (no transform), so the zero mode is copied bitwise and a state that starts real stays
     exactly real.  The Nyquist column keeps its initial value (see
     ``TruncatedSystem.half_linear_symbols``).  A non-finite state aborts the
     run with the step index.
@@ -217,9 +200,9 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0,
     if initial.grid.n_points != config.n or initial.grid.length != config.length:
         raise ValueError("initial state lives on a different grid than the config")
     samples = [initial] + [
-        SimState.from_matrix(config.grid, full_spectrum(U, config.n), t)
+        SimState(config.grid, full_spectrum(U, config.n), t)
         for t, U in _march(config.system, half_spectrum(initial.matrix), initial.t,
-                           config.dt, config.n_steps, sample_every, linear_only)]
+                           config.dt, config.n_steps, sample_every)]
     return SimRun(config=config, samples=tuple(samples), final=samples[-1])
 
 
@@ -254,13 +237,9 @@ def residual(packet: WavePacket, config: SimConfig, t: float = 0.0,
     if coeffs is None:
         coeffs = nls_coefficients(packet.params.k0, packet.params.b)
     grid = config.grid
-    state = np.array([f.coefficients for f in build(packet, grid, t)])
-    tendency = config.system.full_rhs(state)
-    exact_dt = np.array([f.coefficients
-                         for f in build_time_derivative(packet, grid, t,
-                                                        coeffs.half_omega2,
-                                                        coeffs.nu)])
-    defect = tendency - exact_dt
+    tendency = config.system.full_rhs(build(packet, grid, t))
+    defect = tendency - build_time_derivative(packet, grid, t, coeffs.half_omega2,
+                                              coeffs.nu)
     norms = np.sqrt(grid.length * np.sum(np.abs(defect) ** 2, axis=1))
     return ResidualNorms(*(float(v) for v in norms))
 
@@ -355,11 +334,12 @@ class ScanRow:
     """One eps of an error scan; errors and size are sups over the samples.
 
     The simulated state is the marched first block u_{-/+1} with the second
-    block u_{-/+2} re-slaved from it at each sample (the packet's own
-    constraint map, ``wavepacket.build``).  ``first_block_error`` is the L2
-    distance of u_{-/+1} to the reference packet, ``second_block_error`` the
-    H2 distance of the re-slaved u_{-/+2}, ``sup_error`` the mixed norm of
-    both at once and ``approx_size`` the reference's own mixed norm.
+    block u_{-/+2} re-slaved from it at each sample by the packet's own
+    constraint map, ``equations.slave_second_block``.  ``first_block_error``
+    is the L2 distance of u_{-/+1} to the reference packet,
+    ``second_block_error`` the H2 distance of the re-slaved u_{-/+2},
+    ``sup_error`` the mixed norm of both at once and ``approx_size`` the
+    reference's own mixed norm.
     ``flagged`` marks a sample whose mixed error exceeded the size there.
     """
 
@@ -408,7 +388,7 @@ def _scan_problem(eps: float, template: ScanTemplate
                        band_halfwidth=template.band_halfwidth)
     A = _sech_envelope(Grid1D(template.n_env, eps * L))
     packet = wave_packet(A, eps, config.model, corrections=template.corrections)
-    U0 = packet_initial_state(packet, config).matrix
+    U0 = build(packet, config.grid, 0.0)
     U0[:, ~config.system.keep_mask] = 0.0
     return config, packet, U0
 
@@ -439,12 +419,10 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
         comparison = wave_packet(
             EnvelopeField(packet.A.grid, A_now.values), eps, config.model,
             corrections=template.corrections)
-        ref = np.array([f.coefficients for f in build(comparison, grid, t)])
+        ref = build(comparison, grid, t)
         ref[:, ~keep] = 0.0
-        u_m1, u_p1 = (SpectralField.from_coefficients(grid, row, is_real=True)
-                      for row in full_spectrum(V, config.n))
-        state = np.array([f.coefficients for f in
-                          (u_m1, u_p1, *_slave_second_block(u_m1, u_p1, template.b))])
+        marched = full_spectrum(V, config.n)
+        state = np.concatenate([marched, slave_second_block(grid, marched, template.b)])
         state[:, ~keep] = 0.0
         first, second = _block_norms(state - ref, grid)
         err = math.hypot(first, second)
@@ -574,19 +552,18 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     eps = packet.eps
     k = grid.wavenumbers
     rho, nh = _energy_tables(grid, params, l)
-    approx = build(packet, grid, state.t)
-    t_inv = theta_inv_hat(k, eps, params.delta0)
-    R = [(state.fields[i].coefficients - approx[i].coefficients)
-         * t_inv / eps**2.5 for i in range(4)]
-
-    psi_plus, psi_minus = carrier_halves(packet, grid, state.t)
-    psi_phys = (psi_minus.values(), psi_plus.values())
-
     n_pts = grid.n_points
+    # rescaled second-block error, rows u_{-2}, u_{+2}
+    R = (state.matrix[2:] - build(packet, grid, state.t)[2:]) * theta_inv_hat(
+        k, eps, params.delta0) / eps**2.5
+
+    # physical carrier halves in the order ell = -1, +1: (psi_minus, psi_plus)
+    psi_phys = np.fft.ifft(carrier_halves(packet, grid, state.t)[::-1]) * n_pts
+
     inv_ik = np.where(k == 0.0, 0.0, -1j / np.where(k == 0.0, 1.0, k))
 
     # carrier products psi_ell * f and psi_ell * dalpha^{-1} f: (j2, ell, slot)
-    f_phys, g_phys = np.fft.ifft(np.array([R[2:], [inv_ik * f for f in R[2:]]])) * n_pts
+    f_phys, g_phys = np.fft.ifft(np.array([R, inv_ik * R])) * n_pts
     carrier = np.fft.fft(np.array([[(psi * f, psi * g) for psi in psi_phys]
                                    for f, g in zip(f_phys, g_phys)])) / n_pts
 
@@ -594,7 +571,7 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     L = grid.length
     total = 0.0
     for i1 in range(2):
-        Rl = dl * R[2 + i1]
+        Rl = dl * R[i1]
         total += 0.5 * L * float(np.sum(rho[i1] * np.abs(Rl) ** 2))
         for i2 in range(2):
             N = np.sum(nh[i1, i2] * carrier[i2], axis=(0, 1))

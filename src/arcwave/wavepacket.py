@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dispersion import ModelParams, k0_symbol, sigma_inv
+from .dispersion import ModelParams
+from .equations import slave_second_block
 from .nls import EnvelopeField, second_order_coefficients
-from .spectral import Grid1D, SpectralField, derivative, full_spectrum, half_spectrum
+from .spectral import Grid1D
 
 __all__ = [
     "WavePacket",
@@ -98,12 +99,11 @@ def fourier_truncate(packet: WavePacket, delta0: float) -> WavePacket:
     return replace(packet, truncated=True, delta0=delta0)
 
 
-def band_mask(grid: Grid1D, k0: float, delta0: float,
-              harmonics: range = range(-2, 3)) -> np.ndarray:
-    """Boolean keep-mask: union of delta0-bands around the harmonics l*k0."""
+def band_mask(grid: Grid1D, k0: float, delta0: float) -> np.ndarray:
+    """Boolean keep-mask: union of delta0-bands around the harmonics l*k0, |l| <= 2."""
     k = grid.wavenumbers
     keep = np.zeros(grid.n_points, dtype=bool)
-    for ell in harmonics:
+    for ell in range(-2, 3):
         keep |= np.abs(k - ell * k0) <= delta0
     return keep
 
@@ -158,84 +158,52 @@ def _hermitian_part(grid: Grid1D, c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.conj(c[grid._conjugate_index]))
 
 
-def _first_block(packet: WavePacket, grid: Grid1D, t: float,
-                 profiles: dict) -> tuple[SpectralField, SpectralField]:
+def _first_block(packet: WavePacket, grid: Grid1D, t: float, lead: np.ndarray,
+                 corrections: Optional[SecondOrderAmplitudes]) -> np.ndarray:
+    """(2, n) coefficients of u_{-/+1} carried by slow profiles, linear in them.
+
+    Each profile G rides its harmonic l as G(eps*(alpha - cg*t)) *
+    e^{il(k0*alpha - omega0*t)} plus the complex conjugate: ``lead`` on l = 1
+    in u_{-1} at order eps, the corrections' mean flow (l = 0) and second
+    harmonic (l = 2) in both components at order eps^2.
+    """
     p = packet.params
     j0 = _check_nesting(packet, grid)
-    env = packet.A.grid
-    eps = packet.eps
-    w0 = p.omega0
-    rows = {}
-    for m in (-1, 1):
-        c = np.zeros(grid.n_points, dtype=complex)
-        if m == -1:
-            lead = _band_coefficients(grid, env, profiles["lead"], 1, j0,
-                                      p.cg, eps, t) * np.exp(-1j * w0 * t)
-            c += eps * (lead + np.conj(lead[grid._conjugate_index]))
-        if packet.corrections is not None:
-            mean = _hermitian_part(grid, _band_coefficients(
-                grid, env, profiles["m0"][m], 0, j0, p.cg, eps, t))
-            harm = _band_coefficients(grid, env, profiles["m2"][m], 2, j0,
-                                      p.cg, eps, t) * np.exp(-2j * w0 * t)
-            c += eps**2 * (mean + harm + np.conj(harm[grid._conjugate_index]))
-        rows[m] = c
+    env, eps, w0 = packet.A.grid, packet.eps, p.omega0
+    conj = grid._conjugate_index
+
+    def band(profile: np.ndarray, ell: int) -> np.ndarray:
+        return _band_coefficients(grid, env, profile, ell, j0, p.cg, eps, t)
+
+    rows = np.zeros((2, grid.n_points), dtype=complex)
+    carrier = band(lead, 1) * np.exp(-1j * w0 * t)
+    rows[0] += eps * (carrier + np.conj(carrier[conj]))
+    if corrections is not None:
+        for row, m in zip(rows, (-1, 1)):
+            mean = _hermitian_part(grid, band(corrections.A_m0[m], 0))
+            harm = band(corrections.A_m2[m], 2) * np.exp(-2j * w0 * t)
+            row += eps**2 * (mean + harm + np.conj(harm[conj]))
     if packet.truncated:
-        keep = band_mask(grid, p.k0, packet.delta0)
-        for m in (-1, 1):
-            rows[m] = np.where(keep, rows[m], 0.0)
-    u_m1 = SpectralField.from_coefficients(grid, rows[-1], is_real=True)
-    u_p1 = SpectralField.from_coefficients(grid, rows[1], is_real=True)
-    return u_m1, u_p1
+        rows[:, ~band_mask(grid, p.k0, packet.delta0)] = 0.0
+    return rows
 
 
-def _constraint_product(f: SpectralField, g: SpectralField, b: float) -> SpectralField:
-    """Dealiased product K0 f * siginv g of two real fields.
-
-    Formed with real transforms on the half spectrum, so the result is
-    exactly Hermitian.
-    """
-    grid = f.grid
-    n = grid.n_points
-    k = grid.wavenumbers
-    pf, pg = np.fft.irfft(half_spectrum(np.array(
-        [k0_symbol(k) * f.coefficients, sigma_inv(k, b) * g.coefficients])), n, norm="forward")
-    prod = full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
-    return SpectralField.from_coefficients(
-        grid, np.where(grid.dealias_keep, prod, 0.0), is_real=True)
-
-
-def _slave_second_block(u_m1: SpectralField, u_p1: SpectralField,
-                        b: float) -> tuple[SpectralField, SpectralField]:
-    """Constraint map: d2 = s1'', s2 = s1'' - (K0 s1 * siginv d2)'."""
-    s1 = u_m1 + u_p1
-    d2 = derivative(u_m1 - u_p1, 2)
-    s2 = derivative(s1, 2) - derivative(_constraint_product(s1, d2, b))
-    return 0.5 * (s2 + d2), 0.5 * (s2 - d2)
-
-
-def build(packet: WavePacket, grid: Grid1D, t: float = 0.0
-          ) -> tuple[SpectralField, SpectralField, SpectralField, SpectralField]:
+def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
     """Realize the packet on the carrier grid at time t.
 
-    Returns the four components (negative/positive first block, then the
-    slaved second block) as real spectral fields.
+    Returns the (4, n) coefficients of the four real components in the order
+    u_{-1}, u_{+1}, u_{-2}, u_{+2}: the first block from the profiles, the
+    second slaved to it by :func:`arcwave.equations.slave_second_block`.
     """
-    profiles = {
-        "lead": packet.A.values,
-        "m0": packet.corrections.A_m0 if packet.corrections else None,
-        "m2": packet.corrections.A_m2 if packet.corrections else None,
-    }
-    u_m1, u_p1 = _first_block(packet, grid, t, profiles)
-    u_m2, u_p2 = _slave_second_block(u_m1, u_p1, packet.params.b)
-    return u_m1, u_p1, u_m2, u_p2
+    first = _first_block(packet, grid, t, packet.A.values, packet.corrections)
+    return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
 
 
-def carrier_halves(packet: WavePacket, grid: Grid1D, t: float
-                   ) -> tuple[SpectralField, SpectralField]:
-    """The O(1) halves of the leading carrier band.
+def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
+    """The O(1) halves of the leading carrier band, as (2, n) coefficients.
 
-    Returns (psi_plus, psi_minus): the envelope riding e^{i(k0 alpha - w0 t)}
-    and its complex conjugate, so that the order-eps part of the first
+    Row 0 is psi_plus, the envelope riding e^{i(k0 alpha - w0 t)}, and row 1
+    psi_minus, its complex conjugate, so that the order-eps part of the first
     negative component is eps * (psi_plus + psi_minus).  Used by the energy
     diagnostic, whose quadratic correction pairs the error against exactly
     this carrier profile.
@@ -245,12 +213,8 @@ def carrier_halves(packet: WavePacket, grid: Grid1D, t: float
     lead = _band_coefficients(grid, packet.A.grid, packet.A.values, 1, j0,
                               p.cg, packet.eps, t) * np.exp(-1j * p.omega0 * t)
     if packet.truncated:
-        keep = band_mask(grid, p.k0, packet.delta0)
-        lead = np.where(keep, lead, 0.0)
-    plus = SpectralField.from_coefficients(grid, lead, is_real=False)
-    minus = SpectralField.from_coefficients(
-        grid, np.conj(lead[grid._conjugate_index]), is_real=False)
-    return plus, minus
+        lead = np.where(band_mask(grid, p.k0, packet.delta0), lead, 0.0)
+    return np.array([lead, np.conj(lead[grid._conjugate_index])])
 
 
 def envelope_rhs(A: EnvelopeField, half_omega2: float, nu: float) -> np.ndarray:
@@ -262,16 +226,16 @@ def envelope_rhs(A: EnvelopeField, half_omega2: float, nu: float) -> np.ndarray:
 
 
 def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float,
-                          half_omega2: float, nu: float
-                          ) -> tuple[SpectralField, SpectralField,
-                                     SpectralField, SpectralField]:
-    """Exact d/dt of the realized packet via the two-scale chain rule.
+                          half_omega2: float, nu: float) -> np.ndarray:
+    """Exact d/dt of the realized packet via the two-scale chain rule, (4, n).
 
-    Each slow profile G contributes eps^2 * dG/dtau - eps*cg * dG/dxi
-    - i*l*omega0*G on its harmonic; the envelope's tau-derivative follows
-    the modulation equation, the corrections' by differentiating their
-    algebraic definitions.  The second block is the linearized constraint
-    map applied to the first-block derivative.
+    Each slow profile G on harmonic l has time derivative
+    eps^2 * dG/dtau - eps*cg * dG/dxi - i*l*omega0*G; the envelope's
+    tau-derivative follows the modulation equation, the corrections' by
+    differentiating their algebraic definitions.  The first block is the
+    band assembly of these derivative profiles.  The second block is the
+    derivative of the constraint map along the first block's; the map is
+    quadratic, so that derivative is the polarization (S(u + du) - S(u - du))/2.
     """
     p = packet.params
     env = packet.A.grid
@@ -279,62 +243,21 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float,
     a = packet.A.values
     a_tau = envelope_rhs(packet.A, half_omega2, nu)
 
-    def slow_dt(profile: np.ndarray, profile_tau: np.ndarray) -> np.ndarray:
-        kappa = env.wavenumbers
-        dxi = np.fft.ifft(1j * kappa * np.fft.fft(profile))
-        return eps**2 * profile_tau - eps * p.cg * dxi
+    def d_dt(profile: np.ndarray, profile_tau: np.ndarray, ell: int) -> np.ndarray:
+        dxi = np.fft.ifft(1j * env.wavenumbers * np.fft.fft(profile))
+        return eps**2 * profile_tau - eps * p.cg * dxi - 1j * ell * p.omega0 * profile
 
-    profiles = {"lead": a, "m0": None, "m2": None}
-    dt_profiles = {"lead": slow_dt(a, a_tau), "m0": None, "m2": None}
-    if packet.corrections is not None:
+    sec = packet.corrections
+    d_sec = None
+    if sec is not None:
         c = second_order_coefficients(p.k0, p.b)
         mod2 = 2.0 * np.real(np.conj(a) * a_tau)          # d/dtau |A|^2
-        profiles["m0"] = packet.corrections.A_m0
-        profiles["m2"] = packet.corrections.A_m2
-        dt_profiles["m0"] = {m: slow_dt(packet.corrections.A_m0[m],
-                                        c["c_m0" if m < 0 else "c_p0"] * mod2)
-                             for m in (-1, 1)}
-        dt_profiles["m2"] = {m: slow_dt(packet.corrections.A_m2[m],
-                                        c["c_m2" if m < 0 else "c_p2"] * 2 * a * a_tau)
-                             for m in (-1, 1)}
-
-    j0 = _check_nesting(packet, grid)
-    w0 = p.omega0
-    rows = {}
-    for m in (-1, 1):
-        cdt = np.zeros(grid.n_points, dtype=complex)
-        if m == -1:
-            lead = _band_coefficients(grid, env, dt_profiles["lead"], 1, j0,
-                                      p.cg, eps, t)
-            lead += -1j * w0 * _band_coefficients(grid, env, profiles["lead"],
-                                                  1, j0, p.cg, eps, t)
-            lead *= np.exp(-1j * w0 * t)
-            cdt += eps * (lead + np.conj(lead[grid._conjugate_index]))
-        if packet.corrections is not None:
-            mean = _hermitian_part(grid, _band_coefficients(
-                grid, env, dt_profiles["m0"][m], 0, j0, p.cg, eps, t))
-            harm = _band_coefficients(grid, env, dt_profiles["m2"][m], 2, j0,
-                                      p.cg, eps, t)
-            harm += -2j * w0 * _band_coefficients(grid, env, profiles["m2"][m],
-                                                  2, j0, p.cg, eps, t)
-            harm *= np.exp(-2j * w0 * t)
-            cdt += eps**2 * (mean + harm + np.conj(harm[grid._conjugate_index]))
-        rows[m] = cdt
-    if packet.truncated:
-        keep = band_mask(grid, p.k0, packet.delta0)
-        for m in (-1, 1):
-            rows[m] = np.where(keep, rows[m], 0.0)
-    du_m1 = SpectralField.from_coefficients(grid, rows[-1], is_real=True)
-    du_p1 = SpectralField.from_coefficients(grid, rows[1], is_real=True)
-
-    # linearized slaving: d2' = ds1'', s2' = ds1'' - (K0 ds1 * si d2)' - (K0 s1 * si dd2)'
-    u_m1, u_p1 = _first_block(packet, grid, t, profiles)
-    s1, d1 = u_m1 + u_p1, u_m1 - u_p1
-    ds1, dd1 = du_m1 + du_p1, du_m1 - du_p1
-    d2 = derivative(d1, 2)
-    dd2 = derivative(dd1, 2)
-    ds2 = derivative(ds1, 2) - derivative(
-        _constraint_product(ds1, d2, p.b) + _constraint_product(s1, dd2, p.b))
-    du_m2 = 0.5 * (ds2 + dd2)
-    du_p2 = 0.5 * (ds2 - dd2)
-    return du_m1, du_p1, du_m2, du_p2
+        d_sec = SecondOrderAmplitudes(
+            A_m0={m: d_dt(sec.A_m0[m], c["c_m0" if m < 0 else "c_p0"] * mod2, 0)
+                  for m in (-1, 1)},
+            A_m2={m: d_dt(sec.A_m2[m], c["c_m2" if m < 0 else "c_p2"] * 2 * a * a_tau, 2)
+                  for m in (-1, 1)})
+    u = _first_block(packet, grid, t, a, sec)
+    du = _first_block(packet, grid, t, d_dt(a, a_tau, 1), d_sec)
+    plus, minus = slave_second_block(grid, np.array([u + du, u - du]), p.b)
+    return np.concatenate([du, 0.5 * (plus - minus)])

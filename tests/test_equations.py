@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from arcwave.dispersion import k0_symbol, omega, sigma, sigma_inv
-from arcwave.equations import COMPONENT_INDEX, TruncatedSystem, components_from_fields
+from arcwave.equations import (COMPONENT_INDEX, TruncatedSystem, components_from_fields,
+                               slave_second_block)
 from arcwave.spectral import (
     Grid1D,
     SpectralField,
@@ -169,6 +170,20 @@ def test_consistency_defect_vanishes_on_slaved_states():
     first, second = system.consistency_defect(state)
     assert np.max(np.abs(first)) < 1e-15
     assert np.max(np.abs(second)) < 1e-15
+
+
+def test_slave_second_block_matches_the_field_route_and_batches():
+    # the production map against the complex-transform route of
+    # ``slaved_state``, and a stack of first blocks mapped row by row
+    rng = np.random.default_rng(23)
+    state = slaved_state(rng, GRID, BOND)
+    got = slave_second_block(GRID, state[:2], BOND)
+    assert got.shape == (2, GRID.n_points)
+    assert np.max(np.abs(got - state[2:])) < 1e-14 * np.max(np.abs(state[2:]))
+    other = random_real_state(rng)[:2]
+    stacked = slave_second_block(GRID, np.array([state[:2], other]), BOND)
+    assert stacked[0].tobytes() == got.tobytes()
+    assert stacked[1].tobytes() == slave_second_block(GRID, other, BOND).tobytes()
 
 
 def test_consistency_defect_detects_unslaved_state():

@@ -1,5 +1,6 @@
 """Packaging metadata and module exports point at things that exist."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -48,3 +49,17 @@ def test_importing_arcwave_loads_no_scipy():
 
 def test_numpy_is_the_only_runtime_dependency():
     assert [d.split(">")[0] for d in PROJECT["dependencies"]] == ["numpy"]
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """Modules share only public names; a private one stays in its module."""
+    found = []
+    for path in sorted(Path(arcwave.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "arcwave"
+            found += [f"{path.name}: {node.module}.{alias.name}"
+                      for alias in node.names
+                      if internal and alias.name.startswith("_")]
+    assert not found, found

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from arcwave.equations import TruncatedSystem
 from arcwave.kernels import default_params, first_block_symbol, rho_extremes, theta_inv_hat
 from arcwave.nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from arcwave import sim
@@ -49,8 +50,8 @@ def random_state(grid, scale, seed):
         c[~grid.dealias_keep] = 0.0
         f = hermitian_symmetrize(
             SpectralField.from_coefficients(grid, c, is_real=False))
-        rows.append(f)
-    return SimState(*rows, t=0.0)
+        rows.append(f.coefficients)
+    return SimState(grid, np.array(rows), t=0.0)
 
 
 def sech_envelope_on(n, length):
@@ -140,6 +141,21 @@ def test_config_derived_objects():
     assert np.all(keep[np.abs(k) <= 0.5])  # the mean band survives dealiasing
 
 
+@pytest.mark.parametrize("shape", [(3, 64), (4, 32), (64,)])
+def test_state_rejects_wrong_shape_matrix(shape):
+    with pytest.raises(ValueError, match="shape"):
+        SimState(Grid1D(64, 8 * np.pi), np.zeros(shape))
+
+
+def test_state_matrix_is_a_read_only_copy():
+    mat = np.zeros((4, 64), dtype=complex)
+    state = SimState(Grid1D(64, 8 * np.pi), mat)
+    mat[0, 1] = 1.0
+    assert state.matrix[0, 1] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.matrix[0, 1] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # right-hand side
 # ---------------------------------------------------------------------------
@@ -147,7 +163,7 @@ def test_config_derived_objects():
 
 def test_rhs_zero_state_is_zero():
     config = good_config()
-    state = SimState(*[SpectralField.zero(config.grid) for _ in range(4)])
+    state = SimState(config.grid, np.zeros((4, config.n)))
     assert np.all(config.system.full_rhs(state.matrix) == 0.0)
 
 
@@ -163,7 +179,7 @@ def test_rhs_single_carrier_mode_matches_closed_form(b):
     U = np.zeros((4, 256), dtype=complex)
     U[0, grid.mode_index(K0)] = 0.5
     U[0, grid.mode_index(-K0)] = 0.5
-    state = SimState.from_matrix(grid, U, 0.0)
+    state = SimState(grid, U, 0.0)
     quad = config.system.full_rhs(state.matrix)
     quad -= config.system.linear_symbols * U  # strip the linear part
 
@@ -197,10 +213,13 @@ def test_rhs_quadratic_part_scales_quadratically():
 # ---------------------------------------------------------------------------
 
 
-def test_linear_evolution_is_exact():
+def test_linear_evolution_is_exact(monkeypatch):
+    # with the quadratic terms switched off, each Lawson step is the exact
+    # linear propagator
+    monkeypatch.setattr(TruncatedSystem, "nonlinear", lambda self, U: np.zeros_like(U))
     config = good_config(n=256, dt=0.05, t_end=10.0, b=0.13)
     state = random_state(config.grid, 0.5, seed=3)
-    out = run(config, state, linear_only=True)
+    out = run(config, state)
     exact = np.exp(config.system.linear_symbols * 10.0) * state.matrix
     assert np.max(np.abs(out.final.matrix - exact)) < 1e-10
 
@@ -225,7 +244,7 @@ def test_mode_zero_is_conserved_exactly():
     state = random_state(config.grid, 0.02, seed=29)
     mat = state.matrix.copy()
     mat[:, 0] = np.array([0.125, -0.5, 0.25, 1.0])
-    state = SimState.from_matrix(config.grid, mat, 0.0)
+    state = SimState(config.grid, mat, 0.0)
     out = run(config, state)
     assert np.array_equal(out.final.matrix[:, 0], mat[:, 0])
 
@@ -235,10 +254,10 @@ def test_run_samples_are_exactly_real_with_the_zero_mode_bitwise(monitored_run):
     # so samples are exactly Hermitian; the mean survives bit for bit, and
     # the inert Nyquist column keeps its value
     config = good_config(n=128, dt=0.05, t_end=2.0)
-    mat = random_state(config.grid, 0.02, seed=31).matrix
+    mat = random_state(config.grid, 0.02, seed=31).matrix.copy()
     mat[:, 0] = np.array([0.125, -0.5, 0.25, 1.0])
     mat[:, 64] = np.array([0.5, -0.25, 0.125, 2.0])
-    out = run(config, SimState.from_matrix(config.grid, mat, 0.0), sample_every=7)
+    out = run(config, SimState(config.grid, mat, 0.0), sample_every=7)
     packet_run = monitored_run["run"]
     U0 = packet_run.samples[0].matrix
     for s in out.samples[1:]:
@@ -280,7 +299,7 @@ def test_first_block_march_is_bitwise_rows_0_1_of_the_four_component_run(b):
     # a packet (second block slaved) and from a random state (not slaved)
     packet_config, _, U0 = sim._scan_problem(0.2, replace(FAST_TEMPLATE, b=b))
     random_config = good_config(b=b, t_end=2.0)
-    cases = ((packet_config, SimState.from_matrix(packet_config.grid, U0, 0.0), 7),
+    cases = ((packet_config, SimState(packet_config.grid, U0, 0.0), 7),
              (random_config, random_state(random_config.grid, 0.02, seed=37), 3))
     for config, state, every in cases:
         out = run(config, state, sample_every=every)
@@ -364,7 +383,7 @@ def free_scan_rows(eps_list, template):
         grid, keep = config.grid, config.system.keep_mask
         coeffs = nls_coefficients(template.k0, template.b)
         block = max(1, config.n_steps // template.n_samples)
-        out = run(config, SimState.from_matrix(grid, U0, 0.0), sample_every=block)
+        out = run(config, SimState(grid, U0, 0.0), sample_every=block)
         A_now, prev_t = packet.A, 0.0
         err, size = 0.0, sim._split_norm(U0, grid)
         for s in out.samples[1:]:
@@ -375,7 +394,7 @@ def free_scan_rows(eps_list, template):
             prev_t = s.t
             reference = wave_packet(EnvelopeField(packet.A.grid, A_now.values), eps,
                                     config.model, corrections=template.corrections)
-            ref = np.array([f.coefficients for f in build(reference, grid, s.t)])
+            ref = build(reference, grid, s.t)
             ref[:, ~keep] = 0.0
             err = max(err, sim._split_norm(s.matrix - ref, grid))
             size = max(size, sim._split_norm(ref, grid))
@@ -449,7 +468,7 @@ def test_free_second_block_constraint_defect_collapses_at_fixed_slow_time():
         config = replace(config, t_end=0.05 / eps**2)
         first0, _ = config.system.consistency_defect(U0)
         assert np.max(np.abs(first0)) < 1e-15 * np.max(np.abs(U0[0]))
-        final = run(config, SimState.from_matrix(config.grid, U0, 0.0)).final
+        final = run(config, SimState(config.grid, U0, 0.0)).final
         first, _ = config.system.consistency_defect(final.matrix)
         ratios.append(float(np.linalg.norm(first) / np.linalg.norm(final.matrix[0])))
     assert ratios == pytest.approx([1.084747454505155, 0.7538750203055976], rel=1e-9)
@@ -502,7 +521,7 @@ def test_residual_orders_frozen():
 
 def test_consistency_zero_state():
     grid = Grid1D(128, 8 * np.pi)
-    state = SimState(*[SpectralField.zero(grid) for _ in range(4)])
+    state = SimState(grid, np.zeros((4, grid.n_points)))
     assert consistency_residual(state, BOND) == (0.0, 0.0)
 
 
@@ -621,14 +640,13 @@ def _perturbed_state_and_plain(config, packet, params, seed, l):
         c[~grid.dealias_keep] = 0.0
         pert.append(hermitian_symmetrize(
             SpectralField.from_coefficients(grid, c, is_real=False)).coefficients)
-    state = SimState.from_matrix(grid, base.matrix + np.array(pert), 0.0)
+    state = SimState(grid, base.matrix + np.array(pert), 0.0)
     approx = build(packet, grid, 0.0)
     t_inv = theta_inv_hat(k, config.eps, params.delta0)
     dl = (1j * k) ** l
     plain = 0.0
     for i in (2, 3):
-        R = (state.fields[i].coefficients
-             - approx[i].coefficients) * t_inv / config.eps**2.5
+        R = (state.matrix[i] - approx[i]) * t_inv / config.eps**2.5
         plain += 0.5 * grid.length * float(np.sum(np.abs(dl * R) ** 2))
     return state, plain
 
