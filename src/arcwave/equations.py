@@ -40,16 +40,10 @@ import numpy as np
 from .dispersion import k0_symbol, omega, sigma, sigma_inv
 from .spectral import Grid1D, full_spectrum, half_spectrum
 
-__all__ = ["TruncatedSystem", "components_from_fields", "slave_second_block",
-           "COMPONENT_INDEX"]
+__all__ = ["TruncatedSystem", "slave_second_block", "COMPONENT_INDEX"]
 
 #: component label -> row index in the (4, n) state array
 COMPONENT_INDEX = {-1: 0, 1: 1, -2: 2, 2: 3}
-
-
-def components_from_fields(u_m1, u_p1, u_m2, u_p2) -> np.ndarray:
-    """Stack four coefficient vectors into the (4, n) state layout."""
-    return np.array([u_m1, u_p1, u_m2, u_p2], dtype=np.complex128)
 
 
 def _constraint_product(grid: Grid1D, f: np.ndarray, g: np.ndarray,

@@ -511,19 +511,16 @@ def delta0_for(k0: float, b: float, margin: float = 0.1) -> float:
 
     combos = [(j1, j2, ell) for j1 in (-1, 1) for j2 in (-1, 1) for ell in (-1, 1)]
     limits = {}
-    zero = np.zeros(1)
     for j1, j2, ell in combos:
-        r0 = abs(complex(r_general(j1, j2, zero, ell * k0, zero - ell * k0, b)[0]))
+        r0 = abs(r_general(j1, j2, 0.0, ell * k0, -ell * k0, b))
         if r0 > 1e-9:
             limits[(j1, j2, ell)] = r0
 
     delta = k0 / 20.0 * 0.999
     while delta > 1e-6 * k0:
         kk = np.linspace(1e-9, delta, 400)
-        ok = np.all(np.abs(r_hat(kk, b, k0)) >= margin * slope * kk)
-        ok &= np.all(np.abs(r_hat(-kk, b, k0)) >= margin * slope * kk)
-        ok &= np.all(np.abs(r_hat(k0 + kk, b, k0)) >= margin * slope * kk)
-        ok &= np.all(np.abs(r_hat(k0 - kk, b, k0)) >= margin * slope * kk)
+        windows = r_hat(np.array([kk, -kk, k0 + kk, k0 - kk]), b, k0)
+        ok = np.all(np.abs(windows) >= margin * slope * kk)
         if ok:
             window = np.linspace(-delta, delta, 401)
             for (j1, j2, ell), r0 in limits.items():

@@ -184,12 +184,20 @@ class StabilityVerdict:
 
 
 def r_hat(k, b: float, k0: float):
-    """r(k,b) = omega(k,b) - omega(k-k0,b) - omega(k0,b); vectorized in k."""
-    return omega(k, b) - omega(np.asarray(k) - k0, b) - omega(k0, b)
+    """r(k,b) = omega(k,b) - omega(k-k0,b) - omega(k0,b).
+
+    Vectorized in k; a float k stays a float, so root finders take the
+    scalar route of ``omega``.
+    """
+    if not isinstance(k, (float, int)):
+        k = np.asarray(k)
+    return omega(k, b) - omega(k - k0, b) - omega(k0, b)
 
 
 def _r_hat_deriv(k, b: float, k0: float):
-    return omega_deriv(k, b, 1) - omega_deriv(np.asarray(k) - k0, b, 1)
+    if not isinstance(k, (float, int)):
+        k = np.asarray(k)
+    return omega_deriv(k, b, 1) - omega_deriv(k - k0, b, 1)
 
 
 def r_general(j1: int, j2: int, k: float, l: float, m: float, b: float) -> complex:
@@ -212,13 +220,13 @@ def _stationary_point(k_seed: float, b: float, k0: float,
                       lo: float, hi: float) -> Optional[float]:
     """Newton iteration for a zero of d(r)/dk started at ``k_seed``.
 
-    Returns the converged stationary point inside [lo, hi], or None.
+    The Newton slope is the closed-form d2(r)/dk2.  Returns the converged
+    stationary point inside [lo, hi], or None.
     """
     k = k_seed
     for _ in range(60):
-        g = float(_r_hat_deriv(k, b, k0))
-        h = 1e-6 * max(1.0, abs(k))
-        gp = (float(_r_hat_deriv(k + h, b, k0)) - float(_r_hat_deriv(k - h, b, k0))) / (2 * h)
+        g = _r_hat_deriv(k, b, k0)
+        gp = omega_deriv(k, b, 2) - omega_deriv(k - k0, b, 2)
         if gp == 0.0:
             return None
         step = g / gp
@@ -270,7 +278,7 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
         )
 
     def rfun(k: float) -> float:
-        return float(r_hat(k, b, k0))
+        return r_hat(k, b, k0)
 
     zeros: list[float] = [k0]
 
@@ -296,7 +304,7 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
         if any(abs(ks_star - d) < 1e-6 for d in double_zeros):
             continue
         is_transversal = any(
-            abs(ks_star - z) < 1e-6 and abs(float(_r_hat_deriv(z, b, k0))) > 1e-6
+            abs(ks_star - z) < 1e-6 and abs(_r_hat_deriv(z, b, k0)) > 1e-6
             for z in zeros
         )
         if is_transversal:
@@ -351,10 +359,10 @@ def critical_bonds(k0: float) -> CriticalBonds:
         raise ValueError(f"k0 must be positive, got {k0}")
 
     def at_half(b: float) -> float:
-        return float(r_hat(k0 / 2.0, b, k0))
+        return r_hat(k0 / 2.0, b, k0)
 
     def slope_at_k0(b: float) -> float:
-        return float(_r_hat_deriv(k0, b, k0))
+        return _r_hat_deriv(k0, b, k0)
 
     third = 1.0 / 3.0
     blo, bhi = 1e-12, third - 1e-12
@@ -370,11 +378,13 @@ def critical_bonds(k0: float) -> CriticalBonds:
     return CriticalBonds(b0=float(b0), b1=float(b1))
 
 
+@lru_cache(maxsize=256)
 def k1_of_b(k0: float, b: float) -> float:
     """The resonant partner wavenumber: largest zero of r on (k0, inf).
 
     Exists exactly for 0 < b < b0(k0); decreasing in b and diverging like
-    1/b as b -> 0.
+    1/b as b -> 0.  Cached on (k0, b), so ``stability``, ``default_params``
+    and their caller share one solve per Bond number.
     """
     bonds = critical_bonds(k0)
     if not (0.0 < b < bonds.b0):
@@ -383,7 +393,7 @@ def k1_of_b(k0: float, b: float) -> float:
         )
 
     def rfun(k: float) -> float:
-        return float(r_hat(k, b, k0))
+        return r_hat(k, b, k0)
 
     lo = k0 * (1.0 + 1e-9)
     hi = k0 + 1.0
@@ -404,10 +414,10 @@ def inflection_points(b: float) -> InflectionPoints:
         raise ValueError(f"inflection points require 0 < b < 1/3, got b={b}")
 
     def d2(k: float) -> float:
-        return float(omega_deriv(k, b, 2))
+        return omega_deriv(k, b, 2)
 
     def d3(k: float) -> float:
-        return float(omega_deriv(k, b, 3))
+        return omega_deriv(k, b, 3)
 
     lo = 1e-4
     hi = 1.0

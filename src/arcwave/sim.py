@@ -517,24 +517,34 @@ def from_diagonal(u_m1: SpectralField, u_p1: SpectralField,
 
 
 @lru_cache(maxsize=16)
-def _energy_tables(grid: Grid1D, params: KernelParams,
-                   l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights of the modified energy on the grid's wavenumbers.
+def _n_hat_table(grid: Grid1D, params: KernelParams) -> np.ndarray:
+    """Read-only n_hat(j1, j2, ell, slot) as a (2, 2, 2, 2, n) array.
 
-    Returns rho_hat(j1, l) as a (2, n) array and n_hat(j1, j2, ell, slot) as a
-    (2, 2, 2, 2, n) array, indexed in the orders j1, j2 in (-2, 2),
-    ell in (-1, 1), slot in (1, 2).  They depend on (grid, params, l) only,
-    so every sample of a run shares them.
+    Indexed in the orders j1, j2 in (-2, 2), ell in (-1, 1), slot in (1, 2).
+    It does not depend on the derivative order l, so every l shares it.
     """
     k = grid.wavenumbers
-    rho = np.array([rho_hat(j1, l, k, params) for j1 in (-2, 2)], dtype=float)
     nh = np.array([[[[n_hat(j1, j2, ell, j, k, params) for j in (1, 2)]
                      for ell in (-1, 1)]
                     for j2 in (-2, 2)]
                    for j1 in (-2, 2)])
-    rho.setflags(write=False)
     nh.setflags(write=False)
-    return rho, nh
+    return nh
+
+
+@lru_cache(maxsize=16)
+def _energy_tables(grid: Grid1D, params: KernelParams,
+                   l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights of the modified energy on the grid's wavenumbers.
+
+    Returns rho_hat(j1, l) as a (2, n) array and the shared n_hat table of
+    ``_n_hat_table``.  They depend on (grid, params, l) only, so every
+    sample of a run shares them.
+    """
+    rho = np.array([rho_hat(j1, l, grid.wavenumbers, params) for j1 in (-2, 2)],
+                   dtype=float)
+    rho.setflags(write=False)
+    return rho, _n_hat_table(grid, params)
 
 
 def energy_diagnostic(state: SimState, packet: WavePacket, l: int,

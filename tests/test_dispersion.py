@@ -136,3 +136,47 @@ def test_omega_monotone_in_k(b):
     ks = np.linspace(0.0, 30.0, 400)
     w = omega(ks, b)
     assert np.all(np.diff(w) > 0)
+
+
+# the scalar (math) route against the masked numpy route
+ROUTE_KS = [0.0] + [s * v for v in (1e-3, 0.0499, 0.05, 0.0501, 2.0, 60.0, 720.0, 1e4)
+                    for s in (1.0, -1.0)]
+ROUTE_BONDS = (0.0, 0.05, 0.2, 1.0 / 3.0, 1.0)
+ROUTE_SYMBOLS = {
+    "omega": (omega, 0),
+    "omega_deriv_1": (lambda k, b: omega_deriv(k, b, 1), 1),
+    "omega_deriv_2": (lambda k, b: omega_deriv(k, b, 2), 2),
+    "omega_deriv_3": (lambda k, b: omega_deriv(k, b, 3), 3),
+    "sigma": (sigma, 0),
+    "sigma_inv": (sigma_inv, 0),
+}
+
+
+def _largest_term(k: float, b: float, order: int) -> float:
+    """Size of the largest term the closed form of omega^(order) sums.
+
+    omega'' = G''/(2 omega) - omega'^2/omega and omega''' ends in
+    3 omega'^3/omega^2; next to their zeros and at the series seam these
+    terms cancel to a small difference, so an ulp of each (math and numpy
+    round tanh, cosh and powers differently) is many ulps of the result.
+    The series side (|k| < 0.05) sums no such terms.
+    """
+    if order < 2 or abs(k) < 0.05:
+        return 0.0
+    w, w1 = abs(omega(k, b)), abs(omega_deriv(k, b, 1))
+    return w1**2 / w if order == 2 else 3.0 * w1**3 / w**2
+
+
+@pytest.mark.parametrize("b", ROUTE_BONDS)
+@pytest.mark.parametrize("name", sorted(ROUTE_SYMBOLS))
+def test_scalar_route_matches_array_route(name, b):
+    """float, int, np.float64 and 0-d inputs return floats within 2 ulps."""
+    f, order = ROUTE_SYMBOLS[name]
+    reference = f(np.array(ROUTE_KS), b)
+    for k, expected in zip(ROUTE_KS, reference):
+        inputs = [k, np.float64(k), np.array(k)] + ([int(k)] if k == int(k) else [])
+        for arg in inputs:
+            got = f(arg, b)  # |k| >= 710 must not overflow math.cosh
+            assert type(got) is float, (name, type(arg), type(got))
+            tol = 2.0 * np.spacing(max(abs(expected), _largest_term(k, b, order)))
+            assert abs(got - expected) <= tol, (name, k, b, type(arg), got, expected)

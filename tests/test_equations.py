@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcwave.dispersion import k0_symbol, omega, sigma, sigma_inv
-from arcwave.equations import (COMPONENT_INDEX, TruncatedSystem, components_from_fields,
+from arcwave.equations import (COMPONENT_INDEX, TruncatedSystem,
                                slave_second_block)
 from arcwave.spectral import (
     Grid1D,
@@ -53,7 +53,7 @@ def cross_value(system, j1, j2, l, m):
 
 def test_component_layout():
     assert COMPONENT_INDEX == {-1: 0, 1: 1, -2: 2, 2: 3}
-    st = components_from_fields(*[np.full(4, i, dtype=complex) for i in range(4)])
+    st = np.array([np.full(4, i) for i in range(4)], dtype=complex)
     assert st.shape == (4, 4)
     assert st[2, 0] == 2.0 + 0j
 

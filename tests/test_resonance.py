@@ -110,10 +110,19 @@ class TestK1:
         ratio = b * k1 * 9 * K0 / (4 * np.tanh(K0))
         assert ratio == pytest.approx(1.001590211, abs=1e-6)
 
+    def test_repeat_call_returns_the_cached_root(self):
+        k1_of_b.cache_clear()
+        first = k1_of_b(K0, 0.03)
+        hits = k1_of_b.cache_info().hits
+        assert k1_of_b(K0, 0.03) == first
+        assert k1_of_b.cache_info().hits == hits + 1
+
     @pytest.mark.parametrize("b", [0.0, 0.23, 0.5, -0.01])
     def test_domain_errors(self, b):
-        with pytest.raises(ValueError):
-            k1_of_b(K0, b)
+        # the cache keeps no failure: every call raises
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                k1_of_b(K0, b)
 
     def test_k1_actually_solves(self):
         k1 = k1_of_b(K0, 0.07)
@@ -270,7 +279,9 @@ class TestBrentPort:
             return root
 
         monkeypatch.setattr(resonance, "_brentq", both)
+        # a warm cache would let these solves skip the comparison
         resonance.critical_bonds.cache_clear()
+        resonance.k1_of_b.cache_clear()
         try:
             for k0 in (1.0, 2.0, 3.0):
                 resonance.critical_bonds(k0)
@@ -281,6 +292,7 @@ class TestBrentPort:
                     k1_of_b(K0, b)
         finally:
             resonance.critical_bonds.cache_clear()
+            resonance.k1_of_b.cache_clear()
         assert len(seen) >= 30 and sum(seen) > 300
 
     def test_errors_match_scipy(self):
