@@ -12,8 +12,12 @@ is even and positive, and K0 has the purely imaginary odd symbol
 ``-i tanh(k)``.
 
 Near k = 0 every formula above is a 0/0-flavoured quotient, so this module
-switches to Taylor expansions for |k| < 0.05; in particular
-d_k omega(0, b) = 1 exactly.  All functions accept scalars or arrays.
+switches to Taylor expansions there: for |k| < 0.05 in omega, omega' and
+sigma, and for |k| < 0.1 in omega'' and omega''', whose closed forms
+subtract O(1/k) terms to leave an O(k) result; for b > 1 both cuts shrink
+by sqrt(b), since the series' remainder grows like (b k^2)^8.  The series
+run through k^15 (sigma's through k^14); in particular d_k omega(0, b) = 1
+exactly.  All functions accept scalars or arrays.
 
 ``omega``, ``omega_deriv``, ``sigma`` and ``sigma_inv`` evaluate the same
 closed forms by one of two routes.  A Python float (``np.float64`` included)
@@ -31,14 +35,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = ["omega", "omega_deriv", "sigma", "sigma_inv", "k0_symbol", "ModelParams"]
 
-_SMALL_K = 0.05
+#: |k| below which the Taylor series replaces the closed form, per
+#: derivative order of omega (sigma uses order 0's)
+_SERIES_CUT = (0.05, 0.05, 0.1, 0.1)
 #: above this |k| math.cosh overflows; sech^2 has long since underflowed to 0
 _COSH_MAX = 710.0
 
@@ -64,20 +70,24 @@ _SCALAR = SimpleNamespace(tanh=math.tanh, sqrt=math.sqrt, sech2=_scalar_sech2)
 def _radial(k, b: float, order: int, series, closed, odd: bool):
     """An even or odd function of k, evaluated from a = |k|.
 
-    ``series(a, b, order)`` serves a < _SMALL_K and ``closed(a, b, order,
-    route)`` the rest.  A Python float or int takes the scalar route and
-    returns a float; anything else is masked between the two branches as a
-    float64 array (a 0-d array still returns a float).
+    ``series(a, b, order)`` serves a < _SERIES_CUT[order] (divided by
+    sqrt(b) when b > 1) and ``closed(a, b, order, route)`` the rest.  A
+    Python float or int takes the scalar route and returns a float; anything
+    else is masked between the two branches as a float64 array (a 0-d array
+    still returns a float).
     """
+    cut = _SERIES_CUT[order]
+    if b > 1.0:
+        cut /= math.sqrt(b)
     if isinstance(k, (float, int)):
         x = float(k)
         a = abs(x)
-        out = series(a, b, order) if a < _SMALL_K else closed(a, b, order, _SCALAR)
+        out = series(a, b, order) if a < cut else closed(a, b, order, _SCALAR)
         return ((x > 0.0) - (x < 0.0)) * out if odd else out
     arr = np.asarray(k, dtype=np.float64)
     a = np.abs(arr)
     out = np.empty_like(a)
-    small = a < _SMALL_K
+    small = a < cut
     if np.any(small):
         out[small] = series(a[small], b, order)
     if np.any(~small):
@@ -88,7 +98,7 @@ def _radial(k, b: float, order: int, series, closed, odd: bool):
 
 
 def _G_and_derivs(a, b: float, upto: int, route) -> list:
-    """G = (k + b k^3) tanh k and d/dk-derivatives, for a = |k| >= _SMALL_K."""
+    """G = (k + b k^3) tanh k and its k-derivatives at a = |k| past the series cut."""
     T = route.tanh(a)
     S = route.sech2(a)
     poly = a + b * a**3
@@ -108,22 +118,70 @@ def _G_and_derivs(a, b: float, upto: int, route) -> list:
     return out
 
 
-def _series_coeffs(b: float) -> tuple[float, float]:
-    """Taylor coefficients of omega = k + c3 k^3 + c5 k^5 + O(k^7) near 0."""
-    c3 = 0.5 * (b - 1.0 / 3.0)
-    c5 = 0.5 * (2.0 / 15.0 - b / 3.0) - 0.125 * (b - 1.0 / 3.0) ** 2
-    return c3, c5
+#: Taylor series near k = 0, sum_n c_n(b) k^n over n = p, p + 2, ..., p + 14,
+#: as (p, c_p, c_{p+2}, ...); each c_n is a polynomial in b listed from b^0
+#: up (exact rationals from sympy series of sqrt((k + b k^3) tanh k) and
+#: sqrt((k + b k^3) / tanh k))
+_TAYLOR = {
+    "omega": (1, (
+        (1.0,),
+        (-1 / 6, 1 / 2),
+        (19 / 360, -1 / 12, -1 / 8),
+        (-55 / 3024, 19 / 720, 1 / 48, 1 / 16),
+        (11813 / 1814400, -55 / 6048, -19 / 2880, -1 / 96, -5 / 128),
+        (-2117 / 887040, 11813 / 3628800, 55 / 24192, 19 / 5760, 5 / 768, 7 / 256),
+        (64604977 / 72648576000, -2117 / 1774080, -11813 / 14515200, -55 / 48384,
+         -19 / 9216, -7 / 1536, -21 / 1024),
+        (-263101079 / 784604620800, 64604977 / 145297152000, 2117 / 7096320,
+         11813 / 29030400, 275 / 387072, 133 / 92160, 7 / 2048, 33 / 2048),
+    )),
+    "sigma": (0, (
+        (1.0,),
+        (1 / 6, 1 / 2),
+        (-1 / 40, 1 / 12, -1 / 8),
+        (79 / 15120, -1 / 80, -1 / 48, 1 / 16),
+        (-2339 / 1814400, 79 / 30240, 1 / 320, 1 / 96, -5 / 128),
+        (677 / 1900800, -2339 / 3628800, -79 / 120960, -1 / 640, -5 / 768, 7 / 256),
+        (-308963 / 2905943040, 677 / 3801600, 2339 / 14515200, 79 / 241920,
+         1 / 1024, 7 / 1536, -21 / 1024),
+        (131301607 / 3923023104000, -308963 / 5811886080, -677 / 15206400,
+         -2339 / 29030400, -79 / 387072, -7 / 10240, -7 / 2048, 33 / 2048),
+    )),
+}
+
+
+@lru_cache(maxsize=64)
+def _series_coeffs(name: str, b: float, order: int) -> tuple[int, tuple[float, ...]]:
+    """The order-th derivative of a ``_TAYLOR`` series at Bond number b.
+
+    Returns (parity, coefficients): the derivative is k^parity times a
+    polynomial in k^2 whose coefficients are listed highest first.
+    """
+    p, table = _TAYLOR[name]
+    out = []
+    for j, poly in enumerate(table):
+        n = p + 2 * j
+        if n < order:
+            continue
+        c = 0.0
+        for coeff in reversed(poly):
+            c = c * b + coeff
+        out.append(math.perm(n, order) * c)
+    return (p - order) % 2, tuple(reversed(out))
+
+
+def _series(name: str, x, b: float, order: int):
+    """Horner evaluation in x^2, the same operations on floats and arrays."""
+    parity, coeffs = _series_coeffs(name, b, order)
+    x2 = x * x
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x2 + c
+    return x * acc if parity else acc
 
 
 def _omega_series(x, b: float, order: int):
-    c3, c5 = _series_coeffs(b)
-    if order == 0:
-        return x + c3 * x**3 + c5 * x**5
-    if order == 1:
-        return 1.0 + 3.0 * c3 * x**2 + 5.0 * c5 * x**4
-    if order == 2:
-        return 6.0 * c3 * x + 20.0 * c5 * x**3
-    return 6.0 * c3 + 60.0 * c5 * x**2
+    return _series("omega", x, b, order)
 
 
 def _omega_closed(x, b: float, order: int, route):
@@ -143,10 +201,7 @@ def _omega_closed(x, b: float, order: int, route):
 
 
 def _sigma_series(x, b: float, order: int):
-    # sigma = 1 + s2 k^2 + s4 k^4 + O(k^6)
-    s2 = 0.5 * (b + 1.0 / 3.0)
-    s4 = 0.5 * (b / 3.0 - 1.0 / 45.0) - 0.125 * (b + 1.0 / 3.0) ** 2
-    return 1.0 + s2 * x**2 + s4 * x**4
+    return _series("sigma", x, b, order)
 
 
 def _sigma_closed(x, b: float, order: int, route):
@@ -181,7 +236,13 @@ def sigma_inv(k, b: float):
 
 
 def k0_symbol(k):
-    """Symbol of the operator K0: the odd, purely imaginary ``-i tanh(k)``."""
+    """Symbol of the operator K0: the odd, purely imaginary ``-i tanh(k)``.
+
+    A Python float or int takes the ``math`` route, anything else numpy's;
+    either way a scalar returns a complex.
+    """
+    if isinstance(k, (float, int)):
+        return -1j * math.tanh(k)
     arr = np.asarray(k, dtype=np.float64)
     out = -1j * np.tanh(arr)
     return complex(out) if arr.ndim == 0 else out

@@ -33,7 +33,8 @@ routes independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +47,25 @@ __all__ = ["TruncatedSystem", "slave_second_block", "COMPONENT_INDEX"]
 COMPONENT_INDEX = {-1: 0, 1: 1, -2: 2, 2: 3}
 
 
+@lru_cache(maxsize=16)
+def _constraint_tables(grid: Grid1D, b: float) -> SimpleNamespace:
+    """Read-only multipliers of the constraint map for one (grid, b).
+
+    ``K0`` and ``sig_inv`` are K0 and sigma^{-1} on the half spectrum
+    (columns 0..n/2), ``ik`` and ``ik2`` are ik and (ik)^2 and ``keep`` the
+    2/3-rule mask, full layout.  Every constraint product on the grid reads
+    them, so they are evaluated once.
+    """
+    k = grid.wavenumbers
+    half = half_spectrum(k)
+    ik = 1j * k
+    tables = SimpleNamespace(K0=k0_symbol(half), sig_inv=sigma_inv(half, b),
+                             ik=ik, ik2=ik**2, keep=grid.dealias_keep.copy())
+    for table in vars(tables).values():
+        table.setflags(write=False)
+    return tables
+
+
 def _constraint_product(grid: Grid1D, f: np.ndarray, g: np.ndarray,
                         b: float) -> np.ndarray:
     """Product K0 f * sigma^{-1} g of real fields, full-layout (..., n), not dealiased.
@@ -54,9 +74,10 @@ def _constraint_product(grid: Grid1D, f: np.ndarray, g: np.ndarray,
     exactly Hermitian.
     """
     n = grid.n_points
-    k = grid.wavenumbers
-    pf, pg = np.fft.irfft(half_spectrum(np.array(
-        [k0_symbol(k) * f, sigma_inv(k, b) * g])), n, norm="forward")
+    tables = _constraint_tables(grid, b)
+    pf, pg = np.fft.irfft(np.array([tables.K0 * half_spectrum(f),
+                                    tables.sig_inv * half_spectrum(g)]),
+                          n, norm="forward")
     return full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
 
 
@@ -72,11 +93,11 @@ def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
     the product dealiased by the grid's 2/3 rule.  These are the relations
     ``TruncatedSystem.consistency_defect`` measures.
     """
-    ik = 1j * grid.wavenumbers
+    tables = _constraint_tables(grid, b)
     s1 = first[..., 0, :] + first[..., 1, :]
-    d2 = (first[..., 0, :] - first[..., 1, :]) * ik**2
-    prod = np.where(grid.dealias_keep, _constraint_product(grid, s1, d2, b), 0.0)
-    s2 = s1 * ik**2 - prod * ik
+    d2 = (first[..., 0, :] - first[..., 1, :]) * tables.ik2
+    prod = np.where(tables.keep, _constraint_product(grid, s1, d2, b), 0.0)
+    s2 = s1 * tables.ik2 - prod * tables.ik
     return np.stack([0.5 * (s2 + d2), 0.5 * (s2 - d2)], axis=-2)
 
 

@@ -238,12 +238,19 @@ def first_block_symbol(j1: int, j2: int, l, m, b: float):
     u_{-1} component and a mode at m placed in component j2, read from the
     u_{j1} equation — with both slot pairings included, so it matches
     numerical extraction directly.
+
+    Two scalar inserts (Python or numpy floats, or ints) stay floats, so the
+    symbols take the ``math`` route of :mod:`arcwave.dispersion` and the
+    result is a complex; anything else is evaluated on arrays.
     """
     _check_pair(j1, j2)
     if abs(j1) != 1:
         raise ValueError("first_block_symbol serves the |j1|=1 block")
-    l = np.asarray(l, dtype=float)
-    m = np.asarray(m, dtype=float)
+    if isinstance(l, (float, int)) and isinstance(m, (float, int)):
+        l, m = float(l), float(m)
+    else:
+        l = np.asarray(l, dtype=float)
+        m = np.asarray(m, dtype=float)
     k = l + m
     s1 = -float(np.sign(j1))
     K0 = k0_symbol
@@ -254,8 +261,8 @@ def first_block_symbol(j1: int, j2: int, l, m, b: float):
     d1 = -s1 * ik2 * sigma(k, b) * (1.0 + K0(k) ** 2) * sigma_inv(l, b)
     c2 = s1 * (-j2) * ik2 * sigma(k, b) * K0(k) * (K0(k) - K0(l)) * sigma_inv(m, b)
     d2 = -s1 * (-j2) * ik2 * sigma(k, b) * (1.0 + K0(k) ** 2) * sigma_inv(m, b)
-    val = np.asarray(a + bb + c1 + d1 + c2 + d2)
-    return val if val.ndim else complex(val)
+    val = a + bb + c1 + d1 + c2 + d2
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 def second_block_symbol(j1: int, j2: int, l, m, b: float):

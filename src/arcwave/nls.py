@@ -63,19 +63,23 @@ class NLSCoeffs:
 
 @dataclass(frozen=True)
 class EnvelopeField:
-    """Complex envelope samples on a periodic grid at slow time ``tau``."""
+    """Complex envelope samples on a periodic grid at slow time ``tau``.
+
+    ``values`` is a read-only copy of the samples given.
+    """
 
     grid: Grid1D
     values: np.ndarray
     tau: float = 0.0
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if v.shape != (self.grid.n_points,):
             raise ValueError(
                 f"envelope needs {self.grid.n_points} samples, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("envelope samples must be finite")
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 

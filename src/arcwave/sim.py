@@ -480,10 +480,21 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _default_system(grid: Grid1D, b: float) -> TruncatedSystem:
+    """The truncated system of (grid, b) with the default 2/3-rule keep mask."""
+    return TruncatedSystem(grid, b)
+
+
 def consistency_residual(state: SimState, b: float) -> tuple[float, float]:
-    """L2 norms of the two constraint defects tying the blocks together."""
-    system = TruncatedSystem(state.grid, b)
-    first, second = system.consistency_defect(state.matrix)
+    """L2 norms of the two constraint defects tying the blocks together.
+
+    The defects are those of the default system on the state's grid, whose
+    product is dealiased by the 2/3 rule alone: a run's band mask
+    (``SimConfig.band_halfwidth``) is not applied, so a band-restricted run
+    is measured against the unrestricted constraint relations.
+    """
+    first, second = _default_system(state.grid, b).consistency_defect(state.matrix)
     L = state.grid.length
     return (float(np.sqrt(L * np.sum(np.abs(first) ** 2))),
             float(np.sqrt(L * np.sum(np.abs(second) ** 2))))
@@ -535,16 +546,67 @@ def _n_hat_table(grid: Grid1D, params: KernelParams) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _energy_tables(grid: Grid1D, params: KernelParams,
                    l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights of the modified energy on the grid's wavenumbers.
+    """Read-only weights of the modified energy at derivative order l.
 
-    Returns rho_hat(j1, l) as a (2, n) array and the shared n_hat table of
-    ``_n_hat_table``.  They depend on (grid, params, l) only, so every
-    sample of a run shares them.
+    Returns rho_hat(j1, l) as a (2, n) array and the derivative symbol
+    (ik)^l.  They depend on (grid, params, l) only, so every sample of a run
+    shares them.
     """
     rho = np.array([rho_hat(j1, l, grid.wavenumbers, params) for j1 in (-2, 2)],
                    dtype=float)
-    rho.setflags(write=False)
-    return rho, _n_hat_table(grid, params)
+    dl = (1j * grid.wavenumbers) ** l
+    for table in (rho, dl):
+        table.setflags(write=False)
+    return rho, dl
+
+
+#: the l-independent parts of the latest energy evaluations, newest first, as
+#: (state, packet, params, R, N); see ``_energy_shared``
+_ENERGY_SHARED: list[tuple] = []
+_ENERGY_SHARED_SIZE = 2
+
+
+def _energy_shared(state: SimState, packet: WavePacket,
+                   params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of the modified energy that no derivative order changes.
+
+    R is the rescaled second-block error, rows u_{-2}, u_{+2}, and N the
+    carrier pairing sum_{j2, ell, slot} n_hat(j1, j2, ell, slot) * P, with P
+    the coefficients of psi_ell * dalpha^{1 - slot} R_{j2}, one row per j1.
+    R holds real fields, so their physical values come from real transforms
+    (which read a Nyquist column as a real cosine mode).
+
+    The latest evaluations are memoized on the identity of the state and the
+    packet (held by strong reference, so an identity cannot be reused while
+    its entry lives) and on params equality; both are immutable, so a hit
+    returns exactly what a fresh evaluation would.
+    """
+    for entry in _ENERGY_SHARED:
+        if entry[0] is state and entry[1] is packet and entry[2] == params:
+            return entry[3], entry[4]
+    grid = state.grid
+    eps = packet.eps
+    k = grid.wavenumbers
+    n = grid.n_points
+    R = (state.matrix[2:] - build(packet, grid, state.t)[2:]) * theta_inv_hat(
+        k, eps, params.delta0) / eps**2.5
+
+    # physical psi_plus; psi_minus is its complex conjugate there
+    psi_plus = np.fft.ifft(carrier_halves(packet, grid, state.t)[0], norm="forward")
+    inv_ik = np.where(k == 0.0, 0.0, -1j / np.where(k == 0.0, 1.0, k))
+    # the real fields R and dalpha^{-1} R in physical space, (slot, j2, n)
+    fields = np.fft.irfft(half_spectrum(np.array([R, inv_ik * R])), n, norm="forward")
+    # coefficients of psi_ell * field as (j2, ell, slot, n): ell = +1 by one
+    # transform, ell = -1 as its conjugate flip, since the fields are real
+    plus = np.fft.fft(psi_plus * fields, norm="forward").swapaxes(0, 1)
+    minus = np.conj(plus[..., grid._conjugate_index])
+    products = np.stack([minus, plus], axis=1).reshape(8, n)
+    N = np.sum(_n_hat_table(grid, params).reshape(2, 8, n) * products, axis=1)
+    for part in (R, N):
+        part.setflags(write=False)
+    _ENERGY_SHARED.insert(0, (state, packet, params, R, N))
+    del _ENERGY_SHARED[_ENERGY_SHARED_SIZE:]
+    return R, N
 
 
 def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
@@ -555,36 +617,21 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     rescaled by theta^{-1}/eps^{5/2}; the quadratic form carries the
     reweighting rho^l, and the O(eps) correction pairs the error against the
     carrier through the normal-form kernels.
+
+    Only rho^l and (ik)^l depend on l.  The rest, the rescaled error and its
+    carrier pairing with the n_hat kernels (which do not depend on l), is
+    computed once per (state, packet, params) and shared by the orders
+    asked for next: ``_energy_shared`` keeps the latest two on the identity
+    of the state and the packet.  That is safe because both are immutable,
+    ``SimState.matrix``, ``EnvelopeField.values`` and the correction
+    profiles being read-only copies; a new packet object, even with equal
+    content, is realized afresh.
     """
     if l < 0:
         raise ValueError(f"derivative order must be nonnegative, got {l}")
-    grid = state.grid
-    eps = packet.eps
-    k = grid.wavenumbers
-    rho, nh = _energy_tables(grid, params, l)
-    n_pts = grid.n_points
-    # rescaled second-block error, rows u_{-2}, u_{+2}
-    R = (state.matrix[2:] - build(packet, grid, state.t)[2:]) * theta_inv_hat(
-        k, eps, params.delta0) / eps**2.5
-
-    # physical carrier halves in the order ell = -1, +1: (psi_minus, psi_plus)
-    psi_phys = np.fft.ifft(carrier_halves(packet, grid, state.t)[::-1]) * n_pts
-
-    inv_ik = np.where(k == 0.0, 0.0, -1j / np.where(k == 0.0, 1.0, k))
-
-    # carrier products psi_ell * f and psi_ell * dalpha^{-1} f: (j2, ell, slot)
-    f_phys, g_phys = np.fft.ifft(np.array([R, inv_ik * R])) * n_pts
-    carrier = np.fft.fft(np.array([[(psi * f, psi * g) for psi in psi_phys]
-                                   for f, g in zip(f_phys, g_phys)])) / n_pts
-
-    dl = (1j * k) ** l
-    L = grid.length
-    total = 0.0
-    for i1 in range(2):
-        Rl = dl * R[i1]
-        total += 0.5 * L * float(np.sum(rho[i1] * np.abs(Rl) ** 2))
-        for i2 in range(2):
-            N = np.sum(nh[i1, i2] * carrier[i2], axis=(0, 1))
-            total += eps * L * float(
-                np.real(np.sum(np.conj(Rl) * rho[i1] * dl * N)))
-    return total
+    R, N = _energy_shared(state, packet, params)
+    rho, dl = _energy_tables(state.grid, params, l)
+    Rl = dl * R
+    quad = 0.5 * np.sum(rho * np.abs(Rl) ** 2)
+    cross = packet.eps * np.real(np.sum(np.conj(Rl) * rho * dl * N))
+    return float(state.grid.length * (quad + cross))

@@ -16,7 +16,8 @@ interpolation error at any eps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -43,10 +44,22 @@ NESTING_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SecondOrderAmplitudes:
-    """Envelope-scale correction profiles keyed by first-block component."""
+    """Envelope-scale correction profiles keyed by first-block component.
 
-    A_m0: dict[int, np.ndarray]   # mean flow, m in {-1, +1}
-    A_m2: dict[int, np.ndarray]   # second harmonic
+    The mappings and their profiles are read-only copies, so a packet
+    cannot change once built (``sim.energy_diagnostic`` relies on that).
+    """
+
+    A_m0: Mapping[int, np.ndarray]   # mean flow, m in {-1, +1}
+    A_m2: Mapping[int, np.ndarray]   # second harmonic
+
+    def __post_init__(self) -> None:
+        for name in ("A_m0", "A_m2"):
+            frozen = {}
+            for m, profile in getattr(self, name).items():
+                frozen[m] = np.array(profile)
+                frozen[m].setflags(write=False)
+            object.__setattr__(self, name, MappingProxyType(frozen))
 
 
 def second_order_corrections(A: EnvelopeField, params: ModelParams) -> SecondOrderAmplitudes:
@@ -126,65 +139,74 @@ def _check_nesting(packet: WavePacket, grid: Grid1D) -> int:
     return j0
 
 
-def _band_coefficients(grid: Grid1D, env: Grid1D, profile: np.ndarray,
-                       ell: int, j0: int, cg: float, eps: float,
-                       t: float) -> np.ndarray:
-    """Carrier-grid coefficients of profile(eps*(alpha - cg t)) * E^ell.
+#: harmonic l of each row of a profile stack: the lead on l = 1, then the
+#: mean flow (l = 0) and second harmonic (l = 2) of u_{-1}, then of u_{+1}
+_HARMONICS = (1, 0, 2, 0, 2)
 
-    The nested envelope mode j lands on carrier mode ell*j0 + j with the
-    slow transport phase; the carrier's own -ell*omega0*t phase is applied
-    by the caller.
+
+def _profile_stack(lead: np.ndarray,
+                   corrections: Optional[SecondOrderAmplitudes]) -> np.ndarray:
+    """The slow profiles in ``_HARMONICS`` order, (1, n_env) without corrections."""
+    if corrections is None:
+        return lead[..., None, :]
+    return np.stack([lead, corrections.A_m0[-1], corrections.A_m2[-1],
+                     corrections.A_m0[1], corrections.A_m2[1]], axis=-2)
+
+
+def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
+                       j0: int, cg: float, t: float) -> np.ndarray:
+    """Carrier-grid coefficients of profile(eps*(alpha - cg t)) * E^l per row.
+
+    ``profiles`` is a stack (..., p, n_env) whose rows ride the harmonics
+    ``_HARMONICS[:p]``.  The nested envelope mode j of a row on harmonic l
+    lands on carrier mode l*j0 + j with the slow transport phase; the
+    carrier's own -l*omega0*t phase is applied by the caller.  One
+    transform, one phase vector and one scatter serve the whole stack.
     """
-    g = np.fft.fft(profile) / env.n_points
-    out = np.zeros(grid.n_points, dtype=complex)
+    g = np.fft.fft(profiles) / env.n_points
     kappa_eps = env.mode_numbers * grid.fundamental  # = eps * kappa exactly
     phases = np.exp(-1j * kappa_eps * cg * t)
-    idx = (ell * j0 + env.mode_numbers) % grid.n_points
+    ells = np.array(_HARMONICS[: profiles.shape[-2]])
+    idx = (ells[:, None] * j0 + env.mode_numbers) % grid.n_points
+    rows = np.arange(len(ells))[:, None]
+    out = np.zeros(profiles.shape[:-1] + (grid.n_points,), dtype=complex)
     # real and imaginary parts formed apart round like numpy's complex
     # scalar product (its vectorized product may fuse multiply-adds), so the
     # result does not depend on the machine's SIMD support
-    out.real[idx] = g.real * phases.real - g.imag * phases.imag
-    out.imag[idx] = g.real * phases.imag + g.imag * phases.real
+    out.real[..., rows, idx] = g.real * phases.real - g.imag * phases.imag
+    out.imag[..., rows, idx] = g.real * phases.imag + g.imag * phases.real
     return out
 
 
-def _hermitian_part(grid: Grid1D, c: np.ndarray) -> np.ndarray:
-    """Project carrier coefficients onto the real-field (Hermitian) subspace.
+def _first_block(packet: WavePacket, grid: Grid1D, t: float,
+                 profiles: np.ndarray) -> np.ndarray:
+    """(..., 2, n) coefficients of u_{-/+1} carried by a profile stack, linear in it.
 
-    Needed for the mean-flow band: a real profile on an even envelope grid
-    carries an unpaired Nyquist mode, and its canonical real interpolation
-    onto the finer carrier grid splits that mode cosine-wise.
-    """
-    return 0.5 * (c + np.conj(c[grid._conjugate_index]))
-
-
-def _first_block(packet: WavePacket, grid: Grid1D, t: float, lead: np.ndarray,
-                 corrections: Optional[SecondOrderAmplitudes]) -> np.ndarray:
-    """(2, n) coefficients of u_{-/+1} carried by slow profiles, linear in them.
-
-    Each profile G rides its harmonic l as G(eps*(alpha - cg*t)) *
-    e^{il(k0*alpha - omega0*t)} plus the complex conjugate: ``lead`` on l = 1
-    in u_{-1} at order eps, the corrections' mean flow (l = 0) and second
-    harmonic (l = 2) in both components at order eps^2.
+    Each profile G rides its harmonic l (see ``_profile_stack``) as
+    G(eps*(alpha - cg*t)) * e^{il(k0*alpha - omega0*t)} plus the complex
+    conjugate: the lead on l = 1 in u_{-1} at order eps, the corrections'
+    mean flow (l = 0) and second harmonic (l = 2) in both components at
+    order eps^2.  The mean-flow band is projected onto the real-field
+    (Hermitian) subspace: a real profile on an even envelope grid carries an
+    unpaired Nyquist mode, and its canonical real interpolation onto the
+    finer carrier grid splits that mode cosine-wise.
     """
     p = packet.params
     j0 = _check_nesting(packet, grid)
-    env, eps, w0 = packet.A.grid, packet.eps, p.omega0
+    eps, w0 = packet.eps, p.omega0
     conj = grid._conjugate_index
+    bands = _band_coefficients(grid, packet.A.grid, profiles, j0, p.cg, t)
 
-    def band(profile: np.ndarray, ell: int) -> np.ndarray:
-        return _band_coefficients(grid, env, profile, ell, j0, p.cg, eps, t)
-
-    rows = np.zeros((2, grid.n_points), dtype=complex)
-    carrier = band(lead, 1) * np.exp(-1j * w0 * t)
-    rows[0] += eps * (carrier + np.conj(carrier[conj]))
-    if corrections is not None:
-        for row, m in zip(rows, (-1, 1)):
-            mean = _hermitian_part(grid, band(corrections.A_m0[m], 0))
-            harm = band(corrections.A_m2[m], 2) * np.exp(-2j * w0 * t)
-            row += eps**2 * (mean + harm + np.conj(harm[conj]))
+    rows = np.zeros(profiles.shape[:-2] + (2, grid.n_points), dtype=complex)
+    carrier = bands[..., 0, :] * np.exp(-1j * w0 * t)
+    rows[..., 0, :] += eps * (carrier + np.conj(carrier[..., conj]))
+    if profiles.shape[-2] > 1:
+        mean = bands[..., 1::2, :]
+        harm = bands[..., 2::2, :] * np.exp(-2j * w0 * t)
+        rows += eps**2 * (0.5 * (mean + np.conj(mean[..., conj]))
+                          + harm + np.conj(harm[..., conj]))
     if packet.truncated:
-        rows[:, ~band_mask(grid, p.k0, packet.delta0)] = 0.0
+        rows[..., ~band_mask(grid, p.k0, packet.delta0)] = 0.0
     return rows
 
 
@@ -195,7 +217,8 @@ def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
     u_{-1}, u_{+1}, u_{-2}, u_{+2}: the first block from the profiles, the
     second slaved to it by :func:`arcwave.equations.slave_second_block`.
     """
-    first = _first_block(packet, grid, t, packet.A.values, packet.corrections)
+    first = _first_block(packet, grid, t,
+                         _profile_stack(packet.A.values, packet.corrections))
     return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
 
 
@@ -210,8 +233,8 @@ def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
     """
     p = packet.params
     j0 = _check_nesting(packet, grid)
-    lead = _band_coefficients(grid, packet.A.grid, packet.A.values, 1, j0,
-                              p.cg, packet.eps, t) * np.exp(-1j * p.omega0 * t)
+    lead = _band_coefficients(grid, packet.A.grid, packet.A.values[None], j0,
+                              p.cg, t)[0] * np.exp(-1j * p.omega0 * t)
     if packet.truncated:
         lead = np.where(band_mask(grid, p.k0, packet.delta0), lead, 0.0)
     return np.array([lead, np.conj(lead[grid._conjugate_index])])
@@ -247,17 +270,15 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float,
         dxi = np.fft.ifft(1j * env.wavenumbers * np.fft.fft(profile))
         return eps**2 * profile_tau - eps * p.cg * dxi - 1j * ell * p.omega0 * profile
 
-    sec = packet.corrections
-    d_sec = None
-    if sec is not None:
+    profiles = _profile_stack(a, packet.corrections)
+    profiles_tau = [a_tau]
+    if packet.corrections is not None:
         c = second_order_coefficients(p.k0, p.b)
         mod2 = 2.0 * np.real(np.conj(a) * a_tau)          # d/dtau |A|^2
-        d_sec = SecondOrderAmplitudes(
-            A_m0={m: d_dt(sec.A_m0[m], c["c_m0" if m < 0 else "c_p0"] * mod2, 0)
-                  for m in (-1, 1)},
-            A_m2={m: d_dt(sec.A_m2[m], c["c_m2" if m < 0 else "c_p2"] * 2 * a * a_tau, 2)
-                  for m in (-1, 1)})
-    u = _first_block(packet, grid, t, a, sec)
-    du = _first_block(packet, grid, t, d_dt(a, a_tau, 1), d_sec)
+        profiles_tau += [c["c_m0"] * mod2, c["c_m2"] * 2 * a * a_tau,
+                         c["c_p0"] * mod2, c["c_p2"] * 2 * a * a_tau]
+    d_profiles = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
+                           in zip(profiles, profiles_tau, _HARMONICS)])
+    u, du = _first_block(packet, grid, t, np.array([profiles, d_profiles]))
     plus, minus = slave_second_block(grid, np.array([u + du, u - du]), p.b)
     return np.concatenate([du, 0.5 * (plus - minus)])

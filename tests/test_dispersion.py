@@ -138,8 +138,47 @@ def test_omega_monotone_in_k(b):
     assert np.all(np.diff(w) > 0)
 
 
+def _mp_omega_deriv(k: float, b: float, order: int):
+    """omega^(order)(k, b) by 40-digit mpmath differentiation of the closed form."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def w(x):
+            return mp.sign(x) * mp.sqrt((x + b * x**3) * mp.tanh(x))
+        return mp.diff(w, mp.mpf(k), order)
+
+
+def _mp_sigma(k: float, b: float):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = mp.mpf(k)
+        return mp.sqrt((x + b * x**3) / mp.tanh(x))
+
+
+#: wavenumbers on both sides of the series cuts 0.05 and 0.1 (and of
+#: 0.0158 and 0.0316, the cuts at b = 10)
+SERIES_KS = (1e-3, 0.01, 0.0157, 0.0159, 0.03, 0.0315, 0.0317, 0.0499, 0.05,
+             0.0501, 0.07, 0.0999, 0.1, 0.1001)
+
+
+@pytest.mark.parametrize("b", (0.0, 0.2, 1.0 / 3.0, 3.0, 10.0))
+def test_small_k_branch_matches_mpmath(b):
+    """omega, its three derivatives and sigma agree with 40-digit mpmath to
+    3e-13 (relative to max(1, |value|)) up to k = 0.1, on both routes,
+    across the series cuts."""
+    for k in SERIES_KS:
+        cases = [(lambda x: omega(x, b), _mp_omega_deriv(k, b, 0)),
+                 (lambda x: sigma(x, b), _mp_sigma(k, b))]
+        cases += [(lambda x, n=n: omega_deriv(x, b, n), _mp_omega_deriv(k, b, n))
+                  for n in (1, 2, 3)]
+        for i, (f, want) in enumerate(cases):
+            for got in (f(k), f(np.array([k]))[0]):
+                err = abs(got - float(want)) / max(1.0, abs(float(want)))
+                assert err <= 3e-13, (i, k, b, got, float(want))
+
+
 # the scalar (math) route against the masked numpy route
-ROUTE_KS = [0.0] + [s * v for v in (1e-3, 0.0499, 0.05, 0.0501, 2.0, 60.0, 720.0, 1e4)
+ROUTE_KS = [0.0] + [s * v for v in (1e-3, 0.0499, 0.05, 0.0501, 0.0999, 0.1, 0.1001,
+                                    2.0, 60.0, 720.0, 1e4)
                     for s in (1.0, -1.0)]
 ROUTE_BONDS = (0.0, 0.05, 0.2, 1.0 / 3.0, 1.0)
 ROUTE_SYMBOLS = {
@@ -159,9 +198,9 @@ def _largest_term(k: float, b: float, order: int) -> float:
     3 omega'^3/omega^2; next to their zeros and at the series seam these
     terms cancel to a small difference, so an ulp of each (math and numpy
     round tanh, cosh and powers differently) is many ulps of the result.
-    The series side (|k| < 0.05) sums no such terms.
+    The series side (|k| < 0.1 for these orders) sums no such terms.
     """
-    if order < 2 or abs(k) < 0.05:
+    if order < 2 or abs(k) < 0.1:
         return 0.0
     w, w1 = abs(omega(k, b)), abs(omega_deriv(k, b, 1))
     return w1**2 / w if order == 2 else 3.0 * w1**3 / w**2

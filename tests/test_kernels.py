@@ -331,7 +331,7 @@ def test_production_weights_never_call_the_equations(monkeypatch):
                 assert np.all(np.isfinite(n_hat(j1, j2, ell, j, k, p)))
     with np.errstate(divide="ignore", invalid="ignore"):
         rho_hat(-2, 1, k, p)
-        rho, nh = sim._energy_tables(Grid1D(256, 2.0 * np.pi * 7.0), p, 1)
+        nh = sim._n_hat_table(Grid1D(256, 2.0 * np.pi * 7.0), p)
     assert np.all(np.isfinite(nh))
 
 

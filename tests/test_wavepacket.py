@@ -9,16 +9,19 @@ The time-derivative builder is cross-checked against a central finite
 difference of the full construction, envelope evolution included.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcwave.dispersion import ModelParams
-from arcwave.equations import TruncatedSystem
+from arcwave.equations import TruncatedSystem, slave_second_block
 from arcwave.nls import EnvelopeField, nls_coefficients, second_order_coefficients
 from arcwave.spectral import Grid1D
 from arcwave.wavepacket import (
+    _HARMONICS,
     _band_coefficients,
     band_mask,
     build,
@@ -48,6 +51,40 @@ def random_envelope(grid: Grid1D, seed: int) -> EnvelopeField:
     return EnvelopeField(grid, vals)
 
 
+def per_mode_band(grid, env, profile, ell, j0, cg, t):
+    """Carrier coefficients of one profile on harmonic ell, one complex
+    scalar product per envelope mode."""
+    g = np.fft.fft(profile) / env.n_points
+    phases = np.exp(-1j * env.mode_numbers * grid.fundamental * cg * t)
+    out = np.zeros(grid.n_points, dtype=complex)
+    for idx, j in enumerate(env.mode_numbers):
+        out[(ell * j0 + j) % grid.n_points] = g[idx] * phases[idx]
+    return out
+
+
+def band_by_band_first_block(packet, grid, t, lead, corrections):
+    """The first block assembled one band at a time from per-mode loops."""
+    p = packet.params
+    j0 = round(p.k0 / grid.fundamental)
+    conj = grid._conjugate_index
+
+    def band(profile, ell):
+        return per_mode_band(grid, packet.A.grid, profile, ell, j0, p.cg, t)
+
+    rows = np.zeros((2, grid.n_points), dtype=complex)
+    carrier = band(lead, 1) * np.exp(-1j * p.omega0 * t)
+    rows[0] += packet.eps * (carrier + np.conj(carrier[conj]))
+    if corrections is not None:
+        for row, m in zip(rows, (-1, 1)):
+            c = band(corrections.A_m0[m], 0)
+            mean = 0.5 * (c + np.conj(c[conj]))
+            harm = band(corrections.A_m2[m], 2) * np.exp(-2j * p.omega0 * t)
+            row += packet.eps**2 * (mean + harm + np.conj(harm[conj]))
+    if packet.truncated:
+        rows[:, ~band_mask(grid, p.k0, packet.delta0)] = 0.0
+    return rows
+
+
 def assert_rows_real(rows, grid, rtol):
     """Each row's Hermitian defect max |c(-k) - conj(c(k))| is at most
     rtol * max(1, max |c|)."""
@@ -64,17 +101,85 @@ class TestRealization:
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
     def test_band_scatter_is_bitwise_the_per_mode_loop(self, ell):
-        # reference: one complex scalar product per envelope mode
+        """Each row on harmonic ell of a stacked assembly (one transform, one
+        phase vector, one scatter) is bitwise the per-mode loop; stacks of
+        one row, of five and of two times five are assembled alike."""
         rng = np.random.default_rng(ell)
-        profile = rng.normal(size=256) + 1j * rng.normal(size=256)
         j0, cg, t = 112, 0.37, 2.9
-        g = np.fft.fft(profile) / ENVELOPE.n_points
-        phases = np.exp(-1j * ENVELOPE.mode_numbers * CARRIER.fundamental * cg * t)
-        want = np.zeros(CARRIER.n_points, dtype=complex)
-        for idx, j in enumerate(ENVELOPE.mode_numbers):
-            want[(ell * j0 + j) % CARRIER.n_points] = g[idx] * phases[idx]
-        got = _band_coefficients(CARRIER, ENVELOPE, profile, ell, j0, cg, EPS, t)
-        assert got.tobytes() == want.tobytes()
+        for shape in ((1,), (5,), (2, 5)):
+            profiles = (rng.normal(size=shape + (256,))
+                        + 1j * rng.normal(size=shape + (256,)))
+            got = _band_coefficients(CARRIER, ENVELOPE, profiles, j0, cg, t)
+            assert got.shape == shape + (CARRIER.n_points,)
+            for index in np.ndindex(shape):
+                if _HARMONICS[index[-1]] != ell:
+                    continue
+                want = per_mode_band(CARRIER, ENVELOPE, profiles[index], ell, j0, cg, t)
+                assert got[index].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("corrections", [False, True])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_realizations_are_bitwise_the_band_by_band_assembly(
+            self, truncate, corrections):
+        coeffs = nls_coefficients(PARAMS.k0, PARAMS.b)
+        packet = wave_packet(sech_envelope(), EPS, PARAMS, corrections=corrections)
+        if truncate:
+            packet = fourier_truncate(packet, DELTA0)
+        a, sec = packet.A.values, packet.corrections
+        for t in (0.0, 1.3):
+            first = band_by_band_first_block(packet, CARRIER, t, a, sec)
+            want = np.concatenate(
+                [first, slave_second_block(CARRIER, first, PARAMS.b)])
+            assert build(packet, CARRIER, t).tobytes() == want.tobytes()
+
+            lead = per_mode_band(CARRIER, ENVELOPE, a, 1, 112, PARAMS.cg, t)
+            lead = lead * np.exp(-1j * PARAMS.omega0 * t)
+            if truncate:
+                lead = np.where(band_mask(CARRIER, PARAMS.k0, DELTA0), lead, 0.0)
+            want = np.array([lead, np.conj(lead[CARRIER._conjugate_index])])
+            assert carrier_halves(packet, CARRIER, t).tobytes() == want.tobytes()
+
+            # the chain rule of build_time_derivative, one band at a time
+            a_tau = envelope_rhs(packet.A, coeffs.half_omega2, coeffs.nu)
+
+            def d_dt(profile, profile_tau, ell):
+                dxi = np.fft.ifft(1j * ENVELOPE.wavenumbers * np.fft.fft(profile))
+                return (EPS**2 * profile_tau - EPS * PARAMS.cg * dxi
+                        - 1j * ell * PARAMS.omega0 * profile)
+
+            d_sec = None
+            if corrections:
+                c = second_order_coefficients(PARAMS.k0, PARAMS.b)
+                mod2 = 2.0 * np.real(np.conj(a) * a_tau)
+                d_sec = SimpleNamespace(
+                    A_m0={m: d_dt(sec.A_m0[m], c["c_m0" if m < 0 else "c_p0"] * mod2, 0)
+                          for m in (-1, 1)},
+                    A_m2={m: d_dt(sec.A_m2[m],
+                                  c["c_m2" if m < 0 else "c_p2"] * 2 * a * a_tau, 2)
+                          for m in (-1, 1)})
+            du = band_by_band_first_block(packet, CARRIER, t, d_dt(a, a_tau, 1), d_sec)
+            plus, minus = slave_second_block(
+                CARRIER, np.array([first + du, first - du]), PARAMS.b)
+            want = np.concatenate([du, 0.5 * (plus - minus)])
+            got = build_time_derivative(packet, CARRIER, t, coeffs.half_omega2, coeffs.nu)
+            assert got.tobytes() == want.tobytes()
+
+    def test_packet_profiles_are_read_only(self):
+        packet = wave_packet(sech_envelope(), EPS, PARAMS)
+        with pytest.raises(ValueError, match="read-only"):
+            packet.A.values[0] = 1.0
+        for profiles in (packet.corrections.A_m0, packet.corrections.A_m2):
+            with pytest.raises(ValueError, match="read-only"):
+                profiles[-1][3] = 0.0
+            with pytest.raises(TypeError):
+                profiles[1] = np.zeros(ENVELOPE.n_points)
+
+    def test_envelope_values_are_a_copy(self):
+        values = sech_envelope().values.copy()
+        field = EnvelopeField(ENVELOPE, values)
+        values[0] = 7.0
+        assert field.values[0] != 7.0
+        assert values.flags.writeable
 
     def test_realized_fields_are_real(self):
         packet = wave_packet(sech_envelope(), EPS, PARAMS)
