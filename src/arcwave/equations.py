@@ -343,8 +343,17 @@ class TruncatedSystem:
         which vanish (up to the dropped cubic remainders) on solutions whose
         second block is slaved to the first (:func:`slave_second_block`).
         The four fields must be real: the product is formed with real
-        transforms.  The zero mode of each relation is excluded by
-        construction (antiderivative convention).
+        transforms.
+
+        The truncated flow is tangent to the zero set of both relations to
+        quadratic order: from a slaved zero-mean first block of amplitude a
+        the defect grows at a rate ~ a^2 relative to u_{-1}, so a freely
+        marched second block drifts off the constraint by the truncation's
+        cubic remainder (``tests/test_sim.py``,
+        ``test_truncated_flow_is_tangent_to_the_constraint_manifold_to_quadratic_order``).
+        The zero mode of each relation is dropped by construction
+        (antiderivative convention).  A first block with a nonzero mean
+        therefore leaves the constraint at a rate ~ a instead.
         """
         u_m1, u_p1, u_m2, u_p2 = state
         s1 = u_m1 + u_p1

@@ -327,6 +327,8 @@ class ScanTemplate:
                 f"unknown horizon {self.horizon!r}; available: {HORIZONS}")
         if self.tau0 <= 0.0:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -376,17 +378,22 @@ def _split_norm(diff: np.ndarray, grid: Grid1D) -> float:
     return math.hypot(*_block_norms(diff, grid))
 
 
+def _scan_config(eps: float, template: ScanTemplate) -> SimConfig:
+    """The run configuration of one scan row."""
+    t_end = (template.tau0 / eps**2 if template.horizon == "tau0_over_eps2"
+             else template.tau0 / eps)
+    return SimConfig(eps=eps, k0=template.k0, b=template.b, n=template.n,
+                     length=scan_grid_length(eps, template.length_scale),
+                     dt=template.dt, t_end=t_end,
+                     band_halfwidth=template.band_halfwidth)
+
+
 def _scan_problem(eps: float, template: ScanTemplate
                   ) -> tuple[SimConfig, WavePacket, np.ndarray]:
     """The run of one scan row: its config, the packet, and the packet's
     initial (4, n) state with the modes outside the keep mask zeroed."""
-    t_end = (template.tau0 / eps**2 if template.horizon == "tau0_over_eps2"
-             else template.tau0 / eps)
-    L = scan_grid_length(eps, template.length_scale)
-    config = SimConfig(eps=eps, k0=template.k0, b=template.b, n=template.n,
-                       length=L, dt=template.dt, t_end=t_end,
-                       band_halfwidth=template.band_halfwidth)
-    A = _sech_envelope(Grid1D(template.n_env, eps * L))
+    config = _scan_config(eps, template)
+    A = _sech_envelope(Grid1D(template.n_env, eps * config.length))
     packet = wave_packet(A, eps, config.model, corrections=template.corrections)
     U0 = build(packet, config.grid, 0.0)
     U0[:, ~config.system.keep_mask] = 0.0
@@ -437,6 +444,138 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
                    second_block_error=float(errors[1]))
 
 
+def _balanced_bins(costs: list[int], n_bins: int) -> list[list[int]]:
+    """Longest-processing-time partition of the row indices into n_bins bins.
+
+    Rows go, costliest first (ties in input order), to the bin with the
+    least cost so far (ties to the emptier, then the lower bin), so bin 0
+    holds the costliest row.  Each bin lists its rows in input order.
+    """
+    bins: list[list[int]] = [[] for _ in range(n_bins)]
+    loads = [0] * n_bins
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        j = min(range(n_bins), key=lambda j: (loads[j], len(bins[j])))
+        bins[j].append(i)
+        loads[j] += costs[i]
+    return [sorted(rows) for rows in bins]
+
+
+def _run_bin(eps_list: tuple[float, ...], indices: list[int], template: ScanTemplate
+             ) -> tuple[dict[int, ScanRow], Optional[tuple[int, Exception]]]:
+    """The rows of one bin in input order, up to the first that raises.
+
+    Returns the rows by index and, if a row raised, (its index, the error).
+    Since every bin runs its rows in input order, the failure of lowest
+    index over all bins is the one a single loop over eps_list meets first.
+    """
+    rows = {}
+    for i in indices:
+        try:
+            rows[i] = _scan_single(eps_list[i], template)
+        except Exception as exc:  # handed to error_scan, which re-raises it
+            return rows, (i, exc)
+    return rows, None
+
+
+def _bin_child(eps_list: tuple[float, ...], indices: list[int],
+               template: ScanTemplate, write_fd: int) -> None:
+    """Body of a forked row process: run one bin, pickle its outcome into
+    the pipe and leave by ``os._exit``, never returning to the caller's stack."""
+    import os
+    import pickle
+
+    status = 1
+    try:
+        rows, failure = _run_bin(eps_list, indices, template)
+        data = pickle.dumps((rows, failure))
+        if failure is not None:
+            try:
+                pickle.loads(data)
+            except Exception:  # an error that does not survive pickling
+                index, exc = failure
+                data = pickle.dumps((rows, (index, RuntimeError(
+                    f"scan row eps={eps_list[index]} failed: {exc!r}"))))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _scan_rows(eps_list: tuple[float, ...], template: ScanTemplate
+               ) -> tuple[ScanRow, ...]:
+    """The rows of ``error_scan`` in input order, spread over the CPUs.
+
+    The rows are split by ``_balanced_bins`` over min(CPUs, rows) bins,
+    weighted by their step counts.  The caller marches the bin with the
+    costliest row; every other bin runs in a forked child that pickles its
+    rows back through a pipe, or in the caller if the fork fails.  Every
+    child is reaped before this returns or raises.  If a row raises, the
+    error of the lowest-index failing row is re-raised once all bins are
+    done, as the one-process loop would raise it.
+    """
+    import os
+    import pickle
+    import threading
+
+    costs = [_scan_config(eps, template).n_steps for eps in eps_list]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        cpus = os.cpu_count() or 1
+    n_bins = min(cpus, len(eps_list))
+    # fork copies only the calling thread, so the locks other threads hold
+    # would stay held in the child forever
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        n_bins = 1
+    bins = _balanced_bins(costs, n_bins)
+
+    local = bins[:1]  # the bins this process marches
+    children = {}  # pid -> read end of its pipe
+    try:
+        for indices in bins[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: march the bin here
+                os.close(read_fd)
+                os.close(write_fd)
+                local.append(indices)
+                continue
+            if pid == 0:
+                _bin_child(eps_list, indices, template, write_fd)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        outcomes = [_run_bin(eps_list, indices, template) for indices in local]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if not data:
+                raise RuntimeError(
+                    f"scan row process {pid} left without its rows (wait status {status})")
+            outcomes.append(pickle.loads(data))
+    finally:
+        if children:  # leaving early: stop and reap what is still running
+            import signal
+
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    rows = {}
+    failures = []
+    for bin_rows, failure in outcomes:
+        rows.update(bin_rows)
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return tuple(rows[i] for i in range(len(eps_list)))
+
+
 def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
                template: ScanTemplate = ScanTemplate()) -> ErrorScanResult:
     """Sup-in-time approximation error per eps, plus the fitted decay order.
@@ -446,7 +585,11 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
     equation.  Only the first block u_{-/+1} is marched: it is autonomous,
     and the free second block is not slaved to it (its constraint defect
     grows to O(1) at fixed slow time for every eps), so at each sample the
-    second block is re-slaved from the simulated first block.  The recorded
+    second block is re-slaved from the simulated first block.  That drift
+    is the truncation's cubic remainder: the truncated flow leaves the
+    constraint at a rate ~ a^2 on zero-mean data of amplitude a, and ~ a
+    once the data carry a mean, since both constraint relations drop k = 0
+    (``TruncatedSystem.consistency_defect``).  The recorded
     error is the worst sampled distance in the mixed (L2, H2) norm, with the
     per-block sups alongside (:class:`ScanRow`); the slope is fitted to
     log sup_error against log eps.
@@ -456,12 +599,24 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
     row refuses to fit: it raises ``ValueError`` naming each flagged eps
     with its error and size.  Fewer than two eps values leave no slope to
     fit and are refused before any run starts.
+
+    The rows are independent runs, so they are spread over the CPUs this
+    process may use (``os.sched_getaffinity``, else ``os.cpu_count``):
+    min(CPUs, rows) bins balanced by step count, the caller marching the
+    bin with the longest row and each other bin running in a forked child.
+    The rows run inline, in one process, when there is one CPU, when
+    ``os.fork`` is missing, or when other threads are running.  Each row is
+    the same ``_scan_single`` call either way, so the rows are bitwise those
+    of the one-process loop and come back in input order.  A failing row
+    raises the error the one-process loop would raise first, and no child
+    outlives the call.  The children's memory is not in this process's
+    ``RUSAGE_SELF`` peak.
     """
     if len(eps_list) < 2:
         raise ValueError(
             f"an error scan needs at least two eps values to fit a slope, "
             f"got {len(eps_list)}")
-    rows = tuple(_scan_single(eps, template) for eps in eps_list)
+    rows = _scan_rows(eps_list, template)
     flagged = [row for row in rows if row.flagged]
     if flagged:
         raise ValueError(

@@ -5,12 +5,14 @@ measured once on the frozen protocol below and asserted with explicit
 margins; the protocol is deterministic, so reruns reproduce the numbers.
 """
 
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from arcwave.equations import TruncatedSystem
+from arcwave.equations import TruncatedSystem, slave_second_block
 from arcwave.kernels import default_params, first_block_symbol, rho_extremes, theta_inv_hat
 from arcwave.nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from arcwave import sim
@@ -371,6 +373,9 @@ def test_scan_template_validation():
         ScanTemplate(horizon="forever")
     with pytest.raises(ValueError, match="tau0"):
         ScanTemplate(tau0=0.0)
+    # a zero sample count used to reach a division by zero inside the first row
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        ScanTemplate(n_samples=0)
 
 
 def free_scan_rows(eps_list, template):
@@ -491,6 +496,152 @@ def test_error_scan_refuses_to_fit_through_flagged_rows(monkeypatch):
     assert error_scan((0.15, 0.1)).slope == pytest.approx(1.0)
 
 
+def fake_scan_row(eps, template):
+    """A scan row without a run: flagged above eps 0.15."""
+    return ScanRow(eps=eps, b=0.0, sup_error=2.0 * eps, approx_size=1.0,
+                   t_end=1.0, flagged=eps > 0.15, first_block_error=0.5 * eps,
+                   second_block_error=2.0 * eps)
+
+
+def count_forks(monkeypatch):
+    """Record the pid of every child ``os.fork`` starts from here on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_balanced_bins_keep_the_costliest_row_in_bin_zero():
+    # step counts of the benchmark rows eps 0.10, 0.15, 0.07 and 0.10 again
+    assert sim._balanced_bins([250, 111, 510], 2) == [[2], [0, 1]]
+    assert sim._balanced_bins([250, 111, 510, 250], 3) == [[2], [0, 1], [3]]
+    assert sim._balanced_bins([0, 0, 5], 3) == [[2], [0], [1]]
+    assert sim._balanced_bins([3, 1, 2], 1) == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("eps,cpus,forks", [
+    ((0.10, 0.15, 0.07), 2, 1),
+    ((0.10, 0.15, 0.07, 0.10), 3, 2),
+])
+def test_error_scan_forked_rows_equal_the_one_process_rows(monkeypatch, eps, cpus, forks):
+    template = ScanTemplate(tau0=0.1)  # the benchmark's scan
+    pids = count_forks(monkeypatch)
+    set_cpus(monkeypatch, 1)
+    inline = error_scan(eps, template)
+    assert pids == []
+    set_cpus(monkeypatch, cpus)
+    forked = error_scan(eps, template)
+    assert len(pids) == forks
+    assert [row.eps for row in forked.rows] == list(eps)
+    assert forked.rows == inline.rows
+    assert forked.slope == inline.slope
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bins", [[[1], [0]], [[0], [1]]], ids=["in-caller", "in-child"])
+def test_error_scan_refused_row_raises_the_same_error_on_both_paths(monkeypatch, bins):
+    # n = 1024 cannot hold eps 0.05's shifted envelope bands; the row is
+    # refused wherever it runs, and the one-process loop's error comes back
+    template = ScanTemplate(tau0=0.1)
+    pids = count_forks(monkeypatch)
+    set_cpus(monkeypatch, 1)
+    with pytest.raises(ValueError, match="carrier grid too small") as inline:
+        error_scan((0.10, 0.05), template)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sim, "_balanced_bins", lambda costs, n_bins: bins)
+    with pytest.raises(ValueError) as forked:
+        error_scan((0.10, 0.05), template)
+    assert len(pids) == 1
+    assert str(forked.value) == str(inline.value)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("condition,forks", [
+    ("two cpus", 1),
+    ("one cpu", 0),
+    ("no fork", 0),
+    ("cpu count of two without affinity", 1),
+    ("cpu count of one without affinity", 0),
+    ("another thread running", 0),
+    ("fork fails", 0),
+])
+def test_error_scan_forks_only_with_a_second_cpu_and_no_other_thread(
+        monkeypatch, condition, forks):
+    monkeypatch.setattr(sim, "_scan_single", fake_scan_row)
+    pids = count_forks(monkeypatch)
+    set_cpus(monkeypatch, 1 if condition == "one cpu" else 2)
+    if condition == "no fork":
+        monkeypatch.delattr(os, "fork")
+    if condition == "fork fails":
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+    if "without affinity" in condition:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1 if "of one" in condition else 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    if condition == "another thread running":
+        other.start()
+    try:
+        result = error_scan((0.15, 0.1))
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(10.0)
+    assert not other.is_alive()
+    assert len(pids) == forks
+    assert result.rows == (fake_scan_row(0.15, None), fake_scan_row(0.1, None))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_error_scan_raises_the_first_failing_row_in_input_order(monkeypatch, cpus):
+    # with two CPUs eps 0.1, the longest row, fails in the caller while
+    # eps 0.2, earlier in the list, fails in the child
+    def failing_row(eps, template):
+        if eps < 0.25:
+            raise ValueError(f"row eps={eps} refused")
+        return fake_scan_row(eps, template)
+
+    monkeypatch.setattr(sim, "_scan_single", failing_row)
+    set_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match="row eps=0.2 refused"):
+        error_scan((0.3, 0.2, 0.1))
+    assert_no_child_left()
+
+
+def test_error_scan_reports_a_child_that_left_without_its_rows(monkeypatch):
+    caller = os.getpid()
+
+    def dying_row(eps, template):
+        if os.getpid() != caller:
+            os._exit(3)
+        return fake_scan_row(eps, template)
+
+    monkeypatch.setattr(sim, "_scan_single", dying_row)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="left without its rows"):
+        error_scan((0.15, 0.1))
+    assert_no_child_left()
+
+
 def test_error_scan_refuses_fewer_than_two_eps():
     with pytest.raises(ValueError, match="at least two eps"):
         error_scan((0.2,))
@@ -551,6 +702,41 @@ def test_consistency_defect_bounded_over_slow_horizon(monitored_run):
     half = len(samples) // 2
     assert max(c1s[half:]) <= 3.0 * max(c1s[1:half + 1])
     assert max(c2s[half:]) <= 3.0 * max(c2s[1:half + 1])
+
+
+def constraint_drift_rates(amplitude, keep_mean):
+    """||dD/dt|| / ||u_{-1}|| for both relations D = ``consistency_defect`` at a
+    slaved random first block (|k| <= 2.5, n = 256, L = 40, b = 0) of peak
+    |u_{-1}| ``amplitude``, with or without its mean.  D is quadratic, so the
+    central difference along F = ``full_rhs`` is exact for any h."""
+    grid = Grid1D(256, 40.0)
+    system = TruncatedSystem(grid, 0.0)
+    rng = np.random.default_rng(0)
+    k = half_spectrum(grid.wavenumbers)
+    half = rng.normal(size=(2, k.size)) + 1j * rng.normal(size=(2, k.size))
+    half[:, np.abs(k) > 2.5] = 0.0
+    half[:, 0] = rng.normal(size=2) if keep_mean else 0.0
+    first = full_spectrum(half, grid.n_points)
+    first *= amplitude / np.max(np.abs(np.fft.ifft(first[0], norm="forward")))
+    U = np.concatenate([first, slave_second_block(grid, first, 0.0)])
+    F = system.full_rhs(U)
+    h = 0.1
+    plus = system.consistency_defect(U + h * F)
+    minus = system.consistency_defect(U - h * F)
+    return np.array([np.linalg.norm((p - m) / (2.0 * h)) for p, m in zip(plus, minus)]
+                    ) / np.linalg.norm(U[0])
+
+
+def test_truncated_flow_is_tangent_to_the_constraint_manifold_to_quadratic_order():
+    # Why a freely marched second block drifts off the constraint manifold:
+    # on zero-mean data the truncated flow leaves it at a relative rate
+    # ~ a^2, the cubic remainder the truncation drops, not at O(a) as a
+    # wrong product would.  Both relations drop k = 0, so a mean breaks the
+    # tangency and the rate falls back to ~ a.
+    ratio = constraint_drift_rates(1e-2, False) / constraint_drift_rates(1e-3, False)
+    assert np.all((90.0 <= ratio) & (ratio <= 110.0))
+    ratio = constraint_drift_rates(1e-2, True) / constraint_drift_rates(1e-3, True)
+    assert np.all((8.0 <= ratio) & (ratio <= 12.0))
 
 
 # ---------------------------------------------------------------------------
