@@ -480,21 +480,18 @@ def _run_bin(eps_list: tuple[float, ...], indices: list[int], template: ScanTemp
 def _bin_child(eps_list: tuple[float, ...], indices: list[int],
                template: ScanTemplate, write_fd: int) -> None:
     """Body of a forked row process: run one bin, pickle its outcome into
-    the pipe and leave by ``os._exit``, never returning to the caller's stack."""
+    the pipe and leave by ``os._exit``, never returning to the caller's stack.
+
+    Anything that stops the outcome from reaching the pipe, an error that
+    does not pickle included, leaves the pipe empty, which the caller
+    reports as a child that left without its rows.
+    """
     import os
     import pickle
 
     status = 1
     try:
-        rows, failure = _run_bin(eps_list, indices, template)
-        data = pickle.dumps((rows, failure))
-        if failure is not None:
-            try:
-                pickle.loads(data)
-            except Exception:  # an error that does not survive pickling
-                index, exc = failure
-                data = pickle.dumps((rows, (index, RuntimeError(
-                    f"scan row eps={eps_list[index]} failed: {exc!r}"))))
+        data = pickle.dumps(_run_bin(eps_list, indices, template))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(data)
         status = 0

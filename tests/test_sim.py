@@ -627,12 +627,18 @@ def test_error_scan_raises_the_first_failing_row_in_input_order(monkeypatch, cpu
     assert_no_child_left()
 
 
-def test_error_scan_reports_a_child_that_left_without_its_rows(monkeypatch):
+@pytest.mark.parametrize("how", ["exit", "unpicklable error"])
+def test_error_scan_reports_a_child_that_left_without_its_rows(monkeypatch, how):
     caller = os.getpid()
+
+    class LocalError(Exception):
+        """Defined in a function, so pickle cannot find it by name."""
 
     def dying_row(eps, template):
         if os.getpid() != caller:
-            os._exit(3)
+            if how == "exit":
+                os._exit(3)
+            raise LocalError(f"row eps={eps}")
         return fake_scan_row(eps, template)
 
     monkeypatch.setattr(sim, "_scan_single", dying_row)
