@@ -32,6 +32,8 @@ routes independent.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
@@ -242,6 +244,11 @@ class TruncatedSystem:
         stepper can advance it exactly.  Complex full-layout states go
         through ``full_nonlinear``.
 
+        Each call binds a fresh ``evaluator`` to the state's shape and
+        returns a fresh array that shares no memory with any other result.
+        A loop that evaluates many states of one shape binds one evaluator
+        itself instead (``sim._march``), which saves the allocations.
+
         The first block is autonomous: its products read only s1 and d1, so
         the r = 2 call is the prefix of the r = 4 call's product list (3 of
         the 11 precursors, 3 of the 8 product sums) and returns rows 0-1 of
@@ -265,49 +272,114 @@ class TruncatedSystem:
         one ``irfft`` of 11 (3) precursors, one ``rfft`` of 8 (3) product sums.
         """
         rows = state.shape[-2]
+        batch = state.shape[:-2]
+        out = np.empty(batch + (rows, self.grid.n_points // 2 + 1), dtype=np.complex128)
+        return self.evaluator(rows, batch)(state, out)
+
+    def evaluator(self, rows: int, batch: tuple[int, ...] = ()
+                  ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``nonlinear`` bound to its own buffers for states of one shape.
+
+        Returns f(U, out), which writes the nonlinearity of the half spectra
+        U, shape batch + (rows, n//2 + 1), into ``out`` of that shape and
+        returns ``out``; only U's first n//2 columns are read (see
+        ``nonlinear`` for the product list).  The precursor, physical,
+        product and spectrum buffers, and their row views, are allocated
+        here, once; every evaluation overwrites them with ufunc ``out=``,
+        through one ``irfft`` and one ``rfft``.  So an evaluation does not
+        depend on the ones before it, and f(U, out) is ``nonlinear(U)`` bit
+        for bit.
+
+        The buffers belong to f alone: nothing is stored on the system,
+        which stays immutable, picklable and shareable across threads.  One
+        f must not be called from two threads at once; bind one per thread
+        (per march).
+        """
         if rows not in self._stages:
             raise ValueError(
                 f"nonlinear takes 4 components or the first block's 2, got {rows}")
         pre, source, post = self._stages[rows]
         n = self.grid.n_points
         m = n // 2
-        batch = state.shape[:-2]
-        # component axis first, the batch axes flattened into one behind it
-        u = state[..., :m].reshape(-1, rows, m).swapaxes(0, 1)
-        sd = [u[0] + u[1], u[0] - u[1]]
-        if rows == 4:
-            sd += [u[2] + u[3], u[2] - u[3]]
-
-        # physical-space precursors
-        P = np.fft.irfft(pre * np.array(sd)[source], n, norm="forward")
+        count = math.prod(batch)
+        # component axis first, the batch axes flattened into one behind it;
+        # the row views put the batch axes back, to meet U's and out's rows
+        sd = np.empty((rows, count, m), dtype=np.complex128)
+        spec_in = np.empty((len(source), count, m), dtype=np.complex128)
+        phys = np.empty((len(source), count, n))
+        Q = np.empty((len(post), count, n))  # the products
+        spec = np.empty((len(post), count, m + 1), dtype=np.complex128)
+        tmp = np.empty((count, n))
+        sd_rows = [row.reshape(batch + (m,)) for row in sd]
+        G = [row.reshape(batch + (m + 1,)) for row in spec]
+        in_shape = batch + (rows,)
+        out_shape = batch + (rows, m + 1)
+        b = self.b
+        mul, add, sub = np.multiply, np.add, np.subtract
         if rows == 2:
-            P_s1, P_K0s1, P_sid1 = P
+            P_s1, P_K0s1, P_sid1 = phys
         else:
             (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
-             P_iasid2, P_K0iasid2, P_K0sid2a) = P
-        products = [
-            P_K0s1 * P_K0s1 - P_s1 * P_s1,
-            P_sid1 * P_s1,
-            P_sid1 * P_K0s1,
-        ]
-        if rows == 4:
-            products += [
-                P_K0iasid2 * P_sid2 - P_ia2s2 * P_s2 - P_ia1s2 * P_ia1s2
-                + P_K0ia1s2 * P_K0ia1s2 - self.b * P_sid2 * P_K0sid2a,
-                P_ia2s2 * P_sid2 + P_iasid2 * P_ia1s2,
-                P_sid1 * P_ia1s2,
-                P_iasid2 * P_K0ia1s2,
-                P_sid1 * P_K0ia1s2,
-            ]
+             P_iasid2, P_K0iasid2, P_K0sid2a) = phys
 
-        # product sums, one per coefficient-space multiplier (see _post)
-        G = post * np.fft.rfft(np.array(products), norm="forward")
-        E1, X1 = G[0], G[1] + G[2]
-        out = [E1 - X1, E1 + X1]
-        if rows == 4:
-            E2, X2 = G[3], G[4] + G[5] + G[6] + G[7]
-            out += [E2 - X2, E2 + X2]
-        return np.array(out).swapaxes(0, 1).reshape(batch + (rows, m + 1))
+        def f(U: np.ndarray, out: np.ndarray) -> np.ndarray:
+            if U.shape[:-1] != in_shape or out.shape != out_shape:
+                raise ValueError(
+                    f"evaluator bound to {out_shape}, got U {U.shape}, out {out.shape}")
+            # (s1, d1, s2, d2), then the precursors in coefficient space
+            for i in range(0, rows, 2):
+                u_m, u_p = U[..., i, :m], U[..., i + 1, :m]
+                add(u_m, u_p, out=sd_rows[i])
+                sub(u_m, u_p, out=sd_rows[i + 1])
+            sd.take(source, axis=0, out=spec_in, mode="clip")
+            mul(pre, spec_in, out=spec_in)
+
+            # physical-space precursors and their products
+            np.fft.irfft(spec_in, n, norm="forward", out=phys)
+            # P_K0s1 * P_K0s1 - P_s1 * P_s1
+            mul(P_K0s1, P_K0s1, out=Q[0])
+            mul(P_s1, P_s1, out=tmp)
+            sub(Q[0], tmp, out=Q[0])
+            mul(P_sid1, P_s1, out=Q[1])
+            mul(P_sid1, P_K0s1, out=Q[2])
+            if rows == 4:
+                # P_K0iasid2 * P_sid2 - P_ia2s2 * P_s2 - P_ia1s2 * P_ia1s2
+                # + P_K0ia1s2 * P_K0ia1s2 - b * P_sid2 * P_K0sid2a
+                mul(P_K0iasid2, P_sid2, out=Q[3])
+                mul(P_ia2s2, P_s2, out=tmp)
+                sub(Q[3], tmp, out=Q[3])
+                mul(P_ia1s2, P_ia1s2, out=tmp)
+                sub(Q[3], tmp, out=Q[3])
+                mul(P_K0ia1s2, P_K0ia1s2, out=tmp)
+                add(Q[3], tmp, out=Q[3])
+                mul(b, P_sid2, out=tmp)
+                mul(tmp, P_K0sid2a, out=tmp)
+                sub(Q[3], tmp, out=Q[3])
+                # P_ia2s2 * P_sid2 + P_iasid2 * P_ia1s2
+                mul(P_ia2s2, P_sid2, out=Q[4])
+                mul(P_iasid2, P_ia1s2, out=tmp)
+                add(Q[4], tmp, out=Q[4])
+                mul(P_sid1, P_ia1s2, out=Q[5])
+                mul(P_iasid2, P_K0ia1s2, out=Q[6])
+                mul(P_sid1, P_K0ia1s2, out=Q[7])
+
+            # product sums, one per coefficient-space multiplier (see _post)
+            np.fft.rfft(Q, norm="forward", out=spec)
+            mul(post, spec, out=spec)
+            # n_{-/+1} = E1 -/+ X1 with E1 = G[0], X1 = G[1] + G[2]
+            add(G[1], G[2], out=G[1])
+            sub(G[0], G[1], out=out[..., 0, :])
+            add(G[0], G[1], out=out[..., 1, :])
+            if rows == 4:
+                # n_{-/+2} = E2 -/+ X2 with E2 = G[3], X2 = G[4] + ... + G[7]
+                add(G[4], G[5], out=G[4])
+                add(G[4], G[6], out=G[4])
+                add(G[4], G[7], out=G[4])
+                sub(G[3], G[4], out=out[..., 2, :])
+                add(G[3], G[4], out=out[..., 3, :])
+            return out
+
+        return f
 
     def full_nonlinear(self, state: np.ndarray) -> np.ndarray:
         """``nonlinear`` on full-layout (..., 4, n) coefficients, complex allowed.

@@ -141,16 +141,6 @@ def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
 # ---------------------------------------------------------------------------
 
 
-def _lawson_step(system: TruncatedSystem, U: np.ndarray, dt: float,
-                 e_full: np.ndarray, e_half: np.ndarray) -> np.ndarray:
-    """One IFRK4 step of the half-spectrum state U, shape (r, n//2 + 1)."""
-    N1 = system.nonlinear(U)
-    N2 = system.nonlinear(e_half * (U + 0.5 * dt * N1))
-    N3 = system.nonlinear(e_half * U + 0.5 * dt * N2)
-    N4 = system.nonlinear(e_full * U + dt * e_half * N3)
-    return e_full * U + (dt / 6.0) * (e_full * N1 + 2.0 * e_half * (N2 + N3) + N4)
-
-
 def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
            n_steps: int, sample_every: int = 0):
     """The Lawson loop: march half spectra U, (r, n//2 + 1), for n_steps steps.
@@ -159,23 +149,64 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     autonomous (``TruncatedSystem.nonlinear``), so its states are bitwise
     rows 0-1 of the r = 4 march from the same first block.  Yields (t, U)
     after every ``sample_every``-th step short of the last (none if 0), then
-    once after the last step (at t0 if n_steps is 0).
+    once after the last step (at t0 if n_steps is 0).  Each yielded U is a
+    fresh array; the caller's U is not written.
+
+    One IFRK4 step from U, with E = e^{lam dt} and H = e^{lam dt/2}:
+
+        N1 = N(U)                      N2 = N(H (U + dt/2 N1))
+        N3 = N(H U + dt/2 N2)          N4 = N(E U + dt H N3)
+        U <- E U + dt/6 (E N1 + 2 H (N2 + N3) + N4)
+
+    The march binds one ``TruncatedSystem.evaluator`` and its own stage
+    buffers once, and every step writes them in place, with the operations
+    and operand orders of the formulas above, so the states are bitwise
+    those of evaluating the formulas with fresh arrays.  The buffers belong
+    to this generator alone, so two marches on one system, in one thread or
+    in two, do not disturb each other.
 
     Aborts with the step index on the first non-finite coefficient, which in
     practice means the quadratic terms have blown up (the linear part cannot:
     its phases have modulus one).
     """
-    lam = system.half_linear_symbols[: U.shape[-2]]
+    U = np.array(U, dtype=np.complex128)  # the state, advanced in place
+    rows = U.shape[-2]
+    lam = system.half_linear_symbols[:rows]
     e_full = np.exp(lam * dt)
     e_half = np.exp(lam * 0.5 * dt)
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    dt_e_half, two_e_half = dt * e_half, 2.0 * e_half
+    nonlinear = system.evaluator(rows)
+    N1, N2, N3, N4, stage, tmp, eU = (np.empty_like(U) for _ in range(7))
+    finite = np.empty(U.shape, dtype=bool)
+    mul, add = np.multiply, np.add
     t = t0
     for i in range(n_steps):
-        U = _lawson_step(system, U, dt, e_full, e_half)
+        nonlinear(U, N1)
+        mul(half_dt, N1, out=tmp)  # N2
+        add(U, tmp, out=tmp)
+        mul(e_half, tmp, out=stage)
+        nonlinear(stage, N2)
+        mul(e_half, U, out=stage)  # N3
+        mul(half_dt, N2, out=tmp)
+        add(stage, tmp, out=stage)
+        nonlinear(stage, N3)
+        mul(e_full, U, out=eU)  # N4
+        mul(dt_e_half, N3, out=tmp)
+        add(eU, tmp, out=stage)
+        nonlinear(stage, N4)
+        mul(e_full, N1, out=tmp)  # the update
+        add(N2, N3, out=N2)
+        mul(two_e_half, N2, out=N2)
+        add(tmp, N2, out=tmp)
+        add(tmp, N4, out=tmp)
+        mul(sixth_dt, tmp, out=tmp)
+        add(eU, tmp, out=U)
         t = t0 + (i + 1) * dt
-        if not np.all(np.isfinite(U)):
+        if not np.isfinite(U, out=finite).all():
             raise RuntimeError(f"non-finite state after step {i + 1} (t={t:.6g})")
         if sample_every and (i + 1) % sample_every == 0 and (i + 1) != n_steps:
-            yield t, U
+            yield t, U.copy()
     yield t, U
 
 
@@ -365,17 +396,22 @@ class ErrorScanResult:
         return {row.eps: row.sup_error for row in self.rows}
 
 
-def _block_norms(diff: np.ndarray, grid: Grid1D) -> tuple[float, float]:
-    """L2 norm of the first block (rows 0-1), H2 norm of the second (rows 2-3)."""
-    w = (1.0 + grid.wavenumbers**2) ** 2
+def _h2_weight(grid: Grid1D) -> np.ndarray:
+    """The H2 weight (1 + k^2)^2 of ``_block_norms``, built once per run."""
+    return (1.0 + grid.wavenumbers**2) ** 2
+
+
+def _block_norms(diff: np.ndarray, grid: Grid1D, w: np.ndarray) -> tuple[float, float]:
+    """L2 norm of the first block (rows 0-1), H2 norm of the second (rows 2-3),
+    with w = ``_h2_weight(grid)``."""
     first = grid.length * np.sum(np.abs(diff[:2]) ** 2)
     second = grid.length * np.sum(w * np.abs(diff[2:]) ** 2)
     return float(np.sqrt(first)), float(np.sqrt(second))
 
 
-def _split_norm(diff: np.ndarray, grid: Grid1D) -> float:
+def _split_norm(diff: np.ndarray, grid: Grid1D, w: np.ndarray) -> float:
     """L2 on the first block, H2 on the second block, all four combined."""
-    return math.hypot(*_block_norms(diff, grid))
+    return math.hypot(*_block_norms(diff, grid, w))
 
 
 def _scan_config(eps: float, template: ScanTemplate) -> SimConfig:
@@ -407,9 +443,10 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
     keep = config.system.keep_mask
     n_steps = config.n_steps
     block = max(1, n_steps // template.n_samples)
+    w = _h2_weight(grid)
 
     errors = np.zeros(3)  # sups of the first-block, second-block, mixed errors
-    approx_size = _split_norm(U0, grid)
+    approx_size = _split_norm(U0, grid, w)
     flagged = False
     done = 0
     A_now = packet.A
@@ -431,9 +468,9 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
         marched = full_spectrum(V, config.n)
         state = np.concatenate([marched, slave_second_block(grid, marched, template.b)])
         state[:, ~keep] = 0.0
-        first, second = _block_norms(state - ref, grid)
+        first, second = _block_norms(state - ref, grid, w)
         err = math.hypot(first, second)
-        size = _split_norm(ref, grid)
+        size = _split_norm(ref, grid, w)
         errors = np.maximum(errors, (first, second, err))
         approx_size = max(approx_size, size)
         if err > size:

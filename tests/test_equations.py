@@ -492,3 +492,58 @@ def test_nonlinear_refuses_other_row_counts(rows):
     state = np.zeros((rows, GRID.n_points // 2 + 1), dtype=complex)
     with pytest.raises(ValueError, match=f"got {rows}"):
         system.nonlinear(state)
+
+
+# ---------------------------------------------------------------------------
+# the bound evaluator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_bound_evaluator_is_bitwise_nonlinear_call_after_call(rows, batch):
+    # one evaluator reused on different states gives each state's fresh
+    # nonlinear(state) bit for bit, writes into out and leaves U alone
+    rng = np.random.default_rng(21)
+    for system in first_block_systems():
+        grid = system.grid
+        states = [np.array([half_spectrum(random_real_state(rng, grid, scale=0.1))[:rows]
+                            for _ in range(int(np.prod(batch)))]).reshape(
+                                batch + (rows, grid.n_points // 2 + 1))
+                  for _ in range(2)]
+        f = system.evaluator(rows, batch)
+        out = np.empty_like(states[0])
+        for state in (states[0], states[1], states[0]):
+            before = state.copy()
+            assert f(state, out) is out
+            assert np.array_equal(out, system.nonlinear(state))
+            assert np.array_equal(state, before)
+
+
+def test_bound_evaluator_refuses_other_shapes():
+    system = TruncatedSystem(GRID, BOND)
+    m = GRID.n_points // 2
+    f = system.evaluator(2)
+    with pytest.raises(ValueError, match="bound to"):
+        f(np.zeros((4, m + 1), dtype=complex), np.empty((2, m + 1), dtype=complex))
+    with pytest.raises(ValueError, match="bound to"):
+        f(np.zeros((3, 2, m + 1), dtype=complex), np.empty((3, 2, m + 1), dtype=complex))
+    with pytest.raises(ValueError, match="bound to"):
+        f(np.zeros((2, m + 1), dtype=complex), np.empty((2, m), dtype=complex))
+    with pytest.raises(ValueError, match="got 3"):
+        system.evaluator(3)
+
+
+def test_nonlinear_results_never_share_memory():
+    # each call binds its own buffers, so no result is a view of another's
+    rng = np.random.default_rng(22)
+    system = TruncatedSystem(GRID, BOND)
+    state = half_spectrum(random_real_state(rng))
+    batch = np.stack([state, half_spectrum(random_real_state(rng))])
+    results = [system.nonlinear(state), system.nonlinear(state),
+               system.nonlinear(state[:2]), system.nonlinear(batch)]
+    for i, a in enumerate(results):
+        assert not np.shares_memory(a, state) and not np.shares_memory(a, batch)
+        for b in results[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(results[0], results[1])

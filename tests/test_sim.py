@@ -217,8 +217,15 @@ def test_rhs_quadratic_part_scales_quadratically():
 
 def test_linear_evolution_is_exact(monkeypatch):
     # with the quadratic terms switched off, each Lawson step is the exact
-    # linear propagator
-    monkeypatch.setattr(TruncatedSystem, "nonlinear", lambda self, U: np.zeros_like(U))
+    # linear propagator; the march evaluates them through the evaluator it
+    # binds, so that is where they are switched off
+    def zero_evaluator(self, rows, batch=()):
+        def f(U, out):
+            out[...] = 0.0
+            return out
+        return f
+
+    monkeypatch.setattr(TruncatedSystem, "evaluator", zero_evaluator)
     config = good_config(n=256, dt=0.05, t_end=10.0, b=0.13)
     state = random_state(config.grid, 0.5, seed=3)
     out = run(config, state)
@@ -313,6 +320,60 @@ def test_first_block_march_is_bitwise_rows_0_1_of_the_four_component_run(b):
             assert np.array_equal(full_spectrum(V, config.n), sample.matrix[:2])
 
 
+def test_interleaved_marches_on_one_system_are_bitwise_lone_marches():
+    # each march binds its own buffers: two marches on one system, a
+    # four-row and a first-block one, advanced alternately, give bitwise the
+    # states of each march alone; the caller's arrays are not written, and
+    # no yielded state is a view of another
+    config = good_config(b=BOND, t_end=1.5)
+    system = config.system
+    starts = [half_spectrum(random_state(config.grid, 0.02, seed=seed).matrix)[:rows]
+              for seed, rows in ((41, 4), (43, 2))]
+    copies = [U.copy() for U in starts]
+
+    def march(U):
+        return sim._march(system, U, 0.0, config.dt, config.n_steps, 4)
+
+    lone = [list(march(U)) for U in starts]
+    interleaved = list(zip(*(march(U) for U in starts)))
+    assert len(interleaved) == len(lone[0]) == len(lone[1]) == 8
+    for j, alone in enumerate(lone):
+        together = [pair[j] for pair in interleaved]
+        for (t_a, U_a), (t_b, U_b) in zip(alone, together):
+            assert t_a == t_b
+            assert np.array_equal(U_a, U_b)
+        states = [U for _, U in together]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(states) for b in states[i + 1:])
+        assert np.array_equal(starts[j], copies[j])
+
+
+def test_threads_running_one_config_give_the_sequential_finals():
+    # a system holds no buffers, so two threads can run one config at once
+    seeds = (51, 53)
+    states = [random_state(good_config(n=512).grid, 0.01, seed=seed) for seed in seeds]
+    sequential = [run(good_config(n=512, t_end=4.0), state).final.matrix
+                  for state in states]
+    config = good_config(n=512, t_end=4.0)  # shared, its system not yet built
+    finals = [None, None]
+    barrier = threading.Barrier(2)
+
+    def work(i):
+        barrier.wait()
+        try:
+            finals[i] = run(config, states[i]).final.matrix
+        except Exception as exc:  # reported by the assertion below
+            finals[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for final, expected in zip(finals, sequential):
+        assert np.array_equal(final, expected)
+
+
 def test_run_rejects_mismatched_grid():
     config = good_config(n=128)
     state = random_state(Grid1D(64, 8 * np.pi), 1e-3, seed=2)
@@ -390,7 +451,8 @@ def free_scan_rows(eps_list, template):
         block = max(1, config.n_steps // template.n_samples)
         out = run(config, SimState(grid, U0, 0.0), sample_every=block)
         A_now, prev_t = packet.A, 0.0
-        err, size = 0.0, sim._split_norm(U0, grid)
+        w = sim._h2_weight(grid)
+        err, size = 0.0, sim._split_norm(U0, grid, w)
         for s in out.samples[1:]:
             steps = round((s.t - prev_t) / config.dt)
             A_now = nls_solve(A_now, coeffs, dtau=eps**2 * config.dt,
@@ -401,8 +463,8 @@ def free_scan_rows(eps_list, template):
                                     config.model, corrections=template.corrections)
             ref = build(reference, grid, s.t)
             ref[:, ~keep] = 0.0
-            err = max(err, sim._split_norm(s.matrix - ref, grid))
-            size = max(size, sim._split_norm(ref, grid))
+            err = max(err, sim._split_norm(s.matrix - ref, grid, w))
+            size = max(size, sim._split_norm(ref, grid, w))
         rows.append((err, size))
     return rows
 
@@ -743,6 +805,31 @@ def test_truncated_flow_is_tangent_to_the_constraint_manifold_to_quadratic_order
     assert np.all((90.0 <= ratio) & (ratio <= 110.0))
     ratio = constraint_drift_rates(1e-2, True) / constraint_drift_rates(1e-3, True)
     assert np.all((8.0 <= ratio) & (ratio <= 12.0))
+
+
+def test_packet_constraint_drift_rate_falls_like_eps_squared():
+    # The slaved sech packet (n = 2048, n_env = 256, scan_grid_length, b = 0,
+    # corrections on) leaves the second relation at ||dD2/dt|| / ||u_{-1}||
+    # ~ eps^2, so the defect after t = tau/eps^2 is O(tau) of |u_{-1}| for
+    # every eps: the fixed-slow-time collapse of the free second block.
+    # D2 is quadratic, so the central difference along full_rhs is exact.
+    rates = []
+    for eps in (0.2, 0.1, 0.05):
+        L = scan_grid_length(eps)
+        config = SimConfig(eps=eps, k0=K0, b=0.0, n=2048, length=L, dt=1.0, t_end=0.0)
+        packet = wave_packet(sech_envelope_on(256, eps * L), eps, config.model,
+                             corrections=True)
+        U = build(packet, config.grid, 0.0)
+        system = config.system
+        F = system.full_rhs(U)
+        h = 0.1
+        _, plus = system.consistency_defect(U + h * F)
+        _, minus = system.consistency_defect(U - h * F)
+        rates.append(np.linalg.norm((plus - minus) / (2.0 * h)) / np.linalg.norm(U[0]))
+    assert rates == pytest.approx([2.463209968754558, 0.435360941480837,
+                                  0.09650585218441912], rel=1e-9)
+    ratios = np.array(rates[:-1]) / np.array(rates[1:])  # 5.66, 4.51
+    assert np.all((4.0 <= ratios) & (ratios <= 6.0))
 
 
 # ---------------------------------------------------------------------------
