@@ -23,12 +23,14 @@ exactly.  All functions accept scalars or arrays.
 closed forms by one of two routes.  A Python float (``np.float64`` included)
 or int goes through ``math`` and returns a float: this is the route of every
 Brent and Newton iteration in ``resonance``, at about a hundredth of the
-cost of a numpy call.  Anything else, 0-d arrays included, is masked between
-the series and the closed form with numpy.  ``math`` and numpy may round
-tanh, cosh and powers differently, so the routes agree to within two ulps of
-the terms a closed form sums (for omega'' and omega''' near their zeros that
-is many ulps of the result), and a root solved on scalars may sit an ulp
-away from one solved on arrays.
+cost of a numpy call.  Anything else, 0-d arrays included, goes through
+numpy, split between the series and the closed form only when it has points
+on both sides of the cut.  omega itself forms no sech^2: only the
+derivatives use it.  ``math`` and numpy may round tanh, cosh and powers
+differently, so the routes agree to within two ulps of the terms a closed
+form sums (for omega'' and omega''' near their zeros that is many ulps of
+the result), and a root solved on scalars may sit an ulp away from one
+solved on arrays.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ def _radial(k, b: float, order: int, series, closed, odd: bool):
     ``series(a, b, order)`` serves a < _SERIES_CUT[order] (divided by
     sqrt(b) when b > 1) and ``closed(a, b, order, route)`` the rest.  A
     Python float or int takes the scalar route and returns a float; anything
-    else is masked between the two branches as a float64 array (a 0-d array
-    still returns a float).
+    else is evaluated as a float64 array, split between the two branches
+    only when it holds points of both (a 0-d array still returns a float).
+    Each element's value is the same either way.
     """
     cut = _SERIES_CUT[order]
     if b > 1.0:
@@ -85,27 +88,33 @@ def _radial(k, b: float, order: int, series, closed, odd: bool):
         out = series(a, b, order) if a < cut else closed(a, b, order, _SCALAR)
         return ((x > 0.0) - (x < 0.0)) * out if odd else out
     arr = np.asarray(k, dtype=np.float64)
-    a = np.abs(arr)
-    out = np.empty_like(a)
+    # a 0-d array runs through the 1-d loops, as one element of an array
+    x = arr.reshape(1) if arr.ndim == 0 else arr
+    a = np.abs(x)
     small = a < cut
-    if np.any(small):
+    if not small.any():
+        out = closed(a, b, order, _ARRAY)
+    elif small.all():
+        out = series(a, b, order)
+    else:
+        out = np.empty_like(a)
         out[small] = series(a[small], b, order)
-    if np.any(~small):
         out[~small] = closed(a[~small], b, order, _ARRAY)
     if odd:
-        out = np.sign(arr) * out
-    return float(out) if arr.ndim == 0 else out
+        out = np.sign(x) * out
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _G_and_derivs(a, b: float, upto: int, route) -> list:
     """G = (k + b k^3) tanh k and its k-derivatives at a = |k| past the series cut."""
     T = route.tanh(a)
-    S = route.sech2(a)
     poly = a + b * a**3
-    dpoly = 1.0 + 3.0 * b * a**2
     out = [poly * T]
-    if upto >= 1:
-        out.append(dpoly * T + poly * S)
+    if upto == 0:
+        return out
+    S = route.sech2(a)
+    dpoly = 1.0 + 3.0 * b * a**2
+    out.append(dpoly * T + poly * S)
     if upto >= 2:
         out.append(6.0 * b * a * T + 2.0 * dpoly * S - 2.0 * poly * S * T)
     if upto >= 3:

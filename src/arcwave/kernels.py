@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dispersion import k0_symbol, omega_deriv, sigma, sigma_inv
-from .resonance import critical_bonds, k1_of_b, r_general, r_hat
+from .dispersion import k0_symbol, omega, omega_deriv, sigma, sigma_inv
+from .resonance import critical_bonds, k1_of_b, r_general
 
 __all__ = [
     "KernelParams",
@@ -415,7 +415,13 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
 
 def rho_extremes(j1: int, l: int, params: KernelParams,
                  n_samples: int = 4001) -> tuple[float, float]:
-    """Measured (min, max) of rho_hat over the windows where it varies."""
+    """Measured (min, max) of rho_hat over the windows where it varies.
+
+    A check of what the paper's energy argument assumes: the reweighting
+    stays positive and bounded, so the modified energy is equivalent to the
+    Sobolev norm.  It samples 2 x ``n_samples`` points; no production route
+    calls it, only the tests do.
+    """
     k1 = params.require_k1()
     gap = k1 - params.k0
     pieces = []
@@ -502,13 +508,23 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
 
 
 def delta0_for(k0: float, b: float, margin: float = 0.1) -> float:
-    """Largest delta0 <= k0/20 with verified linear lower bounds on r.
+    """Largest candidate delta0 = k0/20 * 0.999 * 0.9^i, i = 0, 1, ..., that
+    passes two checks of the resonance functions.
 
-    Three windows are scanned: around the removable zeros of the diagonal
-    resonance function at 0 and k0 (where |r| must stay above ``margin``
-    times the limiting slope |omega'(k0)-1| times the distance), and around
-    k = 0 for the sign combinations whose denominators do not vanish (where
-    |r| must stay above ``margin`` times its k=0 limit).
+    * Around the removable zeros of the diagonal resonance function r_hat at
+      0 and k0, |r_hat| must stay above ``margin`` times the limiting slope
+      |omega'(k0) - 1| times the distance, on 400 points to each side.
+    * Around k = 0, for the sign combinations of ``r_general(j1, j2, k,
+      ell k0, k - ell k0)`` whose limit at k = 0 does not vanish, |r| must
+      stay above ``margin`` times that limit on 401 points of [-delta,
+      delta].
+
+    Each candidate evaluates omega once, on all of its points stacked
+    (r_general is i times a real bracket and |i x| = |x| exactly, so the
+    bracket is checked directly); omega(0) and omega(+-k0) are scalars
+    evaluated once.  Raises ValueError at a group-velocity degeneracy
+    omega'(k0) = 1, where no linear margin exists, and when no candidate
+    above 1e-6 k0 passes.
     """
     slope = abs(float(omega_deriv(k0, b, 1)) - 1.0)
     if slope < 1e-12:
@@ -516,25 +532,37 @@ def delta0_for(k0: float, b: float, margin: float = 0.1) -> float:
             f"group-velocity degeneracy at (k0={k0}, b={b}): no linear margin exists"
         )
 
-    combos = [(j1, j2, ell) for j1 in (-1, 1) for j2 in (-1, 1) for ell in (-1, 1)]
-    limits = {}
-    for j1, j2, ell in combos:
-        r0 = abs(r_general(j1, j2, 0.0, ell * k0, -ell * k0, b))
-        if r0 > 1e-9:
-            limits[(j1, j2, ell)] = r0
+    w0 = omega(k0, b)
+    w_ell = {-1: omega(-k0, b), 1: w0}
+    # r_general(j1, j2, k, ell k0, k - ell k0) is i (s1 omega(k) + omega(ell k0)
+    # - s2 omega(k - ell k0)) with s = sgn(j); the rows below are the sign
+    # combinations whose limit at k = 0 does not vanish, each with its floor
+    # and the row of omega(window - ell k0) in the stack
+    w_zero = omega(0.0, b)
+    rows = []
+    for s1 in (-1.0, 1.0):
+        for s2 in (-1.0, 1.0):
+            for ell in (-1, 1):
+                r0 = abs(s1 * w_zero + w_ell[ell] - s2 * w_ell[-ell])
+                if r0 > 1e-9:
+                    rows.append((s1, s2, w_ell[ell], margin * r0, (3 + ell) // 2))
+    s1, s2, w_l, floor, shift = np.array(rows, dtype=float).reshape(-1, 5).T
+    s1, s2, w_l, shift = s1[:, None], s2[:, None], w_l[:, None], shift.astype(int)
 
     delta = k0 / 20.0 * 0.999
     while delta > 1e-6 * k0:
         kk = np.linspace(1e-9, delta, 400)
-        windows = r_hat(np.array([kk, -kk, k0 + kk, k0 - kk]), b, k0)
-        ok = np.all(np.abs(windows) >= margin * slope * kk)
+        near = np.array([kk, -kk, k0 + kk, k0 - kk])
+        window = np.linspace(-delta, delta, 401)
+        w = omega(np.concatenate([near.ravel(), (near - k0).ravel(),
+                                  window, window + k0, window - k0]), b)
+        w_near = w[:2 * near.size].reshape(8, 400)
+        w_win = w[2 * near.size:].reshape(3, 401)
+        r = w_near[:4] - w_near[4:] - w0
+        ok = np.all(np.abs(r) >= margin * slope * kk)
         if ok:
-            window = np.linspace(-delta, delta, 401)
-            for (j1, j2, ell), r0 in limits.items():
-                vals = np.abs(r_general(j1, j2, window, ell * k0, window - ell * k0, b))
-                if np.min(vals) < margin * r0:
-                    ok = False
-                    break
+            vals = np.abs(s1 * w_win[0] + w_l - s2 * w_win[shift])
+            ok = not np.any(vals.min(axis=1) < floor)
         if ok:
             return float(delta)
         delta *= 0.9

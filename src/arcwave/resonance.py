@@ -194,6 +194,20 @@ def r_hat(k, b: float, k0: float):
     return omega(k, b) - omega(k - k0, b) - omega(k0, b)
 
 
+def _r_hat_scalar(b: float, k0: float) -> Callable[[float], float]:
+    """``r_hat(., b, k0)`` for a float k, with omega(k0, b) evaluated once.
+
+    The operations are r_hat's, in its order, so values are bitwise equal;
+    this is the function every Brent solve in k iterates.
+    """
+    w0 = omega(k0, b)
+
+    def r(k: float) -> float:
+        return omega(k, b) - omega(k - k0, b) - w0
+
+    return r
+
+
 def _r_hat_deriv(k, b: float, k0: float):
     if not isinstance(k, (float, int)):
         k = np.asarray(k)
@@ -277,9 +291,7 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
             f"limit sign yet (r(k_max)={rv[-1]:.3e}); a zero may lie beyond"
         )
 
-    def rfun(k: float) -> float:
-        return r_hat(k, b, k0)
-
+    rfun = _r_hat_scalar(b, k0)
     zeros: list[float] = [k0]
 
     # --- transversal zeros by bracketing
@@ -392,9 +404,7 @@ def k1_of_b(k0: float, b: float) -> float:
             f"k1 exists only for Bond numbers in (0, b0={bonds.b0:.6g}); got {b}"
         )
 
-    def rfun(k: float) -> float:
-        return r_hat(k, b, k0)
-
+    rfun = _r_hat_scalar(b, k0)
     lo = k0 * (1.0 + 1e-9)
     hi = k0 + 1.0
     while rfun(hi) < 0.0:
@@ -409,6 +419,10 @@ def inflection_points(b: float) -> InflectionPoints:
 
     Defined for 0 < b < 1/3; as b -> 1/3 the inflection k3 slides to 0 and
     the curve becomes globally convex, so larger b is rejected.
+
+    One of the paper's hypothesis checks (where omega changes concavity,
+    which places the resonances); no production route calls it, only the
+    tests do.
     """
     if not (0.0 < b < 1.0 / 3.0):
         raise ValueError(f"inflection points require 0 < b < 1/3, got b={b}")
@@ -451,6 +465,9 @@ def nonresonance_check(k0: float, b: float, M: int = 6,
     * ``nrb3``: the dispersion curve is genuinely curved at k0;
     * ``nrb4``: no harmonic collision +/- omega(m k0) = m omega(k0) for
       integer m in [2, M).
+
+    These are the paper's non-resonance hypotheses, checked here as stated;
+    no production route calls this function, only the tests do.
     """
     margins: dict[str, float] = {}
     failures: list[str] = []

@@ -331,13 +331,21 @@ HORIZONS = ("tau0_over_eps2", "tau0_over_eps")
 class ScanTemplate:
     """Shared parameters of an error scan; eps varies per run.
 
-    ``band_halfwidth`` fixes the retained Galerkin subspace across eps to the
-    union of bands around the packet harmonics l*k0, l in -2..2.  The packet
-    lives in those bands, while the truncated model's spurious strong-coupling
-    amplification needs modes above them (threshold shrinking to
-    ~(1/eps)^{2/3} as eps grows) or the sliver between the harmonic bands, so
-    the restriction measures the modulation approximation instead of the
-    cascade.  It feeds :class:`SimConfig` unchanged.
+    ``band_halfwidth`` restricts the retained Galerkin subspace to the union
+    of bands around the packet harmonics l*k0, l in -2..2, intersected with
+    the grid's 2/3-rule mask.  The packet lives in those bands, while the
+    truncated model's spurious strong-coupling amplification needs modes
+    above them (threshold shrinking to ~(1/eps)^{2/3} as eps grows) or the
+    sliver between the harmonic bands, so the restriction measures the
+    modulation approximation instead of the cascade.  It feeds
+    :class:`SimConfig` unchanged.
+
+    The subspace is not the same for every eps: n is fixed while the domain
+    grows like 1/eps, so the dealiasing edge (n/3) 2 pi/L falls.  With the
+    defaults (n = 1024, band_halfwidth 0.9, so |k| <= 4.9 is asked for) the
+    rows at eps 0.15 and 0.10 keep |k| up to 4.8947 and 4.8929, but below
+    eps ~ 0.0805 the 2/3 rule clips the 2 k0 band: the eps = 0.07 row keeps
+    |k| <= 4.2625, its dealiasing edge.
     """
 
     k0: float = 2.0

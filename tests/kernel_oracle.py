@@ -7,6 +7,8 @@ single Fourier modes (or a spectral comb) through the quadratic part of
 reads off the output coefficients.  ``q_term_operator`` realizes each
 closed-form principal symbol from multiplier/product/commutator primitives,
 and ``q13_closed`` is the analytic first-block commutator remainder.
+``delta0_per_combo`` is the sign-combination-by-combination scan that
+:func:`arcwave.kernels.delta0_for` does on one stacked evaluation.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from arcwave.dispersion import k0_symbol, sigma, sigma_inv
+from arcwave.dispersion import k0_symbol, omega_deriv, sigma, sigma_inv
 from arcwave.equations import COMPONENT_INDEX, TruncatedSystem
 from arcwave.kernels import _check_pair
+from arcwave.resonance import r_general, r_hat
 from arcwave.spectral import (
     Grid1D,
     SpectralField,
@@ -286,3 +289,45 @@ def equation_kernel_curve(b: float, j1: int, j2: int, l: float,
         grid = DEFAULT_EXTRACTION_GRID
     jl = int(round(l / grid.fundamental))
     return _curve_cached(b, j1, j2, jl, grid, composite_carrier)
+
+
+# ---------------------------------------------------------------------------
+# the delta0 scan, one sign combination at a time
+# ---------------------------------------------------------------------------
+
+
+def delta0_per_combo(k0: float, b: float, margin: float = 0.1) -> float:
+    """``delta0_for`` as first written: per candidate, r_hat on its four
+    windows, then ``r_general`` window by window for each sign combination
+    (j1, j2, ell) whose k = 0 limit does not vanish, each call evaluating
+    omega afresh.  The checks, candidates and errors are the production
+    function's, which must return the same float."""
+    slope = abs(float(omega_deriv(k0, b, 1)) - 1.0)
+    if slope < 1e-12:
+        raise ValueError(
+            f"group-velocity degeneracy at (k0={k0}, b={b}): no linear margin exists"
+        )
+
+    combos = [(j1, j2, ell) for j1 in (-1, 1) for j2 in (-1, 1) for ell in (-1, 1)]
+    limits = {}
+    for j1, j2, ell in combos:
+        r0 = abs(r_general(j1, j2, 0.0, ell * k0, -ell * k0, b))
+        if r0 > 1e-9:
+            limits[(j1, j2, ell)] = r0
+
+    delta = k0 / 20.0 * 0.999
+    while delta > 1e-6 * k0:
+        kk = np.linspace(1e-9, delta, 400)
+        windows = r_hat(np.array([kk, -kk, k0 + kk, k0 - kk]), b, k0)
+        ok = np.all(np.abs(windows) >= margin * slope * kk)
+        if ok:
+            window = np.linspace(-delta, delta, 401)
+            for (j1, j2, ell), r0 in limits.items():
+                vals = np.abs(r_general(j1, j2, window, ell * k0, window - ell * k0, b))
+                if np.min(vals) < margin * r0:
+                    ok = False
+                    break
+        if ok:
+            return float(delta)
+        delta *= 0.9
+    raise ValueError(f"no admissible delta0 found for (k0={k0}, b={b})")

@@ -219,3 +219,33 @@ def test_scalar_route_matches_array_route(name, b):
             assert type(got) is float, (name, type(arg), type(got))
             tol = 2.0 * np.spacing(max(abs(expected), _largest_term(k, b, order)))
             assert abs(got - expected) <= tol, (name, k, b, type(arg), got, expected)
+
+
+# the array route's unsplit paths against the masked split, point by point
+LARGE_KS = np.concatenate([np.linspace(0.11, 40.0, 257), -np.geomspace(0.11, 800.0, 64)])
+SMALL_KS = np.linspace(-0.03, 0.03, 121)  # below every cut for b <= 2
+MIXED_KS = np.concatenate([SMALL_KS[::7], LARGE_KS[::9], [0.0, 0.0499, 0.05, 0.0999, 0.1]])
+
+
+def _split_point_by_point(f, ks: np.ndarray, b: float) -> np.ndarray:
+    """f at each point of ks on its own, as the first entry of [k, 0, 1]:
+    0 is below every series cut and 1 above it, so the masked split serves
+    every point."""
+    return np.array([f(np.array([k, 0.0, 1.0]), b)[0] for k in ks.ravel()]).reshape(ks.shape)
+
+
+@pytest.mark.parametrize("b", (0.0, 0.05, 1.0 / 3.0, 2.0))
+@pytest.mark.parametrize("name", sorted(ROUTE_SYMBOLS))
+def test_unsplit_array_paths_equal_the_masked_split(name, b):
+    """All-large, all-small, mixed and 2-d arrays are bitwise the points
+    evaluated one at a time through the masked split, and a 0-d array
+    still returns a float with the same value."""
+    f, _ = ROUTE_SYMBOLS[name]
+    for ks in (LARGE_KS, SMALL_KS, MIXED_KS, MIXED_KS[:54].reshape(6, 9)):
+        got = f(ks, b)
+        assert type(got) is np.ndarray and got.shape == ks.shape
+        assert np.array_equal(got, _split_point_by_point(f, ks, b)), (name, b)
+    for k in (0.01, -0.07, 2.0, -30.0):
+        got = f(np.array(k), b)
+        assert type(got) is float
+        assert got == _split_point_by_point(f, np.array([k]), b)[0]

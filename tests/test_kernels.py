@@ -7,6 +7,7 @@ from ``scripts/derive_kernel_oracles.py``.
 """
 
 import concurrent.futures
+import random
 
 import numpy as np
 import pytest
@@ -30,11 +31,12 @@ from arcwave.kernels import (
     xi_hat,
     zeta_hat,
 )
-from arcwave.resonance import stability
+from arcwave.resonance import critical_bonds, stability
 from arcwave.spectral import Grid1D
 from kernel_oracle import (
     DEFAULT_EXTRACTION_GRID,
     SECOND_BLOCK_CARRIER,
+    delta0_per_combo,
     equation_cross_operator,
     equation_kernel_curve,
     extract_kernel,
@@ -486,6 +488,65 @@ def test_delta0_scan_returns_admissible_width():
         d0 = delta0_for(K0, b)
         assert 0.0 < d0 < K0 / 20
     assert delta0_for(K0, 0.1) == pytest.approx(0.0999, abs=0.01)
+
+
+#: the bond-sweep benchmark's Bond numbers: each anchor times
+#: 1 + 0.01 (2 u - 1), u drawn in turn from random.Random(seed)
+BOND_SWEEP_ANCHORS = (0.30, 0.26, 0.236, 0.228, 0.2, 0.144, 0.104, 0.075, 0.056,
+                      0.039, 0.028, 0.020, 0.0138, 0.0104, 0.0075, 0.0054, 0.0039,
+                      0.0029, 0.0020)
+
+
+def _bond_sweep_bonds(seed: int) -> list[float]:
+    rng = random.Random(seed)
+    return [a * (1.0 + 0.01 * (2.0 * rng.random() - 1.0)) for a in BOND_SWEEP_ANCHORS]
+
+
+def _delta0_or_refusal(fn, b: float, margin: float = 0.1):
+    try:
+        return fn(K0, b, margin)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_delta0_is_bitwise_the_per_combo_scan():
+    """The stacked scan returns the per-combination scan's float exactly, on
+    the benchmark's Bond numbers for seeds 1-5, b = 0, b = 0.2269, a grid on
+    [0.001, 0.33] and both sides of b0, where the candidates shrink up to
+    40 times or none passes."""
+    b0 = critical_bonds(K0).b0
+    near_b0 = np.geomspace(1e-9, 1e-2, 20)
+    bonds = [b for seed in range(1, 6) for b in _bond_sweep_bonds(seed)]
+    bonds += [0.0, 0.2269]
+    bonds += [float(b) for b in np.concatenate([np.linspace(0.001, 0.33, 200),
+                                                b0 - near_b0, b0 + near_b0])]
+    assert len(bonds) >= 300
+    got = [_delta0_or_refusal(delta0_for, b) for b in bonds]
+    assert got == [_delta0_or_refusal(delta0_per_combo, b) for b in bonds]
+    values = {v for v in got if isinstance(v, float)}
+    assert len(values) >= 12  # shrink counts 0 to 40 are exercised
+    assert any(isinstance(v, str) and "no admissible delta0" in v for v in got)
+
+
+def test_delta0_k0_window_check_is_bitwise_the_per_combo_scan():
+    """At the default margin 0.1 the k = 0 window check of the sign
+    combinations decides no Bond number tried above; at margin 0.95 it does
+    (halving its floor changes 17 of these 34 values), and the two scans
+    still agree."""
+    bonds = [float(b) for b in np.linspace(0.0, 0.33, 34)]
+    got = [_delta0_or_refusal(delta0_for, b, 0.95) for b in bonds]
+    assert got == [_delta0_or_refusal(delta0_per_combo, b, 0.95) for b in bonds]
+
+
+def test_delta0_is_the_largest_passing_candidate():
+    # candidates k0/20 * 0.999 * 0.9^i, formed by repeated multiplication
+    candidates = [K0 / 20.0 * 0.999]
+    for _ in range(4):
+        candidates.append(candidates[-1] * 0.9)
+    assert delta0_for(K0, 0.0) == candidates[0]
+    # at b = 0.2269, next to b0, the first four candidates fail
+    assert delta0_for(K0, 0.2269) == candidates[4]
+    assert candidates[4] == pytest.approx(0.06554, abs=1e-5)
 
 
 def test_delta0_refuses_degenerate_slope():

@@ -524,6 +524,22 @@ def test_error_scan_benchmark_template_rows_frozen():
                      slope=3.1599151348406496)
 
 
+def test_default_scan_rows_keep_the_2k0_band_only_where_the_dealiasing_allows():
+    # band_halfwidth 0.9 asks for |k| <= 2 k0 + 0.9 = 4.9, but the 2/3 rule
+    # at n = 1024 keeps |k| <= (n/3) 2 pi/L, which falls below that as L
+    # grows like 1/eps: the eps = 0.07 row loses the top of the 2 k0 band
+    template = ScanTemplate()
+    kept, dealias = [], []
+    for eps in (0.15, 0.10, 0.07):
+        config = sim._scan_config(eps, template)
+        k = np.abs(config.grid.wavenumbers)
+        kept.append(float(k[config.system.keep_mask].max()))
+        dealias.append(float(k[config.grid.dealias_keep].max()))
+    assert kept == pytest.approx([4.894736842105263, 4.892857142857143, 4.2625], rel=1e-12)
+    assert dealias[2] == kept[2] < 2.0 * template.k0 + template.band_halfwidth - 0.6
+    assert all(d > 2.0 * template.k0 + template.band_halfwidth for d in dealias[:2])
+
+
 def test_free_second_block_constraint_defect_collapses_at_fixed_slow_time():
     # Why the free second block left the scan: the first constraint
     # relation starts at machine zero and, at fixed slow time tau = eps^2 t,
