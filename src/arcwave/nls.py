@@ -186,6 +186,8 @@ def solve(A0: EnvelopeField, coeffs: NLSCoeffs, dtau: float, tau_end: float,
     half-step.  Raises on the first non-finite sample, naming the step."""
     if dtau <= 0:
         raise ValueError("dtau must be positive")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n_steps = int(round((tau_end - A0.tau) / dtau))
     if n_steps < 0:
         raise ValueError("tau_end precedes the initial time")

@@ -25,8 +25,7 @@ from .dispersion import ModelParams, sigma, sigma_inv
 from .equations import TruncatedSystem, slave_second_block
 from .kernels import KernelParams, n_hat, rho_hat, theta_inv_hat
 from .nls import EnvelopeField, NLSCoeffs, nls_coefficients, solve as nls_solve
-from .spectral import (Grid1D, SpectralField, apply_multiplier, full_spectrum,
-                       half_spectrum)
+from .spectral import Grid1D, full_spectrum, half_spectrum
 from .wavepacket import (WavePacket, band_mask, build, build_time_derivative,
                          carrier_halves, wave_packet)
 
@@ -149,7 +148,8 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     autonomous (``TruncatedSystem.nonlinear``), so its states are bitwise
     rows 0-1 of the r = 4 march from the same first block.  Yields (t, U)
     after every ``sample_every``-th step short of the last (none if 0), then
-    once after the last step (at t0 if n_steps is 0).  Each yielded U is a
+    once after the last step (at t0 if n_steps is 0); a negative
+    ``sample_every`` raises on the first ``next``.  Each yielded U is a
     fresh array; the caller's U is not written.
 
     One IFRK4 step from U, with E = e^{lam dt} and H = e^{lam dt/2}:
@@ -169,6 +169,8 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     practice means the quadratic terms have blown up (the linear part cannot:
     its phases have modulus one).
     """
+    if sample_every < 0:
+        raise ValueError(f"sample_every must be nonnegative, got {sample_every}")
     U = np.array(U, dtype=np.complex128)  # the state, advanced in place
     rows = U.shape[-2]
     lam = system.half_linear_symbols[:rows]
@@ -697,31 +699,28 @@ def consistency_residual(state: SimState, b: float) -> tuple[float, float]:
             float(np.sqrt(L * np.sum(np.abs(second) ** 2))))
 
 
-def to_diagonal(y: SpectralField, v: SpectralField, kappa: SpectralField,
-                delta_aa: SpectralField, b: float) -> tuple[SpectralField, ...]:
-    """Geometric variables -> diagonalized components u_{-/+1}, u_{-/+2}."""
-    grid = y.grid
+def to_diagonal(grid: Grid1D, geometric: np.ndarray, b: float) -> np.ndarray:
+    """Geometric variables -> diagonalized components.
+
+    Maps the (4, n) full-layout coefficients of (y, v, kappa, delta_aa) on
+    ``grid`` to those of (u_{-1}, u_{+1}, u_{-2}, u_{+2}).
+    """
+    y, v, kappa, delta_aa = geometric
     sig = sigma(grid.wavenumbers, b).astype(complex)
-    sy = apply_multiplier(sig, y)
-    sk = apply_multiplier(sig, kappa)
-    u_m1 = 0.5 * (sy + v)
-    u_p1 = 0.5 * (-sy + v)
-    u_m2 = 0.5 * (sk + delta_aa)
-    u_p2 = 0.5 * (-sk + delta_aa)
-    return u_m1, u_p1, u_m2, u_p2
+    sy, sk = sig * y, sig * kappa
+    return 0.5 * np.array([sy + v, -sy + v, sk + delta_aa, -sk + delta_aa])
 
 
-def from_diagonal(u_m1: SpectralField, u_p1: SpectralField,
-                  u_m2: SpectralField, u_p2: SpectralField,
-                  b: float) -> tuple[SpectralField, ...]:
-    """Diagonalized components -> (y, v, kappa, delta_aa)."""
-    grid = u_m1.grid
+def from_diagonal(grid: Grid1D, diagonal: np.ndarray, b: float) -> np.ndarray:
+    """Diagonalized components -> geometric variables; inverts ``to_diagonal``.
+
+    Maps the (4, n) coefficients of (u_{-1}, u_{+1}, u_{-2}, u_{+2}) to those
+    of (y, v, kappa, delta_aa).
+    """
+    u_m1, u_p1, u_m2, u_p2 = diagonal
     sig_inv = sigma_inv(grid.wavenumbers, b).astype(complex)
-    y = apply_multiplier(sig_inv, u_m1 - u_p1)
-    v = u_m1 + u_p1
-    kappa = apply_multiplier(sig_inv, u_m2 - u_p2)
-    delta_aa = u_m2 + u_p2
-    return y, v, kappa, delta_aa
+    return np.array([sig_inv * (u_m1 - u_p1), u_m1 + u_p1,
+                     sig_inv * (u_m2 - u_p2), u_m2 + u_p2])
 
 
 @lru_cache(maxsize=16)
@@ -747,10 +746,19 @@ def _energy_tables(grid: Grid1D, params: KernelParams,
 
     Returns rho_hat(j1, l) as a (2, n) array and the derivative symbol
     (ik)^l.  They depend on (grid, params, l) only, so every sample of a run
-    shares them.
+    shares them.  A weight that is not finite on the grid raises, rather
+    than turn every energy of the run into NaN.
     """
-    rho = np.array([rho_hat(j1, l, grid.wavenumbers, params) for j1 in (-2, 2)],
-                   dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.array([rho_hat(j1, l, grid.wavenumbers, params) for j1 in (-2, 2)],
+                       dtype=float)
+    bad = np.abs(grid.wavenumbers[~np.isfinite(rho).all(axis=0)])
+    if bad.size:
+        raise ValueError(
+            f"energy weight rho_hat at b={params.b}, l={l} is not finite for "
+            f"{bad.min():.6g} <= |k| <= {bad.max():.6g} on this grid: the "
+            f"lattice-rounded second-block kernel divides 0/0 there (ROADMAP "
+            f"item 4, exact-k weights)")
     dl = (1j * grid.wavenumbers) ** l
     for table in (rho, dl):
         table.setflags(write=False)

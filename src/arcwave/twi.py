@@ -155,6 +155,8 @@ def integrate(state: TWIState, coeffs: TWICoeffs, dt: float,
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n_steps = int(round((t_end - state.tau) / dt))
     if n_steps < 0:
         raise ValueError(f"dt={dt} never reaches t_end={t_end} from tau={state.tau}")

@@ -22,17 +22,11 @@ from arcwave.dispersion import k0_symbol, omega_deriv, sigma, sigma_inv
 from arcwave.equations import COMPONENT_INDEX, TruncatedSystem
 from arcwave.kernels import _check_pair
 from arcwave.resonance import r_general, r_hat
-from arcwave.spectral import (
-    Grid1D,
-    SpectralField,
-    antiderivative,
-    apply_multiplier,
-    commutator_apply,
-    derivative,
-    multiply,
-)
+from arcwave.spectral import Grid1D
+from fourier import commutator, ik_power, mode, product
 
-BilinearOperator = Callable[[SpectralField, SpectralField], SpectralField]
+#: a bilinear map op(grid, f, g) of full-layout coefficient arrays on ``grid``
+BilinearOperator = Callable[[Grid1D, np.ndarray, np.ndarray], np.ndarray]
 SlotSpec = Union[int, Sequence[tuple[int, int]]]
 
 #: coarse standard grid: integer wavenumbers up to |k| = 1365 survive dealiasing
@@ -86,11 +80,10 @@ def _normalize_slot(slot: SlotSpec) -> tuple[tuple[int, int], ...]:
     return tuple((int(c), int(o)) for c, o in slot)
 
 
-def _insert(grid: Grid1D, slot: tuple[tuple[int, int], ...], f: SpectralField) -> np.ndarray:
+def _insert(grid: Grid1D, slot: tuple[tuple[int, int], ...], f: np.ndarray) -> np.ndarray:
     state = np.zeros((4, grid.n_points), dtype=np.complex128)
-    ik = 1j * grid.wavenumbers
     for comp, order in slot:
-        state[COMPONENT_INDEX[comp]] += (ik**order if order else 1.0) * f.coefficients
+        state[COMPONENT_INDEX[comp]] += ik_power(grid, order) * f
     return state
 
 
@@ -105,23 +98,21 @@ def equation_cross_operator(b: float, j1: int, slot_a: SlotSpec = -1,
 
     ``slot_a``/``slot_b`` say where the two arguments are inserted: either a
     single component label, or a sequence of (component, derivative-order)
-    pairs for composite inserts.  The returned operator works on any grid
-    (equation tables are cached per grid) and is exactly bilinear, since the
-    nonlinearity is homogeneous quadratic.
+    pairs for composite inserts.  The returned operator, op(grid, f, g) on
+    coefficient arrays, works on any grid (equation tables are cached per
+    grid) and is exactly bilinear, since the nonlinearity is homogeneous
+    quadratic.
     """
     row = COMPONENT_INDEX[j1]
     sa = _normalize_slot(slot_a)
     sb = _normalize_slot(slot_b)
 
-    def op(f: SpectralField, g: SpectralField) -> SpectralField:
-        f._check_grid(g)
-        system = _system_for(f.grid, b)
-        a_state = _insert(f.grid, sa, f)
-        b_state = _insert(f.grid, sb, g)
-        both, a_only, b_only = system.full_nonlinear(
+    def op(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        a_state = _insert(grid, sa, f)
+        b_state = _insert(grid, sb, g)
+        both, a_only, b_only = _system_for(grid, b).full_nonlinear(
             np.stack([a_state + b_state, a_state, b_state]))
-        cross = both - a_only - b_only
-        return SpectralField.from_coefficients(f.grid, cross[row])
+        return (both - a_only - b_only)[row]
 
     return op
 
@@ -153,15 +144,14 @@ def extract_kernel(bilinear_operator: BilinearOperator, l: float, m: float,
             f"output mode {jl + jm} would be aliased/dealiased away on this grid"
         )
     ls, ms = jl * fund, jm * fund
-    f = SpectralField.from_mode(grid, ls)
-    g = SpectralField.from_mode(grid, ms)
-    out = bilinear_operator(f, g)
-    value = out.coefficient_at(ls + ms)
+
+    def value_on(g: Grid1D) -> complex:
+        out = bilinear_operator(g, mode(g, ls), mode(g, ms))
+        return complex(out[g.mode_index(ls + ms)])
+
+    value = value_on(grid)
     if check:
-        fine = Grid1D(n_points=2 * grid.n_points, length=grid.length)
-        f2 = SpectralField.from_mode(fine, ls)
-        g2 = SpectralField.from_mode(fine, ms)
-        value2 = bilinear_operator(f2, g2).coefficient_at(ls + ms)
+        value2 = value_on(Grid1D(n_points=2 * grid.n_points, length=grid.length))
         scale = max(abs(value), abs(value2), 1e-30)
         if abs(value - value2) > 1e-9 * scale + 1e-12:
             raise ValueError(
@@ -188,72 +178,54 @@ def q_term_operator(b: float, j1: int, j2: int, mu: int) -> BilinearOperator:
     if not 1 <= mu <= 2 * abs(j1):
         raise ValueError(f"mu={mu} out of closed-form range for |j1|={abs(j1)}")
 
-    def sig_arr(grid: Grid1D) -> np.ndarray:
+    def zero(grid: Grid1D) -> np.ndarray:
+        return np.zeros(grid.n_points, dtype=np.complex128)
+
+    def sig(grid: Grid1D) -> np.ndarray:
         return sigma(grid.wavenumbers, b).astype(np.complex128)
 
-    def sig_inv_arr(grid: Grid1D) -> np.ndarray:
+    def sig_inv(grid: Grid1D) -> np.ndarray:
         return sigma_inv(grid.wavenumbers, b).astype(np.complex128)
 
-    def K0_arr(grid: Grid1D) -> np.ndarray:
+    def K0(grid: Grid1D) -> np.ndarray:
         return k0_symbol(grid.wavenumbers)
 
-    if abs(j1) == 1:
-        if mu == 1:
-            def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-                if j2 != j1:
-                    return SpectralField.zero(psi.grid, is_real=False)
-                return -derivative(multiply(psi, r))
-        else:
-            def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-                if j2 != -j1:
-                    return SpectralField.zero(psi.grid, is_real=False)
-                K0 = K0_arr(psi.grid)
-                return derivative(multiply(apply_multiplier(K0, psi),
-                                           apply_multiplier(K0, r)))
-        return op
+    def d(grid: Grid1D, f: np.ndarray) -> np.ndarray:
+        return ik_power(grid, 1) * f
 
     sj1 = 1.0 if j1 > 0 else -1.0
     sj2 = 1.0 if j2 > 0 else -1.0
-    if mu == 1:
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
+    if mu == 1:  # both blocks
+        def op(g: Grid1D, psi: np.ndarray, r: np.ndarray) -> np.ndarray:
             if j2 != j1:
-                return SpectralField.zero(psi.grid, is_real=False)
-            return -derivative(multiply(psi, r))
+                return zero(g)
+            return -d(g, product(g, psi, r))
+    elif abs(j1) == 1:  # mu == 2 of the first block
+        def op(g: Grid1D, psi: np.ndarray, r: np.ndarray) -> np.ndarray:
+            if j2 != -j1:
+                return zero(g)
+            return d(g, product(g, K0(g) * psi, K0(g) * r))
     elif mu == 2:
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-            g = psi.grid
-            lhs = apply_multiplier(K0_arr(g) * sig_inv_arr(g) * (1j * g.wavenumbers), psi)
-            rhs = apply_multiplier(sig_inv_arr(g), r)
-            return (-sj2) * 0.5 * derivative(multiply(lhs, rhs))
+        def op(g: Grid1D, psi: np.ndarray, r: np.ndarray) -> np.ndarray:
+            lhs = K0(g) * sig_inv(g) * (1j * g.wavenumbers) * psi
+            rhs = sig_inv(g) * r
+            return (-sj2) * 0.5 * d(g, product(g, lhs, rhs))
     elif mu == 3:
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-            g = psi.grid
-            lhs = apply_multiplier(sig_inv_arr(g) * (1j * g.wavenumbers) ** 2, psi)
-            rhs = apply_multiplier(K0_arr(g) * sig_inv_arr(g) * (1j * g.wavenumbers), r)
-            return (-sj2) * (-0.5 * b) * derivative(multiply(lhs, rhs))
+        def op(g: Grid1D, psi: np.ndarray, r: np.ndarray) -> np.ndarray:
+            lhs = sig_inv(g) * (1j * g.wavenumbers) ** 2 * psi
+            rhs = K0(g) * sig_inv(g) * (1j * g.wavenumbers) * r
+            return (-sj2) * (-0.5 * b) * d(g, product(g, lhs, rhs))
     else:  # mu == 4
-        def op(psi: SpectralField, r: SpectralField) -> SpectralField:
-            g = psi.grid
-            inner = commutator_apply(
-                sig_arr(g),
-                antiderivative(r, 2),
-                apply_multiplier(sig_inv_arr(g) * (1j * g.wavenumbers) ** 2, psi),
-            )
-            return sj1 * 0.5 * derivative(inner)
+        def op(g: Grid1D, psi: np.ndarray, r: np.ndarray) -> np.ndarray:
+            inner = commutator(g, sig(g), ik_power(g, -2) * r,
+                               sig_inv(g) * (1j * g.wavenumbers) ** 2 * psi)
+            return sj1 * 0.5 * d(g, inner)
     return op
 
 
 # ---------------------------------------------------------------------------
 # whole-curve extraction (comb trick)
 # ---------------------------------------------------------------------------
-
-
-def _comb_field(grid: Grid1D, skip_index: Optional[int] = None) -> SpectralField:
-    """Unit coefficient on every dealiased mode; a linear-response probe."""
-    c = np.where(grid.dealias_keep, 1.0 + 0.0j, 0.0j)
-    if skip_index is not None:
-        c[skip_index] = 0.0
-    return SpectralField.from_coefficients(grid, c, is_real=False)
 
 
 @lru_cache(maxsize=128)
@@ -263,9 +235,9 @@ def _curve_cached(b: float, j1: int, j2: int, jl: int, grid: Grid1D,
     l = jl * fund
     carrier: SlotSpec = SECOND_BLOCK_CARRIER if composite_carrier else -1
     op = equation_cross_operator(b, j1, carrier, j2)
-    a = SpectralField.from_mode(grid, l)
-    g = _comb_field(grid)
-    out = op(a, g).coefficients.copy()
+    # the comb: unit coefficient on every dealiased mode, a linear-response probe
+    comb = np.where(grid.dealias_keep, 1.0 + 0.0j, 0.0j)
+    out = op(grid, mode(grid, l), comb).copy()
     # out[p] = kernel(p; l, p-l): valid only when both p and p-l are in band
     jp = grid.mode_numbers
     band = grid.n_points // 3

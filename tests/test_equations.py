@@ -6,16 +6,8 @@ import pytest
 from arcwave.dispersion import k0_symbol, omega, sigma, sigma_inv
 from arcwave.equations import (COMPONENT_INDEX, TruncatedSystem,
                                slave_second_block)
-from arcwave.spectral import (
-    Grid1D,
-    SpectralField,
-    apply_multiplier,
-    derivative,
-    full_spectrum,
-    half_spectrum,
-    hermitian_symmetrize,
-    multiply,
-)
+from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
+from fourier import hermitian_part, ik_power, product
 
 GRID = Grid1D(n_points=256, length=2 * np.pi)
 BOND = 0.13
@@ -34,8 +26,7 @@ def random_real_state(rng, grid=GRID, scale=1e-2):
     for _ in range(4):
         c = (rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)) * scale
         c[~grid.dealias_keep] = 0.0
-        f = hermitian_symmetrize(SpectralField.from_coefficients(grid, c, is_real=False))
-        rows.append(f.coefficients)
+        rows.append(hermitian_part(grid, c))
     return np.array(rows)
 
 
@@ -151,16 +142,13 @@ def slaved_state(rng, grid, b, scale=1e-2):
     for _ in range(2):
         c = (rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)) * scale
         c[~grid.dealias_keep] = 0.0
-        fields.append(hermitian_symmetrize(SpectralField.from_coefficients(grid, c, is_real=False)))
+        fields.append(hermitian_part(grid, c))
     u_m1, u_p1 = fields
     s1, d1 = u_m1 + u_p1, u_m1 - u_p1
-    d2 = derivative(d1, 2)
-    prod = multiply(apply_multiplier(K0, s1), apply_multiplier(siginv, d2))
-    s2 = derivative(s1, 2) - derivative(prod)
-    return np.array([
-        u_m1.coefficients, u_p1.coefficients,
-        (0.5 * (s2 + d2)).coefficients, (0.5 * (s2 - d2)).coefficients,
-    ])
+    d2 = ik_power(grid, 2) * d1
+    prod = product(grid, K0 * s1, siginv * d2)
+    s2 = ik_power(grid, 2) * s1 - ik_power(grid, 1) * prod
+    return np.array([u_m1, u_p1, 0.5 * (s2 + d2), 0.5 * (s2 - d2)])
 
 
 def test_consistency_defect_vanishes_on_slaved_states():

@@ -194,3 +194,10 @@ def test_dtau_validation():
     s0 = soliton(GRID, SYNTH)
     with pytest.raises(ValueError):
         solve(s0, SYNTH, -1e-3, 1.0)
+
+
+@pytest.mark.parametrize("every", [0, -2])
+def test_sample_every_below_one_is_refused(every):
+    # 0 used to divide by zero, and a negative interval ran as its absolute value
+    with pytest.raises(ValueError, match="sample_every"):
+        solve(soliton(GRID, SYNTH), SYNTH, 1e-3, 0.01, sample_every=every)

@@ -32,9 +32,9 @@ from arcwave.sim import (
     scan_grid_length,
     to_diagonal,
 )
-from arcwave.spectral import (Grid1D, SpectralField, full_spectrum, half_spectrum,
-                              hermitian_symmetrize, norm_l2)
+from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from arcwave.wavepacket import build, wave_packet
+from fourier import hermitian_part
 
 K0 = 2.0
 EPS = 0.1
@@ -50,9 +50,7 @@ def random_state(grid, scale, seed):
         c = (rng.normal(size=grid.n_points)
              + 1j * rng.normal(size=grid.n_points)) * scale
         c[~grid.dealias_keep] = 0.0
-        f = hermitian_symmetrize(
-            SpectralField.from_coefficients(grid, c, is_real=False))
-        rows.append(f.coefficients)
+        rows.append(hermitian_part(grid, c))
     return SimState(grid, np.array(rows), t=0.0)
 
 
@@ -299,6 +297,18 @@ def test_run_sampling_semantics():
     assert np.array_equal(out.samples[-1].matrix, out.final.matrix)
     bare = run(config, state)
     assert len(bare.samples) == 2
+
+
+@pytest.mark.parametrize("every", [-1, -3])
+def test_negative_sample_every_is_refused(every):
+    # a negative interval used to run as its absolute value
+    config = good_config(n=64, dt=0.1, t_end=1.0)
+    state = random_state(config.grid, 1e-3, seed=1)
+    with pytest.raises(ValueError, match="sample_every"):
+        run(config, state, sample_every=every)
+    with pytest.raises(ValueError, match="sample_every"):
+        next(sim._march(config.system, half_spectrum(state.matrix), 0.0,
+                        config.dt, config.n_steps, every))
 
 
 @pytest.mark.parametrize("b", [0.0, BOND])
@@ -856,16 +866,27 @@ def test_packet_constraint_drift_rate_falls_like_eps_squared():
 def test_diag_transform_round_trip():
     grid = Grid1D(128, 2 * np.pi)
     rng = np.random.default_rng(31)
-    fields = []
+    rows = []
     for _ in range(4):
         c = (rng.normal(size=128) + 1j * rng.normal(size=128)) * 0.3
         c[~grid.dealias_keep] = 0.0
-        fields.append(hermitian_symmetrize(
-            SpectralField.from_coefficients(grid, c, is_real=False)))
-    forward = to_diagonal(*fields, 0.17)
-    back = from_diagonal(*forward, 0.17)
-    for orig, rec in zip(fields, back):
-        assert np.max(np.abs(orig.coefficients - rec.coefficients)) < 1e-12
+        rows.append(hermitian_part(grid, c))
+    geometric = np.array(rows)
+    forward = to_diagonal(grid, geometric, 0.17)
+    back = from_diagonal(grid, forward, 0.17)
+    assert forward.shape == back.shape == (4, 128)
+    assert np.max(np.abs(geometric - back)) < 1e-12
+
+
+def _cos_alpha_in_row(grid, row):
+    """(4, n) coefficients with cos(alpha) in one row and zeros elsewhere."""
+    rows = np.zeros((4, grid.n_points), dtype=complex)
+    rows[row] = np.fft.fft(np.cos(grid.alpha)) / grid.n_points
+    return rows
+
+
+def _physical(grid, c):
+    return (np.fft.ifft(c) * grid.n_points).real
 
 
 def test_diag_transform_single_mode_rows():
@@ -873,32 +894,27 @@ def test_diag_transform_single_mode_rows():
 
     grid = Grid1D(64, 2 * np.pi)
     b = 0.2
-    cos_alpha = SpectralField.from_physical(grid, np.cos(grid.alpha))
-    zero = SpectralField.zero(grid)
+    cos_alpha = np.cos(grid.alpha)
     sig1 = sigma(1.0, b)
 
-    u_m1, u_p1, u_m2, u_p2 = to_diagonal(cos_alpha, zero, zero, zero, b)
-    assert np.allclose(u_m1.values_real(), 0.5 * sig1 * np.cos(grid.alpha),
-                       atol=1e-14)
-    assert np.allclose(u_p1.values_real(), -0.5 * sig1 * np.cos(grid.alpha),
-                       atol=1e-14)
-    assert norm_l2(u_m2) == 0.0 and norm_l2(u_p2) == 0.0
+    u_m1, u_p1, u_m2, u_p2 = to_diagonal(grid, _cos_alpha_in_row(grid, 0), b)
+    assert np.allclose(_physical(grid, u_m1), 0.5 * sig1 * cos_alpha, atol=1e-14)
+    assert np.allclose(_physical(grid, u_p1), -0.5 * sig1 * cos_alpha, atol=1e-14)
+    assert not np.any(u_m2) and not np.any(u_p2)
 
-    u_m1, u_p1, _, _ = to_diagonal(zero, cos_alpha, zero, zero, b)
-    assert np.allclose(u_m1.values_real(), 0.5 * np.cos(grid.alpha), atol=1e-14)
-    assert np.allclose(u_p1.values_real(), 0.5 * np.cos(grid.alpha), atol=1e-14)
+    u_m1, u_p1, _, _ = to_diagonal(grid, _cos_alpha_in_row(grid, 1), b)
+    assert np.allclose(_physical(grid, u_m1), 0.5 * cos_alpha, atol=1e-14)
+    assert np.allclose(_physical(grid, u_p1), 0.5 * cos_alpha, atol=1e-14)
 
 
 def test_from_diagonal_recovers_geometry():
     grid = Grid1D(64, 2 * np.pi)
     b = 0.2
-    cos_alpha = SpectralField.from_physical(grid, np.cos(grid.alpha))
-    zero = SpectralField.zero(grid)
-    u = to_diagonal(cos_alpha, zero, zero, zero, b)
-    y, v, kappa, delta_aa = from_diagonal(*u, b)
-    assert np.allclose(y.values_real(), np.cos(grid.alpha), atol=1e-14)
+    u = to_diagonal(grid, _cos_alpha_in_row(grid, 0), b)
+    y, v, kappa, delta_aa = from_diagonal(grid, u, b)
+    assert np.allclose(_physical(grid, y), np.cos(grid.alpha), atol=1e-14)
     for f in (v, kappa, delta_aa):
-        assert norm_l2(f) < 1e-14
+        assert np.sqrt(grid.length * np.sum(np.abs(f) ** 2)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +968,20 @@ def test_energy_does_not_depend_on_the_order_of_requests(monitored_run):
         assert got == alone
 
 
+@pytest.mark.parametrize("l", [0, 2])
+def test_energy_refuses_a_non_finite_weight(l):
+    # at b = 0.1 (k1 = 4.30) the lattice-rounded rho_hat is 0/0 for
+    # 0.35 <= |k| <= 0.5; the energy used to come out NaN
+    config = SimConfig(eps=EPS, k0=K0, b=0.1, n=512, length=scan_grid_length(EPS, 12.0),
+                       dt=0.04, t_end=0.04, band_halfwidth=0.9)
+    A = sech_envelope_on(128, EPS * config.length)
+    packet = wave_packet(A, EPS, config.model, corrections=True)
+    state = packet_initial_state(packet, config)
+    params = default_params(K0, 0.1, EPS)
+    with pytest.raises(ValueError, match=r"b=0\.1, l=%d .*0\.3.* <= \|k\| <= 0\.5.*item 4" % l):
+        energy_diagnostic(state, packet, l, params)
+
+
 def test_energy_rejects_negative_derivative_order(monitored_run):
     params = default_params(K0, BOND, EPS)
     with pytest.raises(ValueError, match="derivative order"):
@@ -970,8 +1000,7 @@ def _perturbed_state_and_plain(config, packet, params, seed, l):
         c = (rng.normal(size=config.n) + 1j * rng.normal(size=config.n)) * 1e-4
         c *= np.exp(-0.1 * np.abs(k))
         c[~grid.dealias_keep] = 0.0
-        pert.append(hermitian_symmetrize(
-            SpectralField.from_coefficients(grid, c, is_real=False)).coefficients)
+        pert.append(hermitian_part(grid, c))
     state = SimState(grid, base.matrix + np.array(pert), 0.0)
     approx = build(packet, grid, 0.0)
     t_inv = theta_inv_hat(k, config.eps, params.delta0)

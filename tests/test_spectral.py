@@ -1,21 +1,11 @@
+"""The grid, and the plain-array Fourier helpers the test oracles share."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcwave.spectral import (
-    Grid1D,
-    GridMismatchError,
-    SpectralField,
-    apply_multiplier,
-    antiderivative,
-    commutator_apply,
-    derivative,
-    hermitian_symmetrize,
-    multiply,
-    norm_l2,
-    norm_sobolev,
-    project,
-)
+from arcwave.spectral import Grid1D
+from fourier import commutator, hermitian_part, ik_power, mode, product
 
 TWO_PI = 2 * np.pi
 
@@ -63,61 +53,36 @@ def test_grid_spacing_and_alpha():
     assert g.alpha[0] == 0.0
 
 
-# ---------------------------------------------------------------- fields
+# ------------------------------------------------- coefficient arrays
 
 
-def test_field_round_trip_physical():
-    g = small_grid()
-    f = np.cos(g.alpha) + 0.3 * np.sin(4 * g.alpha)
-    u = SpectralField.from_physical(g, f)
-    assert u.is_real
-    np.testing.assert_allclose(u.values_real(), f, atol=1e-13)
+def coefficients(g, values):
+    return np.fft.fft(values) / g.n_points
+
+
+def physical(g, c):
+    return (np.fft.ifft(c) * g.n_points).real
+
+
+def hermitian_defect(g, c):
+    return np.max(np.abs(c - np.conj(c[g._conjugate_index])))
 
 
 def test_field_coefficient_access():
     g = small_grid()
-    u = SpectralField.from_physical(g, np.cos(3 * g.alpha))
-    assert u.coefficient_at(3.0) == pytest.approx(0.5)
-    assert u.coefficient_at(-3.0) == pytest.approx(0.5)
-    assert abs(u.coefficient_at(2.0)) < 1e-15
+    c = coefficients(g, np.cos(3 * g.alpha))
+    assert c[g.mode_index(3.0)] == pytest.approx(0.5)
+    assert c[g.mode_index(-3.0)] == pytest.approx(0.5)
+    assert abs(c[g.mode_index(2.0)]) < 1e-15
 
 
 def test_from_mode_places_single_coefficient():
     g = small_grid(n=128)
-    u = SpectralField.from_mode(g, 5.0, 2.0 + 1.0j)
+    c = mode(g, 5.0, 2.0 + 1.0j)
     idx = g.mode_index(5.0)
-    assert u.coefficients[idx] == 2.0 + 1.0j
-    assert np.count_nonzero(u.coefficients) == 1
-    assert not u.is_real
-
-
-def test_complex_field_not_marked_real():
-    g = small_grid()
-    u = SpectralField.from_physical(g, np.exp(1j * g.alpha))
-    assert not u.is_real
-    assert u.hermitian_defect() > 0.1
-
-
-def test_grid_mismatch_raises():
-    a = SpectralField.zero(small_grid(n=64))
-    b = SpectralField.zero(small_grid(n=128))
-    with pytest.raises(GridMismatchError):
-        _ = a + b
-
-
-def test_field_arithmetic():
-    g = small_grid()
-    u = SpectralField.from_physical(g, np.cos(g.alpha))
-    v = SpectralField.from_physical(g, np.sin(g.alpha))
-    w = 2.0 * u - v + v
-    np.testing.assert_allclose(w.values_real(), 2 * np.cos(g.alpha), atol=1e-13)
-    np.testing.assert_allclose((-u).values_real(), -np.cos(g.alpha), atol=1e-14)
-
-
-def test_coefficients_are_write_protected():
-    u = SpectralField.zero(small_grid())
-    with pytest.raises(ValueError):
-        u.coefficients[0] = 1.0
+    assert c[idx] == 2.0 + 1.0j
+    assert np.count_nonzero(c) == 1
+    assert hermitian_defect(g, c) > 0.0
 
 
 # ------------------------------------------------------- multiplier ops
@@ -125,11 +90,11 @@ def test_coefficients_are_write_protected():
 
 def test_derivative_of_sine():
     g = small_grid(n=128, length=TWO_PI)
-    u = SpectralField.from_physical(g, np.sin(2 * g.alpha))
-    du = derivative(u)
-    np.testing.assert_allclose(du.values_real(), 2 * np.cos(2 * g.alpha), atol=1e-12)
-    d3u = derivative(u, order=3)
-    np.testing.assert_allclose(d3u.values_real(), -8 * np.cos(2 * g.alpha), atol=1e-10)
+    c = coefficients(g, np.sin(2 * g.alpha))
+    np.testing.assert_allclose(physical(g, ik_power(g, 1) * c), 2 * np.cos(2 * g.alpha),
+                               atol=1e-12)
+    np.testing.assert_allclose(physical(g, ik_power(g, 3) * c), -8 * np.cos(2 * g.alpha),
+                               atol=1e-10)
 
 
 def test_antiderivative_inverts_derivative_on_mean_free_fields():
@@ -140,139 +105,68 @@ def test_antiderivative_inverts_derivative_on_mean_free_fields():
     for j in range(1, 20):
         c[j] = rng.normal() + 1j * rng.normal()
         c[-j] = np.conj(c[j])
-    u = SpectralField.from_coefficients(g, c)
-    assert u.is_real
-    v = antiderivative(derivative(u))
-    np.testing.assert_allclose(v.coefficients, u.coefficients, atol=1e-13)
+    assert hermitian_defect(g, c) == 0.0
+    v = ik_power(g, -1) * (ik_power(g, 1) * c)
+    np.testing.assert_allclose(v, c, atol=1e-13)
     # constants are annihilated rather than blowing up
-    const = SpectralField.from_physical(g, np.ones(g.n_points))
-    w = antiderivative(const)
-    assert np.max(np.abs(w.coefficients)) < 1e-15
+    w = ik_power(g, -1) * coefficients(g, np.ones(g.n_points))
+    assert np.max(np.abs(w)) < 1e-15
 
 
 def test_antiderivative_of_sine():
     g = small_grid(n=64)
-    u = SpectralField.from_physical(g, np.sin(g.alpha))
-    w = antiderivative(u)
-    np.testing.assert_allclose(w.values_real(), -np.cos(g.alpha), atol=1e-13)
+    w = ik_power(g, -1) * coefficients(g, np.sin(g.alpha))
+    np.testing.assert_allclose(physical(g, w), -np.cos(g.alpha), atol=1e-13)
 
 
 def test_second_antiderivative_symbol():
     g = small_grid(n=64)
-    u = SpectralField.from_mode(g, 3.0, 1.0)
-    w = antiderivative(u, order=2)
-    assert w.coefficient_at(3.0) == pytest.approx(-1.0 / 9.0)
-
-
-def test_apply_multiplier_accepts_callable_and_array():
-    g = small_grid(n=64)
-    u = SpectralField.from_physical(g, np.cos(5 * g.alpha))
-    sym = lambda k: -1j * np.tanh(k)
-    via_callable = apply_multiplier(sym, u)
-    via_array = apply_multiplier(sym(g.wavenumbers), u)
-    np.testing.assert_allclose(via_callable.coefficients, via_array.coefficients)
-    # -i*tanh maps cos(5a) -> tanh(5) sin(5a): odd-imaginary symbol keeps it real
-    np.testing.assert_allclose(
-        via_callable.values_real(), np.tanh(5.0) * np.sin(5 * g.alpha), atol=1e-13
-    )
-    assert via_callable.is_real
-
-
-def test_identity_multiplier_is_identity():
-    g = small_grid()
-    rng = np.random.default_rng(3)
-    u = SpectralField.from_physical(g, rng.standard_normal(g.n_points))
-    v = apply_multiplier(np.ones(g.n_points, dtype=complex), u)
-    np.testing.assert_allclose(v.coefficients, u.coefficients)
-    assert v.is_real
-
-
-def test_apply_multiplier_rejects_nonfinite_symbol():
-    g = small_grid()
-    u = SpectralField.from_physical(g, np.cos(g.alpha))
-    with pytest.raises(ValueError):
-        with np.errstate(divide="ignore"):
-            apply_multiplier(lambda k: 1.0 / k, u)  # inf at the zero mode
-
-
-def test_projection_splits_field():
-    g = small_grid(n=128)
-    f = np.cos(g.alpha) + np.cos(10 * g.alpha)
-    u = SpectralField.from_physical(g, f)
-    low = project(u, 5.0, band="low")
-    high = project(u, 5.0, band="high")
-    np.testing.assert_allclose(low.values_real(), np.cos(g.alpha), atol=1e-13)
-    np.testing.assert_allclose((low + high).values_real(), f, atol=1e-13)
-    with pytest.raises(ValueError):
-        project(u, -1.0, band="low")
-    with pytest.raises(ValueError):
-        project(u, 1.0, band="middle")
-
-
-def test_projection_drops_high_single_mode():
-    g = small_grid()
-    u = SpectralField.from_physical(g, np.exp(2j * g.alpha))
-    assert np.max(np.abs(project(u, 1.0, band="low").coefficients)) < 1e-15
+    w = ik_power(g, -2) * mode(g, 3.0, 1.0)
+    assert w[g.mode_index(3.0)] == pytest.approx(-1.0 / 9.0)
 
 
 def test_multiply_matches_trig_identity():
     g = small_grid(n=128)
-    u = SpectralField.from_physical(g, np.cos(3 * g.alpha))
-    v = SpectralField.from_physical(g, np.cos(4 * g.alpha))
-    w = multiply(u, v)
+    w = product(g, coefficients(g, np.cos(3 * g.alpha)), coefficients(g, np.cos(4 * g.alpha)))
     expect = 0.5 * (np.cos(7 * g.alpha) + np.cos(g.alpha))
-    np.testing.assert_allclose(w.values_real(), expect, atol=1e-13)
+    np.testing.assert_allclose(physical(g, w), expect, atol=1e-13)
 
 
 def test_multiply_dealiases_high_modes():
     g = small_grid(n=64)
     cut = g.n_points // 3
-    u = SpectralField.from_mode(g, float(cut - 1), 1.0)
-    w = multiply(u, u)
+    u = mode(g, float(cut - 1), 1.0)
     # 2*(cut-1) aliases on the raw grid; the dealiased product must drop it
-    assert np.max(np.abs(w.coefficients)) < 1e-15
+    assert np.max(np.abs(product(g, u, u))) < 1e-15
 
 
-def test_commutator_apply_single_modes():
+def test_commutator_single_modes():
     """[M, g] f for single exponentials: (M(p+q) - M(q)) on the product mode."""
     g = small_grid(n=64)
-    f = SpectralField.from_mode(g, 2.0, 1.0)
-    gg = SpectralField.from_mode(g, 1.0, 1.0)
     sym = lambda k: -1j * np.tanh(k)
-    w = commutator_apply(sym, gg, f)
+    w = commutator(g, sym(g.wavenumbers), mode(g, 1.0, 1.0), mode(g, 2.0, 1.0))
     expect = sym(3.0) - sym(2.0)
-    assert w.coefficient_at(3.0) == pytest.approx(expect)
-    assert np.count_nonzero(np.abs(w.coefficients) > 1e-14) == 1
+    assert w[g.mode_index(3.0)] == pytest.approx(expect)
+    assert np.count_nonzero(np.abs(w) > 1e-14) == 1
 
 
 def test_commutator_vanishes_for_constant_g():
     g = small_grid()
     rng = np.random.default_rng(11)
-    f = SpectralField.from_physical(g, rng.standard_normal(g.n_points))
-    const = SpectralField.from_physical(g, np.full(g.n_points, 2.5))
-    w = commutator_apply(lambda k: 1j * k, const, f)
-    assert norm_l2(w) < 1e-12
+    f = coefficients(g, rng.standard_normal(g.n_points))
+    const = coefficients(g, np.full(g.n_points, 2.5))
+    w = commutator(g, 1j * g.wavenumbers, const, f)
+    assert np.sqrt(g.length * np.sum(np.abs(w) ** 2)) < 1e-12
 
 
-def test_norms_parseval():
-    g = small_grid(n=128, length=4 * np.pi)
-    u = SpectralField.from_physical(g, np.cos(g.alpha * 0.5))
-    # ||cos||^2 = L/2 on a full period
-    assert norm_l2(u) == pytest.approx(np.sqrt(4 * np.pi / 2))
-    assert norm_sobolev(u, 0.0) == pytest.approx(norm_l2(u))
-    assert norm_sobolev(u, 2.0) == pytest.approx(np.sqrt((1 + 0.25) ** 2 * (4 * np.pi / 2)))
-
-
-def test_hermitian_symmetrize_repairs_drift():
+def test_hermitian_part_repairs_drift():
     g = small_grid(n=64)
-    u = SpectralField.from_physical(g, np.cos(2 * g.alpha))
-    c = u.coefficients.copy()
+    u = coefficients(g, np.cos(2 * g.alpha))
+    c = u.copy()
     c[g.mode_index(2.0)] += 1e-9 * 1j  # inject asymmetric round-off
-    drifted = SpectralField.from_coefficients(g, c, is_real=False)
-    fixed = hermitian_symmetrize(drifted)
-    assert fixed.hermitian_defect() < 1e-16
-    assert fixed.is_real
-    np.testing.assert_allclose(fixed.coefficients, u.coefficients, atol=1e-9)
+    fixed = hermitian_part(g, c)
+    assert hermitian_defect(g, fixed) < 1e-16
+    np.testing.assert_allclose(fixed, u, atol=1e-9)
 
 
 # ----------------------------------------------------- property checks
@@ -282,26 +176,14 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 @given(seed=seeds)
 @settings(max_examples=25, deadline=None)
-def test_round_trip_random_real_fields(seed):
-    g = small_grid(n=64)
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(g.n_points)
-    u = SpectralField.from_physical(g, f)
-    assert u.is_real
-    np.testing.assert_allclose(u.values_real(), f, atol=1e-12 * max(1.0, np.max(np.abs(f))))
-
-
-@given(seed=seeds)
-@settings(max_examples=25, deadline=None)
 def test_derivative_annihilates_mean_and_parseval_holds(seed):
     g = small_grid(n=64)
     rng = np.random.default_rng(seed)
-    u = SpectralField.from_physical(g, rng.standard_normal(g.n_points))
-    du = derivative(u)
-    assert abs(du.coefficient_at(0.0)) == 0.0
+    u = coefficients(g, rng.standard_normal(g.n_points))
+    assert abs((ik_power(g, 1) * u)[0]) == 0.0
     # Parseval: physical-space quadrature agrees with the coefficient norm
-    quad = np.sqrt(g.spacing * np.sum(u.values_real() ** 2))
-    assert quad == pytest.approx(norm_l2(u), rel=1e-12)
+    quad = np.sqrt(g.spacing * np.sum(physical(g, u) ** 2))
+    assert quad == pytest.approx(np.sqrt(g.length * np.sum(np.abs(u) ** 2)), rel=1e-12)
 
 
 @given(seed=seeds, shift=st.integers(min_value=-8, max_value=8))
@@ -309,11 +191,8 @@ def test_derivative_annihilates_mean_and_parseval_holds(seed):
 def test_multiply_is_bilinear_and_commutative(seed, shift):
     g = small_grid(n=64)
     rng = np.random.default_rng(seed)
-    u = SpectralField.from_physical(g, rng.standard_normal(g.n_points))
-    v = SpectralField.from_mode(g, float(shift), 0.5)
-    v = hermitian_symmetrize(v + SpectralField.from_mode(g, float(-shift), 0.5))
-    uv = multiply(u, v)
-    vu = multiply(v, u)
-    np.testing.assert_allclose(uv.coefficients, vu.coefficients, atol=1e-14)
-    u2 = multiply(u + u, v)
-    np.testing.assert_allclose(u2.coefficients, 2 * uv.coefficients, atol=1e-13)
+    u = coefficients(g, rng.standard_normal(g.n_points))
+    v = hermitian_part(g, mode(g, float(shift), 0.5) + mode(g, float(-shift), 0.5))
+    uv = product(g, u, v)
+    np.testing.assert_allclose(uv, product(g, v, u), atol=1e-14)
+    np.testing.assert_allclose(product(g, u + u, v), 2 * uv, atol=1e-13)

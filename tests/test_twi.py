@@ -157,6 +157,13 @@ def test_zero_dt_rejected(coeffs_b02):
         integrate(TWIState(A0=1 + 0j, A1=0j, A2=0j), coeffs_b02, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("every", [0, -2])
+def test_sample_every_below_one_is_refused(coeffs_b02, every):
+    with pytest.raises(ValueError, match="sample_every"):
+        integrate(TWIState(A0=1 + 0j, A1=0j, A2=0j), coeffs_b02, 1e-3, 0.01,
+                  sample_every=every)
+
+
 # --------------------------------------------------------------------------
 # stability experiments
 # --------------------------------------------------------------------------
