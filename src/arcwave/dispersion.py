@@ -24,8 +24,8 @@ closed forms by one of two routes.  A Python float (``np.float64`` included)
 or int goes through ``math`` and returns a float: this is the route of every
 Brent and Newton iteration in ``resonance``, at about a hundredth of the
 cost of a numpy call.  Anything else, 0-d arrays included, goes through
-numpy, split between the series and the closed form only when it has points
-on both sides of the cut.  omega itself forms no sech^2: only the
+numpy on one path: the closed form on every point, then the series written
+over the points below the cut.  omega itself forms no sech^2: only the
 derivatives use it.  ``math`` and numpy may round tanh, cosh and powers
 differently, so the routes agree to within two ulps of the terms a closed
 form sums (for omega'' and omega''' near their zeros that is many ulps of
@@ -51,12 +51,6 @@ _SERIES_CUT = (0.05, 0.05, 0.1, 0.1)
 _COSH_MAX = 710.0
 
 
-def _array_sech2(a: np.ndarray) -> np.ndarray:
-    # sech^2 underflows to 0 for large |k|; the overflow inside cosh is benign
-    with np.errstate(over="ignore"):
-        return 1.0 / np.cosh(a) ** 2
-
-
 def _scalar_sech2(a: float) -> float:
     if a > _COSH_MAX:
         return 0.0
@@ -65,7 +59,7 @@ def _scalar_sech2(a: float) -> float:
 
 
 #: elementary functions of the two routes: numpy on arrays, math on floats
-_ARRAY = SimpleNamespace(tanh=np.tanh, sqrt=np.sqrt, sech2=_array_sech2)
+_ARRAY = SimpleNamespace(tanh=np.tanh, sqrt=np.sqrt, sech2=lambda a: 1.0 / np.cosh(a) ** 2)
 _SCALAR = SimpleNamespace(tanh=math.tanh, sqrt=math.sqrt, sech2=_scalar_sech2)
 
 
@@ -75,9 +69,9 @@ def _radial(k, b: float, order: int, series, closed, odd: bool):
     ``series(a, b, order)`` serves a < _SERIES_CUT[order] (divided by
     sqrt(b) when b > 1) and ``closed(a, b, order, route)`` the rest.  A
     Python float or int takes the scalar route and returns a float; anything
-    else is evaluated as a float64 array, split between the two branches
-    only when it holds points of both (a 0-d array still returns a float).
-    Each element's value is the same either way.
+    else is evaluated as a float64 array (a 0-d array still returns a float):
+    the closed form on every point, then the series over the points below
+    the cut.  Each element's value is the same either way.
     """
     cut = _SERIES_CUT[order]
     if b > 1.0:
@@ -91,15 +85,14 @@ def _radial(k, b: float, order: int, series, closed, odd: bool):
     # a 0-d array runs through the 1-d loops, as one element of an array
     x = arr.reshape(1) if arr.ndim == 0 else arr
     a = np.abs(x)
-    small = a < cut
-    if not small.any():
+    # below the cut the closed forms meet 0/0 at k = 0 and cancellation near
+    # it, and cosh overflows far out (sech^2 is then 0); the series replaces
+    # the former
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = closed(a, b, order, _ARRAY)
-    elif small.all():
-        out = series(a, b, order)
-    else:
-        out = np.empty_like(a)
+    small = a < cut
+    if small.any():
         out[small] = series(a[small], b, order)
-        out[~small] = closed(a[~small], b, order, _ARRAY)
     if odd:
         out = np.sign(x) * out
     return float(out[0]) if arr.ndim == 0 else out

@@ -420,17 +420,22 @@ def rho_extremes(j1: int, l: int, params: KernelParams,
     A check of what the paper's energy argument assumes: the reweighting
     stays positive and bounded, so the modified energy is equivalent to the
     Sobolev norm.  It samples 2 x ``n_samples`` points; no production route
-    calls it, only the tests do.
+    calls it, only the tests do.  A value that is not finite raises, naming
+    where, rather than being left out of the extremes.
     """
     k1 = params.require_k1()
     gap = k1 - params.k0
-    pieces = []
-    for ell in (-1, 1):
-        center = -ell * gap
-        ks = np.linspace(center - gap, center + gap, n_samples)
-        pieces.append(np.asarray(rho_hat(j1, l, ks, params)))
-    allv = np.concatenate(pieces)
-    allv = allv[np.isfinite(allv)]
+    ks = np.concatenate([np.linspace(-ell * gap - gap, -ell * gap + gap, n_samples)
+                         for ell in (-1, 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        allv = np.asarray(rho_hat(j1, l, ks, params))
+    bad = np.abs(ks[~np.isfinite(allv)])
+    if bad.size:
+        raise ValueError(
+            f"rho_hat at b={params.b}, (j1, l)=({j1}, {l}) is not finite for "
+            f"{bad.min():.6g} <= |k| <= {bad.max():.6g}: the lattice-rounded "
+            f"second-block kernel divides 0/0 there (ROADMAP item 4, exact-k "
+            f"weights)")
     return float(np.min(allv)), float(np.max(allv))
 
 
@@ -507,24 +512,15 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
 # ---------------------------------------------------------------------------
 
 
-def delta0_for(k0: float, b: float, margin: float = 0.1) -> float:
-    """Largest candidate delta0 = k0/20 * 0.999 * 0.9^i, i = 0, 1, ..., that
-    passes two checks of the resonance functions.
+def delta0_for(k0: float, b: float) -> float:
+    """Largest candidate delta0 = k0/20 * 0.999 * 0.9^i, i = 0, 1, ..., around
+    whose removable zeros at 0 and k0 the diagonal resonance function r_hat
+    stays above a tenth of its limiting slope |omega'(k0) - 1| times the
+    distance, on 400 points to each side.
 
-    * Around the removable zeros of the diagonal resonance function r_hat at
-      0 and k0, |r_hat| must stay above ``margin`` times the limiting slope
-      |omega'(k0) - 1| times the distance, on 400 points to each side.
-    * Around k = 0, for the sign combinations of ``r_general(j1, j2, k,
-      ell k0, k - ell k0)`` whose limit at k = 0 does not vanish, |r| must
-      stay above ``margin`` times that limit on 401 points of [-delta,
-      delta].
-
-    Each candidate evaluates omega once, on all of its points stacked
-    (r_general is i times a real bracket and |i x| = |x| exactly, so the
-    bracket is checked directly); omega(0) and omega(+-k0) are scalars
-    evaluated once.  Raises ValueError at a group-velocity degeneracy
-    omega'(k0) = 1, where no linear margin exists, and when no candidate
-    above 1e-6 k0 passes.
+    Each candidate evaluates omega once, on all of its points stacked.
+    Raises ValueError at a group-velocity degeneracy omega'(k0) = 1, where
+    no linear margin exists, and when no candidate above 1e-6 k0 passes.
     """
     slope = abs(float(omega_deriv(k0, b, 1)) - 1.0)
     if slope < 1e-12:
@@ -533,37 +529,13 @@ def delta0_for(k0: float, b: float, margin: float = 0.1) -> float:
         )
 
     w0 = omega(k0, b)
-    w_ell = {-1: omega(-k0, b), 1: w0}
-    # r_general(j1, j2, k, ell k0, k - ell k0) is i (s1 omega(k) + omega(ell k0)
-    # - s2 omega(k - ell k0)) with s = sgn(j); the rows below are the sign
-    # combinations whose limit at k = 0 does not vanish, each with its floor
-    # and the row of omega(window - ell k0) in the stack
-    w_zero = omega(0.0, b)
-    rows = []
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            for ell in (-1, 1):
-                r0 = abs(s1 * w_zero + w_ell[ell] - s2 * w_ell[-ell])
-                if r0 > 1e-9:
-                    rows.append((s1, s2, w_ell[ell], margin * r0, (3 + ell) // 2))
-    s1, s2, w_l, floor, shift = np.array(rows, dtype=float).reshape(-1, 5).T
-    s1, s2, w_l, shift = s1[:, None], s2[:, None], w_l[:, None], shift.astype(int)
-
     delta = k0 / 20.0 * 0.999
     while delta > 1e-6 * k0:
         kk = np.linspace(1e-9, delta, 400)
         near = np.array([kk, -kk, k0 + kk, k0 - kk])
-        window = np.linspace(-delta, delta, 401)
-        w = omega(np.concatenate([near.ravel(), (near - k0).ravel(),
-                                  window, window + k0, window - k0]), b)
-        w_near = w[:2 * near.size].reshape(8, 400)
-        w_win = w[2 * near.size:].reshape(3, 401)
-        r = w_near[:4] - w_near[4:] - w0
-        ok = np.all(np.abs(r) >= margin * slope * kk)
-        if ok:
-            vals = np.abs(s1 * w_win[0] + w_l - s2 * w_win[shift])
-            ok = not np.any(vals.min(axis=1) < floor)
-        if ok:
+        w = omega(np.concatenate([near, near - k0]), b)
+        r = w[:4] - w[4:] - w0
+        if np.all(np.abs(r) >= 0.1 * slope * kk):
             return float(delta)
         delta *= 0.9
     raise ValueError(f"no admissible delta0 found for (k0={k0}, b={b})")

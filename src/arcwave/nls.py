@@ -15,11 +15,10 @@ isometries, so mass is conserved to round-off.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .kernels import first_block_symbol
 from .spectral import Grid1D
 
 __all__ = [
-    "Provenance",
     "NLSCoeffs",
     "EnvelopeField",
     "NLSTrajectory",
@@ -43,18 +41,12 @@ _DENOM_TOL = 1e-8
 _FD_STEP = 1e-6
 
 
-class Provenance(str, enum.Enum):
-    USER_SUPPLIED = "user_supplied"
-    QUADRATIC_TRUNCATED = "quadratic_truncated_derivation"
-
-
 @dataclass(frozen=True)
 class NLSCoeffs:
     """Envelope equation data: dA/dtau = i*half_omega2*A'' + i*nu*|A|^2*A."""
 
     half_omega2: float
     nu: float
-    provenance: Provenance = Provenance.USER_SUPPLIED
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.half_omega2) and np.isfinite(self.nu)):
@@ -142,8 +134,7 @@ def nls_coefficients(k0: float, b: float) -> NLSCoeffs:
 
     The quadratic interactions feed the cubic balance twice: once through
     the second harmonic and once through the mean flow.  Summing both back
-    into the carrier equation yields i*nu; the result is real to round-off
-    and is returned with provenance marked accordingly.
+    into the carrier equation yields i*nu; the result is real to round-off.
     """
     c = second_order_coefficients(k0, b)
     inu = 0.0 + 0.0j
@@ -153,11 +144,7 @@ def nls_coefficients(k0: float, b: float) -> NLSCoeffs:
     nu = float(np.imag(inu))
     if abs(np.real(inu)) > 1e-9 * max(1.0, abs(nu)):
         raise AssertionError(f"nu came out non-real: {inu}")  # pragma: no cover
-    return NLSCoeffs(
-        half_omega2=0.5 * omega_deriv(k0, b, order=2),
-        nu=nu,
-        provenance=Provenance.QUADRATIC_TRUNCATED,
-    )
+    return NLSCoeffs(half_omega2=0.5 * omega_deriv(k0, b, order=2), nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ interpolation error at any eps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .spectral import Grid1D
 
 __all__ = [
     "WavePacket",
-    "SecondOrderAmplitudes",
     "second_order_corrections",
     "wave_packet",
     "fourier_truncate",
@@ -42,28 +40,15 @@ __all__ = [
 NESTING_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SecondOrderAmplitudes:
-    """Envelope-scale correction profiles keyed by first-block component.
-
-    The mappings and their profiles are read-only copies, so a packet
-    cannot change once built (``sim.energy_diagnostic`` relies on that).
-    """
-
-    A_m0: Mapping[int, np.ndarray]   # mean flow, m in {-1, +1}
-    A_m2: Mapping[int, np.ndarray]   # second harmonic
-
-    def __post_init__(self) -> None:
-        for name in ("A_m0", "A_m2"):
-            frozen = {}
-            for m, profile in getattr(self, name).items():
-                frozen[m] = np.array(profile)
-                frozen[m].setflags(write=False)
-            object.__setattr__(self, name, MappingProxyType(frozen))
+#: harmonic l of each row of a profile stack: the lead on l = 1, then the
+#: mean flow (l = 0) and second harmonic (l = 2) of u_{-1}, then of u_{+1}
+_HARMONICS = (1, 0, 2, 0, 2)
 
 
-def second_order_corrections(A: EnvelopeField, params: ModelParams) -> SecondOrderAmplitudes:
-    """Quadratic response profiles c_{m0}|A|^2 and c_{m2}A^2.
+def second_order_corrections(A: EnvelopeField, params: ModelParams) -> np.ndarray:
+    """Quadratic response profiles c_{m0}|A|^2 and c_{m2}A^2, as the (4, n_env)
+    rows ``_HARMONICS[1:]``: mean flow and second harmonic of u_{-1}, then of
+    u_{+1}.
 
     The response coefficients come from the same elimination as the cubic
     envelope coefficient; degenerate denominators raise there, naming the
@@ -71,20 +56,24 @@ def second_order_corrections(A: EnvelopeField, params: ModelParams) -> SecondOrd
     """
     c = second_order_coefficients(params.k0, params.b)
     a = A.values
-    return SecondOrderAmplitudes(
-        A_m0={-1: c["c_m0"] * np.abs(a) ** 2, 1: c["c_p0"] * np.abs(a) ** 2},
-        A_m2={-1: c["c_m2"] * a**2, 1: c["c_p2"] * a**2},
-    )
+    mod2, a2 = np.abs(a) ** 2, a**2
+    return np.array([c["c_m0"] * mod2, c["c_m2"] * a2, c["c_p0"] * mod2, c["c_p2"] * a2])
 
 
 @dataclass(frozen=True)
 class WavePacket:
-    """Envelope plus correction profiles and the truncation flag."""
+    """Envelope, its slow profiles and the truncation flag.
+
+    ``profiles`` holds the slow profiles in ``_HARMONICS`` order: the
+    envelope alone, (1, n_env), or with its corrections, (5, n_env).  It is
+    a read-only complex copy, so a packet cannot change once built
+    (``sim.energy_diagnostic`` relies on that).
+    """
 
     eps: float
     params: ModelParams
     A: EnvelopeField
-    corrections: Optional[SecondOrderAmplitudes]
+    profiles: np.ndarray
     truncated: bool = False
     delta0: Optional[float] = None
 
@@ -94,17 +83,25 @@ class WavePacket:
         if self.truncated and not (self.delta0 and 0 < self.delta0 < self.params.k0 / 20):
             raise ValueError(
                 f"truncation needs 0 < delta0 < k0/20, got {self.delta0}")
+        profiles = np.array(self.profiles, dtype=complex)
+        if profiles.shape not in ((1, self.A.grid.n_points), (5, self.A.grid.n_points)):
+            raise ValueError(f"profiles must be (1 or 5, {self.A.grid.n_points}), "
+                             f"got {profiles.shape}")
+        profiles.setflags(write=False)
+        object.__setattr__(self, "profiles", profiles)
 
     @property
     def corrections_enabled(self) -> bool:
-        return self.corrections is not None
+        return len(self.profiles) > 1
 
 
 def wave_packet(A: EnvelopeField, eps: float, params: ModelParams,
                 corrections: bool = True) -> WavePacket:
     """Package an envelope for realization, precomputing the corrections."""
-    sec = second_order_corrections(A, params) if corrections else None
-    return WavePacket(eps=eps, params=params, A=A, corrections=sec)
+    profiles = A.values[None]
+    if corrections:
+        profiles = np.concatenate([profiles, second_order_corrections(A, params)])
+    return WavePacket(eps=eps, params=params, A=A, profiles=profiles)
 
 
 def fourier_truncate(packet: WavePacket, delta0: float) -> WavePacket:
@@ -139,20 +136,6 @@ def _check_nesting(packet: WavePacket, grid: Grid1D) -> int:
     return j0
 
 
-#: harmonic l of each row of a profile stack: the lead on l = 1, then the
-#: mean flow (l = 0) and second harmonic (l = 2) of u_{-1}, then of u_{+1}
-_HARMONICS = (1, 0, 2, 0, 2)
-
-
-def _profile_stack(lead: np.ndarray,
-                   corrections: Optional[SecondOrderAmplitudes]) -> np.ndarray:
-    """The slow profiles in ``_HARMONICS`` order, (1, n_env) without corrections."""
-    if corrections is None:
-        return lead[..., None, :]
-    return np.stack([lead, corrections.A_m0[-1], corrections.A_m2[-1],
-                     corrections.A_m0[1], corrections.A_m2[1]], axis=-2)
-
-
 def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
                        j0: int, cg: float, t: float) -> np.ndarray:
     """Carrier-grid coefficients of profile(eps*(alpha - cg t)) * E^l per row.
@@ -182,7 +165,7 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
                  profiles: np.ndarray) -> np.ndarray:
     """(..., 2, n) coefficients of u_{-/+1} carried by a profile stack, linear in it.
 
-    Each profile G rides its harmonic l (see ``_profile_stack``) as
+    Each profile G rides its harmonic l (see ``_HARMONICS``) as
     G(eps*(alpha - cg*t)) * e^{il(k0*alpha - omega0*t)} plus the complex
     conjugate: the lead on l = 1 in u_{-1} at order eps, the corrections'
     mean flow (l = 0) and second harmonic (l = 2) in both components at
@@ -217,8 +200,7 @@ def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
     u_{-1}, u_{+1}, u_{-2}, u_{+2}: the first block from the profiles, the
     second slaved to it by :func:`arcwave.equations.slave_second_block`.
     """
-    first = _first_block(packet, grid, t,
-                         _profile_stack(packet.A.values, packet.corrections))
+    first = _first_block(packet, grid, t, packet.profiles)
     return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
 
 
@@ -233,7 +215,7 @@ def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
     """
     p = packet.params
     j0 = _check_nesting(packet, grid)
-    lead = _band_coefficients(grid, packet.A.grid, packet.A.values[None], j0,
+    lead = _band_coefficients(grid, packet.A.grid, packet.profiles[:1], j0,
                               p.cg, t)[0] * np.exp(-1j * p.omega0 * t)
     if packet.truncated:
         lead = np.where(band_mask(grid, p.k0, packet.delta0), lead, 0.0)
@@ -270,9 +252,9 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float,
         dxi = np.fft.ifft(1j * env.wavenumbers * np.fft.fft(profile))
         return eps**2 * profile_tau - eps * p.cg * dxi - 1j * ell * p.omega0 * profile
 
-    profiles = _profile_stack(a, packet.corrections)
+    profiles = packet.profiles
     profiles_tau = [a_tau]
-    if packet.corrections is not None:
+    if packet.corrections_enabled:
         c = second_order_coefficients(p.k0, p.b)
         mod2 = 2.0 * np.real(np.conj(a) * a_tau)          # d/dtau |A|^2
         profiles_tau += [c["c_m0"] * mod2, c["c_m2"] * 2 * a * a_tau,

@@ -7,8 +7,9 @@ single Fourier modes (or a spectral comb) through the quadratic part of
 reads off the output coefficients.  ``q_term_operator`` realizes each
 closed-form principal symbol from multiplier/product/commutator primitives,
 and ``q13_closed`` is the analytic first-block commutator remainder.
-``delta0_per_combo`` is the sign-combination-by-combination scan that
-:func:`arcwave.kernels.delta0_for` does on one stacked evaluation.
+``delta0_per_combo`` is the scan :func:`arcwave.kernels.delta0_for` first
+was, sign combination by sign combination, with the k = 0 window check that
+production no longer makes.
 """
 
 from __future__ import annotations
@@ -268,12 +269,14 @@ def equation_kernel_curve(b: float, j1: int, j2: int, l: float,
 # ---------------------------------------------------------------------------
 
 
-def delta0_per_combo(k0: float, b: float, margin: float = 0.1) -> float:
+def delta0_per_combo(k0: float, b: float) -> float:
     """``delta0_for`` as first written: per candidate, r_hat on its four
     windows, then ``r_general`` window by window for each sign combination
     (j1, j2, ell) whose k = 0 limit does not vanish, each call evaluating
-    omega afresh.  The checks, candidates and errors are the production
-    function's, which must return the same float."""
+    omega afresh.  The candidates, errors and first check are the production
+    function's, which must return the same float; the second check, which
+    production does not make, shows by that equality that it decides
+    nothing."""
     slope = abs(float(omega_deriv(k0, b, 1)) - 1.0)
     if slope < 1e-12:
         raise ValueError(
@@ -291,12 +294,12 @@ def delta0_per_combo(k0: float, b: float, margin: float = 0.1) -> float:
     while delta > 1e-6 * k0:
         kk = np.linspace(1e-9, delta, 400)
         windows = r_hat(np.array([kk, -kk, k0 + kk, k0 - kk]), b, k0)
-        ok = np.all(np.abs(windows) >= margin * slope * kk)
+        ok = np.all(np.abs(windows) >= 0.1 * slope * kk)
         if ok:
             window = np.linspace(-delta, delta, 401)
             for (j1, j2, ell), r0 in limits.items():
                 vals = np.abs(r_general(j1, j2, window, ell * k0, window - ell * k0, b))
-                if np.min(vals) < margin * r0:
+                if np.min(vals) < 0.1 * r0:
                     ok = False
                     break
         if ok:

@@ -221,30 +221,46 @@ def test_scalar_route_matches_array_route(name, b):
             assert abs(got - expected) <= tol, (name, k, b, type(arg), got, expected)
 
 
-# the array route's unsplit paths against the masked split, point by point
+# the array route's one path against each point on its own, point by point
 LARGE_KS = np.concatenate([np.linspace(0.11, 40.0, 257), -np.geomspace(0.11, 800.0, 64)])
 SMALL_KS = np.linspace(-0.03, 0.03, 121)  # below every cut for b <= 2
 MIXED_KS = np.concatenate([SMALL_KS[::7], LARGE_KS[::9], [0.0, 0.0499, 0.05, 0.0999, 0.1]])
+#: the last float below, the cut itself and the first float above, on both
+#: sides, for the cuts 0.05 and 0.1 and (b = 2) those over sqrt(2)
+CUT_KS = np.array([s * np.nextafter(c, c + d) for c in (0.05, 0.1, 0.05 / math.sqrt(2.0),
+                                                         0.1 / math.sqrt(2.0))
+                   for d in (-1.0, 0.0, 1.0) for s in (-1.0, 1.0)])
+_KK = np.linspace(1e-9, 0.0999, 400)
+_NEAR = np.array([_KK, -_KK, 2.0 + _KK, 2.0 - _KK])
+#: the zero-crossing scans' long arrays, each checked at a stride: omega's
+#: (k - k0) grid in find_zeros at k0 = 2 (14 100 points), and delta0_for's
+#: first-candidate points near 0 and k0 with their shifts by -k0
+LONG_KS = ((np.linspace(1.0, 142.0, 14100) - 2.0, 47),
+           (np.concatenate([_NEAR, _NEAR - 2.0]), 7))
 
 
 def _split_point_by_point(f, ks: np.ndarray, b: float) -> np.ndarray:
     """f at each point of ks on its own, as the first entry of [k, 0, 1]:
-    0 is below every series cut and 1 above it, so the masked split serves
-    every point."""
+    0 is below every series cut and 1 above it, so each point is served as
+    in an array with points on both sides."""
     return np.array([f(np.array([k, 0.0, 1.0]), b)[0] for k in ks.ravel()]).reshape(ks.shape)
 
 
 @pytest.mark.parametrize("b", (0.0, 0.05, 1.0 / 3.0, 2.0))
 @pytest.mark.parametrize("name", sorted(ROUTE_SYMBOLS))
 def test_unsplit_array_paths_equal_the_masked_split(name, b):
-    """All-large, all-small, mixed and 2-d arrays are bitwise the points
-    evaluated one at a time through the masked split, and a 0-d array
-    still returns a float with the same value."""
+    """The one array path (the closed form on every point, the series over
+    the points below the cut) gives all-large, all-small, mixed, cut-
+    straddling and 2-d arrays, and the zero-crossing scans' long arrays at a
+    stride, bitwise the points evaluated one at a time, without a
+    RuntimeWarning; a 0-d array still returns a float with the same value."""
     f, _ = ROUTE_SYMBOLS[name]
-    for ks in (LARGE_KS, SMALL_KS, MIXED_KS, MIXED_KS[:54].reshape(6, 9)):
+    for ks, stride in [(ks, 1) for ks in (LARGE_KS, SMALL_KS, MIXED_KS, CUT_KS,
+                                          MIXED_KS[:54].reshape(6, 9))] + list(LONG_KS):
         got = f(ks, b)
         assert type(got) is np.ndarray and got.shape == ks.shape
-        assert np.array_equal(got, _split_point_by_point(f, ks, b)), (name, b)
+        want = _split_point_by_point(f, ks[..., ::stride], b)
+        assert np.array_equal(got[..., ::stride], want), (name, b, ks.shape)
     for k in (0.01, -0.07, 2.0, -30.0):
         got = f(np.array(k), b)
         assert type(got) is float

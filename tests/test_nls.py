@@ -7,7 +7,6 @@ from arcwave.dispersion import omega_deriv
 from arcwave.nls import (
     EnvelopeField,
     NLSCoeffs,
-    Provenance,
     mass,
     nls_coefficients,
     second_order_coefficients,
@@ -51,7 +50,6 @@ def l2(grid, values):
 def test_cubic_coefficient_frozen_table(b, expected):
     co = nls_coefficients(K0, b)
     assert co.nu == pytest.approx(expected, rel=1e-8)
-    assert co.provenance is Provenance.QUADRATIC_TRUNCATED
 
 
 def test_half_omega2_matches_finite_differences():
@@ -98,7 +96,7 @@ def test_coeffs_validation():
     with pytest.raises(ValueError):
         NLSCoeffs(half_omega2=float("nan"), nu=1.0)
     user = NLSCoeffs(half_omega2=-0.1, nu=2.0)
-    assert user.provenance is Provenance.USER_SUPPLIED
+    assert (user.half_omega2, user.nu) == (-0.1, 2.0)
 
 
 def test_envelope_field_validation():

@@ -9,8 +9,6 @@ The time-derivative builder is cross-checked against a central finite
 difference of the full construction, envelope evolution included.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +61,9 @@ def per_mode_band(grid, env, profile, ell, j0, cg, t):
 
 
 def band_by_band_first_block(packet, grid, t, lead, corrections):
-    """The first block assembled one band at a time from per-mode loops."""
+    """The first block assembled one band at a time from per-mode loops;
+    ``corrections`` is None or the (4, n_env) mean-flow and second-harmonic
+    rows of u_{-1}, then of u_{+1}."""
     p = packet.params
     j0 = round(p.k0 / grid.fundamental)
     conj = grid._conjugate_index
@@ -75,10 +75,10 @@ def band_by_band_first_block(packet, grid, t, lead, corrections):
     carrier = band(lead, 1) * np.exp(-1j * p.omega0 * t)
     rows[0] += packet.eps * (carrier + np.conj(carrier[conj]))
     if corrections is not None:
-        for row, m in zip(rows, (-1, 1)):
-            c = band(corrections.A_m0[m], 0)
+        for row, (mean_profile, harm_profile) in zip(rows, corrections.reshape(2, 2, -1)):
+            c = band(mean_profile, 0)
             mean = 0.5 * (c + np.conj(c[conj]))
-            harm = band(corrections.A_m2[m], 2) * np.exp(-2j * p.omega0 * t)
+            harm = band(harm_profile, 2) * np.exp(-2j * p.omega0 * t)
             row += packet.eps**2 * (mean + harm + np.conj(harm[conj]))
     if packet.truncated:
         rows[:, ~band_mask(grid, p.k0, packet.delta0)] = 0.0
@@ -125,7 +125,8 @@ class TestRealization:
         packet = wave_packet(sech_envelope(), EPS, PARAMS, corrections=corrections)
         if truncate:
             packet = fourier_truncate(packet, DELTA0)
-        a, sec = packet.A.values, packet.corrections
+        a = packet.A.values
+        sec = packet.profiles[1:] if corrections else None
         for t in (0.0, 1.3):
             first = band_by_band_first_block(packet, CARRIER, t, a, sec)
             want = np.concatenate(
@@ -151,12 +152,10 @@ class TestRealization:
             if corrections:
                 c = second_order_coefficients(PARAMS.k0, PARAMS.b)
                 mod2 = 2.0 * np.real(np.conj(a) * a_tau)
-                d_sec = SimpleNamespace(
-                    A_m0={m: d_dt(sec.A_m0[m], c["c_m0" if m < 0 else "c_p0"] * mod2, 0)
-                          for m in (-1, 1)},
-                    A_m2={m: d_dt(sec.A_m2[m],
-                                  c["c_m2" if m < 0 else "c_p2"] * 2 * a * a_tau, 2)
-                          for m in (-1, 1)})
+                sec_tau = [c["c_m0"] * mod2, c["c_m2"] * 2 * a * a_tau,
+                           c["c_p0"] * mod2, c["c_p2"] * 2 * a * a_tau]
+                d_sec = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
+                                  in zip(sec, sec_tau, (0, 2, 0, 2))])
             du = band_by_band_first_block(packet, CARRIER, t, d_dt(a, a_tau, 1), d_sec)
             plus, minus = slave_second_block(
                 CARRIER, np.array([first + du, first - du]), PARAMS.b)
@@ -168,11 +167,13 @@ class TestRealization:
         packet = wave_packet(sech_envelope(), EPS, PARAMS)
         with pytest.raises(ValueError, match="read-only"):
             packet.A.values[0] = 1.0
-        for profiles in (packet.corrections.A_m0, packet.corrections.A_m2):
+        assert packet.profiles.shape == (5, ENVELOPE.n_points)
+        assert np.array_equal(packet.profiles[0], packet.A.values)
+        for row in range(5):
             with pytest.raises(ValueError, match="read-only"):
-                profiles[-1][3] = 0.0
-            with pytest.raises(TypeError):
-                profiles[1] = np.zeros(ENVELOPE.n_points)
+                packet.profiles[row, 3] = 0.0
+        with pytest.raises(AttributeError):
+            packet.profiles = np.zeros((5, ENVELOPE.n_points))
 
     def test_envelope_values_are_a_copy(self):
         values = sech_envelope().values.copy()
@@ -269,9 +270,8 @@ class TestCorrections:
         doubled = EnvelopeField(ENVELOPE, 2.0 * A.values)
         small = second_order_corrections(A, PARAMS)
         big = second_order_corrections(doubled, PARAMS)
-        for m in (-1, 1):
-            assert np.array_equal(big.A_m0[m], 4.0 * small.A_m0[m])
-            assert np.array_equal(big.A_m2[m], 4.0 * small.A_m2[m])
+        assert small.shape == (4, ENVELOPE.n_points)
+        assert np.array_equal(big, 4.0 * small)
 
     def test_gauge_covariance(self):
         """Rotating the envelope phase rotates each harmonic with its own
