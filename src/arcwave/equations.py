@@ -22,7 +22,9 @@ this at machine level: ik = 0 at k = 0).
 The constraint relations that tie the second block to the first live here
 too, once: ``slave_second_block`` maps a first block to its slaved second
 block, and ``TruncatedSystem.consistency_defect`` measures how far a state
-is from that map, with the same product.
+is from that map, with the same product.  Both read the multiplier tables
+of a ``TruncatedSystem``; the map reads those of ``default_system(grid, b)``,
+the one cached 2/3-rule system per (grid, b).
 
 This module is deliberately free of any closed-form interaction symbols: the
 kernel-extraction machinery treats the functions here as a black box and
@@ -36,51 +38,16 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
-from .dispersion import k0_symbol, omega, sigma, sigma_inv
+from .dispersion import omega, sigma
 from .spectral import Grid1D, full_spectrum, half_spectrum
 
-__all__ = ["TruncatedSystem", "slave_second_block", "COMPONENT_INDEX"]
+__all__ = ["TruncatedSystem", "default_system", "slave_second_block", "COMPONENT_INDEX"]
 
 #: component label -> row index in the (4, n) state array
 COMPONENT_INDEX = {-1: 0, 1: 1, -2: 2, 2: 3}
-
-
-@lru_cache(maxsize=16)
-def _constraint_tables(grid: Grid1D, b: float) -> SimpleNamespace:
-    """Read-only multipliers of the constraint map for one (grid, b).
-
-    ``K0`` and ``sig_inv`` are K0 and sigma^{-1} on the half spectrum
-    (columns 0..n/2), ``ik`` and ``ik2`` are ik and (ik)^2 and ``keep`` the
-    2/3-rule mask, full layout.  Every constraint product on the grid reads
-    them, so they are evaluated once.
-    """
-    k = grid.wavenumbers
-    half = half_spectrum(k)
-    ik = 1j * k
-    tables = SimpleNamespace(K0=k0_symbol(half), sig_inv=sigma_inv(half, b),
-                             ik=ik, ik2=ik**2, keep=grid.dealias_keep.copy())
-    for table in vars(tables).values():
-        table.setflags(write=False)
-    return tables
-
-
-def _constraint_product(grid: Grid1D, f: np.ndarray, g: np.ndarray,
-                        b: float) -> np.ndarray:
-    """Product K0 f * sigma^{-1} g of real fields, full-layout (..., n), not dealiased.
-
-    Formed with real transforms on the half spectrum, so the result is
-    exactly Hermitian.
-    """
-    n = grid.n_points
-    tables = _constraint_tables(grid, b)
-    pf, pg = np.fft.irfft(np.array([tables.K0 * half_spectrum(f),
-                                    tables.sig_inv * half_spectrum(g)]),
-                          n, norm="forward")
-    return full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
 
 
 def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
@@ -93,13 +60,15 @@ def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
         d2 = d1'',    s2 = s1'' - (K0 s1 * sigma^{-1} d2)',
 
     the product dealiased by the grid's 2/3 rule.  These are the relations
-    ``TruncatedSystem.consistency_defect`` measures.
+    ``TruncatedSystem.consistency_defect`` measures; the multipliers are
+    those of ``default_system(grid, b)``.
     """
-    tables = _constraint_tables(grid, b)
+    system = default_system(grid, b)
     s1 = first[..., 0, :] + first[..., 1, :]
-    d2 = (first[..., 0, :] - first[..., 1, :]) * tables.ik2
-    prod = np.where(tables.keep, _constraint_product(grid, s1, d2, b), 0.0)
-    s2 = s1 * tables.ik2 - prod * tables.ik
+    d2 = (first[..., 0, :] - first[..., 1, :]) * system._ik2
+    # np.where, not consistency_defect's * keep_mask: they differ in signed zeros
+    prod = np.where(system.keep_mask, system._constraint_product(s1, d2), 0.0)
+    s2 = s1 * system._ik2 - prod * system._ik
     return np.stack([0.5 * (s2 + d2), 0.5 * (s2 - d2)], axis=-2)
 
 
@@ -141,6 +110,10 @@ class TruncatedSystem:
     @cached_property
     def _ik(self) -> np.ndarray:
         return 1j * self._k
+
+    @cached_property
+    def _ik2(self) -> np.ndarray:
+        return self._ik**2
 
     @cached_property
     def _inv_ik(self) -> np.ndarray:
@@ -404,6 +377,18 @@ class TruncatedSystem:
 
     # ------------------------------------------------- consistency relations
 
+    def _constraint_product(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Product K0 f * sigma^{-1} g of real fields, full-layout (..., n), not dealiased.
+
+        Formed with real transforms on the half spectrum, so the result is
+        exactly Hermitian.
+        """
+        n = self.grid.n_points
+        pf, pg = np.fft.irfft(np.array([half_spectrum(self._K0) * half_spectrum(f),
+                                        half_spectrum(self._sig_inv) * half_spectrum(g)]),
+                              n, norm="forward")
+        return full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
+
     def consistency_defect(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals of the two constraints tying the second block to the first.
 
@@ -435,10 +420,20 @@ class TruncatedSystem:
 
         first = self._inv_ik * self._sig_inv * d2 - self._sig_inv * self._ik * d1
 
-        prod = _constraint_product(self.grid, s1, d2, self.b) * self.keep_mask
+        prod = self._constraint_product(s1, d2) * self.keep_mask
         second = self._inv_ik2 * s2 - s1 + self._inv_ik * prod
         # the relation is only meaningful mode-by-mode away from k=0, where
         # the antiderivatives are defined
         first[0] = 0.0
         second[0] = 0.0
         return first, second
+
+
+@lru_cache(maxsize=16)
+def default_system(grid: Grid1D, b: float) -> TruncatedSystem:
+    """The truncated system of (grid, b) with the default 2/3-rule keep mask.
+
+    One cached object per (grid, b): the constraint map and
+    ``sim.consistency_residual`` read its tables, so they are built once.
+    """
+    return TruncatedSystem(grid, b)

@@ -139,14 +139,12 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return fa / (fa + fb)
 
 
-def xi_hat(i: int, k, delta: float):
+def xi_hat(k, delta: float):
     """Smooth even cutoff: 1 on |k| <= delta/2, 0 on |k| >= delta.
 
-    The index ``i`` only labels which of the two cutoff scales is in play;
-    the profile is shared.
+    The paper's two cutoffs share this profile; only the scale ``delta``
+    (delta0 or delta1) tells them apart.
     """
-    if i not in (0, 1):
-        raise ValueError(f"cutoff index must be 0 or 1, got {i}")
     if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
     k = np.asarray(k, dtype=float)
@@ -169,8 +167,8 @@ def zeta_hat(j1: int, j2: int, ell: int, k, params: KernelParams):
     gap = k1 - params.k0
     out = (
         ones
-        - xi_hat(1, (k - ell * k1) / gap, params.delta1)
-        - xi_hat(1, (k + ell * gap) / gap, params.delta1)
+        - xi_hat((k - ell * k1) / gap, params.delta1)
+        - xi_hat((k + ell * gap) / gap, params.delta1)
     )
     return out if out.ndim else float(out)
 
@@ -400,7 +398,7 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
     out = np.ones_like(k_arr)
     for ell in (-1, 1):
         window = np.atleast_1d(
-            np.asarray(xi_hat(1, (k_arr + ell * gap) / gap, params.delta1))
+            np.asarray(xi_hat((k_arr + ell * gap) / gap, params.delta1))
         )
         active = window > 0.0
         if not np.any(active):
@@ -413,19 +411,18 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
     return float(out[0]) if scalar else out
 
 
-def rho_extremes(j1: int, l: int, params: KernelParams,
-                 n_samples: int = 4001) -> tuple[float, float]:
+def rho_extremes(j1: int, l: int, params: KernelParams) -> tuple[float, float]:
     """Measured (min, max) of rho_hat over the windows where it varies.
 
     A check of what the paper's energy argument assumes: the reweighting
     stays positive and bounded, so the modified energy is equivalent to the
-    Sobolev norm.  It samples 2 x ``n_samples`` points; no production route
+    Sobolev norm.  It samples 2 x 4001 points; no production route
     calls it, only the tests do.  A value that is not finite raises, naming
     where, rather than being left out of the extremes.
     """
     k1 = params.require_k1()
     gap = k1 - params.k0
-    ks = np.concatenate([np.linspace(-ell * gap - gap, -ell * gap + gap, n_samples)
+    ks = np.concatenate([np.linspace(-ell * gap - gap, -ell * gap + gap, 4001)
                          for ell in (-1, 1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         allv = np.asarray(rho_hat(j1, l, ks, params))
@@ -477,7 +474,7 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
 
     bracket = (
         np.asarray(zeta_hat(j1, j2, ell, kn, params))
-        * (theta_hat(kn - l, eps, d0) - eps * np.asarray(xi_hat(0, kn - l, d0)))
+        * (theta_hat(kn - l, eps, d0) - eps * np.asarray(xi_hat(kn - l, d0)))
         / theta_hat(kn, eps, d0)
     )
 

@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .dispersion import ModelParams, sigma, sigma_inv
-from .equations import TruncatedSystem, slave_second_block
+from .equations import TruncatedSystem, default_system, slave_second_block
 from .kernels import KernelParams, n_hat, rho_hat, theta_inv_hat
-from .nls import EnvelopeField, NLSCoeffs, nls_coefficients, solve as nls_solve
+from .nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from .spectral import Grid1D, full_spectrum, half_spectrum
 from .wavepacket import (WavePacket, band_mask, build, build_time_derivative,
                          carrier_halves, wave_packet)
@@ -103,13 +103,13 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimState:
     """Four real fields plus the clock.
 
     ``matrix`` is a read-only copy of the (4, n) coefficients in component
     order (-1, +1, -2, +2); code that edits a state's coefficients copies
-    them first.
+    them first.  A state hashes and compares by identity.
     """
 
     grid: Grid1D
@@ -258,20 +258,18 @@ class ResidualNorms:
                          + self.res_m2**2 + self.res_p2**2)
 
 
-def residual(packet: WavePacket, config: SimConfig, t: float = 0.0,
-             coeffs: Optional[NLSCoeffs] = None) -> ResidualNorms:
-    """Defect of the realized packet in the four evolution equations.
+def residual(packet: WavePacket, config: SimConfig) -> ResidualNorms:
+    """Defect of the realized packet at t = 0 in the four evolution equations.
 
     The time derivative is exact: carrier phases and transport are
     differentiated analytically and the envelope moves with its modulation
-    equation (coefficients derived from the same truncated system unless
-    supplied).
+    equation, with the coefficients ``nls_coefficients`` derives from the
+    same truncated system.
     """
-    if coeffs is None:
-        coeffs = nls_coefficients(packet.params.k0, packet.params.b)
+    coeffs = nls_coefficients(packet.params.k0, packet.params.b)
     grid = config.grid
-    tendency = config.system.full_rhs(build(packet, grid, t))
-    defect = tendency - build_time_derivative(packet, grid, t, coeffs.half_omega2,
+    tendency = config.system.full_rhs(build(packet, grid, 0.0))
+    defect = tendency - build_time_derivative(packet, grid, 0.0, coeffs.half_omega2,
                                               coeffs.nu)
     norms = np.sqrt(grid.length * np.sum(np.abs(defect) ** 2, axis=1))
     return ResidualNorms(*(float(v) for v in norms))
@@ -287,33 +285,30 @@ def _sech_envelope(grid: Grid1D) -> EnvelopeField:
     return EnvelopeField(grid, (1.0 / np.cosh(xi)).astype(complex))
 
 
-def residual_orders(eps_list: tuple[float, ...] = (0.2, 0.1, 0.05),
-                    k0: float = 2.0, b: float = 0.0, n: int = 4096,
-                    n_env: int = 256, t: float = 0.0,
-                    length_scale: float = 35.0) -> dict:
+def residual_orders() -> dict:
     """Log-log fitted decay order of the packet residual in eps.
 
-    Returns the fitted order for the leading-order packet (no quadratic
-    corrections) and for the second-order packet, together with the raw
-    residual tables.
+    The packets are sech envelopes on 256 points riding k0 = 2 at b = 0,
+    realized at t = 0 on 4096-point grids of length ``scan_grid_length(eps)``
+    for eps 0.2, 0.1 and 0.05.  Returns the fitted order for the
+    leading-order packet (no quadratic corrections) and for the second-order
+    packet, together with the raw residual tables.
     """
-    coeffs = nls_coefficients(k0, b)
+    eps_list = (0.2, 0.1, 0.05)
     table: dict[bool, list[float]] = {True: [], False: []}
     for eps in eps_list:
-        L = scan_grid_length(eps, length_scale)
-        config = SimConfig(eps=eps, k0=k0, b=b, n=n, length=L, dt=1.0,
+        L = scan_grid_length(eps)
+        config = SimConfig(eps=eps, k0=2.0, b=0.0, n=4096, length=L, dt=1.0,
                            t_end=0.0)
-        env = Grid1D(n_env, eps * L)
-        A = _sech_envelope(env)
+        A = _sech_envelope(Grid1D(256, eps * L))
         for corrections in (False, True):
             packet = wave_packet(A, eps, config.model, corrections=corrections)
-            table[corrections].append(
-                residual(packet, config, t, coeffs).total())
+            table[corrections].append(residual(packet, config).total())
     log_eps = np.log(np.asarray(eps_list))
     order_leading = float(np.polyfit(log_eps, np.log(table[False]), 1)[0])
     order_second = float(np.polyfit(log_eps, np.log(table[True]), 1)[0])
     return {
-        "eps": tuple(eps_list),
+        "eps": eps_list,
         "leading": tuple(table[False]),
         "second": tuple(table[True]),
         "order_leading": order_leading,
@@ -401,9 +396,6 @@ class ErrorScanResult:
     rows: tuple[ScanRow, ...]
     slope: float
     template: ScanTemplate
-
-    def errors(self) -> dict[float, float]:
-        return {row.eps: row.sup_error for row in self.rows}
 
 
 def _h2_weight(grid: Grid1D) -> np.ndarray:
@@ -679,21 +671,16 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _default_system(grid: Grid1D, b: float) -> TruncatedSystem:
-    """The truncated system of (grid, b) with the default 2/3-rule keep mask."""
-    return TruncatedSystem(grid, b)
-
-
 def consistency_residual(state: SimState, b: float) -> tuple[float, float]:
     """L2 norms of the two constraint defects tying the blocks together.
 
-    The defects are those of the default system on the state's grid, whose
-    product is dealiased by the 2/3 rule alone: a run's band mask
-    (``SimConfig.band_halfwidth``) is not applied, so a band-restricted run
+    The defects are those of ``equations.default_system(state.grid, b)``,
+    the system whose tables the constraint map reads, so its product is
+    dealiased by the 2/3 rule alone: a run's band mask
+    (``SimConfig.band_halfwidth``) is not applied, and a band-restricted run
     is measured against the unrestricted constraint relations.
     """
-    first, second = _default_system(state.grid, b).consistency_defect(state.matrix)
+    first, second = default_system(state.grid, b).consistency_defect(state.matrix)
     L = state.grid.length
     return (float(np.sqrt(L * np.sum(np.abs(first) ** 2))),
             float(np.sqrt(L * np.sum(np.abs(second) ** 2))))
@@ -765,12 +752,7 @@ def _energy_tables(grid: Grid1D, params: KernelParams,
     return rho, dl
 
 
-#: the l-independent parts of the latest energy evaluations, newest first, as
-#: (state, packet, params, R, N); see ``_energy_shared``
-_ENERGY_SHARED: list[tuple] = []
-_ENERGY_SHARED_SIZE = 2
-
-
+@lru_cache(maxsize=2)
 def _energy_shared(state: SimState, packet: WavePacket,
                    params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
     """The parts of the modified energy that no derivative order changes.
@@ -781,14 +763,12 @@ def _energy_shared(state: SimState, packet: WavePacket,
     R holds real fields, so their physical values come from real transforms
     (which read a Nyquist column as a real cosine mode).
 
-    The latest evaluations are memoized on the identity of the state and the
-    packet (held by strong reference, so an identity cannot be reused while
-    its entry lives) and on params equality; both are immutable, so a hit
-    returns exactly what a fresh evaluation would.
+    The latest two evaluations are memoized by ``lru_cache``, which keys on
+    the identity of the state and the packet (both hash and compare by
+    identity, and the cache holds them, so an identity cannot be reused
+    while its entry lives) and on params equality; both are immutable, so a
+    hit returns exactly what a fresh evaluation would.
     """
-    for entry in _ENERGY_SHARED:
-        if entry[0] is state and entry[1] is packet and entry[2] == params:
-            return entry[3], entry[4]
     grid = state.grid
     eps = packet.eps
     k = grid.wavenumbers
@@ -809,8 +789,6 @@ def _energy_shared(state: SimState, packet: WavePacket,
     N = np.sum(_n_hat_table(grid, params).reshape(2, 8, n) * products, axis=1)
     for part in (R, N):
         part.setflags(write=False)
-    _ENERGY_SHARED.insert(0, (state, packet, params, R, N))
-    del _ENERGY_SHARED[_ENERGY_SHARED_SIZE:]
     return R, N
 
 
@@ -826,11 +804,11 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     Only rho^l and (ik)^l depend on l.  The rest, the rescaled error and its
     carrier pairing with the n_hat kernels (which do not depend on l), is
     computed once per (state, packet, params) and shared by the orders
-    asked for next: ``_energy_shared`` keeps the latest two on the identity
-    of the state and the packet.  That is safe because both are immutable,
-    ``SimState.matrix``, ``EnvelopeField.values`` and the correction
-    profiles being read-only copies; a new packet object, even with equal
-    content, is realized afresh.
+    asked for next: ``_energy_shared`` is an ``lru_cache`` of the latest
+    two, keyed on the identity of the state and the packet.  That is safe
+    because both are immutable, ``SimState.matrix``, ``EnvelopeField.values``
+    and the correction profiles being read-only copies; a new state or
+    packet object, even with equal content, is realized afresh.
     """
     if l < 0:
         raise ValueError(f"derivative order must be nonnegative, got {l}")

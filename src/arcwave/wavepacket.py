@@ -60,14 +60,15 @@ def second_order_corrections(A: EnvelopeField, params: ModelParams) -> np.ndarra
     return np.array([c["c_m0"] * mod2, c["c_m2"] * a2, c["c_p0"] * mod2, c["c_p2"] * a2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavePacket:
     """Envelope, its slow profiles and the truncation flag.
 
     ``profiles`` holds the slow profiles in ``_HARMONICS`` order: the
     envelope alone, (1, n_env), or with its corrections, (5, n_env).  It is
-    a read-only complex copy, so a packet cannot change once built
-    (``sim.energy_diagnostic`` relies on that).
+    a read-only complex copy, so a packet cannot change once built, and a
+    packet hashes and compares by identity (``sim.energy_diagnostic``
+    relies on both).
     """
 
     eps: float

@@ -81,22 +81,21 @@ def test_theta_inv_peak_is_one_over_eps():
     assert np.max(vals) == pytest.approx(1 / eps)
 
 
-@pytest.mark.parametrize("i", [0, 1])
-def test_xi_hat_plateau_and_support(i):
+def test_xi_hat_plateau_and_support():
     delta = 0.4
     k = np.linspace(-1, 1, 2001)
-    v = xi_hat(i, k, delta)
+    v = xi_hat(k, delta)
     assert np.all(v[np.abs(k) <= delta / 2] == 1.0)
     assert np.all(v[np.abs(k) >= delta] == 0.0)
     assert np.all((0.0 <= v) & (v <= 1.0))
-    assert np.array_equal(v, xi_hat(i, -k, delta))  # even
+    assert np.array_equal(v, xi_hat(-k, delta))  # even
 
 
 def test_xi_hat_is_smooth_at_the_plateau_edge():
     # exp-bump construction: all one-sided differences decay smoothly
     delta = 0.4
     h = np.linspace(delta / 2, delta, 4001)
-    v = xi_hat(0, h, delta)
+    v = xi_hat(h, delta)
     assert np.all(np.diff(v) <= 1e-15)  # monotone down
     # no jump at either end of the transition
     assert v[0] == pytest.approx(1.0, abs=1e-12)
@@ -105,9 +104,7 @@ def test_xi_hat_is_smooth_at_the_plateau_edge():
 
 def test_xi_hat_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        xi_hat(2, 0.1, 0.4)
-    with pytest.raises(ValueError):
-        xi_hat(0, 0.1, 0.0)
+        xi_hat(0.1, 0.0)
 
 
 def test_zeta_hat_trivial_unless_both_negative_in_band():

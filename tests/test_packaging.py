@@ -63,3 +63,24 @@ def test_no_module_imports_a_private_name_from_another():
                       for alias in node.names
                       if internal and alias.name.startswith("_")]
     assert not found, found
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module imports is read in it, or re-exported by ``__all__``."""
+    found = []
+    for path in sorted(Path(arcwave.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [
+                    getattr(target, "id", None) for target in node.targets]:
+                exported.update(ast.literal_eval(node.value))
+        found += [f"{path.name}: {name}" for name in imported
+                  if name not in used and name not in exported]
+    assert not found, found

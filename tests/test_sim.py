@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from arcwave.equations import TruncatedSystem, slave_second_block
+from arcwave.equations import TruncatedSystem, default_system, slave_second_block
 from arcwave.kernels import default_params, first_block_symbol, rho_extremes, theta_inv_hat
 from arcwave.nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from arcwave import sim
@@ -404,24 +404,24 @@ def test_run_aborts_with_step_index_on_blowup():
 # ---------------------------------------------------------------------------
 
 
-def test_residual_zero_envelope_vanishes(nls_coeffs):
+def test_residual_zero_envelope_vanishes():
     L = scan_grid_length(EPS, 12.0)
     config = SimConfig(eps=EPS, k0=K0, b=BOND, n=512, length=L, dt=0.04,
                        t_end=0.0)
     env = Grid1D(128, EPS * L)
     A = EnvelopeField(env, np.zeros(128, dtype=complex))
     packet = wave_packet(A, EPS, config.model, corrections=True)
-    norms = residual(packet, config, 0.0, nls_coeffs)
+    norms = residual(packet, config)
     assert norms.total() == 0.0
 
 
-def test_residual_finite_on_sech_packet(nls_coeffs):
+def test_residual_finite_on_sech_packet():
     L = scan_grid_length(EPS, 12.0)
     config = SimConfig(eps=EPS, k0=K0, b=BOND, n=512, length=L, dt=0.04,
                        t_end=0.0)
     A = sech_envelope_on(128, EPS * L)
     packet = wave_packet(A, EPS, config.model, corrections=True)
-    norms = residual(packet, config, 0.0, nls_coeffs)
+    norms = residual(packet, config)
     assert 0.0 < norms.total() < 10.0
     for v in (norms.res_m1, norms.res_p1, norms.res_m2, norms.res_p2):
         assert np.isfinite(v)
@@ -770,6 +770,20 @@ def test_consistency_zero_state():
     assert consistency_residual(state, BOND) == (0.0, 0.0)
 
 
+def test_constraint_map_and_consistency_residual_share_the_default_system(monkeypatch):
+    seen = []
+    product = TruncatedSystem._constraint_product
+    monkeypatch.setattr(TruncatedSystem, "_constraint_product",
+                        lambda self, f, g: seen.append(self) or product(self, f, g))
+    grid = Grid1D(64, 8 * np.pi)
+    first = random_state(grid, 1e-2, seed=3).matrix[:2]
+    state = SimState(grid, np.concatenate([first, slave_second_block(grid, first, BOND)]))
+    consistency_residual(state, BOND)
+    system = default_system(Grid1D(64, 8 * np.pi), BOND)
+    assert len(seen) == 2
+    assert seen[0] is system and seen[1] is system
+
+
 def test_built_packet_sits_on_constraint_manifold(monitored_run):
     initial = monitored_run["run"].samples[0]
     c1, c2 = consistency_residual(initial, BOND)
@@ -952,6 +966,26 @@ def test_energy_orders_share_one_realization(monkeypatch, monitored_run):
     again = [energy_diagnostic(state, twin, l, params) for l in (0, 1, 2)]
     assert len(calls) == 2
     assert again == first
+
+
+def test_state_and_packet_hash_and_compare_by_identity(monkeypatch, monitored_run):
+    """An equal-content copy of a state or a packet is another key: it is
+    unequal, hashes apart in a set, and is realized afresh."""
+    state = monitored_run["run"].samples[3]
+    packet = _packet_at(monitored_run, 3)
+    state_twin = SimState(state.grid, state.matrix, state.t)
+    packet_twin = replace(packet)
+    for obj, twin in ((state, state_twin), (packet, packet_twin)):
+        assert obj == obj and twin != obj
+        assert len({obj, twin, obj}) == 2
+    calls = []
+    realize = sim.build
+    monkeypatch.setattr(sim, "build", lambda *args: calls.append(args) or realize(*args))
+    params = default_params(K0, BOND, EPS)
+    values = [energy_diagnostic(s, p, 2, params)
+              for s, p in ((state, packet), (state_twin, packet), (state, packet_twin))]
+    assert len(calls) == 3
+    assert values[1] == values[0] and values[2] == values[0]
 
 
 def test_energy_does_not_depend_on_the_order_of_requests(monitored_run):
