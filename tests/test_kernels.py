@@ -81,8 +81,10 @@ def test_theta_inv_peak_is_one_over_eps():
     assert np.max(vals) == pytest.approx(1 / eps)
 
 
-def test_xi_hat_plateau_and_support():
-    delta = 0.4
+@pytest.mark.parametrize("i", [0, 1])
+def test_xi_hat_plateau_and_support(i):
+    # the paper's two cutoffs: i = 0 at scale delta0, i = 1 at scale delta1
+    delta = (PARAMS_BAND.delta0, PARAMS_BAND.delta1)[i]
     k = np.linspace(-1, 1, 2001)
     v = xi_hat(k, delta)
     assert np.all(v[np.abs(k) <= delta / 2] == 1.0)
