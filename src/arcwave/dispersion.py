@@ -254,9 +254,9 @@ def k0_symbol(k):
 class ModelParams:
     """Carrier wavenumber, Bond number, and the derived linear constants.
 
-    omega0 is the carrier frequency, cg the group velocity d_k omega(k0, b),
-    and omega2 the second derivative at the carrier (the dispersion
-    coefficient of the modulation equation is omega2/2).
+    omega0 is the carrier frequency and cg the group velocity
+    d_k omega(k0, b).  The modulation equation's dispersion coefficient
+    omega''(k0)/2 is ``nls.nls_coefficients``' ``half_omega2``.
     """
 
     k0: float
@@ -277,7 +277,3 @@ class ModelParams:
     @cached_property
     def cg(self) -> float:
         return omega_deriv(self.k0, self.b, 1)
-
-    @cached_property
-    def omega2(self) -> float:
-        return omega_deriv(self.k0, self.b, 2)

@@ -59,8 +59,9 @@ _NUDGE = 1e-6
 class KernelParams:
     """Weight/cut-off parameters for one (k0, b) configuration.
 
-    ``k1`` is the resonant partner wavenumber and is only meaningful (and
-    only required) in the Bond range where it exists.
+    ``k1``, the resonant partner wavenumber, is given exactly when b lies in
+    the resonant band (0, b0) where it exists; construction refuses it
+    outside the band and its absence inside.
     """
 
     eps: float
@@ -84,11 +85,16 @@ class KernelParams:
             )
         if not (0.0 < self.delta1 < 1.0):
             raise ValueError(f"delta1 must lie in (0,1), got {self.delta1}")
+        in_band = 0.0 < self.b < critical_bonds(self.k0).b0
+        if in_band != (self.k1 is not None):
+            raise ValueError(
+                f"k1 must be given exactly when b lies in the resonant band "
+                f"(0, b0) of k0={self.k0}; got b={self.b} and k1={self.k1}")
         if self.k1 is not None:
             if not (self.k1 > self.k0):
                 raise ValueError(f"k1={self.k1} must exceed k0={self.k0}")
             bound = 1.0 - self.k0 / (20.0 * (self.k1 - self.k0))
-            if self.in_resonant_band and not (self.delta1 < bound):
+            if not (self.delta1 < bound):
                 raise ValueError(
                     f"delta1={self.delta1} violates the admissibility bound "
                     f"{bound:.6g} for k1={self.k1}"
@@ -97,15 +103,7 @@ class KernelParams:
     @property
     def in_resonant_band(self) -> bool:
         """True when the Bond number admits the resonant partner k1."""
-        return 0.0 < self.b < critical_bonds(self.k0).b0
-
-    def require_k1(self) -> float:
-        if self.k1 is None:
-            raise ValueError(
-                "this evaluation needs the resonant partner k1, which was "
-                "not supplied in KernelParams"
-            )
-        return self.k1
+        return self.k1 is not None
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ def zeta_hat(j1: int, j2: int, ell: int, k, params: KernelParams):
     ones = np.ones_like(k)
     if j1 > 0 or j2 > 0 or not params.in_resonant_band:
         return ones if ones.ndim else 1.0
-    k1 = params.require_k1()
+    k1 = params.k1
     gap = k1 - params.k0
     out = (
         ones
@@ -377,7 +375,8 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
     sign or Bond numbers without a resonant pair) the value is exactly 1;
     inside a window it carries the kernel ratio between a mode and its
     resonant partner, scaled by the partner/mode wavenumber ratio to the
-    power 2l.
+    power 2l.  A value that is not finite raises, naming b, (j1, l) and the
+    |k| range where it occurs, rather than being returned.
     """
     if not (isinstance(l, (int, np.integer)) and l >= 0):
         raise ValueError(f"derivative order l must be a nonnegative integer, got {l}")
@@ -385,9 +384,8 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
     if j1 > 0 or not params.in_resonant_band:
         return 1.0 if scalar else np.ones_like(k_arr)
-    k1 = params.require_k1()
     k0 = params.k0
-    gap = k1 - k0
+    gap = params.k1 - k0
 
     def q_total(kv: np.ndarray, lv: float, mv: np.ndarray) -> np.ndarray:
         if abs(j1) == 1:
@@ -404,10 +402,18 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
         if not np.any(active):
             continue
         ka = k_arr[active]
-        num = q_total(-ka + ell * k0, ell * k0, -ka)
-        den = q_total(ka, ell * k0, ka - ell * k0)
-        ratio = (-num / den).real * ((-ka + ell * k0) / ka) ** (2 * l)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = q_total(-ka + ell * k0, ell * k0, -ka)
+            den = q_total(ka, ell * k0, ka - ell * k0)
+            ratio = (-num / den).real * ((-ka + ell * k0) / ka) ** (2 * l)
         out[active] += (ratio - 1.0) * window[active]
+    bad = np.abs(k_arr[~np.isfinite(out)])
+    if bad.size:
+        raise ValueError(
+            f"rho_hat at b={params.b}, (j1, l)=({j1}, {l}) is not finite for "
+            f"{bad.min():.6g} <= |k| <= {bad.max():.6g}: the lattice-rounded "
+            f"second-block kernel divides 0/0 there (ROADMAP item 4, exact-k "
+            f"weights)")
     return float(out[0]) if scalar else out
 
 
@@ -417,22 +423,16 @@ def rho_extremes(j1: int, l: int, params: KernelParams) -> tuple[float, float]:
     A check of what the paper's energy argument assumes: the reweighting
     stays positive and bounded, so the modified energy is equivalent to the
     Sobolev norm.  It samples 2 x 4001 points; no production route
-    calls it, only the tests do.  A value that is not finite raises, naming
-    where, rather than being left out of the extremes.
+    calls it, only the tests do.  Outside the resonant band rho_hat is
+    identically 1, so the extremes are (1.0, 1.0); inside it, a value that
+    is not finite raises from ``rho_hat``.
     """
-    k1 = params.require_k1()
-    gap = k1 - params.k0
+    if not params.in_resonant_band:
+        return 1.0, 1.0
+    gap = params.k1 - params.k0
     ks = np.concatenate([np.linspace(-ell * gap - gap, -ell * gap + gap, 4001)
                          for ell in (-1, 1)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        allv = np.asarray(rho_hat(j1, l, ks, params))
-    bad = np.abs(ks[~np.isfinite(allv)])
-    if bad.size:
-        raise ValueError(
-            f"rho_hat at b={params.b}, (j1, l)=({j1}, {l}) is not finite for "
-            f"{bad.min():.6g} <= |k| <= {bad.max():.6g}: the lattice-rounded "
-            f"second-block kernel divides 0/0 there (ROADMAP item 4, exact-k "
-            f"weights)")
+    allv = np.asarray(rho_hat(j1, l, ks, params))
     return float(np.min(allv)), float(np.max(allv))
 
 

@@ -266,11 +266,9 @@ def residual(packet: WavePacket, config: SimConfig) -> ResidualNorms:
     equation, with the coefficients ``nls_coefficients`` derives from the
     same truncated system.
     """
-    coeffs = nls_coefficients(packet.params.k0, packet.params.b)
     grid = config.grid
     tendency = config.system.full_rhs(build(packet, grid, 0.0))
-    defect = tendency - build_time_derivative(packet, grid, 0.0, coeffs.half_omega2,
-                                              coeffs.nu)
+    defect = tendency - build_time_derivative(packet, grid, 0.0)
     norms = np.sqrt(grid.length * np.sum(np.abs(defect) ** 2, axis=1))
     return ResidualNorms(*(float(v) for v in norms))
 
@@ -733,19 +731,11 @@ def _energy_tables(grid: Grid1D, params: KernelParams,
 
     Returns rho_hat(j1, l) as a (2, n) array and the derivative symbol
     (ik)^l.  They depend on (grid, params, l) only, so every sample of a run
-    shares them.  A weight that is not finite on the grid raises, rather
-    than turn every energy of the run into NaN.
+    shares them.  A weight that is not finite on the grid raises from
+    ``rho_hat``, rather than turn every energy of the run into NaN.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.array([rho_hat(j1, l, grid.wavenumbers, params) for j1 in (-2, 2)],
-                       dtype=float)
-    bad = np.abs(grid.wavenumbers[~np.isfinite(rho).all(axis=0)])
-    if bad.size:
-        raise ValueError(
-            f"energy weight rho_hat at b={params.b}, l={l} is not finite for "
-            f"{bad.min():.6g} <= |k| <= {bad.max():.6g} on this grid: the "
-            f"lattice-rounded second-block kernel divides 0/0 there (ROADMAP "
-            f"item 4, exact-k weights)")
+    rho = np.array([rho_hat(j1, l, grid.wavenumbers, params) for j1 in (-2, 2)],
+                   dtype=float)
     dl = (1j * grid.wavenumbers) ** l
     for table in (rho, dl):
         table.setflags(write=False)
@@ -809,9 +799,17 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     because both are immutable, ``SimState.matrix``, ``EnvelopeField.values``
     and the correction profiles being read-only copies; a new state or
     packet object, even with equal content, is realized afresh.
+
+    ``params`` must be the packet's: KernelParams of another (k0, b, eps)
+    raise, since their weights would measure another configuration.
     """
     if l < 0:
         raise ValueError(f"derivative order must be nonnegative, got {l}")
+    theirs = (params.k0, params.b, params.eps)
+    ours = (packet.params.k0, packet.params.b, packet.eps)
+    if theirs != ours:
+        raise ValueError(
+            f"KernelParams are for (k0, b, eps) = {theirs}, the packet for {ours}")
     R, N = _energy_shared(state, packet, params)
     rho, dl = _energy_tables(state.grid, params, l)
     Rl = dl * R

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dispersion import ModelParams
 from .equations import slave_second_block
-from .nls import EnvelopeField, second_order_coefficients
+from .nls import EnvelopeField, nls_coefficients, second_order_coefficients
 from .spectral import Grid1D
 
 __all__ = [
@@ -231,15 +231,15 @@ def envelope_rhs(A: EnvelopeField, half_omega2: float, nu: float) -> np.ndarray:
     return 1j * half_omega2 * lap + 1j * nu * np.abs(A.values) ** 2 * A.values
 
 
-def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float,
-                          half_omega2: float, nu: float) -> np.ndarray:
+def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
     """Exact d/dt of the realized packet via the two-scale chain rule, (4, n).
 
     Each slow profile G on harmonic l has time derivative
     eps^2 * dG/dtau - eps*cg * dG/dxi - i*l*omega0*G; the envelope's
-    tau-derivative follows the modulation equation, the corrections' by
-    differentiating their algebraic definitions.  The first block is the
-    band assembly of these derivative profiles.  The second block is the
+    tau-derivative follows the modulation equation, whose coefficients
+    ``nls_coefficients`` derives for the packet's (k0, b); the corrections'
+    follow by differentiating their algebraic definitions.  The first block
+    is the band assembly of these derivative profiles.  The second block is the
     derivative of the constraint map along the first block's; the map is
     quadratic, so that derivative is the polarization (S(u + du) - S(u - du))/2.
     """
@@ -247,7 +247,8 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float,
     env = packet.A.grid
     eps = packet.eps
     a = packet.A.values
-    a_tau = envelope_rhs(packet.A, half_omega2, nu)
+    coeffs = nls_coefficients(p.k0, p.b)
+    a_tau = envelope_rhs(packet.A, coeffs.half_omega2, coeffs.nu)
 
     def d_dt(profile: np.ndarray, profile_tau: np.ndarray, ell: int) -> np.ndarray:
         dxi = np.fft.ifft(1j * env.wavenumbers * np.fft.fft(profile))

@@ -120,7 +120,6 @@ def test_model_params_cached_quantities():
     p = ModelParams(k0=2.0, b=0.0)
     assert p.omega0 == pytest.approx(OMEGA_2_0, abs=1e-13)
     assert p.cg == pytest.approx(DOMEGA_2_0, abs=1e-12)
-    assert p.omega2 == pytest.approx(D2OMEGA_2_0, abs=1e-12)
 
 
 def test_model_params_validation():

@@ -330,9 +330,11 @@ def test_production_weights_never_call_the_equations(monkeypatch):
         for ell in (-1, 1):
             for j in (1, 2):
                 assert np.all(np.isfinite(n_hat(j1, j2, ell, j, k, p)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # on this grid rho_hat is 0/0 at |k| = 0.5 (ROADMAP item 4), and refuses
+    with pytest.raises(ValueError, match=r"b=0.07, \(j1, l\)=\(-2, 1\) is not finite "
+                                         r"for 0.5 <= \|k\| <= 0.5"):
         rho_hat(-2, 1, k, p)
-        nh = sim._n_hat_table(Grid1D(256, 2.0 * np.pi * 7.0), p)
+    nh = sim._n_hat_table(Grid1D(256, 2.0 * np.pi * 7.0), p)
     assert np.all(np.isfinite(nh))
 
 
@@ -462,6 +464,17 @@ def test_rho_extremes_refuses_a_weight_that_is_not_finite():
         rho_extremes(-2, 2, default_params(2.0, 0.1))
 
 
+def test_rho_hat_refuses_its_own_non_finite_values():
+    with pytest.raises(ValueError, match=r"b=0.1, \(j1, l\)=\(-2, 0\) is not finite "
+                                         r"for 0.4 <= \|k\| <= 0.4.*ROADMAP item 4"):
+        rho_hat(-2, 0, np.array([-0.4, 0.0, 0.4]), default_params(2.0, 0.1))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3])
+def test_rho_extremes_outside_the_band_are_one(b):
+    assert rho_extremes(-2, 2, default_params(2.0, b)) == (1.0, 1.0)
+
+
 def test_rho_hat_scalar_input():
     v = rho_hat(-2, 1, 0.0, PARAMS_BAND)
     assert v == 1.0
@@ -482,6 +495,15 @@ def test_kernel_params_validation():
     p = KernelParams(eps=0.1, delta0=0.05, delta1=0.5, b=0.1, k0=2.0,
                      k1=4.3001037060984473)
     assert p.in_resonant_band
+
+
+def test_kernel_params_hold_k1_exactly_in_the_resonant_band():
+    with pytest.raises(ValueError, match=r"k1 must be given exactly when b lies in "
+                                         r"the resonant band .* b=0.1 and k1=None"):
+        KernelParams(eps=0.1, delta0=0.05, delta1=0.5, b=0.1, k0=2.0)
+    with pytest.raises(ValueError, match=r"k1 must be given exactly when b lies in "
+                                         r"the resonant band .* b=0.3 and k1=4.3"):
+        KernelParams(eps=0.1, delta0=0.05, delta1=0.5, b=0.3, k0=2.0, k1=4.3)
 
 
 def test_kernel_params_window_constraint_near_k1():

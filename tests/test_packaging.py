@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tomllib
@@ -84,3 +85,15 @@ def test_no_module_imports_a_name_it_never_uses():
         found += [f"{path.name}: {name}" for name in imported
                   if name not in used and name not in exported]
     assert not found, found
+
+
+def test_every_cited_roadmap_item_exists():
+    """A "ROADMAP item N" cited in code or tests names an item header of ROADMAP.md."""
+    items = set(re.findall(r"^(\d+)\. \*\*", (ROOT / "ROADMAP.md").read_text(), re.M))
+    cited = {}
+    for path in sorted([*Path(arcwave.__path__[0]).glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        for number in re.findall(r"ROADMAP[\s#]+item[\s#]+(\d+)", path.read_text()):
+            cited.setdefault(number, []).append(path.name)
+    missing = {n: names for n, names in cited.items() if n not in items}
+    assert not missing, f"cited ROADMAP items without a header: {missing}"

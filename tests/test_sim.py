@@ -1012,8 +1012,19 @@ def test_energy_refuses_a_non_finite_weight(l):
     packet = wave_packet(A, EPS, config.model, corrections=True)
     state = packet_initial_state(packet, config)
     params = default_params(K0, 0.1, EPS)
-    with pytest.raises(ValueError, match=r"b=0\.1, l=%d .*0\.3.* <= \|k\| <= 0\.5.*item 4" % l):
+    with pytest.raises(ValueError, match=r"b=0\.1, \(j1, l\)=\(-2, %d\) "
+                                         r".*0\.3.* <= \|k\| <= 0\.5.*item 4" % l):
         energy_diagnostic(state, packet, l, params)
+
+
+@pytest.mark.parametrize("b,eps", [(BOND, 0.5), (0.2, EPS)])
+def test_energy_refuses_params_of_another_configuration(monitored_run, b, eps):
+    # weights of another (k0, b, eps) would measure another configuration
+    with pytest.raises(ValueError, match=r"KernelParams are for \(k0, b, eps\) = "
+                                         r"\(2.0, %s, %s\), the packet for "
+                                         r"\(2.0, 0.05, 0.1\)" % (b, eps)):
+        energy_diagnostic(monitored_run["run"].samples[0], monitored_run["packet"], 0,
+                          default_params(K0, b, eps))
 
 
 def test_energy_rejects_negative_derivative_order(monitored_run):

@@ -160,7 +160,7 @@ class TestRealization:
             plus, minus = slave_second_block(
                 CARRIER, np.array([first + du, first - du]), PARAMS.b)
             want = np.concatenate([du, 0.5 * (plus - minus)])
-            got = build_time_derivative(packet, CARRIER, t, coeffs.half_omega2, coeffs.nu)
+            got = build_time_derivative(packet, CARRIER, t)
             assert got.tobytes() == want.tobytes()
 
     def test_packet_profiles_are_read_only(self):
@@ -403,18 +403,14 @@ class TestTimeDerivative:
 
         plus = build(packet_at(+h), CARRIER, t + h)
         minus = build(packet_at(-h), CARRIER, t - h)
-        exact = build_time_derivative(packet_at(0.0), CARRIER, t,
-                                      coeffs.half_omega2, coeffs.nu)
+        exact = build_time_derivative(packet_at(0.0), CARRIER, t)
         for i in range(4):
             fd = (plus[i] - minus[i]) * (1.0 / (2.0 * h))
             assert np.max(np.abs(fd - exact[i])) < 1e-7
 
     def test_derivative_fields_are_real(self):
-        coeffs = nls_coefficients(PARAMS.k0, PARAMS.b)
         packet = wave_packet(sech_envelope(), EPS, PARAMS)
-        assert_rows_real(build_time_derivative(packet, CARRIER, 0.9,
-                                               coeffs.half_omega2, coeffs.nu),
-                         CARRIER, 1e-14)
+        assert_rows_real(build_time_derivative(packet, CARRIER, 0.9), CARRIER, 1e-14)
 
 
 class TestEnvelopeRHS:
