@@ -84,6 +84,14 @@ class TruncatedSystem:
     near omega(k0)), retained modes above a threshold ~ (1/eps)^{2/3} are
     violently amplified; fixing the retained band keeps them out instead of
     letting the band grow with n.
+
+    Round-off grows with the band as well: the coefficient-space
+    multipliers reach |ik * ik * sigma| ~ 5e10 at k ~ 1365 (n = 4096,
+    L = 2 pi, b = 0.3), so on a decaying spectrum over the full 2/3-rule
+    band the result is off by about 6e-10 of its maximum, against a
+    long-double evaluation of the same tables (7e-13 on a flat spectrum).
+    Runs that keep the full band at n >= 4096 should keep ``extra_keep``
+    or check this.
     """
 
     grid: Grid1D
@@ -152,6 +160,23 @@ class TruncatedSystem:
     #: row of (s1, d1, s2, d2) each precursor multiplier acts on; the first
     #: block's three precursors come first and read only s1 and d1
     _PRE_SOURCE = np.array([0, 0, 1, 2, 3, 2, 2, 2, 3, 3, 3])
+
+    #: per input row count: the precursors multiplied pairwise (left, right)
+    #: and the left operand scaled by b first, if any.  Row i < 8 (3 for the
+    #: first block) is the first product of product sum i; the rest are the
+    #: further products of sums 0, 3 and 4, in the order ``evaluator`` adds them:
+    #:   Q0 = K0s1 K0s1 - s1 s1,   Q1 = sid1 s1,   Q2 = sid1 K0s1,
+    #:   Q3 = K0iasid2 sid2 - ia2s2 s2 - ia1s2 ia1s2 + K0ia1s2 K0ia1s2
+    #:        - (b sid2) K0sid2a,
+    #:   Q4 = ia2s2 sid2 + iasid2 ia1s2,   Q5 = sid1 ia1s2,
+    #:   Q6 = iasid2 K0ia1s2,   Q7 = sid1 K0ia1s2,
+    #: with precursors numbered s1 0, K0s1 1, sid1 2, s2 3, sid2 4, ia2s2 5,
+    #: ia1s2 6, K0ia1s2 7, iasid2 8, K0iasid2 9, K0sid2a 10
+    _PRODUCTS = {
+        2: (np.array([1, 2, 2, 0]), np.array([1, 0, 1, 0]), None),
+        4: (np.array([1, 2, 2, 9, 5, 2, 8, 2, 0, 5, 6, 7, 4, 8]),
+            np.array([1, 0, 1, 4, 4, 6, 7, 7, 0, 3, 6, 7, 10, 6]), 12),
+    }
 
     @cached_property
     def _post(self) -> np.ndarray:
@@ -259,9 +284,13 @@ class TruncatedSystem:
         ``nonlinear`` for the product list).  The precursor, physical,
         product and spectrum buffers, and their row views, are allocated
         here, once; every evaluation overwrites them with ufunc ``out=``,
-        through one ``irfft`` and one ``rfft``.  So an evaluation does not
-        depend on the ones before it, and f(U, out) is ``nonlinear(U)`` bit
-        for bit.
+        through one ``irfft`` and one ``rfft``.  The sums and differences
+        (s, d) are one strided add and one strided subtract, the 14 (4)
+        product operands are gathered with one ``take`` into one multiply
+        (``_PRODUCTS``), and the outputs E -/+ X are one call each.  So an
+        evaluation does not depend on the ones before it, and f(U, out) is
+        ``nonlinear(U)`` bit for bit: every sum and product is formed with
+        the operands and in the order of the product list.
 
         The buffers belong to f alone: nothing is stored on the system,
         which stays immutable, picklable and shareable across threads.  One
@@ -272,84 +301,79 @@ class TruncatedSystem:
             raise ValueError(
                 f"nonlinear takes 4 components or the first block's 2, got {rows}")
         pre, source, post = self._stages[rows]
+        left, right, scaled = self._PRODUCTS[rows]
         n = self.grid.n_points
         m = n // 2
         count = math.prod(batch)
         # component axis first, the batch axes flattened into one behind it;
-        # the row views put the batch axes back, to meet U's and out's rows
+        # the views below put the batch axes back, to meet U's and out's rows
         sd = np.empty((rows, count, m), dtype=np.complex128)
         spec_in = np.empty((len(source), count, m), dtype=np.complex128)
         phys = np.empty((len(source), count, n))
-        Q = np.empty((len(post), count, n))  # the products
+        operands = np.concatenate([left, right])
+        LR = np.empty((len(operands), count, n))  # the left, then the right operands
+        L, R = LR[: len(left)], LR[len(left):]
+        Q = np.empty((len(left), count, n))  # the products; the first rows sum them
         spec = np.empty((len(post), count, m + 1), dtype=np.complex128)
-        tmp = np.empty((count, n))
-        sd_rows = [row.reshape(batch + (m,)) for row in sd]
-        G = [row.reshape(batch + (m + 1,)) for row in spec]
+
+        def rows_of(buf: np.ndarray, sl: slice, width: int) -> np.ndarray:
+            """Rows ``sl`` of a component-first buffer as a batch + (r, width) view."""
+            view = buf[sl]
+            return np.moveaxis(view.reshape((len(view),) + batch + (width,)), 0, -2)
+
+        s_rows, d_rows = rows_of(sd, slice(0, None, 2), m), rows_of(sd, slice(1, None, 2), m)
+        Q_rows, G = list(Q), list(spec)
+        scaled_row = L[scaled] if scaled is not None else None
+        # X of each block first sums G[1] + G[2] (and G[4] + G[5]) in one call;
+        # then E = G[0] (G[3]) and X = G[1] (G[4]) give the outputs
+        x_first, x_second = spec[1: rows + 1: 3], spec[2: rows + 2: 3]
+        E_rows = rows_of(spec, slice(0, rows + rows // 2, 3), m + 1)
+        X_rows = rows_of(spec, slice(1, rows + rows // 2 + 1, 3), m + 1)
+        rfft_in = Q[: len(post)]
         in_shape = batch + (rows,)
         out_shape = batch + (rows, m + 1)
         b = self.b
         mul, add, sub = np.multiply, np.add, np.subtract
-        if rows == 2:
-            P_s1, P_K0s1, P_sid1 = phys
-        else:
-            (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
-             P_iasid2, P_K0iasid2, P_K0sid2a) = phys
 
         def f(U: np.ndarray, out: np.ndarray) -> np.ndarray:
             if U.shape[:-1] != in_shape or out.shape != out_shape:
                 raise ValueError(
                     f"evaluator bound to {out_shape}, got U {U.shape}, out {out.shape}")
             # (s1, d1, s2, d2), then the precursors in coefficient space
-            for i in range(0, rows, 2):
-                u_m, u_p = U[..., i, :m], U[..., i + 1, :m]
-                add(u_m, u_p, out=sd_rows[i])
-                sub(u_m, u_p, out=sd_rows[i + 1])
+            minus, plus = U[..., 0::2, :m], U[..., 1::2, :m]
+            add(minus, plus, out=s_rows)
+            sub(minus, plus, out=d_rows)
             sd.take(source, axis=0, out=spec_in, mode="clip")
             mul(pre, spec_in, out=spec_in)
 
-            # physical-space precursors and their products
+            # physical-space precursors and their products, all in one multiply
             np.fft.irfft(spec_in, n, norm="forward", out=phys)
-            # P_K0s1 * P_K0s1 - P_s1 * P_s1
-            mul(P_K0s1, P_K0s1, out=Q[0])
-            mul(P_s1, P_s1, out=tmp)
-            sub(Q[0], tmp, out=Q[0])
-            mul(P_sid1, P_s1, out=Q[1])
-            mul(P_sid1, P_K0s1, out=Q[2])
-            if rows == 4:
-                # P_K0iasid2 * P_sid2 - P_ia2s2 * P_s2 - P_ia1s2 * P_ia1s2
-                # + P_K0ia1s2 * P_K0ia1s2 - b * P_sid2 * P_K0sid2a
-                mul(P_K0iasid2, P_sid2, out=Q[3])
-                mul(P_ia2s2, P_s2, out=tmp)
-                sub(Q[3], tmp, out=Q[3])
-                mul(P_ia1s2, P_ia1s2, out=tmp)
-                sub(Q[3], tmp, out=Q[3])
-                mul(P_K0ia1s2, P_K0ia1s2, out=tmp)
-                add(Q[3], tmp, out=Q[3])
-                mul(b, P_sid2, out=tmp)
-                mul(tmp, P_K0sid2a, out=tmp)
-                sub(Q[3], tmp, out=Q[3])
-                # P_ia2s2 * P_sid2 + P_iasid2 * P_ia1s2
-                mul(P_ia2s2, P_sid2, out=Q[4])
-                mul(P_iasid2, P_ia1s2, out=tmp)
-                add(Q[4], tmp, out=Q[4])
-                mul(P_sid1, P_ia1s2, out=Q[5])
-                mul(P_iasid2, P_K0ia1s2, out=Q[6])
-                mul(P_sid1, P_K0ia1s2, out=Q[7])
+            phys.take(operands, axis=0, out=LR, mode="clip")
+            if scaled_row is not None:
+                mul(b, scaled_row, out=scaled_row)
+            mul(L, R, out=Q)
+            # the product sums of _post, in the operand order of _PRODUCTS
+            if rows == 2:
+                sub(Q_rows[0], Q_rows[3], out=Q_rows[0])
+            else:
+                sub(Q_rows[0], Q_rows[8], out=Q_rows[0])
+                sub(Q_rows[3], Q_rows[9], out=Q_rows[3])
+                sub(Q_rows[3], Q_rows[10], out=Q_rows[3])
+                add(Q_rows[3], Q_rows[11], out=Q_rows[3])
+                sub(Q_rows[3], Q_rows[12], out=Q_rows[3])
+                add(Q_rows[4], Q_rows[13], out=Q_rows[4])
 
             # product sums, one per coefficient-space multiplier (see _post)
-            np.fft.rfft(Q, norm="forward", out=spec)
+            np.fft.rfft(rfft_in, norm="forward", out=spec)
             mul(post, spec, out=spec)
-            # n_{-/+1} = E1 -/+ X1 with E1 = G[0], X1 = G[1] + G[2]
-            add(G[1], G[2], out=G[1])
-            sub(G[0], G[1], out=out[..., 0, :])
-            add(G[0], G[1], out=out[..., 1, :])
+            # n_{-/+1} = E1 -/+ X1 with E1 = G[0], X1 = G[1] + G[2], and
+            # n_{-/+2} = E2 -/+ X2 with E2 = G[3], X2 = G[4] + ... + G[7]
+            add(x_first, x_second, out=x_first)
             if rows == 4:
-                # n_{-/+2} = E2 -/+ X2 with E2 = G[3], X2 = G[4] + ... + G[7]
-                add(G[4], G[5], out=G[4])
                 add(G[4], G[6], out=G[4])
                 add(G[4], G[7], out=G[4])
-                sub(G[3], G[4], out=out[..., 2, :])
-                add(G[3], G[4], out=out[..., 3, :])
+            sub(E_rows, X_rows, out=out[..., 0::2, :])
+            add(E_rows, X_rows, out=out[..., 1::2, :])
             return out
 
         return f

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dispersion import k0_symbol, omega, omega_deriv, sigma, sigma_inv
-from .resonance import critical_bonds, k1_of_b, r_general
+from .resonance import critical_bonds, k1_of_b
 
 __all__ = [
     "KernelParams",
@@ -39,6 +39,7 @@ __all__ = [
     "rho_hat",
     "rho_extremes",
     "n_hat",
+    "n_hat_table",
     "delta0_for",
     "delta1_for",
     "default_params",
@@ -156,6 +157,7 @@ def zeta_hat(j1: int, j2: int, ell: int, k, params: KernelParams):
     Identically 1 unless both component signs are negative and the Bond
     number sits in the band where the resonant pair (k1, k0-k1) exists; in
     that case two windows around ell*k1 and -ell*(k1-k0) are carved out.
+    ``ell`` is one carrier sign, or an array of them, one per k.
     """
     k = np.asarray(k, dtype=float)
     ones = np.ones_like(k)
@@ -290,11 +292,17 @@ def second_block_symbol(j1: int, j2: int, l, m, b: float):
     _check_pair(j1, j2)
     if abs(j1) != 2:
         raise ValueError("second_block_symbol serves the |j1|=2 block")
+    e2, x2 = _second_block_parts(j2, l, m, b)
+    val = np.asarray(e2 + (1.0 if j1 > 0 else -1.0) * x2)
+    return val if val.ndim else complex(val)
+
+
+def _second_block_parts(j2: int, l, m, b: float):
+    """E2 and X2 of ``second_block_symbol``, which is E2 + sign(j1) X2."""
     l = np.asarray(l, dtype=float)
     m = np.asarray(m, dtype=float)
     k = l + m
     ik = 1j * k
-    sj1 = 1.0 if j1 > 0 else -1.0
     tau = 1.0 if j2 < 0 else -1.0          # d2 of the insert
     Kl, Km = k0_symbol(l), k0_symbol(m)
     sl, sm = sigma_inv(l, b), sigma_inv(m, b)
@@ -321,8 +329,7 @@ def second_block_symbol(j1: int, j2: int, l, m, b: float):
     x2 = 0.5 * ik * sigma(k, b) * (
         pr(ia2s2, sid2) + pr(iasid2, ia1s2) + ik * pr(sid1, ia1s2)
         + k0_symbol(k) * (pr(iasid2, K0ia1s2) + ik * pr(sid1, K0ia1s2)))
-    val = np.asarray(e2 + sj1 * x2)
-    return val if val.ndim else complex(val)
+    return e2, x2
 
 
 # ---------------------------------------------------------------------------
@@ -343,29 +350,49 @@ def _lattice(k):
     return np.round(np.asarray(k, dtype=float))
 
 
-def _second_block_residual(j1: int, j2: int, k: np.ndarray, l: float,
-                           params: KernelParams) -> np.ndarray:
-    """``second_block_symbol`` minus the four closed forms, on the lattice.
+def _on_lattice(k, f):
+    """f at the lattice-rounded k, evaluated once per distinct lattice point.
 
-    At m = 0 the value is the mean of the m = +-1 neighbours.  That is a
-    convention, not a limit: the residual keeps a 1/m^2 piece,
-    m^2 * residual -> about -i k l^2 for j1 = -2, which the mu = 4 closed
-    form lacks (see the FOUND line on the second-block m = 0 patch in
-    CHANGES.md).
+    f must act elementwise along its last axis, so this is bitwise
+    f(_lattice(k)); a grid of spacing below 1 maps to far fewer lattice
+    points than it has.
+    """
+    kr, where = np.unique(_lattice(k), return_inverse=True)
+    return f(kr)[..., where.reshape(-1)]
+
+
+def _second_block_residuals(j1s: tuple[int, ...], j2: int, k: np.ndarray, l: float,
+                            params: KernelParams) -> np.ndarray:
+    """``second_block_symbol`` minus the four closed forms, on the lattice,
+    one row per j1 of ``j1s``.
+
+    The rows share what does not depend on the sign of j1: E2 and X2 of the
+    symbol and the mu = 2, 3 closed forms.  At m = 0 the value is the mean
+    of the m = +-1 neighbours.  That is a convention, not a limit: the
+    residual keeps a 1/m^2 piece, m^2 * residual -> about -i k l^2 for
+    j1 = -2, which the mu = 4 closed form lacks (see the FOUND line on the
+    second-block m = 0 patch in CHANGES.md).
     """
     lr = float(_lattice(l))
 
-    def residual(kr: np.ndarray) -> np.ndarray:
+    def residuals(kr: np.ndarray) -> np.ndarray:
         m = kr - lr
         safe_m = np.where(m == 0.0, 1.0, m)
-        closed = sum(np.asarray(q_symbol(j1, j2, mu, kr, safe_m, params))
-                     for mu in (1, 2, 3, 4))
-        return np.asarray(second_block_symbol(j1, j2, lr, m, params.b)) - closed
+        e2, x2 = _second_block_parts(j2, lr, m, params.b)
+        q2, q3 = (np.asarray(q_symbol(j2, j2, mu, kr, safe_m, params)) for mu in (2, 3))
+        rows = []
+        for j1 in j1s:
+            closed = sum([np.asarray(q_symbol(j1, j2, 1, kr, safe_m, params)), q2, q3,
+                          np.asarray(q_symbol(j1, j2, 4, kr, safe_m, params))])
+            rows.append(np.asarray(e2 + (1.0 if j1 > 0 else -1.0) * x2) - closed)
+        return np.array(rows)
 
-    kr = _lattice(k)
-    res = residual(np.append(kr, [lr - 1.0, lr + 1.0]))
-    # the m = 0 patch: the mean of the residual at m = -1 and m = +1
-    return np.where(kr == lr, 0.5 * (res[-2] + res[-1]), res[:-2])
+    def patched(kr: np.ndarray) -> np.ndarray:
+        res = residuals(np.append(kr, [lr - 1.0, lr + 1.0]))
+        # the m = 0 patch: the mean of the residual at m = -1 and m = +1
+        return np.where(kr == lr, 0.5 * (res[:, -2:-1] + res[:, -1:]), res[:, :-2])
+
+    return _on_lattice(k, patched)
 
 
 def rho_hat(j1: int, l: int, k, params: KernelParams):
@@ -391,7 +418,8 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
         if abs(j1) == 1:
             return np.asarray(first_block_symbol(j1, j1, lv, mv, params.b))
         lr = _lattice(lv)
-        return np.asarray(second_block_symbol(j1, j1, lr, _lattice(kv) - lr, params.b))
+        return _on_lattice(kv, lambda kr: np.asarray(
+            second_block_symbol(j1, j1, lr, kr - lr, params.b)))
 
     out = np.ones_like(k_arr)
     for ell in (-1, 1):
@@ -403,8 +431,9 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
             continue
         ka = k_arr[active]
         with np.errstate(divide="ignore", invalid="ignore"):
-            num = q_total(-ka + ell * k0, ell * k0, -ka)
-            den = q_total(ka, ell * k0, ka - ell * k0)
+            # the kernel at the partner and at the mode, in one evaluation
+            num, den = np.split(q_total(np.concatenate([-ka + ell * k0, ka]), ell * k0,
+                                        np.concatenate([-ka, ka - ell * k0])), 2)
             ratio = (-num / den).real * ((-ka + ell * k0) / ka) ** (2 * l)
         out[active] += (ratio - 1.0) * window[active]
     bad = np.abs(k_arr[~np.isfinite(out)])
@@ -463,45 +492,105 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
 
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-    b, k0, eps, d0 = params.b, params.k0, params.eps, params.delta0
-    l = ell * k0
-
-    r0 = r_general(j1, j2, k_arr, l, k_arr - l, b)
-    # nudge direction follows the carrier sign so that the exact conjugation
-    # symmetry between (k, ell) and (-k, -ell) survives the regularization
-    kn = np.where(np.abs(r0) < _RESONANT_EPS, k_arr + ell * _NUDGE, k_arr)
-    r = r_general(j1, j2, kn, l, kn - l, b)
-
-    bracket = (
-        np.asarray(zeta_hat(j1, j2, ell, kn, params))
-        * (theta_hat(kn - l, eps, d0) - eps * np.asarray(xi_hat(kn - l, d0)))
-        / theta_hat(kn, eps, d0)
-    )
-
-    if abs(j1) == 1:
-        qv = np.asarray(first_block_symbol(j1, j2, l, kn - l, b))
-    elif j == 1:
-        m = kn - l
-        closed = (
-            np.asarray(q_symbol(j1, j2, 1, kn, m, params))
-            + np.asarray(q_symbol(j1, j2, 2, kn, m, params))
-            + np.asarray(q_symbol(j1, j2, 3, kn, m, params))
-        )
-        qv = closed + _second_block_residual(j1, j2, k_arr, l, params)
-    else:
-        m = kn - l
-        safe_m = np.where(m == 0.0, 1.0, m)
-        qv = 1j * m * np.asarray(q_symbol(j1, j2, 4, kn, safe_m, params))
-
-    out = qv / r * bracket
-    bad = ~np.isfinite(out) | (np.abs(out) > 1e10 / params.eps)
-    if np.any(bad):
-        where = k_arr[bad][:5]
-        raise ValueError(
-            f"non-removable resonance in the kernel denominator near k={where}; "
-            f"the (k0={k0}, b={b}) pair lies outside the admissible region"
-        )
+    out = _n_hat_slots((j1,), j2, (ell,), (j,), k_arr, params)[0, 0, 0]
     return complex(out[0]) if scalar else out
+
+
+def n_hat_table(k, params: KernelParams) -> np.ndarray:
+    """The second-block kernels ``n_hat`` on one 1-D array of wavenumbers.
+
+    Returns n_hat(j1, j2, ell, j, k, params) as a (2, 2, 2, 2, len(k))
+    array indexed j1, j2 in (-2, 2), ell in (-1, 1), j in (1, 2), bytewise
+    the 16 separate calls.  omega(k) is evaluated once, and each j2
+    evaluates both j1, both ell and both slots from shared evaluations
+    (``_n_hat_slots``).
+    """
+    k = np.asarray(k, dtype=float)
+    w_k = omega(k, params.b)
+    return np.stack([_n_hat_slots((-2, 2), j2, (-1, 1), (1, 2), k, params, w_k)
+                     for j2 in (-2, 2)], axis=1)
+
+
+def _n_hat_slots(j1s: tuple[int, ...], j2: int, ells: tuple[int, ...],
+                 slots: tuple[int, ...], k: np.ndarray, params: KernelParams,
+                 w_k: Optional[np.ndarray] = None) -> np.ndarray:
+    """``n_hat`` at each j1 of ``j1s``, ell of ``ells`` and slot j of
+    ``slots`` on the 1-D array k, as a (len(j1s), len(ells), len(slots),
+    len(k)) array; the j1 share one |j1|.
+
+    The ells are evaluated at once, on k repeated once per ell with the
+    carrier wavenumber l = ell*k0 per point.  Per j1, the slots share the
+    denominator r, the nudged wavenumbers and the window bracket, and the
+    j1 share omega and the lattice residual (``_second_block_residuals``).
+    r is ``resonance.r_general``'s combination of omega values: omega(k)
+    may be passed in as ``w_k``, and omega is evaluated afresh only where k
+    is nudged.  Every step acts elementwise (omega(l) and the lattice
+    residual take l as a scalar, one ell at a time), so each value is
+    bitwise that of evaluating one (j1, ell, slot) alone.
+    """
+    b, k0, eps, d0 = params.b, params.k0, params.eps, params.delta0
+    n = k.size
+    ell = np.repeat(ells, n)
+    l = ell * k0
+    kk = np.tile(k, len(ells))
+    s2 = 1.0 if j2 > 0 else -1.0
+    w_k = np.tile(omega(k, b) if w_k is None else w_k, len(ells))
+    w_m = omega(kk - l, b)
+    w_l = np.repeat([omega(e * k0, b) for e in ells], n)
+    residual = None
+    if abs(j2) == 2 and 1 in slots:
+        residual = np.concatenate([_second_block_residuals(j1s, j2, k, e * k0, params)
+                                   for e in ells], axis=1)
+
+    table = []
+    for i, j1 in enumerate(j1s):
+        s1 = 1.0 if j1 > 0 else -1.0
+        r0 = 1j * (s1 * w_k + w_l - s2 * w_m)
+        # nudge direction follows the carrier sign so that the exact conjugation
+        # symmetry between (k, ell) and (-k, -ell) survives the regularization
+        nudged = np.abs(r0) < _RESONANT_EPS
+        kn = np.where(nudged, kk + ell * _NUDGE, kk)
+        w_kn, w_mn = w_k, w_m
+        if nudged.any():
+            w_kn, w_mn = w_k.copy(), w_m.copy()
+            w_kn[nudged] = omega(kn[nudged], b)
+            w_mn[nudged] = omega(kn[nudged] - l[nudged], b)
+        r = 1j * (s1 * w_kn + w_l - s2 * w_mn)
+        m = kn - l
+
+        bracket = (
+            np.asarray(zeta_hat(j1, j2, ell, kn, params))
+            * (theta_hat(m, eps, d0) - eps * np.asarray(xi_hat(m, d0)))
+            / theta_hat(kn, eps, d0)
+        )
+
+        out = []
+        for j in slots:
+            if abs(j1) == 1:
+                qv = np.concatenate([np.asarray(first_block_symbol(j1, j2, e * k0, m_e, b))
+                                     for e, m_e in zip(ells, np.split(m, len(ells)))])
+            elif j == 1:
+                closed = (
+                    np.asarray(q_symbol(j1, j2, 1, kn, m, params))
+                    + np.asarray(q_symbol(j1, j2, 2, kn, m, params))
+                    + np.asarray(q_symbol(j1, j2, 3, kn, m, params))
+                )
+                qv = closed + residual[i]
+            else:
+                safe_m = np.where(m == 0.0, 1.0, m)
+                qv = 1j * m * np.asarray(q_symbol(j1, j2, 4, kn, safe_m, params))
+
+            value = qv / r * bracket
+            bad = ~np.isfinite(value) | (np.abs(value) > 1e10 / params.eps)
+            if np.any(bad):
+                where = kk[bad][:5]
+                raise ValueError(
+                    f"non-removable resonance in the kernel denominator near k={where}; "
+                    f"the (k0={k0}, b={b}) pair lies outside the admissible region"
+                )
+            out.append(value.reshape(len(ells), n))
+        table.append(np.stack(out, axis=1))
+    return np.array(table)
 
 
 # ---------------------------------------------------------------------------

@@ -162,39 +162,69 @@ class NLSTrajectory:
         return EnvelopeField(self.grid, self.samples[-1], tau=float(self.tau[-1]))
 
 
+@lru_cache(maxsize=16)
 def _linear_phase(grid: Grid1D, coeffs: NLSCoeffs, h: float) -> np.ndarray:
+    """Read-only multiplier of a linear step of length h, per (grid, coeffs, h)."""
     # dA/dtau = i p A'' -> multiplier exp(-i p k^2 h)
-    return np.exp(-1j * coeffs.half_omega2 * grid.wavenumbers**2 * h)
+    phase = np.exp(-1j * coeffs.half_omega2 * grid.wavenumbers**2 * h)
+    phase.setflags(write=False)
+    return phase
 
 
 def solve(A0: EnvelopeField, coeffs: NLSCoeffs, dtau: float, tau_end: float,
           sample_every: int = 1) -> NLSTrajectory:
     """Strang-split march: linear half-step, cubic phase rotation, linear
-    half-step.  Raises on the first non-finite sample, naming the step."""
+    half-step.  Raises on the first non-finite sample, naming the step.
+
+    The march takes (tau_end - A0.tau)/dtau steps, which must be a whole
+    number to within 1e-9 relative; any other ratio is refused rather than
+    rounded to a horizon that was not asked for.
+
+    The coefficients a = fft(A)/n are advanced in place, with transforms
+    that do not rescale (``norm="forward"``): on a power-of-two grid that
+    is bitwise the rescaled fft(A)/n and ifft(a)*n.
+    """
     if dtau <= 0:
         raise ValueError("dtau must be positive")
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
-    n_steps = int(round((tau_end - A0.tau) / dtau))
+    ratio = (tau_end - A0.tau) / dtau
+    n_steps = int(round(ratio))
+    if abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
+        raise ValueError(
+            f"(tau_end - tau)/dtau = {ratio!r} is not a whole number of steps "
+            f"(tau={A0.tau}, tau_end={tau_end}, dtau={dtau})")
     if n_steps < 0:
         raise ValueError("tau_end precedes the initial time")
-    grid = A0.grid
-    half = _linear_phase(grid, coeffs, 0.5 * dtau)
-    a = np.fft.fft(A0.values) / grid.n_points
+    half = _linear_phase(A0.grid, coeffs, 0.5 * dtau)
+    inu = 1j * coeffs.nu  # the cubic rotation is exp(inu |A|^2 dtau)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    mul = np.multiply
+    a = fft(A0.values, norm="forward")
+    phys = np.empty_like(a)
+    rot = np.empty_like(a)
+    mod2 = np.empty(a.shape)
+    finite = np.empty(a.shape, dtype=bool)
     taus = [A0.tau]
     samples = [A0.values.copy()]
     for step in range(1, n_steps + 1):
-        a = half * a
-        phys = np.fft.ifft(a) * grid.n_points
-        phys *= np.exp(1j * coeffs.nu * np.abs(phys) ** 2 * dtau)
-        a = half * (np.fft.fft(phys) / grid.n_points)
-        if not np.all(np.isfinite(a)):
+        mul(half, a, out=a)
+        ifft(a, norm="forward", out=phys)
+        np.abs(phys, out=mod2)
+        mul(mod2, mod2, out=mod2)
+        mul(inu, mod2, out=rot)
+        mul(rot, dtau, out=rot)
+        np.exp(rot, out=rot)
+        mul(phys, rot, out=phys)
+        fft(phys, norm="forward", out=a)
+        mul(half, a, out=a)
+        if not np.isfinite(a, out=finite).all():
             raise RuntimeError(f"non-finite envelope at step {step} "
                                f"(tau={A0.tau + step * dtau:.6g})")
         if step % sample_every == 0 or step == n_steps:
             taus.append(A0.tau + step * dtau)
-            samples.append(np.fft.ifft(a) * grid.n_points)
-    return NLSTrajectory(grid=grid, tau=np.array(taus), samples=np.array(samples))
+            samples.append(ifft(a, norm="forward"))
+    return NLSTrajectory(grid=A0.grid, tau=np.array(taus), samples=np.array(samples))
 
 
 def soliton(grid: Grid1D, coeffs: NLSCoeffs, eta: float = 1.0,

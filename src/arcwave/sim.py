@@ -23,7 +23,7 @@ import numpy as np
 
 from .dispersion import ModelParams, sigma, sigma_inv
 from .equations import TruncatedSystem, default_system, slave_second_block
-from .kernels import KernelParams, n_hat, rho_hat, theta_inv_hat
+from .kernels import KernelParams, n_hat_table, rho_hat, theta_inv_hat
 from .nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from .spectral import Grid1D, full_spectrum, half_spectrum
 from .wavepacket import (WavePacket, band_mask, build, build_time_derivative,
@@ -125,9 +125,13 @@ class SimState:
         object.__setattr__(self, "matrix", mat)
 
     def reality_defect(self) -> float:
-        """max |c(-k) - conj(c(k))| over the four fields (0 when exactly real)."""
-        flipped = np.conj(self.matrix[:, self.grid._conjugate_index])
-        return float(np.max(np.abs(self.matrix - flipped)))
+        """max |c(-k) - conj(c(k))| over the four fields (0 when exactly real).
+
+        The term at -k has the modulus of the term at k, so the columns of
+        the half spectrum, k = 0 .. k_Nyquist, hold every value of the max.
+        """
+        flipped = np.conj(self.matrix[:, half_spectrum(self.grid._conjugate_index)])
+        return float(np.max(np.abs(half_spectrum(self.matrix) - flipped)))
 
 
 def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
@@ -710,48 +714,64 @@ def from_diagonal(grid: Grid1D, diagonal: np.ndarray, b: float) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _n_hat_table(grid: Grid1D, params: KernelParams) -> np.ndarray:
-    """Read-only n_hat(j1, j2, ell, slot) as a (2, 2, 2, 2, n) array.
+    """Read-only n_hat kernels in the layout the carrier pairing reads.
 
-    Indexed in the orders j1, j2 in (-2, 2), ell in (-1, 1), slot in (1, 2).
-    It does not depend on the derivative order l, so every l shares it.
+    A (2, 2, 4, n) array indexed ell (-1, 1), j1 (-2, 2) and the flattened
+    (slot, j2) pair, slot in (1, 2) and j2 in (-2, 2).  The ell = -1 rows
+    hold F(n_hat), with F(x) = conj(x(-k)): ``_energy_shared`` pairs them
+    with the ell = +1 products and flips the sum back, since the ell = -1
+    products are F of the ell = +1 ones.  It does not depend on the
+    derivative order l, so every l shares it.
     """
-    k = grid.wavenumbers
-    nh = np.array([[[[n_hat(j1, j2, ell, j, k, params) for j in (1, 2)]
-                     for ell in (-1, 1)]
-                    for j2 in (-2, 2)]
-                   for j1 in (-2, 2)])
-    nh.setflags(write=False)
-    return nh
+    nh = n_hat_table(grid.wavenumbers, params)  # (j1, j2, ell, slot, n)
+    nh = nh.transpose(2, 0, 3, 1, 4).reshape(2, 2, 4, grid.n_points)
+    table = np.array([np.conj(nh[0][..., grid._conjugate_index]), nh[1]])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=16)
-def _energy_tables(grid: Grid1D, params: KernelParams,
-                   l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights of the modified energy at derivative order l.
-
-    Returns rho_hat(j1, l) as a (2, n) array and the derivative symbol
-    (ik)^l.  They depend on (grid, params, l) only, so every sample of a run
-    shares them.  A weight that is not finite on the grid raises from
-    ``rho_hat``, rather than turn every energy of the run into NaN.
-    """
-    rho = np.array([rho_hat(j1, l, grid.wavenumbers, params) for j1 in (-2, 2)],
-                   dtype=float)
-    dl = (1j * grid.wavenumbers) ** l
-    for table in (rho, dl):
+def _error_tables(grid: Grid1D, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only theta^{-1}/eps^{5/2}, which rescales the second-block error,
+    and the symbol 1/(ik) (0 at k = 0) on the half spectrum."""
+    k = grid.wavenumbers
+    scale = theta_inv_hat(k, params.eps, params.delta0) / params.eps**2.5
+    kh = half_spectrum(k)
+    inv_ik = np.where(kh == 0.0, 0.0, -1j / np.where(kh == 0.0, 1.0, kh))
+    for table in (scale, inv_ik):
         table.setflags(write=False)
-    return rho, dl
+    return scale, inv_ik
+
+
+@lru_cache(maxsize=16)
+def _energy_weights(grid: Grid1D, params: KernelParams, l: int) -> np.ndarray:
+    """Read-only weight rho_hat(j1, l) k^{2l} of the modified energy at
+    derivative order l, as a (2, n) array over j1 in (-2, 2).
+
+    It depends on (grid, params, l) only, so every sample of a run shares
+    it.  A weight that is not finite on the grid raises from ``rho_hat``,
+    rather than turn every energy of the run into NaN.
+    """
+    k = grid.wavenumbers
+    weights = np.array([rho_hat(j1, l, k, params) for j1 in (-2, 2)], dtype=float)
+    weights *= k ** (2 * l)
+    weights.setflags(write=False)
+    return weights
 
 
 @lru_cache(maxsize=2)
 def _energy_shared(state: SimState, packet: WavePacket,
-                   params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of the modified energy that no derivative order changes.
+                   params: KernelParams) -> np.ndarray:
+    """The energy density that no derivative order changes, (2, n).
 
-    R is the rescaled second-block error, rows u_{-2}, u_{+2}, and N the
+    With R the rescaled second-block error, rows u_{-2}, u_{+2}, and N the
     carrier pairing sum_{j2, ell, slot} n_hat(j1, j2, ell, slot) * P, with P
-    the coefficients of psi_ell * dalpha^{1 - slot} R_{j2}, one row per j1.
-    R holds real fields, so their physical values come from real transforms
-    (which read a Nyquist column as a real cosine mode).
+    the coefficients of psi_ell * dalpha^{1 - slot} R_{j2}, one row per j1,
+    the density is Re(conj(R) (R/2 + eps N)): the energy at order l is
+    its sum against ``_energy_weights``, since |(ik)^l|^2 = k^{2l}.  R holds
+    real fields, so their physical values come from real transforms (which
+    read a Nyquist column as a real cosine mode), and the ell = -1 products
+    are the conjugate flips of the ell = +1 ones.
 
     The latest two evaluations are memoized by ``lru_cache``, which keys on
     the identity of the state and the packet (both hash and compare by
@@ -760,26 +780,24 @@ def _energy_shared(state: SimState, packet: WavePacket,
     hit returns exactly what a fresh evaluation would.
     """
     grid = state.grid
-    eps = packet.eps
-    k = grid.wavenumbers
     n = grid.n_points
-    R = (state.matrix[2:] - build(packet, grid, state.t)[2:]) * theta_inv_hat(
-        k, eps, params.delta0) / eps**2.5
+    conj = grid._conjugate_index
+    scale, inv_ik = _error_tables(grid, params)
+    R = (state.matrix[2:] - build(packet, grid, state.t)[2:]) * scale
 
     # physical psi_plus; psi_minus is its complex conjugate there
     psi_plus = np.fft.ifft(carrier_halves(packet, grid, state.t)[0], norm="forward")
-    inv_ik = np.where(k == 0.0, 0.0, -1j / np.where(k == 0.0, 1.0, k))
     # the real fields R and dalpha^{-1} R in physical space, (slot, j2, n)
-    fields = np.fft.irfft(half_spectrum(np.array([R, inv_ik * R])), n, norm="forward")
-    # coefficients of psi_ell * field as (j2, ell, slot, n): ell = +1 by one
-    # transform, ell = -1 as its conjugate flip, since the fields are real
-    plus = np.fft.fft(psi_plus * fields, norm="forward").swapaxes(0, 1)
-    minus = np.conj(plus[..., grid._conjugate_index])
-    products = np.stack([minus, plus], axis=1).reshape(8, n)
-    N = np.sum(_n_hat_table(grid, params).reshape(2, 8, n) * products, axis=1)
-    for part in (R, N):
-        part.setflags(write=False)
-    return R, N
+    R_half = half_spectrum(R)
+    fields = np.fft.irfft(np.array([R_half, inv_ik * R_half]), n, norm="forward")
+    # coefficients of psi_plus * field, one row per (slot, j2)
+    plus = np.fft.fft(psi_plus * fields, norm="forward").reshape(4, n)
+    # sum over (slot, j2) per (ell, j1); the ell = -1 sum is F of its rows' sum
+    pair = np.sum(_n_hat_table(grid, params) * plus, axis=2)
+    N = pair[1] + np.conj(pair[0][:, conj])
+    density = np.real(np.conj(R) * (0.5 * R + packet.eps * N))
+    density.setflags(write=False)
+    return density
 
 
 def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
@@ -791,14 +809,18 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     reweighting rho^l, and the O(eps) correction pairs the error against the
     carrier through the normal-form kernels.
 
-    Only rho^l and (ik)^l depend on l.  The rest, the rescaled error and its
-    carrier pairing with the n_hat kernels (which do not depend on l), is
-    computed once per (state, packet, params) and shared by the orders
-    asked for next: ``_energy_shared`` is an ``lru_cache`` of the latest
-    two, keyed on the identity of the state and the packet.  That is safe
-    because both are immutable, ``SimState.matrix``, ``EnvelopeField.values``
-    and the correction profiles being read-only copies; a new state or
-    packet object, even with equal content, is realized afresh.
+    Only the weight rho^l k^{2l} depends on l.  The rest, the rescaled
+    error and its carrier pairing with the n_hat kernels (which do not
+    depend on l), is computed once per (state, packet, params) and shared
+    by the orders asked for next: ``_energy_shared`` is an ``lru_cache`` of
+    the latest two, keyed on the identity of the state and the packet.
+    That is safe because both are immutable, ``SimState.matrix``,
+    ``EnvelopeField.values`` and the correction profiles being read-only
+    copies; a new state or packet object, even with equal content, is
+    realized afresh.  The packet is realized by ``build`` and its carrier
+    read back by ``carrier_halves``, which share one band assembly.  The
+    kernel tables are cached per (grid, params), the weights per (grid,
+    params, l).
 
     ``params`` must be the packet's: KernelParams of another (k0, b, eps)
     raise, since their weights would measure another configuration.
@@ -810,9 +832,6 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     if theirs != ours:
         raise ValueError(
             f"KernelParams are for (k0, b, eps) = {theirs}, the packet for {ours}")
-    R, N = _energy_shared(state, packet, params)
-    rho, dl = _energy_tables(state.grid, params, l)
-    Rl = dl * R
-    quad = 0.5 * np.sum(rho * np.abs(Rl) ** 2)
-    cross = packet.eps * np.real(np.sum(np.conj(Rl) * rho * dl * N))
-    return float(state.grid.length * (quad + cross))
+    density = _energy_shared(state, packet, params)
+    weights = _energy_weights(state.grid, params, l)
+    return float(state.grid.length * np.vdot(weights, density))

@@ -16,6 +16,7 @@ interpolation error at any eps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -137,6 +138,19 @@ def _check_nesting(packet: WavePacket, grid: Grid1D) -> int:
     return j0
 
 
+@lru_cache(maxsize=16)
+def _band_layout(grid: Grid1D, env: Grid1D, j0: int,
+                 p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where ``_band_coefficients`` scatters a stack of p rows: the row and
+    carrier-mode indices, and the envelope wavenumbers eps*kappa."""
+    ells = np.array(_HARMONICS[:p])
+    idx = (ells[:, None] * j0 + env.mode_numbers) % grid.n_points
+    kappa_eps = env.mode_numbers * grid.fundamental  # = eps * kappa exactly
+    for table in (idx, kappa_eps):
+        table.setflags(write=False)
+    return np.arange(p)[:, None], idx, kappa_eps
+
+
 def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
                        j0: int, cg: float, t: float) -> np.ndarray:
     """Carrier-grid coefficients of profile(eps*(alpha - cg t)) * E^l per row.
@@ -145,14 +159,12 @@ def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
     ``_HARMONICS[:p]``.  The nested envelope mode j of a row on harmonic l
     lands on carrier mode l*j0 + j with the slow transport phase; the
     carrier's own -l*omega0*t phase is applied by the caller.  One
-    transform, one phase vector and one scatter serve the whole stack.
+    transform, one phase vector and one scatter serve the whole stack, and
+    the scatter layout is cached per (grid, envelope grid, j0, p).
     """
-    g = np.fft.fft(profiles) / env.n_points
-    kappa_eps = env.mode_numbers * grid.fundamental  # = eps * kappa exactly
+    g = np.fft.fft(profiles, norm="forward")
+    rows, idx, kappa_eps = _band_layout(grid, env, j0, profiles.shape[-2])
     phases = np.exp(-1j * kappa_eps * cg * t)
-    ells = np.array(_HARMONICS[: profiles.shape[-2]])
-    idx = (ells[:, None] * j0 + env.mode_numbers) % grid.n_points
-    rows = np.arange(len(ells))[:, None]
     out = np.zeros(profiles.shape[:-1] + (grid.n_points,), dtype=complex)
     # real and imaginary parts formed apart round like numpy's complex
     # scalar product (its vectorized product may fuse multiply-adds), so the
@@ -163,8 +175,9 @@ def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
 
 
 def _first_block(packet: WavePacket, grid: Grid1D, t: float,
-                 profiles: np.ndarray) -> np.ndarray:
-    """(..., 2, n) coefficients of u_{-/+1} carried by a profile stack, linear in it.
+                 profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 2, n) coefficients of u_{-/+1} carried by a profile stack, linear
+    in it, and the stack's lead band, (..., n).
 
     Each profile G rides its harmonic l (see ``_HARMONICS``) as
     G(eps*(alpha - cg*t)) * e^{il(k0*alpha - omega0*t)} plus the complex
@@ -173,7 +186,8 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
     order eps^2.  The mean-flow band is projected onto the real-field
     (Hermitian) subspace: a real profile on an even envelope grid carries an
     unpaired Nyquist mode, and its canonical real interpolation onto the
-    finer carrier grid splits that mode cosine-wise.
+    finer carrier grid splits that mode cosine-wise.  The lead band is the
+    lead profile riding e^{i(k0 alpha - omega0 t)}, before any truncation.
     """
     p = packet.params
     j0 = _check_nesting(packet, grid)
@@ -191,7 +205,26 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
                           + harm + np.conj(harm[..., conj]))
     if packet.truncated:
         rows[..., ~band_mask(grid, p.k0, packet.delta0)] = 0.0
-    return rows
+    return rows, carrier
+
+
+@lru_cache(maxsize=1)
+def _realized_first_block(packet: WavePacket, grid: Grid1D,
+                          t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The packet's first block and lead band at t, read-only, from one
+    band assembly.
+
+    ``build`` and ``carrier_halves`` both read it, so realizing a packet
+    and taking its carrier at the same (grid, t), as the energy diagnostic
+    does, assembles the bands once.  The latest realization is kept, keyed
+    on the packet's identity (a packet is immutable and hashes by identity).
+    """
+    first, lead = _first_block(packet, grid, t, packet.profiles)
+    if packet.truncated:
+        lead = np.where(band_mask(grid, packet.params.k0, packet.delta0), lead, 0.0)
+    for part in (first, lead):
+        part.setflags(write=False)
+    return first, lead
 
 
 def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
@@ -200,8 +233,9 @@ def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
     Returns the (4, n) coefficients of the four real components in the order
     u_{-1}, u_{+1}, u_{-2}, u_{+2}: the first block from the profiles, the
     second slaved to it by :func:`arcwave.equations.slave_second_block`.
+    The result is a fresh array.
     """
-    first = _first_block(packet, grid, t, packet.profiles)
+    first, _ = _realized_first_block(packet, grid, t)
     return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
 
 
@@ -212,14 +246,10 @@ def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
     psi_minus, its complex conjugate, so that the order-eps part of the first
     negative component is eps * (psi_plus + psi_minus).  Used by the energy
     diagnostic, whose quadratic correction pairs the error against exactly
-    this carrier profile.
+    this carrier profile.  The band is the one ``build`` assembles for the
+    same (packet, grid, t), which this reads back rather than assembles again.
     """
-    p = packet.params
-    j0 = _check_nesting(packet, grid)
-    lead = _band_coefficients(grid, packet.A.grid, packet.profiles[:1], j0,
-                              p.cg, t)[0] * np.exp(-1j * p.omega0 * t)
-    if packet.truncated:
-        lead = np.where(band_mask(grid, p.k0, packet.delta0), lead, 0.0)
+    _, lead = _realized_first_block(packet, grid, t)
     return np.array([lead, np.conj(lead[grid._conjugate_index])])
 
 
@@ -263,6 +293,6 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float) -> np.ndar
                          c["c_p0"] * mod2, c["c_p2"] * 2 * a * a_tau]
     d_profiles = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
                            in zip(profiles, profiles_tau, _HARMONICS)])
-    u, du = _first_block(packet, grid, t, np.array([profiles, d_profiles]))
+    (u, du), _ = _first_block(packet, grid, t, np.array([profiles, d_profiles]))
     plus, minus = slave_second_block(grid, np.array([u + du, u - du]), p.b)
     return np.concatenate([du, 0.5 * (plus - minus)])

@@ -199,3 +199,22 @@ def test_sample_every_below_one_is_refused(every):
     # 0 used to divide by zero, and a negative interval ran as its absolute value
     with pytest.raises(ValueError, match="sample_every"):
         solve(soliton(GRID, SYNTH), SYNTH, 1e-3, 0.01, sample_every=every)
+
+
+@pytest.mark.parametrize("tau_end,ratio", [(1.0, "3.33333"), (0.1, "0.33333")])
+def test_a_horizon_of_no_whole_step_count_is_refused(tau_end, ratio):
+    # (tau_end - tau)/dtau used to be rounded: dtau 0.3 ended at tau 0.9
+    # for tau_end 1.0, and took no step at all for tau_end 0.1
+    with pytest.raises(ValueError, match=rf"/dtau = {ratio}\d* is not a whole number"):
+        solve(soliton(GRID, SYNTH), SYNTH, 0.3, tau_end)
+
+
+def test_whole_step_counts_pass_within_round_off():
+    # 0.3/0.1 is 2.9999999999999996 in floating point: three steps
+    traj = solve(soliton(GRID, SYNTH), SYNTH, 0.1, 0.3)
+    assert traj.tau.tolist() == pytest.approx([0.0, 0.1, 0.2, 0.3], rel=1e-12)
+    traj = solve(soliton(GRID, SYNTH), SYNTH, 2e-3, 0.5, sample_every=50)
+    assert traj.tau[-1] == pytest.approx(0.5, rel=1e-12)
+    assert len(traj.tau) == 6
+    start = EnvelopeField(GRID, soliton(GRID, SYNTH).values, tau=0.37)
+    assert solve(start, SYNTH, 1e-3, 0.37).tau.tolist() == [0.37]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -97,3 +98,12 @@ def test_every_cited_roadmap_item_exists():
             cited.setdefault(number, []).append(path.name)
     missing = {n: names for n, names in cited.items() if n not in items}
     assert not missing, f"cited ROADMAP items without a header: {missing}"
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_records_parse_and_carry_their_provenance(path):
+    """Every root BENCH_*.json parses and says what it claims, how it was
+    measured, on what machine and against which parent."""
+    record = json.loads(path.read_text())
+    missing = [key for key in ("claim", "command", "machine", "parent") if key not in record]
+    assert not missing, f"{path.name} lacks {missing}"

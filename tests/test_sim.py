@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from arcwave.equations import TruncatedSystem, default_system, slave_second_block
-from arcwave.kernels import default_params, first_block_symbol, rho_extremes, theta_inv_hat
+from arcwave.kernels import (default_params, first_block_symbol, n_hat, n_hat_table,
+                             rho_extremes, rho_hat, theta_inv_hat)
 from arcwave.nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from arcwave import sim
 from arcwave.sim import (
@@ -34,7 +35,7 @@ from arcwave.sim import (
 )
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from arcwave.wavepacket import build, wave_packet
-from fourier import hermitian_part
+from fourier import hermitian_part, ik_power
 
 K0 = 2.0
 EPS = 0.1
@@ -1137,3 +1138,82 @@ def test_energy_frozen_on_monitored_run(index, l, expected, monitored_run):
     assert state.t == pytest.approx(float(index))
     assert energy_diagnostic(state, packet_now, l, params) == pytest.approx(
         expected, rel=1e-12)
+
+
+def modified_energy_oracle(state, packet, l, params):
+    """The modified energy from its definition, one term at a time.
+
+    The error R is the second block of ``build`` subtracted from the state
+    and rescaled by per-call ``theta_inv_hat``; the carrier psi_plus is a
+    lead band assembled afresh, one envelope mode at a time; the products
+    psi_ell * dalpha^{1 - slot} R_{j2} are formed with complex transforms,
+    and N_{j1} sums them against per-call ``n_hat``:
+
+        E = L sum_{j1} [ 1/2 sum rho |(ik)^l R_{j1}|^2
+                         + eps Re sum conj((ik)^l R_{j1}) rho (ik)^l N_{j1} ].
+    """
+    grid, t = state.grid, state.t
+    k, n, eps = grid.wavenumbers, grid.n_points, packet.eps
+    p = packet.params
+    R = (state.matrix[2:] - build(packet, grid, t)[2:]) * theta_inv_hat(
+        k, eps, params.delta0) / eps**2.5
+    j0 = round(p.k0 / grid.fundamental)
+    env = packet.A.grid
+    g = np.fft.fft(packet.A.values) / env.n_points
+    lead = np.zeros(n, dtype=complex)
+    for idx, j in enumerate(env.mode_numbers):
+        lead[(j0 + j) % n] = g[idx] * np.exp(-1j * j * grid.fundamental * p.cg * t)
+    psi_plus = np.fft.ifft(lead * np.exp(-1j * p.omega0 * t)) * n
+    psi = {1: psi_plus, -1: np.conj(psi_plus)}
+    fields = {(j2, slot): np.fft.ifft(R[row] * ik_power(grid, 1 - slot)) * n
+              for row, j2 in enumerate((-2, 2)) for slot in (1, 2)}
+    dl = (1j * k) ** l
+    energy = 0.0
+    for row, j1 in enumerate((-2, 2)):
+        N = sum(n_hat(j1, j2, ell, slot, k, params)
+                * np.fft.fft(psi[ell] * fields[j2, slot]) / n
+                for j2 in (-2, 2) for ell in (-1, 1) for slot in (1, 2))
+        rho = rho_hat(j1, l, k, params)
+        Rl = dl * R[row]
+        energy += 0.5 * np.sum(rho * np.abs(Rl) ** 2)
+        energy += eps * np.real(np.sum(np.conj(Rl) * rho * dl * N))
+    return grid.length * energy
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_energy_is_the_term_by_term_oracle_on_monitored_run(l, monitored_run):
+    # the shared band assembly, the cached tables and the l-free energy
+    # density give the definition's value to round-off at every sample
+    config = monitored_run["config"]
+    params = default_params(K0, BOND, EPS)
+    for state, env in zip(monitored_run["run"].samples, monitored_run["envelopes"]):
+        packet = wave_packet(env, EPS, config.model, corrections=True)
+        want = modified_energy_oracle(state, packet, l, params)
+        got = energy_diagnostic(state, packet, l, params)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.03, BOND])
+def test_cached_weight_tables_are_bytewise_the_per_call_kernels(b):
+    grid = Grid1D(512, scan_grid_length(EPS, 12.0))
+    k = grid.wavenumbers
+    params = default_params(K0, b, EPS)
+    table = n_hat_table(k, params)
+    pairing = sim._n_hat_table(grid, params)
+    for a, j1 in enumerate((-2, 2)):
+        for c, j2 in enumerate((-2, 2)):
+            for e, ell in enumerate((-1, 1)):
+                for s, slot in enumerate((1, 2)):
+                    want = n_hat(j1, j2, ell, slot, k, params)
+                    assert table[a, c, e, s].tobytes() == want.tobytes()
+                    # the pairing layout: ell, j1, then (slot, j2); the
+                    # ell = -1 rows hold conj(n_hat(-k))
+                    if ell == -1:
+                        want = np.conj(want[grid._conjugate_index])
+                    assert pairing[e, a, 2 * s + c].tobytes() == want.tobytes()
+        for l in (0, 1, 2):
+            weights = sim._energy_weights(grid, params, l)[a]
+            rho = rho_hat(j1, l, k, params)
+            assert weights.tobytes() == (rho * k ** (2 * l)).tobytes()
+            if l == 0:
+                assert weights.tobytes() == rho.tobytes()
