@@ -130,7 +130,7 @@ class SimState:
         The term at -k has the modulus of the term at k, so the columns of
         the half spectrum, k = 0 .. k_Nyquist, hold every value of the max.
         """
-        flipped = np.conj(self.matrix[:, half_spectrum(self.grid._conjugate_index)])
+        flipped = np.conj(self.matrix.take(half_spectrum(self.grid._conjugate_index), axis=-1))
         return float(np.max(np.abs(half_spectrum(self.matrix) - flipped)))
 
 
@@ -794,7 +794,7 @@ def _energy_shared(state: SimState, packet: WavePacket,
     plus = np.fft.fft(psi_plus * fields, norm="forward").reshape(4, n)
     # sum over (slot, j2) per (ell, j1); the ell = -1 sum is F of its rows' sum
     pair = np.sum(_n_hat_table(grid, params) * plus, axis=2)
-    N = pair[1] + np.conj(pair[0][:, conj])
+    N = pair[1] + np.conj(pair[0].take(conj, axis=-1))
     density = np.real(np.conj(R) * (0.5 * R + packet.eps * N))
     density.setflags(write=False)
     return density

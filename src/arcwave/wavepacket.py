@@ -197,12 +197,12 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
 
     rows = np.zeros(profiles.shape[:-2] + (2, grid.n_points), dtype=complex)
     carrier = bands[..., 0, :] * np.exp(-1j * w0 * t)
-    rows[..., 0, :] += eps * (carrier + np.conj(carrier[..., conj]))
+    rows[..., 0, :] += eps * (carrier + np.conj(carrier.take(conj, axis=-1)))
     if profiles.shape[-2] > 1:
         mean = bands[..., 1::2, :]
         harm = bands[..., 2::2, :] * np.exp(-2j * w0 * t)
-        rows += eps**2 * (0.5 * (mean + np.conj(mean[..., conj]))
-                          + harm + np.conj(harm[..., conj]))
+        rows += eps**2 * (0.5 * (mean + np.conj(mean.take(conj, axis=-1)))
+                          + harm + np.conj(harm.take(conj, axis=-1)))
     if packet.truncated:
         rows[..., ~band_mask(grid, p.k0, packet.delta0)] = 0.0
     return rows, carrier
@@ -250,7 +250,7 @@ def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
     same (packet, grid, t), which this reads back rather than assembles again.
     """
     _, lead = _realized_first_block(packet, grid, t)
-    return np.array([lead, np.conj(lead[grid._conjugate_index])])
+    return np.array([lead, np.conj(lead.take(grid._conjugate_index))])
 
 
 def envelope_rhs(A: EnvelopeField, half_omega2: float, nu: float) -> np.ndarray:
