@@ -492,7 +492,7 @@ def n_hat(j1: int, j2: int, ell: int, j: int, k, params: KernelParams):
 
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-    out = _n_hat_slots((j1,), j2, (ell,), (j,), k_arr, params)[0, 0, 0]
+    out = _n_hat_slots((j1,), (j2,), (ell,), (j,), k_arr, params)[0, 0, 0, 0]
     return complex(out[0]) if scalar else out
 
 
@@ -501,96 +501,89 @@ def n_hat_table(k, params: KernelParams) -> np.ndarray:
 
     Returns n_hat(j1, j2, ell, j, k, params) as a (2, 2, 2, 2, len(k))
     array indexed j1, j2 in (-2, 2), ell in (-1, 1), j in (1, 2), bytewise
-    the 16 separate calls.  omega(k) is evaluated once, and each j2
-    evaluates both j1, both ell and both slots from shared evaluations
-    (``_n_hat_slots``).
+    the 16 separate calls, from shared evaluations (``_n_hat_slots``).
     """
-    k = np.asarray(k, dtype=float)
-    w_k = omega(k, params.b)
-    return np.stack([_n_hat_slots((-2, 2), j2, (-1, 1), (1, 2), k, params, w_k)
-                     for j2 in (-2, 2)], axis=1)
+    return _n_hat_slots((-2, 2), (-2, 2), (-1, 1), (1, 2), np.asarray(k, dtype=float),
+                        params)
 
 
-def _n_hat_slots(j1s: tuple[int, ...], j2: int, ells: tuple[int, ...],
-                 slots: tuple[int, ...], k: np.ndarray, params: KernelParams,
-                 w_k: Optional[np.ndarray] = None) -> np.ndarray:
-    """``n_hat`` at each j1 of ``j1s``, ell of ``ells`` and slot j of
-    ``slots`` on the 1-D array k, as a (len(j1s), len(ells), len(slots),
-    len(k)) array; the j1 share one |j1|.
+def _n_hat_slots(j1s: tuple[int, ...], j2s: tuple[int, ...], ells: tuple[int, ...],
+                 slots: tuple[int, ...], k: np.ndarray, params: KernelParams) -> np.ndarray:
+    """``n_hat`` at every (j1, j2, ell, j) of ``j1s`` x ``j2s`` x ``ells`` x
+    ``slots`` on the 1-D array k, as a (len(j1s), len(j2s), len(ells),
+    len(slots), len(k)) array; all j1 and j2 share one |j1|.
 
-    The ells are evaluated at once, on k repeated once per ell with the
-    carrier wavenumber l = ell*k0 per point.  Per j1, the slots share the
-    denominator r, the nudged wavenumbers and the window bracket, and the
-    j1 share omega and the lattice residual (``_second_block_residuals``).
-    r is ``resonance.r_general``'s combination of omega values: omega(k)
-    may be passed in as ``w_k``, and omega is evaluated afresh only where k
-    is nudged.  Every step acts elementwise (omega(l) and the lattice
-    residual take l as a scalar, one ell at a time), so each value is
-    bitwise that of evaluating one (j1, ell, slot) alone.
+    omega is evaluated on the grid once, and the ells at once, on k repeated
+    once per ell with the carrier wavenumber l = ell*k0 per point.  Per
+    (j1, j2) the slots share the denominator r, the nudged wavenumbers and
+    the window bracket, and per j2 the j1 share the lattice residual
+    (``_second_block_residuals``).  r is ``resonance.r_general``'s
+    combination of the shared omega values, with omega evaluated afresh
+    only where k is nudged.  Every step acts elementwise (omega(l) and the
+    lattice residual take l as a scalar, one ell at a time), so each value
+    is bitwise that of evaluating one (j1, j2, ell, slot) alone.
     """
     b, k0, eps, d0 = params.b, params.k0, params.eps, params.delta0
     n = k.size
     ell = np.repeat(ells, n)
     l = ell * k0
     kk = np.tile(k, len(ells))
-    s2 = 1.0 if j2 > 0 else -1.0
-    w_k = np.tile(omega(k, b) if w_k is None else w_k, len(ells))
+    w_k = np.tile(omega(k, b), len(ells))
     w_m = omega(kk - l, b)
     w_l = np.repeat([omega(e * k0, b) for e in ells], n)
-    residual = None
-    if abs(j2) == 2 and 1 in slots:
-        residual = np.concatenate([_second_block_residuals(j1s, j2, k, e * k0, params)
-                                   for e in ells], axis=1)
 
-    table = []
-    for i, j1 in enumerate(j1s):
-        s1 = 1.0 if j1 > 0 else -1.0
-        r0 = 1j * (s1 * w_k + w_l - s2 * w_m)
-        # nudge direction follows the carrier sign so that the exact conjugation
-        # symmetry between (k, ell) and (-k, -ell) survives the regularization
-        nudged = np.abs(r0) < _RESONANT_EPS
-        kn = np.where(nudged, kk + ell * _NUDGE, kk)
-        w_kn, w_mn = w_k, w_m
-        if nudged.any():
-            w_kn, w_mn = w_k.copy(), w_m.copy()
-            w_kn[nudged] = omega(kn[nudged], b)
-            w_mn[nudged] = omega(kn[nudged] - l[nudged], b)
-        r = 1j * (s1 * w_kn + w_l - s2 * w_mn)
-        m = kn - l
+    table = np.empty((len(j1s), len(j2s), len(ells), len(slots), n), dtype=complex)
+    for c, j2 in enumerate(j2s):
+        s2 = 1.0 if j2 > 0 else -1.0
+        if abs(j2) == 2 and 1 in slots:
+            residual = np.concatenate([_second_block_residuals(j1s, j2, k, e * k0, params)
+                                       for e in ells], axis=1)
+        for a, j1 in enumerate(j1s):
+            s1 = 1.0 if j1 > 0 else -1.0
+            r0 = 1j * (s1 * w_k + w_l - s2 * w_m)
+            # nudge direction follows the carrier sign so that the exact conjugation
+            # symmetry between (k, ell) and (-k, -ell) survives the regularization
+            nudged = np.abs(r0) < _RESONANT_EPS
+            kn = np.where(nudged, kk + ell * _NUDGE, kk)
+            w_kn, w_mn = w_k, w_m
+            if nudged.any():
+                w_kn, w_mn = w_k.copy(), w_m.copy()
+                w_kn[nudged] = omega(kn[nudged], b)
+                w_mn[nudged] = omega(kn[nudged] - l[nudged], b)
+            r = 1j * (s1 * w_kn + w_l - s2 * w_mn)
+            m = kn - l
 
-        bracket = (
-            np.asarray(zeta_hat(j1, j2, ell, kn, params))
-            * (theta_hat(m, eps, d0) - eps * np.asarray(xi_hat(m, d0)))
-            / theta_hat(kn, eps, d0)
-        )
+            bracket = (
+                np.asarray(zeta_hat(j1, j2, ell, kn, params))
+                * (theta_hat(m, eps, d0) - eps * np.asarray(xi_hat(m, d0)))
+                / theta_hat(kn, eps, d0)
+            )
 
-        out = []
-        for j in slots:
-            if abs(j1) == 1:
-                qv = np.concatenate([np.asarray(first_block_symbol(j1, j2, e * k0, m_e, b))
-                                     for e, m_e in zip(ells, np.split(m, len(ells)))])
-            elif j == 1:
-                closed = (
-                    np.asarray(q_symbol(j1, j2, 1, kn, m, params))
-                    + np.asarray(q_symbol(j1, j2, 2, kn, m, params))
-                    + np.asarray(q_symbol(j1, j2, 3, kn, m, params))
-                )
-                qv = closed + residual[i]
-            else:
-                safe_m = np.where(m == 0.0, 1.0, m)
-                qv = 1j * m * np.asarray(q_symbol(j1, j2, 4, kn, safe_m, params))
+            for s, j in enumerate(slots):
+                if abs(j1) == 1:
+                    qv = np.concatenate([np.asarray(first_block_symbol(j1, j2, e * k0, m_e, b))
+                                         for e, m_e in zip(ells, np.split(m, len(ells)))])
+                elif j == 1:
+                    closed = (
+                        np.asarray(q_symbol(j1, j2, 1, kn, m, params))
+                        + np.asarray(q_symbol(j1, j2, 2, kn, m, params))
+                        + np.asarray(q_symbol(j1, j2, 3, kn, m, params))
+                    )
+                    qv = closed + residual[a]
+                else:
+                    safe_m = np.where(m == 0.0, 1.0, m)
+                    qv = 1j * m * np.asarray(q_symbol(j1, j2, 4, kn, safe_m, params))
 
-            value = qv / r * bracket
-            bad = ~np.isfinite(value) | (np.abs(value) > 1e10 / params.eps)
-            if np.any(bad):
-                where = kk[bad][:5]
-                raise ValueError(
-                    f"non-removable resonance in the kernel denominator near k={where}; "
-                    f"the (k0={k0}, b={b}) pair lies outside the admissible region"
-                )
-            out.append(value.reshape(len(ells), n))
-        table.append(np.stack(out, axis=1))
-    return np.array(table)
+                value = qv / r * bracket
+                bad = ~np.isfinite(value) | (np.abs(value) > 1e10 / params.eps)
+                if np.any(bad):
+                    where = kk[bad][:5]
+                    raise ValueError(
+                        f"non-removable resonance in the kernel denominator near k={where}; "
+                        f"the (k0={k0}, b={b}) pair lies outside the admissible region"
+                    )
+                table[a, c, :, s] = value.reshape(len(ells), n)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -138,19 +138,6 @@ def _check_nesting(packet: WavePacket, grid: Grid1D) -> int:
     return j0
 
 
-@lru_cache(maxsize=16)
-def _band_layout(grid: Grid1D, env: Grid1D, j0: int,
-                 p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where ``_band_coefficients`` scatters a stack of p rows: the row and
-    carrier-mode indices, and the envelope wavenumbers eps*kappa."""
-    ells = np.array(_HARMONICS[:p])
-    idx = (ells[:, None] * j0 + env.mode_numbers) % grid.n_points
-    kappa_eps = env.mode_numbers * grid.fundamental  # = eps * kappa exactly
-    for table in (idx, kappa_eps):
-        table.setflags(write=False)
-    return np.arange(p)[:, None], idx, kappa_eps
-
-
 def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
                        j0: int, cg: float, t: float) -> np.ndarray:
     """Carrier-grid coefficients of profile(eps*(alpha - cg t)) * E^l per row.
@@ -159,12 +146,14 @@ def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
     ``_HARMONICS[:p]``.  The nested envelope mode j of a row on harmonic l
     lands on carrier mode l*j0 + j with the slow transport phase; the
     carrier's own -l*omega0*t phase is applied by the caller.  One
-    transform, one phase vector and one scatter serve the whole stack, and
-    the scatter layout is cached per (grid, envelope grid, j0, p).
+    transform, one phase vector and one scatter serve the whole stack.
     """
     g = np.fft.fft(profiles, norm="forward")
-    rows, idx, kappa_eps = _band_layout(grid, env, j0, profiles.shape[-2])
+    kappa_eps = env.mode_numbers * grid.fundamental  # = eps * kappa exactly
     phases = np.exp(-1j * kappa_eps * cg * t)
+    ells = np.array(_HARMONICS[: profiles.shape[-2]])
+    idx = (ells[:, None] * j0 + env.mode_numbers) % grid.n_points
+    rows = np.arange(len(ells))[:, None]
     out = np.zeros(profiles.shape[:-1] + (grid.n_points,), dtype=complex)
     # real and imaginary parts formed apart round like numpy's complex
     # scalar product (its vectorized product may fuse multiply-adds), so the
