@@ -597,7 +597,10 @@ def delta0_for(k0: float, b: float) -> float:
     stays above a tenth of its limiting slope |omega'(k0) - 1| times the
     distance, on 400 points to each side.
 
-    Each candidate evaluates omega once, on all of its points stacked.
+    omega is odd bit for bit, so r_hat on the four windows kk, -kk, k0 + kk
+    and k0 - kk needs omega on kk, k0 + kk and k0 - kk only: each candidate
+    evaluates omega once, on those 1200 points stacked, and the windows at
+    kk and k0 - kk (likewise -kk and k0 + kk) share their r_hat values.
     Raises ValueError at a group-velocity degeneracy omega'(k0) = 1, where
     no linear margin exists, and when no candidate above 1e-6 k0 passes.
     """
@@ -611,9 +614,9 @@ def delta0_for(k0: float, b: float) -> float:
     delta = k0 / 20.0 * 0.999
     while delta > 1e-6 * k0:
         kk = np.linspace(1e-9, delta, 400)
-        near = np.array([kk, -kk, k0 + kk, k0 - kk])
-        w = omega(np.concatenate([near, near - k0]), b)
-        r = w[:4] - w[4:] - w0
+        w_kk, w_plus, w_minus = omega(np.concatenate([kk, k0 + kk, k0 - kk]), b).reshape(3, -1)
+        # r_hat at kk and at k0 - kk, then at -kk and at k0 + kk
+        r = np.array([w_kk + w_minus, w_plus - w_kk]) - w0
         if np.all(np.abs(r) >= 0.1 * slope * kk):
             return float(delta)
         delta *= 0.9

@@ -46,6 +46,10 @@ ZERO_XTOL = 1e-12
 BOND_XTOL = 1e-15
 #: |r| threshold below which a stationary point counts as a double zero
 TANGENCY_TOL = 1e-8
+#: nominal scan step of ``find_zeros``, which scans at k0/s, s = round(k0/_SCAN_STEP)
+_SCAN_STEP = 0.01
+#: most points at which the scan of ``find_zeros`` evaluates r
+_SCAN_MAX_POINTS = 500_000
 
 
 #: relative tolerance of every root: four float64 ulps, as in scipy's brentq
@@ -208,9 +212,8 @@ def _r_hat_scalar(b: float, k0: float) -> Callable[[float], float]:
     return r
 
 
-def _r_hat_deriv(k, b: float, k0: float):
-    if not isinstance(k, (float, int)):
-        k = np.asarray(k)
+def _r_hat_deriv(k: float, b: float, k0: float) -> float:
+    """d(r_hat)/dk at a float k, on omega's scalar route."""
     return omega_deriv(k, b, 1) - omega_deriv(k - k0, b, 1)
 
 
@@ -255,29 +258,45 @@ def _stationary_point(k_seed: float, b: float, k0: float,
 def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     """Locate all zeros of r(.,b) on [k0/2, k_max].
 
-    Sign-change zeros are bracketed on a scan grid and bisected; tangential
+    r is scanned on the k0-aligned grid k0/2 + i k0/s, i = 0, 1, ..., below
+    k_max, with s = round(k0/0.01) (step 0.01 at k0 = 2), and at k_max
+    itself.  On that grid k - k0 is the same grid s points lower, so one
+    array evaluation of omega, on the grid extended down to -k0/2 plus
+    k_max and k_max - k0, gives both terms of r at every scan point.  Past
+    500 000 points s drops to the largest whole number that keeps the scan
+    under that cap, so the grid stays aligned and still reaches k_max.
+
+    Sign-change zeros are bracketed on the scan and bisected; tangential
     (double) zeros — where r and its k-derivative vanish together — are found
     by a Newton iteration on the stationarity condition seeded from scan
-    minima of |r|, plus explicit checks at the two symmetry points k0/2 and
-    k0 where folds occur.  k0 itself is always a zero and is included
-    analytically.
+    minima of |r| below 1e-4, plus explicit checks at the two symmetry points
+    k0/2 and k0 where folds occur.  k0 itself is always a zero and is
+    included analytically.
 
     Raises ValueError when the scan tail has not settled into a monotone
-    approach of its limit, which signals that zeros may hide beyond k_max.
+    approach of its limit, which signals that zeros may hide beyond k_max,
+    and when k_max lies so far out that even s = 1 exceeds the cap.
     """
     if not k_max > k0:
         raise ValueError(f"k_max={k_max} must exceed k0={k0}")
 
     lo = k0 / 2.0
-    step = 0.01
-    n_samples = int(np.ceil((k_max - lo) / step)) + 1
-    if n_samples > 500_000:
-        n_samples = 500_000
-    ks = np.linspace(lo, k_max, n_samples)
-    rv = r_hat(ks, b, k0)
+    s = min(max(1, round(k0 / _SCAN_STEP)),
+            math.floor((_SCAN_MAX_POINTS - 1) * k0 / (k_max - lo)))
+    if s < 1:
+        raise ValueError(
+            f"k_max={k_max} needs more than {_SCAN_MAX_POINTS} scan points at a "
+            f"step of k0={k0}"
+        )
+    h = k0 / s
+    n = math.ceil((k_max - lo) / h)  # aligned scan points below k_max
+    grid = (lo - k0) + h * np.arange(n + s)
+    w = omega(np.concatenate([grid, (k_max - k0, k_max)]), b)
+    ks = np.append(grid[s:], k_max)
+    rv = np.append(w[s:n + s] - w[:n], w[-1] - w[-2]) - omega(k0, b)
 
     # --- tail sanity: monotone and not heading toward an out-of-window zero
-    tail = rv[-max(10, n_samples // 50):]
+    tail = rv[-max(10, rv.size // 50):]
     diffs = np.diff(tail)
     if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
         raise ValueError(
@@ -304,8 +323,9 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     # --- tangential zeros: scan minima of |r| away from sign changes
     double_zeros: list[float] = []
     absr = np.abs(rv)
-    interior = (absr[1:-1] <= absr[:-2]) & (absr[1:-1] <= absr[2:]) & (absr[1:-1] < 1e-4)
-    candidates = [float(ks[i + 1]) for i in np.where(interior)[0]]
+    near = np.flatnonzero(absr[1:-1] < 1e-4) + 1
+    near = near[(absr[near] <= absr[near - 1]) & (absr[near] <= absr[near + 1])]
+    candidates = ks[near].tolist()
     candidates.extend([k0 / 2.0, k0])  # the two fold locations
     for seed in candidates:
         ks_star = _stationary_point(seed, b, k0, lo, k_max)

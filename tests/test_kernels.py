@@ -43,6 +43,7 @@ from kernel_oracle import (
     q13_closed,
     q_term_operator,
 )
+from resonance_oracle import BOND_SWEEP_ANCHORS, record_omega_arrays
 
 K0 = 2.0
 PARAMS_BAND = default_params(K0, 0.1)       # k1 ~ 4.3, resonant band active
@@ -480,6 +481,38 @@ def test_rho_hat_scalar_input():
     assert v == 1.0
 
 
+@pytest.mark.parametrize("l", [0, 2])
+def test_first_block_rho_hat_is_its_kernel_ratio(l):
+    """At b = 0.05, rho_hat(-1, l) point by point from ``first_block_symbol``
+    on scalars: 1 plus, in each window around -ell*gap, the weight times
+    (the kernel at the partner -k + ell*k0 over the kernel at k, times
+    ((ell*k0 - k)/k)^(2l), minus 1)."""
+    p = default_params(2.0, 0.05)
+    gap = p.k1 - p.k0
+    ks = np.linspace(-9.0, 9.0, 46)  # no point at k = 0
+    expected = []
+    for k in ks:
+        value = 1.0
+        for ell in (-1, 1):
+            weight = xi_hat((k + ell * gap) / gap, p.delta1)
+            if weight > 0.0:
+                num = first_block_symbol(-1, -1, ell * p.k0, -k, p.b)
+                den = first_block_symbol(-1, -1, ell * p.k0, k - ell * p.k0, p.b)
+                ratio = (-num / den).real * ((ell * p.k0 - k) / k) ** (2 * l)
+                value += (ratio - 1.0) * weight
+        expected.append(value)
+    got = rho_hat(-1, l, ks, p)
+    assert np.count_nonzero(got != 1.0) >= 30
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_first_block_rho_extremes_frozen():
+    """ROADMAP item 11's b = 0.05 row for j1 = -1: about 3.14 and 50.6."""
+    p = default_params(2.0, 0.05)
+    assert rho_extremes(-1, 0, p) == pytest.approx((1.0, 3.139441182566855), rel=1e-12)
+    assert rho_extremes(-1, 2, p) == pytest.approx((1.0, 50.64319155265893), rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # parameter selection
 # --------------------------------------------------------------------------
@@ -522,11 +555,6 @@ def test_delta0_scan_returns_admissible_width():
 
 #: the bond-sweep benchmark's Bond numbers: each anchor times
 #: 1 + 0.01 (2 u - 1), u drawn in turn from random.Random(seed)
-BOND_SWEEP_ANCHORS = (0.30, 0.26, 0.236, 0.228, 0.2, 0.144, 0.104, 0.075, 0.056,
-                      0.039, 0.028, 0.020, 0.0138, 0.0104, 0.0075, 0.0054, 0.0039,
-                      0.0029, 0.0020)
-
-
 def _bond_sweep_bonds(seed: int) -> list[float]:
     rng = random.Random(seed)
     return [a * (1.0 + 0.01 * (2.0 * rng.random() - 1.0)) for a in BOND_SWEEP_ANCHORS]
@@ -567,6 +595,17 @@ def test_delta0_is_the_largest_passing_candidate():
     # at b = 0.2269, next to b0, the first four candidates fail
     assert delta0_for(K0, 0.2269) == candidates[4]
     assert candidates[4] == pytest.approx(0.06554, abs=1e-5)
+
+
+@pytest.mark.parametrize("b,candidates", [(0.0, 1), (0.2269, 5)])
+def test_delta0_evaluates_omega_once_per_candidate(monkeypatch, b, candidates):
+    """Each candidate is one array call of omega on 1200 points: kk, k0 + kk
+    and k0 - kk, 400 each."""
+    from arcwave import kernels
+
+    calls = record_omega_arrays(monkeypatch, kernels)
+    delta0_for(K0, b)
+    assert [a.size for a in calls] == [1200] * candidates
 
 
 def test_delta0_refuses_degenerate_slope():

@@ -162,6 +162,20 @@ def test_mass_conserved():
     assert np.max(np.abs(np.array(masses) - masses[0])) <= 1e-10
 
 
+def test_mass_held_over_a_monitored_run_window():
+    """The monitored run's envelope (eps = 0.1, b = 0.05, 128 points on
+    eps*L = 4 pi, sech profile) over its 500 steps of dtau = eps^2 * 0.04,
+    read every 5 steps: ``mass`` moves by at most 1e-12 relative."""
+    eps, dt = 0.1, 0.04
+    env = Grid1D(128, eps * 40.0 * np.pi)
+    a0 = EnvelopeField(env, 1.0 / np.cosh(env.alpha - env.length / 2.0))
+    traj = solve(a0, nls_coefficients(K0, 0.05), eps**2 * dt, eps**2 * 20.0, sample_every=5)
+    assert traj.samples.shape[0] == 101
+    m0 = mass(a0)
+    drift = max(abs(mass(EnvelopeField(env, v)) - m0) for v in traj.samples)
+    assert drift <= 1e-12 * m0
+
+
 def test_strang_second_order():
     s0 = soliton(GRID, SYNTH)
     # keep only the final state of the 50 000-step reference

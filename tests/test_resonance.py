@@ -1,10 +1,14 @@
 """Resonance geometry: critical Bond numbers, zero structure, stability."""
 
+import math
+
 import numpy as np
 import pytest
 
+from arcwave import resonance
 from arcwave.dispersion import omega, omega_deriv
 from arcwave.resonance import (
+    ZERO_XTOL,
     Classification,
     CriticalBonds,
     ResonanceReport,
@@ -17,6 +21,7 @@ from arcwave.resonance import (
     r_hat,
     stability,
 )
+from resonance_oracle import BOND_SWEEP_ANCHORS, find_zeros_linspace, record_omega_arrays
 
 K0 = 2.0
 
@@ -31,6 +36,7 @@ K1_TABLE = {
     0.005: 46.008408153368201,
     1e-4: 2145.6901942405879,
 }
+BONDS = critical_bonds(K0)
 MIRROR_ZP = 1.5763166784932528   # b = 1/4.25
 MIRROR_ZM = 0.42368332150674721
 MIDBAND_ZP = 1.743326535374129   # b = (b0+b1)/2
@@ -197,6 +203,63 @@ class TestFindZeros:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             find_zeros(K0, 0.2, 1.5)
+        # past 500 000 points even a step of k0 is too many
+        with pytest.raises(ValueError, match="scan points"):
+            find_zeros(K0, 0.2, 2e6)
+
+    @pytest.mark.parametrize("b", BOND_SWEEP_ANCHORS + (
+        BONDS.b0, BONDS.b1, (BONDS.b0 + BONDS.b1) / 2, 1 / 4.25))
+    def test_aligned_scan_matches_the_linspace_reference(self, b):
+        """The benchmark's anchors, both folds, mid-band and 1/4.25, with the
+        benchmark's window: the same classification, zero and double-zero
+        counts as the linspace scan, every zero within ZERO_XTOL."""
+        k_max = 1.25 * k1_of_b(K0, b) + 5.0 if 0.0 < b < BONDS.b0 else 60.0
+        got, ref = find_zeros(K0, b, k_max), find_zeros_linspace(K0, b, k_max)
+        assert got.classification is ref.classification
+        assert len(got.zeros) == len(ref.zeros)
+        assert len(got.double_zeros) == len(ref.double_zeros)
+        assert np.max(np.abs(np.subtract(got.zeros + got.double_zeros,
+                                         ref.zeros + ref.double_zeros))) <= ZERO_XTOL
+
+    def test_one_omega_call_on_the_aligned_grid(self, monkeypatch):
+        """At b = 0.002 (k1 = 110) the scan is one array call of omega on the
+        n aligned points below k_max, the s = 200 points below them and the
+        pair (k_max - k0, k_max); every other evaluation is scalar."""
+        b = 0.002
+        k_max = 1.25 * k1_of_b(K0, b) + 5.0
+        calls = record_omega_arrays(monkeypatch, resonance)
+        find_zeros(K0, b, k_max)
+        n = math.ceil((k_max - K0 / 2) / 0.01)
+        assert [a.size for a in calls] == [n + 200 + 2]
+
+    def test_point_cap_keeps_the_grid_aligned(self, monkeypatch):
+        """b = 1e-4 with k_max = 6000 needs 600 000 points at step 0.01, so
+        the cap coarsens the step to k0/s with a smaller whole s.  The grid
+        still starts at k0/2, pairs each k with k - k0 exactly s points
+        lower and ends at k_max.
+
+        k1 ≈ 2146 is defined only to about 7e-10 here: r's three omega terms
+        are near 1e3 and its slope is 3.2e-4, so r changes sign about a
+        hundred times across that width from rounding alone.  The tolerance
+        on k1 is four ulps of omega(k1) over the slope, not ZERO_XTOL."""
+        b, k_max = 1e-4, 6000.0
+        k1 = k1_of_b(K0, b)
+        calls = record_omega_arrays(monkeypatch, resonance)
+        got = find_zeros(K0, b, k_max)
+        (x,) = calls
+        assert x[-2:].tolist() == [k_max - K0, k_max]
+        grid = x[:-2]
+        h = grid[1] - grid[0]
+        s = round(K0 / h)
+        n = grid.size - s
+        assert s < 200 and s * h == pytest.approx(K0, rel=1e-15)
+        assert n + 1 <= 500_000
+        assert np.max(np.abs(grid[s:] - grid[:n] - K0)) < 1e-9
+        assert grid[s] == pytest.approx(K0 / 2, abs=1e-12)
+        assert grid[-1] < k_max <= grid[-1] + h
+        slope = abs(omega_deriv(k1, b, 1) - omega_deriv(k1 - K0, b, 1))
+        assert abs(got.k1 - k1) <= ZERO_XTOL + 4 * np.finfo(float).eps * omega(k1, b) / slope
+        assert got.classification is find_zeros_linspace(K0, b, k_max).classification
 
 
 class TestStability:
