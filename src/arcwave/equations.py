@@ -7,10 +7,11 @@ coefficients in the order
 
 The four fields are real, so the time loop carries only their ``rfft`` half
 spectra, (4, n//2 + 1), and ``TruncatedSystem.nonlinear`` works in that
-layout; complex full-layout inputs (kernel extraction) reach the same
-product list by polarization in ``full_nonlinear``.  The first block alone,
-(2, n//2 + 1), is accepted too: it is autonomous, and its products are the
-prefix of the list.
+layout; the tests' kernel extraction reaches the same product list with
+complex full-layout inputs by polarization (``full_nonlinear`` of the test
+suite's ``kernel_oracle`` module).  The first block alone, (2, n//2 + 1),
+is accepted too: it is autonomous, and its products are the prefix of the
+list.
 
 The first block evolves under -/+ i*omega plus quadratic terms built from
 s1 = u_{-1}+u_{+1} and d1 = u_{-1}-u_{+1}; the second block sees additional
@@ -44,10 +45,7 @@ import numpy as np
 from .dispersion import omega, sigma
 from .spectral import Grid1D, full_spectrum, half_spectrum
 
-__all__ = ["TruncatedSystem", "default_system", "slave_second_block", "COMPONENT_INDEX"]
-
-#: component label -> row index in the (4, n) state array
-COMPONENT_INDEX = {-1: 0, 1: 1, -2: 2, 2: 3}
+__all__ = ["TruncatedSystem", "default_system", "slave_second_block"]
 
 
 def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
@@ -239,8 +237,8 @@ class TruncatedSystem:
         alone); see :func:`arcwave.spectral.half_spectrum`.  Leading batch
         axes are evaluated together.  The linear part (see
         ``linear_symbols``) is handled separately so the integrating-factor
-        stepper can advance it exactly.  Complex full-layout states go
-        through ``full_nonlinear``.
+        stepper can advance it exactly.  The tests' kernel oracle takes
+        complex full-layout states through it by polarization.
 
         Each call binds a fresh ``evaluator`` to the state's shape and
         returns a fresh array that shares no memory with any other result.
@@ -377,27 +375,6 @@ class TruncatedSystem:
             return out
 
         return f
-
-    def full_nonlinear(self, state: np.ndarray) -> np.ndarray:
-        """``nonlinear`` on full-layout (..., 4, n) coefficients, complex allowed.
-
-        Writes U = A + iB with A, B the coefficients of real fields and uses
-        that the nonlinearity N is a quadratic form:
-        N(U) = N(A) - N(B) + i [N(A + B) - N(A) - N(B)], with the three
-        evaluations in one batched ``nonlinear`` call.  The Nyquist column
-        follows ``nonlinear``'s convention.
-        """
-        n = self.grid.n_points
-        U = half_spectrum(state)
-        flipped = np.conj(state[..., half_spectrum(self.grid._conjugate_index)])
-        A = 0.5 * (U + flipped)
-        B = -0.5j * (U - flipped)
-        NA, NB, NAB = full_spectrum(self.nonlinear(np.stack([A, B, A + B])), n)
-        return NA - NB + 1j * (NAB - NA - NB)
-
-    def full_rhs(self, state: np.ndarray) -> np.ndarray:
-        """Linear plus nonlinear tendency on full-layout coefficients."""
-        return self.linear_symbols * state + self.full_nonlinear(state)
 
     # ------------------------------------------------- consistency relations
 

@@ -37,7 +37,6 @@ __all__ = [
     "first_block_symbol",
     "second_block_symbol",
     "rho_hat",
-    "rho_extremes",
     "n_hat",
     "n_hat_table",
     "delta0_for",
@@ -446,25 +445,6 @@ def rho_hat(j1: int, l: int, k, params: KernelParams):
     return float(out[0]) if scalar else out
 
 
-def rho_extremes(j1: int, l: int, params: KernelParams) -> tuple[float, float]:
-    """Measured (min, max) of rho_hat over the windows where it varies.
-
-    A check of what the paper's energy argument assumes: the reweighting
-    stays positive and bounded, so the modified energy is equivalent to the
-    Sobolev norm.  It samples 2 x 4001 points; no production route
-    calls it, only the tests do.  Outside the resonant band rho_hat is
-    identically 1, so the extremes are (1.0, 1.0); inside it, a value that
-    is not finite raises from ``rho_hat``.
-    """
-    if not params.in_resonant_band:
-        return 1.0, 1.0
-    gap = params.k1 - params.k0
-    ks = np.concatenate([np.linspace(-ell * gap - gap, -ell * gap + gap, 4001)
-                         for ell in (-1, 1)])
-    allv = np.asarray(rho_hat(j1, l, ks, params))
-    return float(np.min(allv)), float(np.max(allv))
-
-
 # ---------------------------------------------------------------------------
 # normal-form kernels
 # ---------------------------------------------------------------------------
@@ -517,11 +497,12 @@ def _n_hat_slots(j1s: tuple[int, ...], j2s: tuple[int, ...], ells: tuple[int, ..
     once per ell with the carrier wavenumber l = ell*k0 per point.  Per
     (j1, j2) the slots share the denominator r, the nudged wavenumbers and
     the window bracket, and per j2 the j1 share the lattice residual
-    (``_second_block_residuals``).  r is ``resonance.r_general``'s
-    combination of the shared omega values, with omega evaluated afresh
-    only where k is nudged.  Every step acts elementwise (omega(l) and the
-    lattice residual take l as a scalar, one ell at a time), so each value
-    is bitwise that of evaluating one (j1, j2, ell, slot) alone.
+    (``_second_block_residuals``).  r = i(s1 omega(k) + omega(l) - s2 omega(m)),
+    s1 and s2 the signs of j1 and j2, is formed from the shared omega
+    values, with omega evaluated afresh only where k is nudged.  Every step
+    acts elementwise (omega(l) and the lattice residual take l as a scalar,
+    one ell at a time), so each value is bitwise that of evaluating one
+    (j1, j2, ell, slot) alone.
     """
     b, k0, eps, d0 = params.b, params.k0, params.eps, params.delta0
     n = k.size

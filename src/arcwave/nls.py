@@ -33,7 +33,6 @@ __all__ = [
     "nls_coefficients",
     "second_order_coefficients",
     "solve",
-    "soliton",
     "mass",
 ]
 
@@ -225,22 +224,3 @@ def solve(A0: EnvelopeField, coeffs: NLSCoeffs, dtau: float, tau_end: float,
             taus.append(A0.tau + step * dtau)
             samples.append(ifft(a, norm="forward"))
     return NLSTrajectory(grid=A0.grid, tau=np.array(taus), samples=np.array(samples))
-
-
-def soliton(grid: Grid1D, coeffs: NLSCoeffs, eta: float = 1.0,
-            tau: float = 0.0, xi0: float = 0.0) -> EnvelopeField:
-    """sech soliton of the focusing cubic equation.
-
-    A = eta*sqrt(2p/q) sech(eta*(xi-xi0)) e^{i p eta^2 tau} solves
-    dA/dtau = i p A'' + i q |A|^2 A whenever p and q share a sign.  The
-    domain must comfortably contain the sech tails for the periodic wrap
-    to be negligible.
-    """
-    p, q = coeffs.half_omega2, coeffs.nu
-    if p * q <= 0:
-        raise ValueError(
-            f"soliton needs focusing coefficients (p*q > 0), got p={p}, q={q}")
-    xi = grid.alpha - 0.5 * grid.length  # center the profile
-    amp = eta * np.sqrt(2.0 * p / q)
-    values = amp / np.cosh(eta * (xi - xi0)) * np.exp(1j * p * eta**2 * tau)
-    return EnvelopeField(grid, values, tau=tau)

@@ -26,21 +26,22 @@ from .dispersion import omega, omega_deriv
 __all__ = [
     "ResonanceReport",
     "CriticalBonds",
-    "InflectionPoints",
-    "NonresonanceResult",
     "StabilityVerdict",
     "Classification",
     "r_hat",
-    "r_general",
     "find_zeros",
     "critical_bonds",
     "k1_of_b",
-    "inflection_points",
-    "nonresonance_check",
     "stability",
 ]
 
-#: bisection tolerance for zeros in k
+#: Brent tolerance for zeros in k.  A zero k1 is known only to within
+#: ZERO_XTOL + 4 eps_mach omega(k1) / |omega'(k1) - omega'(k1 - k0)|: r sums
+#: three omega terms of size omega(k1) and its slope there is small, so
+#: rounding alone flips r's sign across a band around k1.  At k0 = 2 the
+#: second term passes ZERO_XTOL below b ~ 0.005 (7.2e-12 at b = 0.002, 2.7e-9
+#: at b = 1e-4); sampled around k1, r changes sign 7 times over 1.7e-12 at
+#: b = 0.002 and 105 times over 7.4e-10 at b = 1e-4 (k1 = 2145.69)
 ZERO_XTOL = 1e-12
 #: tolerance for the critical Bond numbers
 BOND_XTOL = 1e-15
@@ -162,19 +163,6 @@ class CriticalBonds:
 
 
 @dataclass(frozen=True)
-class InflectionPoints:
-    k3: float
-    k4: float
-
-
-@dataclass(frozen=True)
-class NonresonanceResult:
-    ok: bool
-    failures: tuple[str, ...]
-    margins: dict[str, float]
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
     stable: bool
     ratio: Optional[float]
@@ -215,17 +203,6 @@ def _r_hat_scalar(b: float, k0: float) -> Callable[[float], float]:
 def _r_hat_deriv(k: float, b: float, k0: float) -> float:
     """d(r_hat)/dk at a float k, on omega's scalar route."""
     return omega_deriv(k, b, 1) - omega_deriv(k - k0, b, 1)
-
-
-def r_general(j1: int, j2: int, k: float, l: float, m: float, b: float) -> complex:
-    """Three-frequency combination i*(j1*omega(k) + omega(l) - j2*omega(m)).
-
-    ``j1, j2`` are the component signs (only their sign enters).  The value is
-    purely imaginary for real arguments.
-    """
-    s1 = 1.0 if j1 > 0 else -1.0
-    s2 = 1.0 if j2 > 0 else -1.0
-    return 1j * (s1 * omega(k, b) + omega(l, b) - s2 * omega(m, b))
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +253,11 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     Raises ValueError when the scan tail has not settled into a monotone
     approach of its limit, which signals that zeros may hide beyond k_max,
     and when k_max lies so far out that even s = 1 exceeds the cap.
+
+    A transversal zero k1 is known only to within ZERO_XTOL +
+    4 eps_mach omega(k1) / |omega'(k1) - omega'(k1 - k0)|, the band over
+    which rounding flips r's sign (see ``ZERO_XTOL``); at k0 = 2 that band
+    is wider than ZERO_XTOL below b ~ 0.005.
     """
     if not k_max > k0:
         raise ValueError(f"k_max={k_max} must exceed k0={k0}")
@@ -416,7 +398,10 @@ def k1_of_b(k0: float, b: float) -> float:
 
     Exists exactly for 0 < b < b0(k0); decreasing in b and diverging like
     1/b as b -> 0.  Cached on (k0, b), so ``stability``, ``default_params``
-    and their caller share one solve per Bond number.
+    and their caller share one solve per Bond number.  The root is known
+    only to within ZERO_XTOL + 4 eps_mach omega(k1) / |omega'(k1) -
+    omega'(k1 - k0)| (see ``ZERO_XTOL``), so it may differ from the zero
+    ``find_zeros`` reports by that much.
     """
     bonds = critical_bonds(k0)
     if not (0.0 < b < bonds.b0):
@@ -434,70 +419,9 @@ def k1_of_b(k0: float, b: float) -> float:
     return float(_brentq(rfun, lo, hi, xtol=ZERO_XTOL, maxiter=200))
 
 
-def inflection_points(b: float) -> InflectionPoints:
-    """Concavity landmarks of the dispersion curve: k3 (omega''=0), k4 (omega'''=0).
-
-    Defined for 0 < b < 1/3; as b -> 1/3 the inflection k3 slides to 0 and
-    the curve becomes globally convex, so larger b is rejected.
-
-    One of the paper's hypothesis checks (where omega changes concavity,
-    which places the resonances); no production route calls it, only the
-    tests do.
-    """
-    if not (0.0 < b < 1.0 / 3.0):
-        raise ValueError(f"inflection points require 0 < b < 1/3, got b={b}")
-
-    def d2(k: float) -> float:
-        return omega_deriv(k, b, 2)
-
-    def d3(k: float) -> float:
-        return omega_deriv(k, b, 3)
-
-    lo = 1e-4
-    hi = 1.0
-    while d2(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValueError(f"failed to bracket k3 for b={b}")
-    k3 = _brentq(d2, lo, hi, xtol=1e-12)
-
-    hi4 = max(2.0 * k3, 1.0)
-    while d3(hi4) > 0.0:
-        hi4 *= 2.0
-        if hi4 > 1e6:
-            raise ValueError(f"failed to bracket k4 for b={b}")
-    k4 = _brentq(d3, k3, hi4, xtol=1e-12)
-    return InflectionPoints(k3=float(k3), k4=float(k4))
-
-
 # --------------------------------------------------------------------------
-# nonresonance and stability
+# stability
 # --------------------------------------------------------------------------
-
-
-def nonresonance_check(k0: float, b: float) -> NonresonanceResult:
-    """Margins of the three scalar nonresonance conditions.
-
-    Checks, each with margin >= 1e-9:
-
-    * ``nrb1``: group velocity at k0 differs from the long-wave speed 1;
-    * ``nrb3``: the dispersion curve is genuinely curved at k0;
-    * ``nrb4``: no harmonic collision +/- omega(m k0) = m omega(k0) for
-      integer m in [2, 6).
-
-    These are the paper's non-resonance hypotheses, checked here as stated;
-    no production route calls this function, only the tests do.
-    """
-    w0 = float(omega(k0, b))
-    m4 = np.inf
-    for m in range(2, 6):
-        wm = float(omega(m * k0, b))
-        m4 = min(m4, abs(wm - m * w0), abs(wm + m * w0))
-    margins = {"nrb1": abs(float(omega_deriv(k0, b, 1)) - 1.0),
-               "nrb3": abs(float(omega_deriv(k0, b, 2))),
-               "nrb4": float(m4)}
-    failures = tuple(name for name, margin in margins.items() if margin < 1e-9)
-    return NonresonanceResult(ok=not failures, failures=failures, margins=margins)
 
 
 def stability(k0: float, b: float) -> StabilityVerdict:

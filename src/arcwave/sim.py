@@ -6,10 +6,8 @@ transformed nonlinearity.  There is therefore no linear stability limit on
 dt; accuracy on the quadratic terms sets the step.
 
 On top of the stepper this module carries the validation harness around the
-modulation approximation: residual evaluation of a realized wave packet,
-the long-horizon error scan against the envelope equation, the consistency
-and energy diagnostics, and the linear transform between the diagonalized
-components and the geometric variables.
+modulation approximation: the long-horizon error scan against the envelope
+equation and the consistency and energy diagnostics.
 """
 
 from __future__ import annotations
@@ -21,13 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dispersion import ModelParams, sigma, sigma_inv
+from .dispersion import ModelParams
 from .equations import TruncatedSystem, default_system, slave_second_block
 from .kernels import KernelParams, n_hat_table, rho_hat, theta_inv_hat
 from .nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from .spectral import Grid1D, full_spectrum, half_spectrum
-from .wavepacket import (WavePacket, band_mask, build, build_time_derivative,
-                         carrier_halves, wave_packet)
+from .wavepacket import WavePacket, band_mask, build, carrier_halves, wave_packet
 
 __all__ = [
     "SimConfig",
@@ -36,14 +33,9 @@ __all__ = [
     "ScanTemplate",
     "ScanRow",
     "ErrorScanResult",
-    "ResidualNorms",
     "run",
-    "residual",
-    "residual_orders",
     "error_scan",
     "consistency_residual",
-    "to_diagonal",
-    "from_diagonal",
     "energy_diagnostic",
     "packet_initial_state",
     "scan_grid_length",
@@ -244,37 +236,8 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0) -> SimRu
 
 
 # ---------------------------------------------------------------------------
-# residuals of the modulation ansatz
+# long-horizon error scan
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidualNorms:
-    """Per-component L2 norms of rhs(realized packet) - d/dt(realized packet)."""
-
-    res_m1: float
-    res_p1: float
-    res_m2: float
-    res_p2: float
-
-    def total(self) -> float:
-        return math.sqrt(self.res_m1**2 + self.res_p1**2
-                         + self.res_m2**2 + self.res_p2**2)
-
-
-def residual(packet: WavePacket, config: SimConfig) -> ResidualNorms:
-    """Defect of the realized packet at t = 0 in the four evolution equations.
-
-    The time derivative is exact: carrier phases and transport are
-    differentiated analytically and the envelope moves with its modulation
-    equation, with the coefficients ``nls_coefficients`` derives from the
-    same truncated system.
-    """
-    grid = config.grid
-    tendency = config.system.full_rhs(build(packet, grid, 0.0))
-    defect = tendency - build_time_derivative(packet, grid, 0.0)
-    norms = np.sqrt(grid.length * np.sum(np.abs(defect) ** 2, axis=1))
-    return ResidualNorms(*(float(v) for v in norms))
 
 
 def scan_grid_length(eps: float, length_scale: float = 35.0) -> float:
@@ -285,42 +248,6 @@ def scan_grid_length(eps: float, length_scale: float = 35.0) -> float:
 def _sech_envelope(grid: Grid1D) -> EnvelopeField:
     xi = grid.alpha - grid.length / 2.0
     return EnvelopeField(grid, (1.0 / np.cosh(xi)).astype(complex))
-
-
-def residual_orders() -> dict:
-    """Log-log fitted decay order of the packet residual in eps.
-
-    The packets are sech envelopes on 256 points riding k0 = 2 at b = 0,
-    realized at t = 0 on 4096-point grids of length ``scan_grid_length(eps)``
-    for eps 0.2, 0.1 and 0.05.  Returns the fitted order for the
-    leading-order packet (no quadratic corrections) and for the second-order
-    packet, together with the raw residual tables.
-    """
-    eps_list = (0.2, 0.1, 0.05)
-    table: dict[bool, list[float]] = {True: [], False: []}
-    for eps in eps_list:
-        L = scan_grid_length(eps)
-        config = SimConfig(eps=eps, k0=2.0, b=0.0, n=4096, length=L, dt=1.0,
-                           t_end=0.0)
-        A = _sech_envelope(Grid1D(256, eps * L))
-        for corrections in (False, True):
-            packet = wave_packet(A, eps, config.model, corrections=corrections)
-            table[corrections].append(residual(packet, config).total())
-    log_eps = np.log(np.asarray(eps_list))
-    order_leading = float(np.polyfit(log_eps, np.log(table[False]), 1)[0])
-    order_second = float(np.polyfit(log_eps, np.log(table[True]), 1)[0])
-    return {
-        "eps": eps_list,
-        "leading": tuple(table[False]),
-        "second": tuple(table[True]),
-        "order_leading": order_leading,
-        "order_second": order_second,
-    }
-
-
-# ---------------------------------------------------------------------------
-# long-horizon error scan
-# ---------------------------------------------------------------------------
 
 
 HORIZONS = ("tau0_over_eps2", "tau0_over_eps")
@@ -686,30 +613,6 @@ def consistency_residual(state: SimState, b: float) -> tuple[float, float]:
     L = state.grid.length
     return (float(np.sqrt(L * np.sum(np.abs(first) ** 2))),
             float(np.sqrt(L * np.sum(np.abs(second) ** 2))))
-
-
-def to_diagonal(grid: Grid1D, geometric: np.ndarray, b: float) -> np.ndarray:
-    """Geometric variables -> diagonalized components.
-
-    Maps the (4, n) full-layout coefficients of (y, v, kappa, delta_aa) on
-    ``grid`` to those of (u_{-1}, u_{+1}, u_{-2}, u_{+2}).
-    """
-    y, v, kappa, delta_aa = geometric
-    sig = sigma(grid.wavenumbers, b).astype(complex)
-    sy, sk = sig * y, sig * kappa
-    return 0.5 * np.array([sy + v, -sy + v, sk + delta_aa, -sk + delta_aa])
-
-
-def from_diagonal(grid: Grid1D, diagonal: np.ndarray, b: float) -> np.ndarray:
-    """Diagonalized components -> geometric variables; inverts ``to_diagonal``.
-
-    Maps the (4, n) coefficients of (u_{-1}, u_{+1}, u_{-2}, u_{+2}) to those
-    of (y, v, kappa, delta_aa).
-    """
-    u_m1, u_p1, u_m2, u_p2 = diagonal
-    sig_inv = sigma_inv(grid.wavenumbers, b).astype(complex)
-    return np.array([sig_inv * (u_m1 - u_p1), u_m1 + u_p1,
-                     sig_inv * (u_m2 - u_p2), u_m2 + u_p2])
 
 
 @lru_cache(maxsize=16)

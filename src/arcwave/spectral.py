@@ -71,21 +71,6 @@ class Grid1D:
         """Smallest positive wavenumber 2*pi/L."""
         return 2.0 * np.pi / self.length
 
-    def mode_index(self, k: float) -> int:
-        """FFT-array index of the grid wavenumber closest to ``k``.
-
-        Rejects k that is not a grid wavenumber (within 1e-9) or that lies
-        at/beyond the Nyquist mode.
-        """
-        j = int(round(k / self.fundamental))
-        if abs(j * self.fundamental - k) > 1e-9:
-            raise ValueError(
-                f"wavenumber {k} is not on the grid (nearest mode {j * self.fundamental})"
-            )
-        if abs(j) >= self.n_points // 2:
-            raise ValueError(f"wavenumber {k} at or beyond Nyquist for n={self.n_points}")
-        return j % self.n_points
-
 
 def half_spectrum(c: np.ndarray) -> np.ndarray:
     """Columns 0..n/2 of full-layout coefficients (..., n): the ``rfft`` layout.

@@ -15,27 +15,23 @@ interpolation error at any eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .dispersion import ModelParams
 from .equations import slave_second_block
-from .nls import EnvelopeField, nls_coefficients, second_order_coefficients
+from .nls import EnvelopeField, second_order_coefficients
 from .spectral import Grid1D
 
 __all__ = [
     "WavePacket",
     "second_order_corrections",
     "wave_packet",
-    "fourier_truncate",
     "band_mask",
     "build",
-    "build_time_derivative",
     "carrier_halves",
-    "envelope_rhs",
 ]
 
 NESTING_RTOL = 1e-9
@@ -63,7 +59,7 @@ def second_order_corrections(A: EnvelopeField, params: ModelParams) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class WavePacket:
-    """Envelope, its slow profiles and the truncation flag.
+    """Envelope and its slow profiles.
 
     ``profiles`` holds the slow profiles in ``_HARMONICS`` order: the
     envelope alone, (1, n_env), or with its corrections, (5, n_env).  It is
@@ -76,25 +72,16 @@ class WavePacket:
     params: ModelParams
     A: EnvelopeField
     profiles: np.ndarray
-    truncated: bool = False
-    delta0: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must lie in (0,1), got {self.eps}")
-        if self.truncated and not (self.delta0 and 0 < self.delta0 < self.params.k0 / 20):
-            raise ValueError(
-                f"truncation needs 0 < delta0 < k0/20, got {self.delta0}")
         profiles = np.array(self.profiles, dtype=complex)
         if profiles.shape not in ((1, self.A.grid.n_points), (5, self.A.grid.n_points)):
             raise ValueError(f"profiles must be (1 or 5, {self.A.grid.n_points}), "
                              f"got {profiles.shape}")
         profiles.setflags(write=False)
         object.__setattr__(self, "profiles", profiles)
-
-    @property
-    def corrections_enabled(self) -> bool:
-        return len(self.profiles) > 1
 
 
 def wave_packet(A: EnvelopeField, eps: float, params: ModelParams,
@@ -106,13 +93,12 @@ def wave_packet(A: EnvelopeField, eps: float, params: ModelParams,
     return WavePacket(eps=eps, params=params, A=A, profiles=profiles)
 
 
-def fourier_truncate(packet: WavePacket, delta0: float) -> WavePacket:
-    """Flag the packet so realizations keep only |k - l*k0| <= delta0 bands."""
-    return replace(packet, truncated=True, delta0=delta0)
-
-
 def band_mask(grid: Grid1D, k0: float, delta0: float) -> np.ndarray:
-    """Boolean keep-mask: union of delta0-bands around the harmonics l*k0, |l| <= 2."""
+    """Boolean keep-mask: union of delta0-bands around the harmonics l*k0, |l| <= 2.
+
+    A run keeps only these bands through ``sim.SimConfig.band_halfwidth``,
+    which enters its ``TruncatedSystem.keep_mask``; ``build`` masks nothing.
+    """
     k = grid.wavenumbers
     keep = np.zeros(grid.n_points, dtype=bool)
     for ell in range(-2, 3):
@@ -176,7 +162,7 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
     (Hermitian) subspace: a real profile on an even envelope grid carries an
     unpaired Nyquist mode, and its canonical real interpolation onto the
     finer carrier grid splits that mode cosine-wise.  The lead band is the
-    lead profile riding e^{i(k0 alpha - omega0 t)}, before any truncation.
+    lead profile riding e^{i(k0 alpha - omega0 t)}.
     """
     p = packet.params
     j0 = _check_nesting(packet, grid)
@@ -192,8 +178,6 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
         harm = bands[..., 2::2, :] * np.exp(-2j * w0 * t)
         rows += eps**2 * (0.5 * (mean + np.conj(mean.take(conj, axis=-1)))
                           + harm + np.conj(harm.take(conj, axis=-1)))
-    if packet.truncated:
-        rows[..., ~band_mask(grid, p.k0, packet.delta0)] = 0.0
     return rows, carrier
 
 
@@ -209,8 +193,6 @@ def _realized_first_block(packet: WavePacket, grid: Grid1D,
     on the packet's identity (a packet is immutable and hashes by identity).
     """
     first, lead = _first_block(packet, grid, t, packet.profiles)
-    if packet.truncated:
-        lead = np.where(band_mask(grid, packet.params.k0, packet.delta0), lead, 0.0)
     for part in (first, lead):
         part.setflags(write=False)
     return first, lead
@@ -240,48 +222,3 @@ def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
     """
     _, lead = _realized_first_block(packet, grid, t)
     return np.array([lead, np.conj(lead.take(grid._conjugate_index))])
-
-
-def envelope_rhs(A: EnvelopeField, half_omega2: float, nu: float) -> np.ndarray:
-    """Cubic-Schrödinger right-hand side on the envelope grid."""
-    k = A.grid.wavenumbers
-    a_hat = np.fft.fft(A.values) / A.grid.n_points
-    lap = np.fft.ifft(-(k**2) * a_hat) * A.grid.n_points
-    return 1j * half_omega2 * lap + 1j * nu * np.abs(A.values) ** 2 * A.values
-
-
-def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
-    """Exact d/dt of the realized packet via the two-scale chain rule, (4, n).
-
-    Each slow profile G on harmonic l has time derivative
-    eps^2 * dG/dtau - eps*cg * dG/dxi - i*l*omega0*G; the envelope's
-    tau-derivative follows the modulation equation, whose coefficients
-    ``nls_coefficients`` derives for the packet's (k0, b); the corrections'
-    follow by differentiating their algebraic definitions.  The first block
-    is the band assembly of these derivative profiles.  The second block is the
-    derivative of the constraint map along the first block's; the map is
-    quadratic, so that derivative is the polarization (S(u + du) - S(u - du))/2.
-    """
-    p = packet.params
-    env = packet.A.grid
-    eps = packet.eps
-    a = packet.A.values
-    coeffs = nls_coefficients(p.k0, p.b)
-    a_tau = envelope_rhs(packet.A, coeffs.half_omega2, coeffs.nu)
-
-    def d_dt(profile: np.ndarray, profile_tau: np.ndarray, ell: int) -> np.ndarray:
-        dxi = np.fft.ifft(1j * env.wavenumbers * np.fft.fft(profile))
-        return eps**2 * profile_tau - eps * p.cg * dxi - 1j * ell * p.omega0 * profile
-
-    profiles = packet.profiles
-    profiles_tau = [a_tau]
-    if packet.corrections_enabled:
-        c = second_order_coefficients(p.k0, p.b)
-        mod2 = 2.0 * np.real(np.conj(a) * a_tau)          # d/dtau |A|^2
-        profiles_tau += [c["c_m0"] * mod2, c["c_m2"] * 2 * a * a_tau,
-                         c["c_p0"] * mod2, c["c_p2"] * 2 * a * a_tau]
-    d_profiles = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
-                           in zip(profiles, profiles_tau, _HARMONICS)])
-    (u, du), _ = _first_block(packet, grid, t, np.array([profiles, d_profiles]))
-    plus, minus = slave_second_block(grid, np.array([u + du, u - du]), p.b)
-    return np.concatenate([du, 0.5 * (plus - minus)])

@@ -12,10 +12,26 @@ import numpy as np
 from arcwave.spectral import Grid1D
 
 
+def mode_index(grid: Grid1D, k: float) -> int:
+    """FFT-array index of the grid wavenumber closest to ``k``.
+
+    Rejects k that is not a grid wavenumber (within 1e-9) or that lies
+    at/beyond the Nyquist mode.
+    """
+    j = int(round(k / grid.fundamental))
+    if abs(j * grid.fundamental - k) > 1e-9:
+        raise ValueError(
+            f"wavenumber {k} is not on the grid (nearest mode {j * grid.fundamental})"
+        )
+    if abs(j) >= grid.n_points // 2:
+        raise ValueError(f"wavenumber {k} at or beyond Nyquist for n={grid.n_points}")
+    return j % grid.n_points
+
+
 def mode(grid: Grid1D, k: float, amplitude: complex = 1.0) -> np.ndarray:
     """Coefficients of the pure grid mode ``amplitude * e^{i k alpha}``."""
     c = np.zeros(grid.n_points, dtype=np.complex128)
-    c[grid.mode_index(k)] = amplitude
+    c[mode_index(grid, k)] = amplitude
     return c
 
 

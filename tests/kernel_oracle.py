@@ -4,9 +4,12 @@ The closed-form symbols in :mod:`arcwave.kernels` are the production route.
 This module is the independent one they are checked against: it feeds
 single Fourier modes (or a spectral comb) through the quadratic part of
 :class:`arcwave.equations.TruncatedSystem`, treated as a black box, and
-reads off the output coefficients.  ``q_term_operator`` realizes each
-closed-form principal symbol from multiplier/product/commutator primitives,
-and ``q13_closed`` is the analytic first-block commutator remainder.
+reads off the output coefficients, which ``full_nonlinear`` forms for
+complex full-layout states by polarization.  ``q_term_operator`` realizes
+each closed-form principal symbol from multiplier/product/commutator
+primitives, and ``q13_closed`` is the analytic first-block commutator
+remainder.  ``rho_extremes`` measures the range of the energy reweighting
+:func:`arcwave.kernels.rho_hat` over its resonance windows.
 ``delta0_per_combo`` is the scan :func:`arcwave.kernels.delta0_for` first
 was, sign combination by sign combination, with the k = 0 window check that
 production no longer makes.
@@ -19,12 +22,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from arcwave.dispersion import k0_symbol, omega_deriv, sigma, sigma_inv
-from arcwave.equations import COMPONENT_INDEX, TruncatedSystem
-from arcwave.kernels import _check_pair
-from arcwave.resonance import r_general, r_hat
-from arcwave.spectral import Grid1D
-from fourier import commutator, ik_power, mode, product
+from arcwave.dispersion import k0_symbol, omega, omega_deriv, sigma, sigma_inv
+from arcwave.equations import TruncatedSystem
+from arcwave.kernels import KernelParams, _check_pair, rho_hat
+from arcwave.resonance import r_hat
+from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
+from fourier import commutator, ik_power, mode, mode_index, product
 
 #: a bilinear map op(grid, f, g) of full-layout coefficient arrays on ``grid``
 BilinearOperator = Callable[[Grid1D, np.ndarray, np.ndarray], np.ndarray]
@@ -32,6 +35,9 @@ SlotSpec = Union[int, Sequence[tuple[int, int]]]
 
 #: coarse standard grid: integer wavenumbers up to |k| = 1365 survive dealiasing
 DEFAULT_EXTRACTION_GRID = Grid1D(n_points=4096, length=2.0 * np.pi)
+
+#: component label -> row index in the (4, n) state array
+COMPONENT_INDEX = {-1: 0, 1: 1, -2: 2, 2: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +73,29 @@ def q13_closed(j1: int, j2: int, k, m, b: float):
 # ---------------------------------------------------------------------------
 # numerical extraction
 # ---------------------------------------------------------------------------
+
+
+def full_nonlinear(system: TruncatedSystem, state: np.ndarray) -> np.ndarray:
+    """``system.nonlinear`` on full-layout (..., 4, n) coefficients, complex allowed.
+
+    Writes U = A + iB with A, B the coefficients of real fields and uses
+    that the nonlinearity N is a quadratic form:
+    N(U) = N(A) - N(B) + i [N(A + B) - N(A) - N(B)], with the three
+    evaluations in one batched ``nonlinear`` call.  The Nyquist column
+    follows ``nonlinear``'s convention.
+    """
+    n = system.grid.n_points
+    U = half_spectrum(state)
+    flipped = np.conj(state[..., half_spectrum(system.grid._conjugate_index)])
+    A = 0.5 * (U + flipped)
+    B = -0.5j * (U - flipped)
+    NA, NB, NAB = full_spectrum(system.nonlinear(np.stack([A, B, A + B])), n)
+    return NA - NB + 1j * (NAB - NA - NB)
+
+
+def full_rhs(system: TruncatedSystem, state: np.ndarray) -> np.ndarray:
+    """Linear plus nonlinear tendency on full-layout coefficients."""
+    return system.linear_symbols * state + full_nonlinear(system, state)
 
 
 @lru_cache(maxsize=64)
@@ -111,8 +140,8 @@ def equation_cross_operator(b: float, j1: int, slot_a: SlotSpec = -1,
     def op(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         a_state = _insert(grid, sa, f)
         b_state = _insert(grid, sb, g)
-        both, a_only, b_only = _system_for(grid, b).full_nonlinear(
-            np.stack([a_state + b_state, a_state, b_state]))
+        both, a_only, b_only = full_nonlinear(
+            _system_for(grid, b), np.stack([a_state + b_state, a_state, b_state]))
         return (both - a_only - b_only)[row]
 
     return op
@@ -148,7 +177,7 @@ def extract_kernel(bilinear_operator: BilinearOperator, l: float, m: float,
 
     def value_on(g: Grid1D) -> complex:
         out = bilinear_operator(g, mode(g, ls), mode(g, ms))
-        return complex(out[g.mode_index(ls + ms)])
+        return complex(out[mode_index(g, ls + ms)])
 
     value = value_on(grid)
     if check:
@@ -265,8 +294,43 @@ def equation_kernel_curve(b: float, j1: int, j2: int, l: float,
 
 
 # ---------------------------------------------------------------------------
+# the reweighting's range
+# ---------------------------------------------------------------------------
+
+
+def rho_extremes(j1: int, l: int, params: KernelParams) -> tuple[float, float]:
+    """Measured (min, max) of rho_hat over the windows where it varies.
+
+    A check of what the paper's energy argument assumes: the reweighting
+    stays positive and bounded, so the modified energy is equivalent to the
+    Sobolev norm.  It samples 2 x 4001 points; no production route
+    calls it, only the tests do.  Outside the resonant band rho_hat is
+    identically 1, so the extremes are (1.0, 1.0); inside it, a value that
+    is not finite raises from ``rho_hat``.
+    """
+    if not params.in_resonant_band:
+        return 1.0, 1.0
+    gap = params.k1 - params.k0
+    ks = np.concatenate([np.linspace(-ell * gap - gap, -ell * gap + gap, 4001)
+                         for ell in (-1, 1)])
+    allv = np.asarray(rho_hat(j1, l, ks, params))
+    return float(np.min(allv)), float(np.max(allv))
+
+
+# ---------------------------------------------------------------------------
 # the delta0 scan, one sign combination at a time
 # ---------------------------------------------------------------------------
+
+
+def r_general(j1: int, j2: int, k: float, l: float, m: float, b: float) -> complex:
+    """Three-frequency combination i*(j1*omega(k) + omega(l) - j2*omega(m)).
+
+    ``j1, j2`` are the component signs (only their sign enters).  The value is
+    purely imaginary for real arguments.
+    """
+    s1 = 1.0 if j1 > 0 else -1.0
+    s2 = 1.0 if j2 > 0 else -1.0
+    return 1j * (s1 * omega(k, b) + omega(l, b) - s2 * omega(m, b))
 
 
 def delta0_per_combo(k0: float, b: float) -> float:

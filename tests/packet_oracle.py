@@ -1,0 +1,130 @@
+"""The packet's exact time derivative and its residual: the tests' oracle.
+
+The paper's approximation rests on a residual estimate: the realized wave
+packet satisfies the truncated system up to a defect that falls with eps.
+``build_time_derivative`` differentiates a realized packet exactly, by the
+two-scale chain rule with the envelope moving under its modulation
+equation, and ``residual`` measures the defect of the four evolution
+equations at t = 0 against it.  ``residual_orders`` fits the decay of that
+defect in eps for sech packets, with and without the quadratic corrections.
+No production route needs these; the tests hold them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from arcwave.equations import slave_second_block
+from arcwave.nls import EnvelopeField, nls_coefficients, second_order_coefficients
+from arcwave.sim import SimConfig, _sech_envelope, scan_grid_length
+from arcwave.spectral import Grid1D
+from arcwave.wavepacket import _HARMONICS, WavePacket, _first_block, build, wave_packet
+from kernel_oracle import full_rhs
+
+
+def envelope_rhs(A: EnvelopeField, half_omega2: float, nu: float) -> np.ndarray:
+    """Cubic-Schrödinger right-hand side on the envelope grid."""
+    k = A.grid.wavenumbers
+    a_hat = np.fft.fft(A.values) / A.grid.n_points
+    lap = np.fft.ifft(-(k**2) * a_hat) * A.grid.n_points
+    return 1j * half_omega2 * lap + 1j * nu * np.abs(A.values) ** 2 * A.values
+
+
+def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
+    """Exact d/dt of the realized packet via the two-scale chain rule, (4, n).
+
+    Each slow profile G on harmonic l has time derivative
+    eps^2 * dG/dtau - eps*cg * dG/dxi - i*l*omega0*G; the envelope's
+    tau-derivative follows the modulation equation, whose coefficients
+    ``nls_coefficients`` derives for the packet's (k0, b); the corrections'
+    follow by differentiating their algebraic definitions.  The first block
+    is the band assembly of these derivative profiles.  The second block is the
+    derivative of the constraint map along the first block's; the map is
+    quadratic, so that derivative is the polarization (S(u + du) - S(u - du))/2.
+    """
+    p = packet.params
+    env = packet.A.grid
+    eps = packet.eps
+    a = packet.A.values
+    coeffs = nls_coefficients(p.k0, p.b)
+    a_tau = envelope_rhs(packet.A, coeffs.half_omega2, coeffs.nu)
+
+    def d_dt(profile: np.ndarray, profile_tau: np.ndarray, ell: int) -> np.ndarray:
+        dxi = np.fft.ifft(1j * env.wavenumbers * np.fft.fft(profile))
+        return eps**2 * profile_tau - eps * p.cg * dxi - 1j * ell * p.omega0 * profile
+
+    profiles = packet.profiles
+    profiles_tau = [a_tau]
+    if len(packet.profiles) > 1:
+        c = second_order_coefficients(p.k0, p.b)
+        mod2 = 2.0 * np.real(np.conj(a) * a_tau)          # d/dtau |A|^2
+        profiles_tau += [c["c_m0"] * mod2, c["c_m2"] * 2 * a * a_tau,
+                         c["c_p0"] * mod2, c["c_p2"] * 2 * a * a_tau]
+    d_profiles = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
+                           in zip(profiles, profiles_tau, _HARMONICS)])
+    (u, du), _ = _first_block(packet, grid, t, np.array([profiles, d_profiles]))
+    plus, minus = slave_second_block(grid, np.array([u + du, u - du]), p.b)
+    return np.concatenate([du, 0.5 * (plus - minus)])
+
+
+@dataclass(frozen=True)
+class ResidualNorms:
+    """Per-component L2 norms of rhs(realized packet) - d/dt(realized packet)."""
+
+    res_m1: float
+    res_p1: float
+    res_m2: float
+    res_p2: float
+
+    def total(self) -> float:
+        return math.sqrt(self.res_m1**2 + self.res_p1**2
+                         + self.res_m2**2 + self.res_p2**2)
+
+
+def residual(packet: WavePacket, config: SimConfig) -> ResidualNorms:
+    """Defect of the realized packet at t = 0 in the four evolution equations.
+
+    The time derivative is exact: carrier phases and transport are
+    differentiated analytically and the envelope moves with its modulation
+    equation, with the coefficients ``nls_coefficients`` derives from the
+    same truncated system.
+    """
+    grid = config.grid
+    tendency = full_rhs(config.system, build(packet, grid, 0.0))
+    defect = tendency - build_time_derivative(packet, grid, 0.0)
+    norms = np.sqrt(grid.length * np.sum(np.abs(defect) ** 2, axis=1))
+    return ResidualNorms(*(float(v) for v in norms))
+
+
+def residual_orders() -> dict:
+    """Log-log fitted decay order of the packet residual in eps.
+
+    The packets are sech envelopes on 256 points riding k0 = 2 at b = 0,
+    realized at t = 0 on 4096-point grids of length ``scan_grid_length(eps)``
+    for eps 0.2, 0.1 and 0.05.  Returns the fitted order for the
+    leading-order packet (no quadratic corrections) and for the second-order
+    packet, together with the raw residual tables.
+    """
+    eps_list = (0.2, 0.1, 0.05)
+    table: dict[bool, list[float]] = {True: [], False: []}
+    for eps in eps_list:
+        L = scan_grid_length(eps)
+        config = SimConfig(eps=eps, k0=2.0, b=0.0, n=4096, length=L, dt=1.0,
+                           t_end=0.0)
+        A = _sech_envelope(Grid1D(256, eps * L))
+        for corrections in (False, True):
+            packet = wave_packet(A, eps, config.model, corrections=corrections)
+            table[corrections].append(residual(packet, config).total())
+    log_eps = np.log(np.asarray(eps_list))
+    order_leading = float(np.polyfit(log_eps, np.log(table[False]), 1)[0])
+    order_second = float(np.polyfit(log_eps, np.log(table[True]), 1)[0])
+    return {
+        "eps": eps_list,
+        "leading": tuple(table[False]),
+        "second": tuple(table[True]),
+        "order_leading": order_leading,
+        "order_second": order_second,
+    }

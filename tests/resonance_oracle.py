@@ -1,4 +1,5 @@
-"""The resonance scan as first written: the tests' reference for ``find_zeros``.
+"""The tests' resonance references: the first ``find_zeros`` scan and the
+paper's hypotheses on omega.
 
 :func:`arcwave.resonance.find_zeros` scans r on a k0-aligned grid, where one
 array evaluation of omega gives both of r's terms.  ``find_zeros_linspace``
@@ -9,12 +10,20 @@ bracketing, Brent solves, Newton refinement and classification are the
 production function's; only the scan and the minima search differ.
 ``record_omega_arrays`` records the array calls of omega that a module
 makes, so tests can pin how many points the scan and ``delta0_for`` cost.
+
+Two of the paper's hypotheses on omega are checked here as stated, since no
+production route needs them: ``inflection_points`` locates where omega
+changes concavity, which places the resonances, and ``nonresonance_check``
+measures the margins of the scalar nonresonance conditions.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from arcwave.dispersion import omega, omega_deriv
 from arcwave.resonance import (
     TANGENCY_TOL,
     ZERO_XTOL,
@@ -114,3 +123,70 @@ def find_zeros_linspace(k0: float, b: float, k_max: float) -> ResonanceReport:
         cls = Classification.ONLY_K0
     return ResonanceReport(k0=k0, b=b, zeros=zeros_sorted, double_zeros=doubles_sorted,
                            classification=cls, k1=max(above) if above else None)
+
+
+@dataclass(frozen=True)
+class InflectionPoints:
+    k3: float
+    k4: float
+
+
+@dataclass(frozen=True)
+class NonresonanceResult:
+    ok: bool
+    failures: tuple[str, ...]
+    margins: dict[str, float]
+
+
+def inflection_points(b: float) -> InflectionPoints:
+    """Concavity landmarks of the dispersion curve: k3 (omega''=0), k4 (omega'''=0).
+
+    Defined for 0 < b < 1/3; as b -> 1/3 the inflection k3 slides to 0 and
+    the curve becomes globally convex, so larger b is rejected.
+    """
+    if not (0.0 < b < 1.0 / 3.0):
+        raise ValueError(f"inflection points require 0 < b < 1/3, got b={b}")
+
+    def d2(k: float) -> float:
+        return omega_deriv(k, b, 2)
+
+    def d3(k: float) -> float:
+        return omega_deriv(k, b, 3)
+
+    lo = 1e-4
+    hi = 1.0
+    while d2(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e6:
+            raise ValueError(f"failed to bracket k3 for b={b}")
+    k3 = _brentq(d2, lo, hi, xtol=1e-12)
+
+    hi4 = max(2.0 * k3, 1.0)
+    while d3(hi4) > 0.0:
+        hi4 *= 2.0
+        if hi4 > 1e6:
+            raise ValueError(f"failed to bracket k4 for b={b}")
+    k4 = _brentq(d3, k3, hi4, xtol=1e-12)
+    return InflectionPoints(k3=float(k3), k4=float(k4))
+
+
+def nonresonance_check(k0: float, b: float) -> NonresonanceResult:
+    """Margins of the three scalar nonresonance conditions.
+
+    Checks, each with margin >= 1e-9:
+
+    * ``nrb1``: group velocity at k0 differs from the long-wave speed 1;
+    * ``nrb3``: the dispersion curve is genuinely curved at k0;
+    * ``nrb4``: no harmonic collision +/- omega(m k0) = m omega(k0) for
+      integer m in [2, 6).
+    """
+    w0 = float(omega(k0, b))
+    m4 = np.inf
+    for m in range(2, 6):
+        wm = float(omega(m * k0, b))
+        m4 = min(m4, abs(wm - m * w0), abs(wm + m * w0))
+    margins = {"nrb1": abs(float(omega_deriv(k0, b, 1)) - 1.0),
+               "nrb3": abs(float(omega_deriv(k0, b, 2))),
+               "nrb4": float(m4)}
+    failures = tuple(name for name, margin in margins.items() if margin < 1e-9)
+    return NonresonanceResult(ok=not failures, failures=failures, margins=margins)

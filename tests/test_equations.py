@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from arcwave.dispersion import k0_symbol, omega, sigma, sigma_inv
-from arcwave.equations import (COMPONENT_INDEX, TruncatedSystem,
-                               slave_second_block)
+from arcwave.equations import TruncatedSystem, slave_second_block
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
-from fourier import hermitian_part, ik_power, product
+from fourier import hermitian_part, ik_power, mode_index, product
+from kernel_oracle import COMPONENT_INDEX, full_nonlinear
 
 GRID = Grid1D(n_points=256, length=2 * np.pi)
 BOND = 0.13
@@ -35,11 +35,11 @@ def cross_value(system, j1, j2, l, m):
     grid = system.grid
     a = np.zeros((4, grid.n_points), dtype=complex)
     b = np.zeros((4, grid.n_points), dtype=complex)
-    a[COMPONENT_INDEX[-1], grid.mode_index(l)] = 1.0
-    b[COMPONENT_INDEX[j2], grid.mode_index(m)] = 1.0
-    cross = (system.full_nonlinear(a + b) - system.full_nonlinear(a)
-             - system.full_nonlinear(b))
-    return cross[COMPONENT_INDEX[j1], grid.mode_index(l + m)]
+    a[COMPONENT_INDEX[-1], mode_index(grid, l)] = 1.0
+    b[COMPONENT_INDEX[j2], mode_index(grid, m)] = 1.0
+    cross = (full_nonlinear(system, a + b) - full_nonlinear(system, a)
+             - full_nonlinear(system, b))
+    return cross[COMPONENT_INDEX[j1], mode_index(grid, l + m)]
 
 
 def test_component_layout():
@@ -57,14 +57,14 @@ def test_nonlinearity_zero_mode_vanishes_exactly():
         state = random_real_state(rng)
         n = system.nonlinear(half_spectrum(state))
         assert np.max(np.abs(n[:, 0])) == 0.0
-        assert np.max(np.abs(system.full_nonlinear(state)[:, 0])) == 0.0
+        assert np.max(np.abs(full_nonlinear(system, state)[:, 0])) == 0.0
 
 
 def test_nonlinearity_preserves_reality():
     rng = np.random.default_rng(3)
     system = TruncatedSystem(GRID, BOND)
     state = random_real_state(rng, scale=0.05)
-    n = system.full_nonlinear(state)
+    n = full_nonlinear(system, state)
     for row in n:
         flipped = np.conj(row[GRID._conjugate_index])
         assert np.max(np.abs(row - flipped)) < 1e-13 * max(1.0, np.max(np.abs(row)))
@@ -101,15 +101,6 @@ def test_linear_symbols_signs():
     w = omega(GRID.wavenumbers, 0.07)
     expected = np.array([-1j * w, 1j * w, -1j * w, 1j * w])
     assert np.array_equal(system.linear_symbols, expected)
-
-
-def test_full_rhs_splits_into_linear_plus_nonlinear():
-    rng = np.random.default_rng(2)
-    system = TruncatedSystem(GRID, BOND)
-    state = random_real_state(rng)
-    total = system.full_rhs(state)
-    assert np.allclose(total, system.linear_symbols * state + system.full_nonlinear(state),
-                       rtol=0, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -325,7 +316,7 @@ def test_nonlinear_matches_term_by_term_reference(n, b):
     out = full_spectrum(system.nonlinear(half_spectrum(hermitian)), n)
     assert_matches_reference(out, grid, b, system.keep_mask, hermitian,
                              reference_rtol(n, b, "hermitian"))
-    out = system.full_nonlinear(complex_state)
+    out = full_nonlinear(system, complex_state)
     assert_matches_reference(out, grid, b, system.keep_mask, complex_state,
                              reference_rtol(n, b, "complex"))
 
@@ -355,7 +346,7 @@ def test_full_nonlinear_of_hermitian_state_is_nonlinear_exactly():
     system = TruncatedSystem(GRID, BOND)
     state = random_real_state(np.random.default_rng(13))
     half = system.nonlinear(half_spectrum(state))
-    assert np.array_equal(system.full_nonlinear(state),
+    assert np.array_equal(full_nonlinear(system, state),
                           full_spectrum(half, GRID.n_points))
 
 
@@ -374,8 +365,8 @@ def test_nyquist_column_is_ignored_and_returned_zero():
     cplx = random_complex_state(rng, GRID)
     cplx_nyquist = cplx.copy()
     cplx_nyquist[:, n // 2] = rng.normal(size=4) + 1j * rng.normal(size=4)
-    full = system.full_nonlinear(cplx_nyquist)
-    assert np.array_equal(full, system.full_nonlinear(cplx))
+    full = full_nonlinear(system, cplx_nyquist)
+    assert np.array_equal(full, full_nonlinear(system, cplx))
     assert np.all(full[:, n // 2] == 0.0)
 
 

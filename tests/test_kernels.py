@@ -23,7 +23,6 @@ from arcwave.kernels import (
     first_block_symbol,
     n_hat,
     q_symbol,
-    rho_extremes,
     rho_hat,
     second_block_symbol,
     theta_hat,
@@ -33,6 +32,7 @@ from arcwave.kernels import (
 )
 from arcwave.resonance import critical_bonds, stability
 from arcwave.spectral import Grid1D
+from fourier import mode_index
 from kernel_oracle import (
     DEFAULT_EXTRACTION_GRID,
     SECOND_BLOCK_CARRIER,
@@ -42,6 +42,7 @@ from kernel_oracle import (
     extract_kernel,
     q13_closed,
     q_term_operator,
+    rho_extremes,
 )
 from resonance_oracle import BOND_SWEEP_ANCHORS, record_omega_arrays
 
@@ -262,7 +263,7 @@ def test_comb_curve_agrees_with_single_probe_extraction():
     op = equation_cross_operator(p.b, -2, slot_a=SECOND_BLOCK_CARRIER, slot_b=-2)
     for m in (-9.0, -2.0, 1.0, 4.0, 27.0):
         direct = extract_kernel(op, l, m, grid=grid)
-        assert close_mixed(total[grid.mode_index(l + m)], direct)
+        assert close_mixed(total[mode_index(grid, l + m)], direct)
 
 
 def test_total_second_block_kernel_is_odd():
@@ -272,8 +273,8 @@ def test_total_second_block_kernel_is_odd():
     a = equation_kernel_curve(p.b, -2, -2, 3.0, grid=grid, composite_carrier=True)
     c = equation_kernel_curve(p.b, -2, -2, -3.0, grid=grid, composite_carrier=True)
     for kk in k:
-        ia = grid.mode_index(kk)
-        ic = grid.mode_index(-kk)
+        ia = mode_index(grid, kk)
+        ic = mode_index(grid, -kk)
         assert abs(a[ia] + c[ic]) < 1e-10 * max(1.0, abs(a[ia]))
     sym = second_block_symbol(-2, -2, 3.0, k - 3.0, p.b)
     assert np.max(np.abs(sym + second_block_symbol(-2, -2, -3.0, 3.0 - k, p.b))) == 0.0
@@ -288,7 +289,7 @@ def test_second_block_symbol_matches_extraction(j1, j2, b):
     k = grid.wavenumbers[np.abs(grid.wavenumbers) <= 50.0]
     for l in (2.0, -2.0, 3.0, -5.0, 17.0):
         curve = equation_kernel_curve(b, j1, j2, l, composite_carrier=True)
-        want = curve[grid.mode_index(0.0) + np.round(k).astype(int)]
+        want = curve[mode_index(grid, 0.0) + np.round(k).astype(int)]
         got = second_block_symbol(j1, j2, l, k - l, b)
         for g, w, m in zip(got, want, k - l):
             if m == 0.0:
@@ -319,11 +320,12 @@ def test_second_block_symbol_rejects_first_block():
 
 def test_production_weights_never_call_the_equations(monkeypatch):
     # n_hat, rho_hat and the energy tables evaluate closed forms only; the
-    # equations serve as the tests' extraction oracle
-    def refuse(self, state):
+    # equations serve as the tests' extraction oracle.  Every production
+    # nonlinearity binds ``evaluator``, and ``nonlinear`` is its unbuffered form
+    def refuse(self, *args):
         raise AssertionError("production weights evaluated the equations")
 
-    monkeypatch.setattr(TruncatedSystem, "full_nonlinear", refuse)
+    monkeypatch.setattr(TruncatedSystem, "evaluator", refuse)
     monkeypatch.setattr(TruncatedSystem, "nonlinear", refuse)
     p = default_params(K0, 0.07)
     k = np.linspace(-6.0, 6.0, 97)
@@ -645,7 +647,7 @@ def test_curve_cache_is_idempotent_under_concurrency():
 
     def work(_):
         c = equation_kernel_curve(b, -2, -2, 2.0, composite_carrier=True)
-        return c[DEFAULT_EXTRACTION_GRID.mode_index(5.0)]
+        return c[mode_index(DEFAULT_EXTRACTION_GRID, 5.0)]
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
         vals = list(ex.map(work, range(16)))

@@ -11,7 +11,6 @@ from arcwave.nls import (
     nls_coefficients,
     second_order_coefficients,
     solve,
-    soliton,
 )
 from arcwave.spectral import Grid1D
 
@@ -44,6 +43,25 @@ SYNTH = NLSCoeffs(half_omega2=0.5, nu=1.0)
 
 def l2(grid, values):
     return float(np.sqrt(grid.spacing * np.sum(np.abs(values) ** 2)))
+
+
+def soliton(grid: Grid1D, coeffs: NLSCoeffs, eta: float = 1.0,
+            tau: float = 0.0, xi0: float = 0.0) -> EnvelopeField:
+    """sech soliton of the focusing cubic equation.
+
+    A = eta*sqrt(2p/q) sech(eta*(xi-xi0)) e^{i p eta^2 tau} solves
+    dA/dtau = i p A'' + i q |A|^2 A whenever p and q share a sign.  The
+    domain must comfortably contain the sech tails for the periodic wrap
+    to be negligible.
+    """
+    p, q = coeffs.half_omega2, coeffs.nu
+    if p * q <= 0:
+        raise ValueError(
+            f"soliton needs focusing coefficients (p*q > 0), got p={p}, q={q}")
+    xi = grid.alpha - 0.5 * grid.length  # center the profile
+    amp = eta * np.sqrt(2.0 * p / q)
+    values = amp / np.cosh(eta * (xi - xi0)) * np.exp(1j * p * eta**2 * tau)
+    return EnvelopeField(grid, values, tau=tau)
 
 
 @pytest.mark.parametrize("b,expected", sorted(NU_TABLE.items()))

@@ -14,14 +14,14 @@ from arcwave.resonance import (
     ResonanceReport,
     critical_bonds,
     find_zeros,
-    inflection_points,
     k1_of_b,
-    nonresonance_check,
-    r_general,
     r_hat,
     stability,
 )
-from resonance_oracle import BOND_SWEEP_ANCHORS, find_zeros_linspace, record_omega_arrays
+import resonance_oracle
+from kernel_oracle import r_general
+from resonance_oracle import (BOND_SWEEP_ANCHORS, find_zeros_linspace, inflection_points,
+                              nonresonance_check, record_omega_arrays)
 
 K0 = 2.0
 
@@ -342,6 +342,7 @@ class TestBrentPort:
             return root
 
         monkeypatch.setattr(resonance, "_brentq", both)
+        monkeypatch.setattr(resonance_oracle, "_brentq", both)  # inflection_points
         # a warm cache would let these solves skip the comparison
         resonance.critical_bonds.cache_clear()
         resonance.k1_of_b.cache_clear()

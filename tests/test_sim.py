@@ -12,9 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from arcwave.dispersion import sigma, sigma_inv
 from arcwave.equations import TruncatedSystem, default_system, slave_second_block
 from arcwave.kernels import (default_params, first_block_symbol, n_hat, n_hat_table,
-                             rho_extremes, rho_hat, theta_inv_hat)
+                             rho_hat, theta_inv_hat)
 from arcwave.nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from arcwave import sim
 from arcwave.sim import (
@@ -25,17 +26,15 @@ from arcwave.sim import (
     consistency_residual,
     energy_diagnostic,
     error_scan,
-    from_diagonal,
     packet_initial_state,
-    residual,
-    residual_orders,
     run,
     scan_grid_length,
-    to_diagonal,
 )
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from arcwave.wavepacket import build, wave_packet
-from fourier import hermitian_part, ik_power
+from fourier import hermitian_part, ik_power, mode_index
+from kernel_oracle import full_rhs, rho_extremes
+from packet_oracle import residual, residual_orders
 
 K0 = 2.0
 EPS = 0.1
@@ -165,7 +164,7 @@ def test_state_matrix_is_a_read_only_copy():
 def test_rhs_zero_state_is_zero():
     config = good_config()
     state = SimState(config.grid, np.zeros((4, config.n)))
-    assert np.all(config.system.full_rhs(state.matrix) == 0.0)
+    assert np.all(full_rhs(config.system, state.matrix) == 0.0)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.13])
@@ -178,21 +177,21 @@ def test_rhs_single_carrier_mode_matches_closed_form(b):
     config = SimConfig(eps=0.1, k0=K0, b=b, n=256, length=8 * np.pi, dt=0.1,
                        t_end=0.0)
     U = np.zeros((4, 256), dtype=complex)
-    U[0, grid.mode_index(K0)] = 0.5
-    U[0, grid.mode_index(-K0)] = 0.5
+    U[0, mode_index(grid, K0)] = 0.5
+    U[0, mode_index(grid, -K0)] = 0.5
     state = SimState(grid, U, 0.0)
-    quad = config.system.full_rhs(state.matrix)
+    quad = full_rhs(config.system, state.matrix)
     quad -= config.system.linear_symbols * U  # strip the linear part
 
     assert np.max(np.abs(quad[:, 0])) == 0.0
     assert np.max(np.abs(quad[2:])) == 0.0  # second block untouched
     expected_m1 = first_block_symbol(-1, -1, K0, K0, b) / 8.0
     expected_p1 = first_block_symbol(1, -1, K0, K0, b) / 8.0
-    assert quad[0, grid.mode_index(2 * K0)] == pytest.approx(expected_m1, abs=1e-14)
-    assert quad[1, grid.mode_index(2 * K0)] == pytest.approx(expected_p1, abs=1e-14)
+    assert quad[0, mode_index(grid, 2 * K0)] == pytest.approx(expected_m1, abs=1e-14)
+    assert quad[1, mode_index(grid, 2 * K0)] == pytest.approx(expected_p1, abs=1e-14)
     off = np.ones(256, dtype=bool)
     for kk in (0.0, 2 * K0, -2 * K0):
-        off[grid.mode_index(kk)] = False
+        off[mode_index(grid, kk)] = False
     assert np.max(np.abs(quad[:2][:, off])) < 1e-13
 
 
@@ -202,7 +201,7 @@ def test_rhs_quadratic_part_scales_quadratically():
     lam = config.system.linear_symbols
 
     def quad(mat):
-        return config.system.full_rhs(mat) - lam * mat
+        return full_rhs(config.system, mat) - lam * mat
 
     q1 = quad(state.matrix)
     q3 = quad(3.0 * state.matrix)
@@ -828,7 +827,7 @@ def constraint_drift_rates(amplitude, keep_mean):
     first = full_spectrum(half, grid.n_points)
     first *= amplitude / np.max(np.abs(np.fft.ifft(first[0], norm="forward")))
     U = np.concatenate([first, slave_second_block(grid, first, 0.0)])
-    F = system.full_rhs(U)
+    F = full_rhs(system, U)
     h = 0.1
     plus = system.consistency_defect(U + h * F)
     minus = system.consistency_defect(U - h * F)
@@ -862,7 +861,7 @@ def test_packet_constraint_drift_rate_falls_like_eps_squared():
                              corrections=True)
         U = build(packet, config.grid, 0.0)
         system = config.system
-        F = system.full_rhs(U)
+        F = full_rhs(system, U)
         h = 0.1
         _, plus = system.consistency_defect(U + h * F)
         _, minus = system.consistency_defect(U - h * F)
@@ -876,6 +875,30 @@ def test_packet_constraint_drift_rate_falls_like_eps_squared():
 # ---------------------------------------------------------------------------
 # diagonalizing transform
 # ---------------------------------------------------------------------------
+
+
+def to_diagonal(grid: Grid1D, geometric: np.ndarray, b: float) -> np.ndarray:
+    """Geometric variables -> diagonalized components.
+
+    Maps the (4, n) full-layout coefficients of (y, v, kappa, delta_aa) on
+    ``grid`` to those of (u_{-1}, u_{+1}, u_{-2}, u_{+2}).
+    """
+    y, v, kappa, delta_aa = geometric
+    sig = sigma(grid.wavenumbers, b).astype(complex)
+    sy, sk = sig * y, sig * kappa
+    return 0.5 * np.array([sy + v, -sy + v, sk + delta_aa, -sk + delta_aa])
+
+
+def from_diagonal(grid: Grid1D, diagonal: np.ndarray, b: float) -> np.ndarray:
+    """Diagonalized components -> geometric variables; inverts ``to_diagonal``.
+
+    Maps the (4, n) coefficients of (u_{-1}, u_{+1}, u_{-2}, u_{+2}) to those
+    of (y, v, kappa, delta_aa).
+    """
+    u_m1, u_p1, u_m2, u_p2 = diagonal
+    sig_inv = sigma_inv(grid.wavenumbers, b).astype(complex)
+    return np.array([sig_inv * (u_m1 - u_p1), u_m1 + u_p1,
+                     sig_inv * (u_m2 - u_p2), u_m2 + u_p2])
 
 
 def test_diag_transform_round_trip():
@@ -905,8 +928,6 @@ def _physical(grid, c):
 
 
 def test_diag_transform_single_mode_rows():
-    from arcwave.dispersion import sigma
-
     grid = Grid1D(64, 2 * np.pi)
     b = 0.2
     cos_alpha = np.cos(grid.alpha)

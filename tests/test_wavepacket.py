@@ -1,8 +1,8 @@
-"""Wave-packet realization: band placement, slaving, truncation, exact d/dt.
+"""Wave-packet realization: band placement, slaving, band masking, exact d/dt.
 
 Most checks are structural identities that must hold to roundoff: reality of
 the realized fields, the constraint relation between the blocks, covariance
-under envelope phase rotation, exact support of the truncated realization,
+under envelope phase rotation, exact support of a band-masked realization,
 and — the sharpest one — agreement between the spectral index-shift
 composition and a direct pointwise evaluation of the slow/fast product.
 The time-derivative builder is cross-checked against a central finite
@@ -23,13 +23,12 @@ from arcwave.wavepacket import (
     _band_coefficients,
     band_mask,
     build,
-    build_time_derivative,
     carrier_halves,
-    envelope_rhs,
-    fourier_truncate,
     second_order_corrections,
     wave_packet,
 )
+from fourier import mode_index
+from packet_oracle import build_time_derivative, envelope_rhs
 
 EPS = 0.1
 PARAMS = ModelParams(k0=2.0, b=0.05)
@@ -80,9 +79,15 @@ def band_by_band_first_block(packet, grid, t, lead, corrections):
             mean = 0.5 * (c + np.conj(c[conj]))
             harm = band(harm_profile, 2) * np.exp(-2j * p.omega0 * t)
             row += packet.eps**2 * (mean + harm + np.conj(harm[conj]))
-    if packet.truncated:
-        rows[:, ~band_mask(grid, p.k0, packet.delta0)] = 0.0
     return rows
+
+
+def band_masked(packet, grid, t=0.0):
+    """The packet's first block at t with the modes outside the DELTA0 bands
+    zeroed, and the second block slaved to it."""
+    first = build(packet, grid, t)[:2]
+    first[:, ~band_mask(grid, packet.params.k0, DELTA0)] = 0.0
+    return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
 
 
 def assert_rows_real(rows, grid, rtol):
@@ -118,13 +123,9 @@ class TestRealization:
                 assert got[index].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("corrections", [False, True])
-    @pytest.mark.parametrize("truncate", [False, True])
-    def test_realizations_are_bitwise_the_band_by_band_assembly(
-            self, truncate, corrections):
+    def test_realizations_are_bitwise_the_band_by_band_assembly(self, corrections):
         coeffs = nls_coefficients(PARAMS.k0, PARAMS.b)
         packet = wave_packet(sech_envelope(), EPS, PARAMS, corrections=corrections)
-        if truncate:
-            packet = fourier_truncate(packet, DELTA0)
         a = packet.A.values
         sec = packet.profiles[1:] if corrections else None
         for t in (0.0, 1.3):
@@ -135,8 +136,6 @@ class TestRealization:
 
             lead = per_mode_band(CARRIER, ENVELOPE, a, 1, 112, PARAMS.cg, t)
             lead = lead * np.exp(-1j * PARAMS.omega0 * t)
-            if truncate:
-                lead = np.where(band_mask(CARRIER, PARAMS.k0, DELTA0), lead, 0.0)
             want = np.array([lead, np.conj(lead[CARRIER._conjugate_index])])
             assert carrier_halves(packet, CARRIER, t).tobytes() == want.tobytes()
 
@@ -188,13 +187,10 @@ class TestRealization:
         assert u.shape == (4, CARRIER.n_points)
         assert_rows_real(u, CARRIER, 1e-14)
 
-    @pytest.mark.parametrize("truncate", [False, True])
-    def test_carrier_halves_are_the_leading_band(self, truncate):
+    def test_carrier_halves_are_the_leading_band(self):
         """Row 1 is the conjugate flip of row 0, and eps times their sum is
         bitwise u_{-1} of a packet without corrections."""
         packet = wave_packet(sech_envelope(), EPS, PARAMS, corrections=False)
-        if truncate:
-            packet = fourier_truncate(packet, DELTA0)
         halves = carrier_halves(packet, CARRIER, 0.6)
         assert halves.shape == (2, CARRIER.n_points)
         assert np.array_equal(halves[1], np.conj(halves[0][CARRIER._conjugate_index]))
@@ -215,7 +211,8 @@ class TestRealization:
         u_m1, u_p1 = build(packet, CARRIER, t)[:2]
         k0, w0 = PARAMS.k0, PARAMS.omega0
         c = second_order_coefficients(k0, PARAMS.b)
-        at = CARRIER.mode_index
+        def at(k):
+            return mode_index(CARRIER, k)
 
         lead = EPS * c0 * np.exp(-1j * w0 * t)
         assert abs(u_m1[at(k0)] - lead) < 1e-15
@@ -251,9 +248,8 @@ class TestSlaving:
     def test_realized_state_sits_on_constraint_manifold(self):
         system = TruncatedSystem(CARRIER, PARAMS.b)
         packet = wave_packet(sech_envelope(), EPS, PARAMS)
-        for candidate in (packet, fourier_truncate(packet, DELTA0)):
-            d1_defect, d2_defect = system.consistency_defect(
-                build(candidate, CARRIER, 0.3))
+        for state in (build(packet, CARRIER, 0.3), band_masked(packet, CARRIER, 0.3)):
+            d1_defect, d2_defect = system.consistency_defect(state)
             assert np.max(np.abs(d1_defect)) < 1e-15
             assert np.max(np.abs(d2_defect)) < 1e-15
 
@@ -299,24 +295,14 @@ class TestCorrections:
 
     def test_corrections_flag(self):
         A = sech_envelope()
-        assert wave_packet(A, EPS, PARAMS).corrections_enabled
-        assert not wave_packet(A, EPS, PARAMS, corrections=False).corrections_enabled
+        assert wave_packet(A, EPS, PARAMS).profiles.shape == (5, ENVELOPE.n_points)
+        assert wave_packet(A, EPS, PARAMS, corrections=False).profiles.shape == (
+            1, ENVELOPE.n_points)
 
 
 class TestTruncation:
-    def test_delta0_validation(self):
-        packet = wave_packet(sech_envelope(), EPS, PARAMS)
-        fourier_truncate(packet, DELTA0)  # fine: below k0/20
-        with pytest.raises(ValueError, match="delta0"):
-            fourier_truncate(packet, 0.15)
-        with pytest.raises(ValueError, match="delta0"):
-            fourier_truncate(packet, -0.01)
-
     def test_support_is_exactly_the_band_union(self):
-        packet = fourier_truncate(wave_packet(sech_envelope(), EPS, PARAMS), DELTA0)
-        u = build(packet, CARRIER, 0.0)
-        keep = band_mask(CARRIER, PARAMS.k0, DELTA0)
-        assert np.all(u[:2][:, ~keep] == 0.0)
+        u = band_masked(wave_packet(sech_envelope(), EPS, PARAMS), CARRIER)
         # The slaved block contains first-block products, so its support sits in
         # the doubled bands around harmonics up to |l| = 4 (up to the roundoff
         # scatter of the physical-space product).
@@ -328,7 +314,7 @@ class TestTruncation:
             assert np.max(np.abs(row[~wide])) < 1e-17
 
     def test_truncation_tail_matches_spectral_prediction(self):
-        """With corrections off, what truncation removes is exactly the
+        """With corrections off, what the band mask removes is exactly the
         out-of-band leading modes; halving eps doubles the kept envelope band,
         so a |j|^{-5} envelope spectrum shrinks the discarded tail by ~2^{4.5}."""
         L_env = 2 * np.pi * 8
@@ -343,7 +329,7 @@ class TestTruncation:
             carrier = Grid1D(n_carrier, L_env / eps)
             packet = wave_packet(A, eps, PARAMS, corrections=False)
             full = build(packet, carrier, 0.0)
-            cut = build(fourier_truncate(packet, DELTA0), carrier, 0.0)
+            cut = band_masked(packet, carrier)
 
             diff = np.sqrt(sum(
                 np.sum(np.abs(a - b) ** 2)
@@ -386,8 +372,7 @@ class TestNesting:
 
 
 class TestTimeDerivative:
-    @pytest.mark.parametrize("truncate", [False, True])
-    def test_matches_central_difference(self, truncate):
+    def test_matches_central_difference(self):
         """d/dt of the realization = chain rule through carrier phase,
         transport, and the modulation equation; checked against a finite
         difference in which the envelope itself is advanced."""
@@ -398,8 +383,7 @@ class TestTimeDerivative:
         def packet_at(dt):
             advanced = A.values + (EPS**2 * dt) * envelope_rhs(
                 A, coeffs.half_omega2, coeffs.nu)
-            p = wave_packet(EnvelopeField(ENVELOPE, advanced), EPS, PARAMS)
-            return fourier_truncate(p, DELTA0) if truncate else p
+            return wave_packet(EnvelopeField(ENVELOPE, advanced), EPS, PARAMS)
 
         plus = build(packet_at(+h), CARRIER, t + h)
         minus = build(packet_at(-h), CARRIER, t - h)
