@@ -6,12 +6,13 @@ coefficients in the order
     index 0: u_{-1}    index 1: u_{+1}    index 2: u_{-2}    index 3: u_{+2}
 
 The four fields are real, so the time loop carries only their ``rfft`` half
-spectra, (4, n//2 + 1), and ``TruncatedSystem.nonlinear`` works in that
-layout; the tests' kernel extraction reaches the same product list with
-complex full-layout inputs by polarization (``full_nonlinear`` of the test
-suite's ``kernel_oracle`` module).  The first block alone, (2, n//2 + 1),
-is accepted too: it is autonomous, and its products are the prefix of the
-list.
+spectra, (4, n//2 + 1).  The nonlinearity has one entry point,
+``TruncatedSystem.evaluator(rows)``, which binds the product list to its own
+buffers for states of that layout; the time loop binds one per march, and
+the tests' kernel extraction reaches the same product list with complex
+full-layout inputs by polarization (``full_nonlinear`` of the test suite's
+``kernel_oracle`` module).  The first block alone, (2, n//2 + 1), is
+accepted too: it is autonomous, and its products are the prefix of the list.
 
 The first block evolves under -/+ i*omega plus quadratic terms built from
 s1 = u_{-1}+u_{+1} and d1 = u_{-1}-u_{+1}; the second block sees additional
@@ -35,7 +36,6 @@ routes independent.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -145,7 +145,7 @@ class TruncatedSystem:
 
     @cached_property
     def _pre(self) -> np.ndarray:
-        """Multipliers of the 11 precursors in ``nonlinear``, on 0 <= k < k_Nyquist;
+        """Multipliers of the 11 precursors of ``evaluator``, on 0 <= k < k_Nyquist;
         the first three are the first block's."""
         m = self.grid.n_points // 2
         ik, K0, sig_inv, inv_ik = (self._ik[:m], self._K0[:m], self._sig_inv[:m],
@@ -178,23 +178,13 @@ class TruncatedSystem:
 
     @cached_property
     def _post(self) -> np.ndarray:
-        """Multipliers of the product sums in ``nonlinear`` on the half spectrum,
+        """Multipliers of the product sums of ``evaluator`` on the half spectrum,
         zero outside ``keep_mask``: E1, X1 (2), E2, X2 (4)."""
         h = 0.5 * self._ik
         hs = h * self._sig
         hsK = hs * self._K0
         post = np.array([0.5 * h, hs, hsK, h, hs, self._ik * hs, hsK, self._ik * hsK])
         return (post * self.keep_mask)[:, : self.grid.n_points // 2 + 1]
-
-    @cached_property
-    def _stages(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per input row count of ``nonlinear``: the precursor multipliers, the
-        row of (s1, d1, s2, d2) each acts on, and the product-sum
-        multipliers, with a batch axis.  The first block alone (2 rows)
-        takes the prefix of each."""
-        return {rows: (self._pre[:n_pre, None, :], self._PRE_SOURCE[:n_pre],
-                       self._post[:n_post, None, :])
-                for rows, n_pre, n_post in ((2, 3, 3), (4, 11, 8))}
 
     @cached_property
     def keep_mask(self) -> np.ndarray:
@@ -221,7 +211,7 @@ class TruncatedSystem:
         The Nyquist column is 0: omega is odd, and an odd symbol maps the
         Nyquist mode of a real field, cos(k_N alpha), to a multiple of
         sin(k_N alpha), which vanishes at every grid point.  So that mode
-        keeps its value; ``nonlinear`` neither reads nor writes it either.
+        keeps its value; ``evaluator`` neither reads nor writes it either.
         """
         lam = half_spectrum(self.linear_symbols).copy()
         lam[:, self.grid.n_points // 2] = 0.0
@@ -229,30 +219,26 @@ class TruncatedSystem:
 
     # ------------------------------------------------------------ evaluation
 
-    def nonlinear(self, state: np.ndarray) -> np.ndarray:
-        """Quadratic part of d(state)/dt for four, or the first two, real fields.
+    def evaluator(self, rows: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The quadratic part of d(state)/dt, bound to its own buffers.
 
-        Input and output are ``rfft`` half spectra, shape (..., r, n//2 + 1)
-        with r = 4 (u_{-/+1}, u_{-/+2}) or r = 2 (the first block u_{-/+1}
-        alone); see :func:`arcwave.spectral.half_spectrum`.  Leading batch
-        axes are evaluated together.  The linear part (see
-        ``linear_symbols``) is handled separately so the integrating-factor
-        stepper can advance it exactly.  The tests' kernel oracle takes
-        complex full-layout states through it by polarization.
-
-        Each call binds a fresh ``evaluator`` to the state's shape and
-        returns a fresh array that shares no memory with any other result.
-        A loop that evaluates many states of one shape binds one evaluator
-        itself instead (``sim._march``), which saves the allocations.
+        Returns f(U, out), which writes the nonlinearity of the ``rfft`` half
+        spectra U, shape (rows, n//2 + 1), into ``out`` of that shape and
+        returns ``out``; see :func:`arcwave.spectral.half_spectrum`.  rows is
+        4 (u_{-/+1}, u_{-/+2}) or 2 (the first block u_{-/+1} alone).  The
+        linear part (see ``linear_symbols``) is handled separately so the
+        integrating-factor stepper can advance it exactly.  The tests'
+        kernel oracle takes complex full-layout states through it by
+        polarization.
 
         The first block is autonomous: its products read only s1 and d1, so
-        the r = 2 call is the prefix of the r = 4 call's product list (3 of
-        the 11 precursors, 3 of the 8 product sums) and returns rows 0-1 of
-        the r = 4 output bit for bit.
+        the 2-row product list is the prefix of the 4-row one (3 of the 11
+        precursors, 3 of the 8 product sums) and gives rows 0-1 of the 4-row
+        result bit for bit.
 
-        Nyquist column (index n//2): it lies outside every keep mask.  The
-        input's Nyquist column is ignored, as if it were 0 (the precursors
-        are formed from the columns below it), and the output's is 0.
+        Nyquist column (index n//2): it lies outside every keep mask.  U's
+        Nyquist column is ignored, as if it were 0 (only its first n//2
+        columns are read), and the output's is 0.
 
         Each block is a common part plus or minus a difference part,
         n_{-/+1} = E1 -/+ X1 and n_{-/+2} = E2 -/+ X2, by two identities:
@@ -266,79 +252,57 @@ class TruncatedSystem:
         So each distinct product is formed once, and products sharing a
         coefficient-space multiplier are summed before the forward transform:
         one ``irfft`` of 11 (3) precursors, one ``rfft`` of 8 (3) product sums.
-        """
-        rows = state.shape[-2]
-        batch = state.shape[:-2]
-        out = np.empty(batch + (rows, self.grid.n_points // 2 + 1), dtype=np.complex128)
-        return self.evaluator(rows, batch)(state, out)
 
-    def evaluator(self, rows: int, batch: tuple[int, ...] = ()
-                  ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """``nonlinear`` bound to its own buffers for states of one shape.
-
-        Returns f(U, out), which writes the nonlinearity of the half spectra
-        U, shape batch + (rows, n//2 + 1), into ``out`` of that shape and
-        returns ``out``; only U's first n//2 columns are read (see
-        ``nonlinear`` for the product list).  The precursor, physical,
-        product and spectrum buffers, and their row views, are allocated
-        here, once; every evaluation overwrites them with ufunc ``out=``,
-        through one ``irfft`` and one ``rfft``.  The sums and differences
-        (s, d) are one strided add and one strided subtract, the 14 (4)
-        product operands are gathered with one ``take`` into one multiply
-        (``_PRODUCTS``), and the outputs E -/+ X are one call each.  So an
-        evaluation does not depend on the ones before it, and f(U, out) is
-        ``nonlinear(U)`` bit for bit: every sum and product is formed with
-        the operands and in the order of the product list.
+        The precursor, physical, product and spectrum buffers, and their row
+        views, are allocated here, once; every evaluation overwrites them
+        with ufunc ``out=``.  The sums and differences (s, d) are one strided
+        add and one strided subtract, the 14 (4) product operands are
+        gathered with one ``take`` into one multiply (``_PRODUCTS``), and the
+        outputs E -/+ X are one call each.  So an evaluation does not depend
+        on the ones before it: every sum and product is formed with the
+        operands and in the order of the product list.
 
         The buffers belong to f alone: nothing is stored on the system,
         which stays immutable, picklable and shareable across threads.  One
         f must not be called from two threads at once; bind one per thread
         (per march).
         """
-        if rows not in self._stages:
+        if rows not in self._PRODUCTS:
             raise ValueError(
-                f"nonlinear takes 4 components or the first block's 2, got {rows}")
-        pre, source, post = self._stages[rows]
+                f"the nonlinearity takes 4 components or the first block's 2, got {rows}")
+        n_pre, n_post = (3, 3) if rows == 2 else (11, 8)
+        pre, source, post = self._pre[:n_pre], self._PRE_SOURCE[:n_pre], self._post[:n_post]
         left, right, scaled = self._PRODUCTS[rows]
         n = self.grid.n_points
         m = n // 2
-        count = math.prod(batch)
-        # component axis first, the batch axes flattened into one behind it;
-        # the views below put the batch axes back, to meet U's and out's rows
-        sd = np.empty((rows, count, m), dtype=np.complex128)
-        spec_in = np.empty((len(source), count, m), dtype=np.complex128)
-        phys = np.empty((len(source), count, n))
+        sd = np.empty((rows, m), dtype=np.complex128)  # s1, d1 (, s2, d2)
+        spec_in = np.empty((n_pre, m), dtype=np.complex128)
+        phys = np.empty((n_pre, n))
         operands = np.concatenate([left, right])
-        LR = np.empty((len(operands), count, n))  # the left, then the right operands
+        LR = np.empty((len(operands), n))  # the left, then the right operands
         L, R = LR[: len(left)], LR[len(left):]
-        Q = np.empty((len(left), count, n))  # the products; the first rows sum them
-        spec = np.empty((len(post), count, m + 1), dtype=np.complex128)
+        Q = np.empty((len(left), n))  # the products; the first rows sum them
+        spec = np.empty((n_post, m + 1), dtype=np.complex128)
 
-        def rows_of(buf: np.ndarray, sl: slice, width: int) -> np.ndarray:
-            """Rows ``sl`` of a component-first buffer as a batch + (r, width) view."""
-            view = buf[sl]
-            return np.moveaxis(view.reshape((len(view),) + batch + (width,)), 0, -2)
-
-        s_rows, d_rows = rows_of(sd, slice(0, None, 2), m), rows_of(sd, slice(1, None, 2), m)
+        s_rows, d_rows = sd[0::2], sd[1::2]
         Q_rows, G = list(Q), list(spec)
         scaled_row = L[scaled] if scaled is not None else None
         # X of each block first sums G[1] + G[2] (and G[4] + G[5]) in one call;
         # then E = G[0] (G[3]) and X = G[1] (G[4]) give the outputs
         x_first, x_second = spec[1: rows + 1: 3], spec[2: rows + 2: 3]
-        E_rows = rows_of(spec, slice(0, rows + rows // 2, 3), m + 1)
-        X_rows = rows_of(spec, slice(1, rows + rows // 2 + 1, 3), m + 1)
-        rfft_in = Q[: len(post)]
-        in_shape = batch + (rows,)
-        out_shape = batch + (rows, m + 1)
+        E_rows = spec[0: rows + rows // 2: 3]
+        X_rows = spec[1: rows + rows // 2 + 1: 3]
+        rfft_in = Q[:n_post]
+        out_shape = (rows, m + 1)
         b = self.b
         mul, add, sub = np.multiply, np.add, np.subtract
 
         def f(U: np.ndarray, out: np.ndarray) -> np.ndarray:
-            if U.shape[:-1] != in_shape or out.shape != out_shape:
+            if U.shape[:-1] != (rows,) or out.shape != out_shape:
                 raise ValueError(
                     f"evaluator bound to {out_shape}, got U {U.shape}, out {out.shape}")
             # (s1, d1, s2, d2), then the precursors in coefficient space
-            minus, plus = U[..., 0::2, :m], U[..., 1::2, :m]
+            minus, plus = U[0::2, :m], U[1::2, :m]
             add(minus, plus, out=s_rows)
             sub(minus, plus, out=d_rows)
             sd.take(source, axis=0, out=spec_in, mode="clip")
@@ -370,8 +334,8 @@ class TruncatedSystem:
             if rows == 4:
                 add(G[4], G[6], out=G[4])
                 add(G[4], G[7], out=G[4])
-            sub(E_rows, X_rows, out=out[..., 0::2, :])
-            add(E_rows, X_rows, out=out[..., 1::2, :])
+            sub(E_rows, X_rows, out=out[0::2])
+            add(E_rows, X_rows, out=out[1::2])
             return out
 
         return f

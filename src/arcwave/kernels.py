@@ -19,7 +19,7 @@ suite's ``kernel_oracle`` module, and mpmath values from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,19 +57,22 @@ _NUDGE = 1e-6
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Weight/cut-off parameters for one (k0, b) configuration.
+    """Weight/cut-off parameters for one (k0, b, eps) configuration.
 
-    ``k1``, the resonant partner wavenumber, is given exactly when b lies in
-    the resonant band (0, b0) where it exists; construction refuses it
-    outside the band and its absence inside.
+    Built from (k0, b, eps) alone; the rest is derived here, by the
+    constructive choices below: delta0 by ``delta0_for``, and, when b lies
+    in the resonant band (0, b0) where it exists, the resonant partner
+    wavenumber k1 by ``k1_of_b`` and delta1 by ``delta1_for``.  Outside the
+    band k1 is None and delta1 is 0.5.  Equality and hashing read (k0, b,
+    eps), which fix the rest.
     """
 
-    eps: float
-    delta0: float
-    delta1: float
-    b: float
     k0: float
-    k1: Optional[float] = None
+    b: float
+    eps: float
+    delta0: float = field(init=False, compare=False)
+    delta1: float = field(init=False, compare=False)
+    k1: Optional[float] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
@@ -78,27 +81,10 @@ class KernelParams:
             raise ValueError(f"k0 must be positive, got {self.k0}")
         if self.b < 0.0:
             raise ValueError(f"Bond number must be nonnegative, got {self.b}")
-        if not (0.0 < self.delta0 < self.k0 / 20.0):
-            raise ValueError(
-                f"delta0 must lie in (0, k0/20) = (0, {self.k0 / 20.0:.6g}), "
-                f"got {self.delta0}"
-            )
-        if not (0.0 < self.delta1 < 1.0):
-            raise ValueError(f"delta1 must lie in (0,1), got {self.delta1}")
-        in_band = 0.0 < self.b < critical_bonds(self.k0).b0
-        if in_band != (self.k1 is not None):
-            raise ValueError(
-                f"k1 must be given exactly when b lies in the resonant band "
-                f"(0, b0) of k0={self.k0}; got b={self.b} and k1={self.k1}")
-        if self.k1 is not None:
-            if not (self.k1 > self.k0):
-                raise ValueError(f"k1={self.k1} must exceed k0={self.k0}")
-            bound = 1.0 - self.k0 / (20.0 * (self.k1 - self.k0))
-            if not (self.delta1 < bound):
-                raise ValueError(
-                    f"delta1={self.delta1} violates the admissibility bound "
-                    f"{bound:.6g} for k1={self.k1}"
-                )
+        k1 = k1_of_b(self.k0, self.b) if 0.0 < self.b < critical_bonds(self.k0).b0 else None
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "delta1", delta1_for(self.k0, k1) if k1 is not None else 0.5)
+        object.__setattr__(self, "delta0", delta0_for(self.k0, self.b))
 
     @property
     def in_resonant_band(self) -> bool:
@@ -615,9 +601,5 @@ def delta1_for(k0: float, k1: float) -> float:
 
 
 def default_params(k0: float, b: float, eps: float = 0.1) -> KernelParams:
-    """Constructive parameter set for one (k0, b): scans delta0, fills k1/delta1."""
-    bonds = critical_bonds(k0)
-    k1 = k1_of_b(k0, b) if 0.0 < b < bonds.b0 else None
-    delta1 = delta1_for(k0, k1) if k1 is not None else 0.5
-    return KernelParams(eps=eps, delta0=delta0_for(k0, b), delta1=delta1,
-                        b=b, k0=k0, k1=k1)
+    """Constructive parameter set for one (k0, b): ``KernelParams(k0, b, eps)``."""
+    return KernelParams(k0, b, eps)

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .spectral import Grid1D
 
 __all__ = [
     "NLSCoeffs",
+    "SecondOrderCoeffs",
     "EnvelopeField",
     "NLSTrajectory",
     "nls_coefficients",
@@ -79,23 +79,33 @@ def mass(field: EnvelopeField) -> float:
     return float(field.grid.spacing * np.sum(np.abs(field.values) ** 2))
 
 
+class SecondOrderCoeffs(NamedTuple):
+    """Second-order response coefficients, in the order of the correction
+    profiles: mean flow and second harmonic of u_{-1}, then of u_{+1}."""
+
+    c_m0: float
+    c_m2: float
+    c_p0: float
+    c_p2: float
+
+
 @lru_cache(maxsize=64)
-def second_order_coefficients(k0: float, b: float) -> Mapping[str, float]:
+def second_order_coefficients(k0: float, b: float) -> SecondOrderCoeffs:
     """Second-harmonic and mean-flow response coefficients per component.
 
-    Keys ``c_m2``/``c_p2`` scale A² on the double carrier in the -1/+1
+    ``c_m2``/``c_p2`` scale A² on the double carrier in the -1/+1
     components; ``c_m0``/``c_p0`` scale |A|² on the mean flow.  All four are
     real.  Raises when an elimination denominator degenerates: "2om" for the
     second-harmonic mismatch, "cg" for the group-velocity one.
 
-    Cached on (k0, b), since every packet build asks for them; the result
-    is a read-only mapping because every caller shares it.
+    Cached on (k0, b), since every packet build asks for them; every caller
+    shares the result, an immutable tuple.
     """
     w0 = omega(k0, b)
     w2 = omega(2 * k0, b)
     cg = omega_deriv(k0, b, order=1)
 
-    out: dict[str, float] = {}
+    out = []
     for m, tag in ((-1, "m"), (1, "p")):
         sgn = -1.0 if m < 0 else 1.0
         den2 = -2.0 * w0 - sgn * w2
@@ -120,12 +130,12 @@ def second_order_coefficients(k0: float, b: float) -> Mapping[str, float]:
                   - first_block_symbol(m, -1, k0, -k0 - _FD_STEP, b)) / (2j * _FD_STEP)
         c0 = gamma0 / den0
 
-        for tag2, val in ((f"c_{tag}2", c2), (f"c_{tag}0", c0)):
+        for harmonic, val in ((0, c0), (2, c2)):
             if abs(np.imag(val)) > 1e-6 * max(1.0, abs(val)):
                 raise AssertionError(
-                    f"{tag2} should be real, got {val}")  # pragma: no cover
-            out[tag2] = float(np.real(val))
-    return MappingProxyType(out)
+                    f"c_{tag}{harmonic} should be real, got {val}")  # pragma: no cover
+            out.append(float(np.real(val)))
+    return SecondOrderCoeffs(*out)
 
 
 def nls_coefficients(k0: float, b: float) -> NLSCoeffs:
@@ -137,9 +147,9 @@ def nls_coefficients(k0: float, b: float) -> NLSCoeffs:
     """
     c = second_order_coefficients(k0, b)
     inu = 0.0 + 0.0j
-    for m, tag in ((-1, "m"), (1, "p")):
-        inu += first_block_symbol(-1, m, k0, 0.0, b) * c[f"c_{tag}0"]
-        inu += first_block_symbol(-1, m, -k0, 2 * k0, b) * c[f"c_{tag}2"]
+    for m, c0, c2 in ((-1, c.c_m0, c.c_m2), (1, c.c_p0, c.c_p2)):
+        inu += first_block_symbol(-1, m, k0, 0.0, b) * c0
+        inu += first_block_symbol(-1, m, -k0, 2 * k0, b) * c2
     nu = float(np.imag(inu))
     if abs(np.real(inu)) > 1e-9 * max(1.0, abs(nu)):
         raise AssertionError(f"nu came out non-real: {inu}")  # pragma: no cover

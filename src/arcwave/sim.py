@@ -24,7 +24,7 @@ from .equations import TruncatedSystem, default_system, slave_second_block
 from .kernels import KernelParams, n_hat_table, rho_hat, theta_inv_hat
 from .nls import EnvelopeField, nls_coefficients, solve as nls_solve
 from .spectral import Grid1D, full_spectrum, half_spectrum
-from .wavepacket import WavePacket, band_mask, build, carrier_halves, wave_packet
+from .wavepacket import WavePacket, band_mask, build, first_block, wave_packet
 
 __all__ = [
     "SimConfig",
@@ -141,7 +141,7 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     """The Lawson loop: march half spectra U, (r, n//2 + 1), for n_steps steps.
 
     r = 4 marches both blocks; r = 2 marches the first block alone, which is
-    autonomous (``TruncatedSystem.nonlinear``), so its states are bitwise
+    autonomous (``TruncatedSystem.evaluator``), so its states are bitwise
     rows 0-1 of the r = 4 march from the same first block.  Yields (t, U)
     after every ``sample_every``-th step short of the last (none if 0), then
     once after the last step (at t0 if n_steps is 0); a negative
@@ -391,9 +391,8 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
         A_now = nls_solve(A_now, coeffs, dtau=eps**2 * config.dt,
                           tau_end=A_now.tau + dtau_window,
                           sample_every=max(1, todo)).final()
-        comparison = wave_packet(
-            EnvelopeField(packet.A.grid, A_now.values), eps, config.model,
-            corrections=template.corrections)
+        comparison = wave_packet(A_now, eps, config.model,
+                                 corrections=template.corrections)
         ref = build(comparison, grid, t)
         ref[:, ~keep] = 0.0
         marched = full_spectrum(V, config.n)
@@ -562,8 +561,8 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
     A row whose error exceeds the approximation's own size at some sample
     is flagged (instability or horizon too long), and a scan with a flagged
     row refuses to fit: it raises ``ValueError`` naming each flagged eps
-    with its error and size.  Fewer than two eps values leave no slope to
-    fit and are refused before any run starts.
+    with its error and size.  Fewer than two distinct eps values leave no
+    slope to fit and are refused before any run starts.
 
     The rows are independent runs, so they are spread over the CPUs this
     process may use (``os.sched_getaffinity``, else ``os.cpu_count``):
@@ -577,10 +576,10 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
     outlives the call.  The children's memory is not in this process's
     ``RUSAGE_SELF`` peak.
     """
-    if len(eps_list) < 2:
+    if len(set(eps_list)) < 2:
         raise ValueError(
-            f"an error scan needs at least two eps values to fit a slope, "
-            f"got {len(eps_list)}")
+            f"an error scan needs at least two distinct eps values to fit a "
+            f"slope, got {tuple(eps_list)}")
     rows = _scan_rows(eps_list, template)
     flagged = [row for row in rows if row.flagged]
     if flagged:
@@ -686,10 +685,12 @@ def _energy_shared(state: SimState, packet: WavePacket,
     n = grid.n_points
     conj = grid._conjugate_index
     scale, inv_ik = _error_tables(grid, params)
-    R = (state.matrix[2:] - build(packet, grid, state.t)[2:]) * scale
+    # the packet's realization and its lead band psi_plus, from one assembly
+    first, lead = first_block(packet, grid, state.t, packet.profiles)
+    R = (state.matrix[2:] - slave_second_block(grid, first, packet.params.b)) * scale
 
     # physical psi_plus; psi_minus is its complex conjugate there
-    psi_plus = np.fft.ifft(carrier_halves(packet, grid, state.t)[0], norm="forward")
+    psi_plus = np.fft.ifft(lead, norm="forward")
     # the real fields R and dalpha^{-1} R in physical space, (slot, j2, n)
     R_half = half_spectrum(R)
     fields = np.fft.irfft(np.array([R_half, inv_ik * R_half]), n, norm="forward")
@@ -720,10 +721,12 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     That is safe because both are immutable, ``SimState.matrix``,
     ``EnvelopeField.values`` and the correction profiles being read-only
     copies; a new state or packet object, even with equal content, is
-    realized afresh.  The packet is realized by ``build`` and its carrier
-    read back by ``carrier_halves``, which share one band assembly.  The
-    kernel tables are cached per (grid, params), the weights per (grid,
-    params, l).
+    realized afresh.  The packet is realized by one
+    ``wavepacket.first_block`` call, whose first block gives the packet's
+    second block through ``equations.slave_second_block`` (as ``build``
+    does) and whose lead band is the carrier psi_plus; nothing else is
+    cached.  The kernel tables are cached per (grid, params), the weights
+    per (grid, params, l).
 
     ``params`` must be the packet's: KernelParams of another (k0, b, eps)
     raise, since their weights would measure another configuration.

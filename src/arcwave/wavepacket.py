@@ -16,7 +16,6 @@ interpolation error at any eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +30,7 @@ __all__ = [
     "wave_packet",
     "band_mask",
     "build",
-    "carrier_halves",
+    "first_block",
 ]
 
 NESTING_RTOL = 1e-9
@@ -54,7 +53,7 @@ def second_order_corrections(A: EnvelopeField, params: ModelParams) -> np.ndarra
     c = second_order_coefficients(params.k0, params.b)
     a = A.values
     mod2, a2 = np.abs(a) ** 2, a**2
-    return np.array([c["c_m0"] * mod2, c["c_m2"] * a2, c["c_p0"] * mod2, c["c_p2"] * a2])
+    return np.array([c.c_m0 * mod2, c.c_m2 * a2, c.c_p0 * mod2, c.c_p2 * a2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +148,8 @@ def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
     return out
 
 
-def _first_block(packet: WavePacket, grid: Grid1D, t: float,
-                 profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_block(packet: WavePacket, grid: Grid1D, t: float,
+                profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(..., 2, n) coefficients of u_{-/+1} carried by a profile stack, linear
     in it, and the stack's lead band, (..., n).
 
@@ -162,7 +161,14 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
     (Hermitian) subspace: a real profile on an even envelope grid carries an
     unpaired Nyquist mode, and its canonical real interpolation onto the
     finer carrier grid splits that mode cosine-wise.  The lead band is the
-    lead profile riding e^{i(k0 alpha - omega0 t)}.
+    lead profile riding e^{i(k0 alpha - omega0 t)}: psi_plus, the O(1) half
+    of the carrier band, so the order-eps part of u_{-1} is
+    eps * (psi_plus + conj(psi_plus(-k))).
+
+    With ``packet.profiles`` this is the packet's realization: ``build``
+    slaves the second block to the first block, and
+    ``sim.energy_diagnostic`` does the same and also pairs the error with
+    the lead band, from this one band assembly.
     """
     p = packet.params
     j0 = _check_nesting(packet, grid)
@@ -181,23 +187,6 @@ def _first_block(packet: WavePacket, grid: Grid1D, t: float,
     return rows, carrier
 
 
-@lru_cache(maxsize=1)
-def _realized_first_block(packet: WavePacket, grid: Grid1D,
-                          t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The packet's first block and lead band at t, read-only, from one
-    band assembly.
-
-    ``build`` and ``carrier_halves`` both read it, so realizing a packet
-    and taking its carrier at the same (grid, t), as the energy diagnostic
-    does, assembles the bands once.  The latest realization is kept, keyed
-    on the packet's identity (a packet is immutable and hashes by identity).
-    """
-    first, lead = _first_block(packet, grid, t, packet.profiles)
-    for part in (first, lead):
-        part.setflags(write=False)
-    return first, lead
-
-
 def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
     """Realize the packet on the carrier grid at time t.
 
@@ -206,19 +195,5 @@ def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
     second slaved to it by :func:`arcwave.equations.slave_second_block`.
     The result is a fresh array.
     """
-    first, _ = _realized_first_block(packet, grid, t)
+    first, _ = first_block(packet, grid, t, packet.profiles)
     return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
-
-
-def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
-    """The O(1) halves of the leading carrier band, as (2, n) coefficients.
-
-    Row 0 is psi_plus, the envelope riding e^{i(k0 alpha - w0 t)}, and row 1
-    psi_minus, its complex conjugate, so that the order-eps part of the first
-    negative component is eps * (psi_plus + psi_minus).  Used by the energy
-    diagnostic, whose quadratic correction pairs the error against exactly
-    this carrier profile.  The band is the one ``build`` assembles for the
-    same (packet, grid, t), which this reads back rather than assembles again.
-    """
-    _, lead = _realized_first_block(packet, grid, t)
-    return np.array([lead, np.conj(lead.take(grid._conjugate_index))])

@@ -75,21 +75,35 @@ def q13_closed(j1: int, j2: int, k, m, b: float):
 # ---------------------------------------------------------------------------
 
 
+def nonlinear(system: TruncatedSystem, U: np.ndarray) -> np.ndarray:
+    """The nonlinearity of half spectra U, (..., r, n//2 + 1), as a fresh array.
+
+    One ``system.evaluator(r)`` is bound and applied to each state of the
+    stack in turn.
+    """
+    f = system.evaluator(U.shape[-2])
+    flat = U.reshape((-1,) + U.shape[-2:])
+    out = np.empty(flat.shape, dtype=np.complex128)
+    for state, row in zip(flat, out):
+        f(state, row)
+    return out.reshape(U.shape)
+
+
 def full_nonlinear(system: TruncatedSystem, state: np.ndarray) -> np.ndarray:
-    """``system.nonlinear`` on full-layout (..., 4, n) coefficients, complex allowed.
+    """The nonlinearity on full-layout (..., 4, n) coefficients, complex allowed.
 
     Writes U = A + iB with A, B the coefficients of real fields and uses
     that the nonlinearity N is a quadratic form:
     N(U) = N(A) - N(B) + i [N(A + B) - N(A) - N(B)], with the three
-    evaluations in one batched ``nonlinear`` call.  The Nyquist column
-    follows ``nonlinear``'s convention.
+    evaluations through one bound evaluator.  The Nyquist column follows
+    the evaluator's convention.
     """
     n = system.grid.n_points
     U = half_spectrum(state)
     flipped = np.conj(state[..., half_spectrum(system.grid._conjugate_index)])
     A = 0.5 * (U + flipped)
     B = -0.5j * (U - flipped)
-    NA, NB, NAB = full_spectrum(system.nonlinear(np.stack([A, B, A + B])), n)
+    NA, NB, NAB = full_spectrum(nonlinear(system, np.stack([A, B, A + B])), n)
     return NA - NB + 1j * (NAB - NA - NB)
 
 

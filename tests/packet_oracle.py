@@ -7,7 +7,9 @@ two-scale chain rule with the envelope moving under its modulation
 equation, and ``residual`` measures the defect of the four evolution
 equations at t = 0 against it.  ``residual_orders`` fits the decay of that
 defect in eps for sech packets, with and without the quadratic corrections.
-No production route needs these; the tests hold them.
+``carrier_halves`` reads the O(1) halves of the leading carrier band off the
+packet's band assembly.  No production route needs these; the tests hold
+them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from arcwave.equations import slave_second_block
 from arcwave.nls import EnvelopeField, nls_coefficients, second_order_coefficients
 from arcwave.sim import SimConfig, _sech_envelope, scan_grid_length
 from arcwave.spectral import Grid1D
-from arcwave.wavepacket import _HARMONICS, WavePacket, _first_block, build, wave_packet
+from arcwave.wavepacket import _HARMONICS, WavePacket, build, first_block, wave_packet
 from kernel_oracle import full_rhs
 
 
@@ -61,13 +63,26 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float) -> np.ndar
     if len(packet.profiles) > 1:
         c = second_order_coefficients(p.k0, p.b)
         mod2 = 2.0 * np.real(np.conj(a) * a_tau)          # d/dtau |A|^2
-        profiles_tau += [c["c_m0"] * mod2, c["c_m2"] * 2 * a * a_tau,
-                         c["c_p0"] * mod2, c["c_p2"] * 2 * a * a_tau]
+        profiles_tau += [c.c_m0 * mod2, c.c_m2 * 2 * a * a_tau,
+                         c.c_p0 * mod2, c.c_p2 * 2 * a * a_tau]
     d_profiles = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
                            in zip(profiles, profiles_tau, _HARMONICS)])
-    (u, du), _ = _first_block(packet, grid, t, np.array([profiles, d_profiles]))
+    (u, du), _ = first_block(packet, grid, t, np.array([profiles, d_profiles]))
     plus, minus = slave_second_block(grid, np.array([u + du, u - du]), p.b)
     return np.concatenate([du, 0.5 * (plus - minus)])
+
+
+def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
+    """The O(1) halves of the leading carrier band, as (2, n) coefficients.
+
+    Row 0 is psi_plus, the envelope riding e^{i(k0 alpha - w0 t)}, and row 1
+    psi_minus, its complex conjugate, so that the order-eps part of the first
+    negative component is eps * (psi_plus + psi_minus).  The band is the one
+    ``build`` assembles for the same (packet, grid, t), and the one the
+    energy diagnostic pairs the error against.
+    """
+    _, lead = first_block(packet, grid, t, packet.profiles)
+    return np.array([lead, np.conj(lead.take(grid._conjugate_index))])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for the truncated evolution system right-hand side."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from arcwave.dispersion import k0_symbol, omega, sigma, sigma_inv
 from arcwave.equations import TruncatedSystem, slave_second_block
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from fourier import hermitian_part, ik_power, mode_index, product
-from kernel_oracle import COMPONENT_INDEX, full_nonlinear
+from kernel_oracle import COMPONENT_INDEX, full_nonlinear, nonlinear
 
 GRID = Grid1D(n_points=256, length=2 * np.pi)
 BOND = 0.13
@@ -55,7 +57,7 @@ def test_nonlinearity_zero_mode_vanishes_exactly():
     system = TruncatedSystem(GRID, BOND)
     for _ in range(5):
         state = random_real_state(rng)
-        n = system.nonlinear(half_spectrum(state))
+        n = nonlinear(system, half_spectrum(state))
         assert np.max(np.abs(n[:, 0])) == 0.0
         assert np.max(np.abs(full_nonlinear(system, state)[:, 0])) == 0.0
 
@@ -74,8 +76,8 @@ def test_nonlinearity_is_homogeneous_quadratic():
     rng = np.random.default_rng(5)
     system = TruncatedSystem(GRID, BOND)
     state = half_spectrum(random_real_state(rng))
-    n1 = system.nonlinear(state)
-    n3 = system.nonlinear(3.0 * state)
+    n1 = nonlinear(system, state)
+    n3 = nonlinear(system, 3.0 * state)
     assert np.allclose(n3, 9.0 * n1, rtol=1e-12, atol=1e-18)
 
 
@@ -86,7 +88,7 @@ def test_cross_part_is_symmetric_bilinear():
     b = half_spectrum(random_real_state(rng))
 
     def cross(x, y):
-        return system.nonlinear(x + y) - system.nonlinear(x) - system.nonlinear(y)
+        return nonlinear(system, x + y) - nonlinear(system, x) - nonlinear(system, y)
 
     ab = cross(a, b)
     ba = cross(b, a)
@@ -313,7 +315,7 @@ def test_nonlinear_matches_term_by_term_reference(n, b):
     rng = np.random.default_rng(n + int(100 * b))
     hermitian = random_real_state(rng, grid)
     complex_state = random_complex_state(rng, grid)
-    out = full_spectrum(system.nonlinear(half_spectrum(hermitian)), n)
+    out = full_spectrum(nonlinear(system, half_spectrum(hermitian)), n)
     assert_matches_reference(out, grid, b, system.keep_mask, hermitian,
                              reference_rtol(n, b, "hermitian"))
     out = full_nonlinear(system, complex_state)
@@ -327,25 +329,15 @@ def test_nonlinear_matches_reference_on_band_restricted_mask():
     band = np.abs(np.abs(k) - 2.0) <= 0.9
     system = TruncatedSystem(grid, 0.05, extra_keep=band)
     state = random_real_state(np.random.default_rng(4), grid)
-    out = full_spectrum(system.nonlinear(half_spectrum(state)), grid.n_points)
+    out = full_spectrum(nonlinear(system, half_spectrum(state)), grid.n_points)
     assert_matches_reference(out, grid, 0.05, system.keep_mask, state)
-
-
-def test_nonlinear_batch_matches_single_calls():
-    rng = np.random.default_rng(12)
-    system = TruncatedSystem(GRID, BOND)
-    batch = np.stack([half_spectrum(random_real_state(rng)) for _ in range(3)])
-    out = system.nonlinear(batch)
-    assert out.shape == batch.shape
-    for state, row in zip(batch, out):
-        assert np.array_equal(row, system.nonlinear(state))
 
 
 def test_full_nonlinear_of_hermitian_state_is_nonlinear_exactly():
     # B = 0 exactly for a Hermitian input, so the polarization is exact
     system = TruncatedSystem(GRID, BOND)
     state = random_real_state(np.random.default_rng(13))
-    half = system.nonlinear(half_spectrum(state))
+    half = nonlinear(system, half_spectrum(state))
     assert np.array_equal(full_nonlinear(system, state),
                           full_spectrum(half, GRID.n_points))
 
@@ -358,8 +350,8 @@ def test_nyquist_column_is_ignored_and_returned_zero():
     with_nyquist = state.copy()
     with_nyquist[:, n // 2] = rng.normal(size=4)
     half = half_spectrum(with_nyquist)
-    out = system.nonlinear(half)
-    assert np.array_equal(out, system.nonlinear(half_spectrum(state)))
+    out = nonlinear(system, half)
+    assert np.array_equal(out, nonlinear(system, half_spectrum(state)))
     assert np.all(out[:, n // 2] == 0.0)
     # the full-layout adapter follows the same convention, complex or not
     cplx = random_complex_state(rng, GRID)
@@ -381,17 +373,19 @@ def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
 
     system = TruncatedSystem(GRID, BOND)
     state = half_spectrum(random_real_state(np.random.default_rng(9)))
-    system.nonlinear(state)  # build the cached tables outside the count
+    # bind both evaluators, building the cached tables, outside the count
+    four, two = system.evaluator(4), system.evaluator(2)
+    out = np.empty_like(state)
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    system.nonlinear(state)
+    four(state, out)
     n = GRID.n_points
-    # an unbatched state is one batch of one: 11 rows in, 8 rows out
-    assert calls == [("irfft", (11, 1, n // 2)), ("rfft", (8, 1, n))]
+    # 11 precursors in, 8 product sums out
+    assert calls == [("irfft", (11, n // 2)), ("rfft", (8, n))]
     # the first block alone: 3 rows in, 3 rows out
     calls.clear()
-    system.nonlinear(state[:2])
-    assert calls == [("irfft", (3, 1, n // 2)), ("rfft", (3, 1, n))]
+    two(state[:2], out[:2])
+    assert calls == [("irfft", (3, n // 2)), ("rfft", (3, n))]
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +394,17 @@ def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
 
 
 def parent_nonlinear(system, state):
-    """The four-component ``nonlinear`` as it was before the first block became
+    """The four-component nonlinearity as it was before the first block became
     a prefix of its product list: (s1, s2, d1, d2) order, 11 precursors
     unpacked by name, 8 product sums."""
     n = system.grid.n_points
-    m = n // 2
-    batch = state.shape[:-2]
-    u = state[..., :m].reshape(-1, 4, m).swapaxes(0, 1)
+    u = state[:, : n // 2]
     sd = np.array([u[0] + u[1], u[2] + u[3], u[0] - u[1], u[2] - u[3]])
     source = np.array([0, 0, 2, 1, 3, 1, 1, 1, 3, 3, 3])
     (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
      P_iasid2, P_K0iasid2, P_K0sid2a) = np.fft.irfft(
-         system._pre[:, None, :] * sd[source], n, norm="forward")
-    G = system._post[:, None, :] * np.fft.rfft(np.array([
+         system._pre * sd[source], n, norm="forward")
+    G = system._post * np.fft.rfft(np.array([
         P_K0s1 * P_K0s1 - P_s1 * P_s1,
         P_sid1 * P_s1,
         P_sid1 * P_K0s1,
@@ -424,8 +416,7 @@ def parent_nonlinear(system, state):
         P_sid1 * P_K0ia1s2,
     ]), norm="forward")
     E1, X1, E2, X2 = G[0], G[1] + G[2], G[3], G[4] + G[5] + G[6] + G[7]
-    out = np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
-    return out.swapaxes(0, 1).reshape(batch + (4, m + 1))
+    return np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
 
 
 def first_block_systems():
@@ -436,41 +427,36 @@ def first_block_systems():
             yield TruncatedSystem(grid, b, extra_keep=extra)
 
 
-@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
-def test_first_block_nonlinear_is_rows_0_1_of_the_four_row_call(batch):
+def test_first_block_nonlinear_is_rows_0_1_of_the_four_row_call():
     # the first block's products read only s1 and d1 and are the prefix of
-    # the product list, so the 2-row call is the 4-row call's rows 0-1 bit
-    # for bit, whatever the second block holds
+    # the product list, so the 2-row evaluation is the 4-row one's rows 0-1
+    # bit for bit, whatever the second block holds
     rng = np.random.default_rng(17)
     for system in first_block_systems():
         grid = system.grid
-        state = np.array([half_spectrum(random_real_state(rng, grid, scale=0.1))
-                          for _ in range(int(np.prod(batch)))]).reshape(
-                              batch + (4, grid.n_points // 2 + 1))
-        full = system.nonlinear(state)
-        first = system.nonlinear(state[..., :2, :])
-        assert first.shape == batch + (2, grid.n_points // 2 + 1)
-        assert np.array_equal(first, full[..., :2, :])
-        assert np.any(first != 0.0)
+        for _ in range(3):
+            state = half_spectrum(random_real_state(rng, grid, scale=0.1))
+            full = nonlinear(system, state)
+            first = nonlinear(system, state[:2])
+            assert first.shape == (2, grid.n_points // 2 + 1)
+            assert np.array_equal(first, full[:2])
+            assert np.any(first != 0.0)
 
 
 def test_four_row_nonlinear_is_bitwise_the_parent_product_list():
     rng = np.random.default_rng(18)
     for system in first_block_systems():
         grid = system.grid
-        for batch in ((), (3,)):
-            state = np.array([half_spectrum(random_real_state(rng, grid, scale=0.1))
-                              for _ in range(int(np.prod(batch)))]).reshape(
-                                  batch + (4, grid.n_points // 2 + 1))
-            assert np.array_equal(system.nonlinear(state), parent_nonlinear(system, state))
+        for _ in range(3):
+            state = half_spectrum(random_real_state(rng, grid, scale=0.1))
+            assert np.array_equal(nonlinear(system, state), parent_nonlinear(system, state))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5, 8])
 def test_nonlinear_refuses_other_row_counts(rows):
     system = TruncatedSystem(GRID, BOND)
-    state = np.zeros((rows, GRID.n_points // 2 + 1), dtype=complex)
     with pytest.raises(ValueError, match=f"got {rows}"):
-        system.nonlinear(state)
+        system.evaluator(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +464,22 @@ def test_nonlinear_refuses_other_row_counts(rows):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
 @pytest.mark.parametrize("rows", [2, 4])
-def test_bound_evaluator_is_bitwise_nonlinear_call_after_call(rows, batch):
-    # one evaluator reused on different states gives each state's fresh
-    # nonlinear(state) bit for bit, writes into out and leaves U alone
+def test_bound_evaluator_is_bitwise_nonlinear_call_after_call(rows):
+    # one evaluator reused on different states gives each state what a
+    # freshly bound evaluator gives, bit for bit, writes into out and
+    # leaves U alone
     rng = np.random.default_rng(21)
     for system in first_block_systems():
         grid = system.grid
-        states = [np.array([half_spectrum(random_real_state(rng, grid, scale=0.1))[:rows]
-                            for _ in range(int(np.prod(batch)))]).reshape(
-                                batch + (rows, grid.n_points // 2 + 1))
+        states = [half_spectrum(random_real_state(rng, grid, scale=0.1))[:rows]
                   for _ in range(2)]
-        f = system.evaluator(rows, batch)
+        f = system.evaluator(rows)
         out = np.empty_like(states[0])
         for state in (states[0], states[1], states[0]):
             before = state.copy()
             assert f(state, out) is out
-            assert np.array_equal(out, system.nonlinear(state))
+            assert np.array_equal(out, nonlinear(system, state))
             assert np.array_equal(state, before)
 
 
@@ -514,15 +498,22 @@ def test_bound_evaluator_refuses_other_shapes():
 
 
 def test_nonlinear_results_never_share_memory():
-    # each call binds its own buffers, so no result is a view of another's
+    # each evaluator owns its buffers and stores nothing on the system: two
+    # bound on one system and run at once from two threads give every call
+    # the state's fresh result, and only into their own outputs
     rng = np.random.default_rng(22)
     system = TruncatedSystem(GRID, BOND)
-    state = half_spectrum(random_real_state(rng))
-    batch = np.stack([state, half_spectrum(random_real_state(rng))])
-    results = [system.nonlinear(state), system.nonlinear(state),
-               system.nonlinear(state[:2]), system.nonlinear(batch)]
-    for i, a in enumerate(results):
-        assert not np.shares_memory(a, state) and not np.shares_memory(a, batch)
-        for b in results[i + 1:]:
-            assert not np.shares_memory(a, b)
-    assert np.array_equal(results[0], results[1])
+    states = [half_spectrum(random_real_state(rng)) for _ in range(2)]
+    wanted = [nonlinear(system, state) for state in states]
+    outs = [np.empty_like(state) for state in states]
+    evaluators = [system.evaluator(4) for _ in states]
+
+    def work(i):
+        return all(np.array_equal(evaluators[i](states[i], outs[i]), wanted[i])
+                   for _ in range(200))
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
+        assert list(ex.map(work, range(2))) == [True, True]
+    for i, out in enumerate(outs):
+        assert not np.shares_memory(out, states[i]) and not np.shares_memory(out, wanted[i])
+    assert not np.shares_memory(outs[0], outs[1])

@@ -30,7 +30,7 @@ from arcwave.kernels import (
     xi_hat,
     zeta_hat,
 )
-from arcwave.resonance import critical_bonds, stability
+from arcwave.resonance import critical_bonds, k1_of_b, stability
 from arcwave.spectral import Grid1D
 from fourier import mode_index
 from kernel_oracle import (
@@ -320,13 +320,12 @@ def test_second_block_symbol_rejects_first_block():
 
 def test_production_weights_never_call_the_equations(monkeypatch):
     # n_hat, rho_hat and the energy tables evaluate closed forms only; the
-    # equations serve as the tests' extraction oracle.  Every production
-    # nonlinearity binds ``evaluator``, and ``nonlinear`` is its unbuffered form
+    # equations serve as the tests' extraction oracle.  Every evaluation of
+    # the nonlinearity binds ``evaluator``
     def refuse(self, *args):
         raise AssertionError("production weights evaluated the equations")
 
     monkeypatch.setattr(TruncatedSystem, "evaluator", refuse)
-    monkeypatch.setattr(TruncatedSystem, "nonlinear", refuse)
     p = default_params(K0, 0.07)
     k = np.linspace(-6.0, 6.0, 97)
     for (j1, j2) in [(-2, -2), (-2, 2), (2, -2), (2, 2)]:
@@ -521,31 +520,41 @@ def test_first_block_rho_extremes_frozen():
 
 
 def test_kernel_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(eps=0.0, delta0=0.05, delta1=0.5, b=0.1, k0=2.0)
-    with pytest.raises(ValueError):
-        KernelParams(eps=0.1, delta0=0.2, delta1=0.5, b=0.1, k0=2.0)  # delta0 >= k0/20
-    with pytest.raises(ValueError):
-        KernelParams(eps=0.1, delta0=0.05, delta1=0.5, b=0.1, k0=2.0, k1=1.0)
-    p = KernelParams(eps=0.1, delta0=0.05, delta1=0.5, b=0.1, k0=2.0,
-                     k1=4.3001037060984473)
-    assert p.in_resonant_band
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            KernelParams(2.0, 0.1, eps)
+    with pytest.raises(ValueError, match="k0 must be positive"):
+        KernelParams(0.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="Bond number must be nonnegative"):
+        KernelParams(2.0, -0.01, 0.1)
+    # the derived fields are those of the constructive choices, and only
+    # (k0, b, eps) are given
+    p = KernelParams(2.0, 0.1, 0.1)
+    assert (p.delta0, p.delta1, p.k1) == (delta0_for(2.0, 0.1),
+                                          delta1_for(2.0, k1_of_b(2.0, 0.1)),
+                                          k1_of_b(2.0, 0.1))
+    assert p.in_resonant_band and p == default_params(2.0, 0.1)
+    with pytest.raises(TypeError):
+        KernelParams(2.0, 0.1, 0.1, delta0=0.05)
 
 
 def test_kernel_params_hold_k1_exactly_in_the_resonant_band():
-    with pytest.raises(ValueError, match=r"k1 must be given exactly when b lies in "
-                                         r"the resonant band .* b=0.1 and k1=None"):
-        KernelParams(eps=0.1, delta0=0.05, delta1=0.5, b=0.1, k0=2.0)
-    with pytest.raises(ValueError, match=r"k1 must be given exactly when b lies in "
-                                         r"the resonant band .* b=0.3 and k1=4.3"):
-        KernelParams(eps=0.1, delta0=0.05, delta1=0.5, b=0.3, k0=2.0, k1=4.3)
+    for b in (0.0, 0.236, 0.3):
+        p = KernelParams(K0, b, 0.1)
+        assert p.k1 is None and p.delta1 == 0.5
+    for b in (0.002, 0.1, 0.2):
+        assert KernelParams(K0, b, 0.1).k1 == k1_of_b(K0, b)
 
 
 def test_kernel_params_window_constraint_near_k1():
-    # delta1 too close to 1 would let the excision window swallow k=0
-    with pytest.raises(ValueError):
-        KernelParams(eps=0.1, delta0=0.05, delta1=0.99, b=0.2, k0=2.0,
-                     k1=2.49556787092591)
+    # delta1 too close to 1 would let the excision window swallow k = 0; the
+    # derived delta1 keeps under the admissibility bound 1 - k0/(20 (k1 - k0))
+    # up to b = 0.215, where k1 = 2.215 comes within 0.22 of k0
+    for b in (0.05, 0.2, 0.215):
+        p = KernelParams(K0, b, 0.1)
+        assert p.k1 > K0
+        assert 0.0 < p.delta1 < 1.0 - K0 / (20.0 * (p.k1 - K0))
+        assert 0.0 < p.delta0 < K0 / 20.0
 
 
 def test_delta0_scan_returns_admissible_width():

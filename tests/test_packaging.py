@@ -100,56 +100,33 @@ def test_every_cited_roadmap_item_exists():
     assert not missing, f"cited ROADMAP items without a header: {missing}"
 
 
-#: the calls the three benchmark workloads make at their ``--toy`` size, with
+#: the benchmark's own traffic: one ``--toy`` round of every workload in
+#: ``benchmark/workloads.py``, inputs made before the profile starts, with
 #: the scan's rows run inline (one CPU as far as ``error_scan`` can tell)
 PRODUCTION_ROUTES = """
 import os
-import numpy as np
-from arcwave import kernels, nls, resonance, sim, wavepacket
-from arcwave.spectral import Grid1D
+import workloads
 
 os.sched_getaffinity = lambda pid: {0}
-sim.error_scan((0.2, 0.15, 0.12),
-               sim.ScanTemplate(n=512, n_env=128, horizon="tau0_over_eps"))
-
-b0 = resonance.critical_bonds(2.0).b0
-for b in (0.26, 0.228, 0.2, 0.1, 0.05):
-    resonance.stability(2.0, b)
-    k_max = 1.25 * resonance.k1_of_b(2.0, b) + 5.0 if b < b0 else 60.0
-    resonance.find_zeros(2.0, b, k_max)
-    kernels.default_params(2.0, b)
-
-eps, b = 0.1, 0.05
-L = sim.scan_grid_length(eps, 12.0)
-config = sim.SimConfig(eps=eps, k0=2.0, b=b, n=512, length=L, dt=0.04, t_end=2.0,
-                       band_halfwidth=0.9)
-env = Grid1D(128, eps * L)
-A = nls.EnvelopeField(env, 1.0 / np.cosh(env.alpha - env.length / 2.0))
-coeffs, params = nls.nls_coefficients(2.0, b), kernels.default_params(2.0, b, eps)
-initial = sim.packet_initial_state(wavepacket.wave_packet(A, eps, config.model), config)
-A_now, prev_t = A, 0.0
-for s in sim.run(config, initial, sample_every=5).samples:
-    if s.t > prev_t:
-        A_now = nls.solve(A_now, coeffs, dtau=eps**2 * config.dt,
-                          tau_end=A_now.tau + eps**2 * (s.t - prev_t),
-                          sample_every=round((s.t - prev_t) / config.dt)).final()
-        prev_t = s.t
-    packet = wavepacket.wave_packet(nls.EnvelopeField(env, A_now.values), eps, config.model)
-    for l in (0, 2):
-        sim.energy_diagnostic(s, packet, l, params)
-    sim.consistency_residual(s, b)
-    s.reality_defect()
-    nls.mass(A_now)
+inputs = {name: w.inputs(1, True) for name, w in workloads.WORKLOADS.items()}
+failed = []
+sys.setprofile(profile)
+for name, w in workloads.WORKLOADS.items():
+    out = w.run_round(w.setup(inputs[name]), inputs[name])
+    failed += [f"{name}: {op['error']}" for op in out["ops"] if "error" in op]
+sys.setprofile(None)
 """
 
-#: defs of src/arcwave that no production route calls, each kept on purpose
+#: defs of src/arcwave that no production route calls, each kept on purpose;
+#: a file name alone allows every def in it
 REACH_ALLOWLIST = {
-    # the unbuffered form of ``evaluator``; its docstring holds the product list
-    "equations.py:TruncatedSystem.nonlinear",
     # the per-call first-block kernel gets a production role in ROADMAP item 14
     "kernels.py:n_hat",
     # reached only in the forked children of a scan, which the profile does not follow
     "sim.py:_bin_child",
+    # the three-wave ODEs wait for ROADMAP item 7 to check the triad verdict
+    # on the PDE (item 8)
+    "twi.py",
 }
 
 
@@ -179,8 +156,9 @@ def test_src_holds_only_production_routes():
     """Every def in src/arcwave runs on a production route, or is allowed.
 
     A fresh interpreter, so that every lru cache starts cold as in the
-    benchmark's workers, makes the workloads' calls under ``sys.setprofile``
-    and reports the code objects of src/arcwave that were entered.
+    benchmark's workers, replays the workloads' rounds under
+    ``sys.setprofile`` and reports the code objects of src/arcwave that were
+    entered, and the operations that failed.
     """
     src = Path(arcwave.__path__[0])
     code = ("import json, sys\n"
@@ -188,20 +166,17 @@ def test_src_holds_only_production_routes():
             "def profile(frame, event, arg):\n"
             "    if event == 'call' and frame.f_code.co_filename.startswith(sys.argv[1]):\n"
             "        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n"
-            "sys.setprofile(profile)\n"
             + PRODUCTION_ROUTES +
-            "sys.setprofile(None)\n"
-            "print(json.dumps(sorted(ran)))\n")
+            "print(json.dumps({'ran': sorted(ran), 'failed': failed}))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src.parent), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code, str(src)], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    ran = {(Path(name).name, line) for name, line in json.loads(out)}
-    # every def of twi.py is allowed too: the three-wave ODEs wait for ROADMAP
-    # item 7 to check the triad verdict on the PDE (item 8)
+        [str(src.parent), str(ROOT / "benchmark"), os.environ.get("PYTHONPATH", "")]))
+    out = json.loads(subprocess.run([sys.executable, "-c", code, str(src)], env=env,
+                                    check=True, capture_output=True, text=True).stdout)
+    assert out["failed"] == []
+    ran = {(Path(name).name, line) for name, line in out["ran"]}
     never = sorted(name for key, name in _source_defs().items()
-                   if key not in ran and not name.startswith("twi.py:"))
-    assert never == sorted(REACH_ALLOWLIST)
+                   if key not in ran and name.split(":")[0] not in REACH_ALLOWLIST)
+    assert never == sorted(name for name in REACH_ALLOWLIST if ":" in name)
 
 
 def test_readme_test_nodes_exist():

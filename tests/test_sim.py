@@ -217,7 +217,7 @@ def test_linear_evolution_is_exact(monkeypatch):
     # with the quadratic terms switched off, each Lawson step is the exact
     # linear propagator; the march evaluates them through the evaluator it
     # binds, so that is where they are switched off
-    def zero_evaluator(self, rows, batch=()):
+    def zero_evaluator(self, rows):
         def f(U, out):
             out[...] = 0.0
             return out
@@ -736,11 +736,17 @@ def test_error_scan_reports_a_child_that_left_without_its_rows(monkeypatch, how)
     assert_no_child_left()
 
 
-def test_error_scan_refuses_fewer_than_two_eps():
-    with pytest.raises(ValueError, match="at least two eps"):
-        error_scan((0.2,))
-    with pytest.raises(ValueError, match="at least two eps"):
-        error_scan(())
+def test_error_scan_refuses_fewer_than_two_eps(monkeypatch):
+    # a repeated eps is no second point of the fit (numpy would fit a slope
+    # through two identical rows, with only a RankWarning); every refusal
+    # comes before a row runs
+    def refuse(*args):
+        raise AssertionError("a scan row ran")
+
+    monkeypatch.setattr(sim, "_scan_rows", refuse)
+    for eps_list in ((0.2,), (), (0.2, 0.2), (0.15, 0.15, 0.15)):
+        with pytest.raises(ValueError, match="at least two distinct eps"):
+            error_scan(eps_list, FAST_TEMPLATE)
 
 
 def test_residual_orders_frozen():
@@ -974,11 +980,14 @@ def _packet_at(monitored_run, index):
 
 
 def test_energy_orders_share_one_realization(monkeypatch, monitored_run):
-    """All derivative orders on one (state, packet) realize the packet once;
-    a new packet object with equal content is realized afresh."""
+    """All derivative orders on one (state, packet) realize the packet once,
+    with one band assembly for its second block and its carrier; a new
+    packet object with equal content is realized afresh."""
     calls = []
-    realize = sim.build
-    monkeypatch.setattr(sim, "build", lambda *args: calls.append(args) or realize(*args))
+    realize = sim.first_block
+    monkeypatch.setattr(sim, "first_block",
+                        lambda *args: calls.append(args) or realize(*args))
+    monkeypatch.setattr(sim, "build", None)  # the energy slaves the block itself
     params = default_params(K0, BOND, EPS)
     state = monitored_run["run"].samples[4]
     packet = _packet_at(monitored_run, 4)
@@ -1001,8 +1010,9 @@ def test_state_and_packet_hash_and_compare_by_identity(monkeypatch, monitored_ru
         assert obj == obj and twin != obj
         assert len({obj, twin, obj}) == 2
     calls = []
-    realize = sim.build
-    monkeypatch.setattr(sim, "build", lambda *args: calls.append(args) or realize(*args))
+    realize = sim.first_block
+    monkeypatch.setattr(sim, "first_block",
+                        lambda *args: calls.append(args) or realize(*args))
     params = default_params(K0, BOND, EPS)
     values = [energy_diagnostic(s, p, 2, params)
               for s, p in ((state, packet), (state_twin, packet), (state, packet_twin))]

@@ -23,12 +23,11 @@ from arcwave.wavepacket import (
     _band_coefficients,
     band_mask,
     build,
-    carrier_halves,
     second_order_corrections,
     wave_packet,
 )
 from fourier import mode_index
-from packet_oracle import build_time_derivative, envelope_rhs
+from packet_oracle import build_time_derivative, carrier_halves, envelope_rhs
 
 EPS = 0.1
 PARAMS = ModelParams(k0=2.0, b=0.05)
@@ -151,8 +150,8 @@ class TestRealization:
             if corrections:
                 c = second_order_coefficients(PARAMS.k0, PARAMS.b)
                 mod2 = 2.0 * np.real(np.conj(a) * a_tau)
-                sec_tau = [c["c_m0"] * mod2, c["c_m2"] * 2 * a * a_tau,
-                           c["c_p0"] * mod2, c["c_p2"] * 2 * a * a_tau]
+                sec_tau = [c.c_m0 * mod2, c.c_m2 * 2 * a * a_tau,
+                           c.c_p0 * mod2, c.c_p2 * 2 * a * a_tau]
                 d_sec = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
                                   in zip(sec, sec_tau, (0, 2, 0, 2))])
             du = band_by_band_first_block(packet, CARRIER, t, d_dt(a, a_tau, 1), d_sec)
@@ -217,11 +216,11 @@ class TestRealization:
         lead = EPS * c0 * np.exp(-1j * w0 * t)
         assert abs(u_m1[at(k0)] - lead) < 1e-15
         assert abs(u_m1[at(-k0)] - np.conj(lead)) < 1e-15
-        assert abs(u_m1[at(0.0)] - EPS**2 * c["c_m0"] * abs(c0) ** 2) < 1e-15
-        harm = EPS**2 * c["c_m2"] * c0**2 * np.exp(-2j * w0 * t)
+        assert abs(u_m1[at(0.0)] - EPS**2 * c.c_m0 * abs(c0) ** 2) < 1e-15
+        harm = EPS**2 * c.c_m2 * c0**2 * np.exp(-2j * w0 * t)
         assert abs(u_m1[at(2 * k0)] - harm) < 1e-15
-        assert abs(u_p1[at(0.0)] - EPS**2 * c["c_p0"] * abs(c0) ** 2) < 1e-15
-        harm_p = EPS**2 * c["c_p2"] * c0**2 * np.exp(-2j * w0 * t)
+        assert abs(u_p1[at(0.0)] - EPS**2 * c.c_p0 * abs(c0) ** 2) < 1e-15
+        harm_p = EPS**2 * c.c_p2 * c0**2 * np.exp(-2j * w0 * t)
         assert abs(u_p1[at(-2 * k0)] - np.conj(harm_p)) < 1e-15
 
         assert np.count_nonzero(u_m1) == 5
