@@ -591,7 +591,13 @@ def delta0_for(k0: float, b: float) -> float:
 
 
 def delta1_for(k0: float, k1: float) -> float:
-    """Admissible window half-width parameter for the resonant-pair cutoffs."""
+    """Admissible window half-width parameter for the resonant-pair cutoffs.
+
+    Raises when the admissibility bound 1 - k0/(20(k1 - k0)) is 0.055 or
+    less, i.e. k1 - k0 <= k0/18.9: at k0 = 2 that is every b in
+    (0.21990, b0 = 0.22408), so ``KernelParams`` refuses there although k1
+    exists.
+    """
     bound = 1.0 - k0 / (20.0 * (k1 - k0))
     if bound <= 0.055:
         raise ValueError(

@@ -7,7 +7,7 @@ For a carrier wavenumber ``k0`` the central object is
 whose nontrivial zeros mark wavenumbers that exchange energy with the carrier
 at leading order.  The module locates those zeros, classifies the zero
 structure as the Bond number varies, computes the two critical Bond numbers
-where the structure changes (both are fold points, i.e. tangencies of r), and
+of the folds (tangencies of r) at the symmetry points k0/2 and k0, and
 issues the stability verdict for the carrier.
 """
 
@@ -49,8 +49,10 @@ BOND_XTOL = 1e-15
 TANGENCY_TOL = 1e-8
 #: nominal scan step of ``find_zeros``, which scans at k0/s, s = round(k0/_SCAN_STEP)
 _SCAN_STEP = 0.01
-#: most points at which the scan of ``find_zeros`` evaluates r
-_SCAN_MAX_POINTS = 500_000
+#: |r'(k0)| from which on ``find_zeros`` seeds no Newton search at k0: there
+#: |r(k*)| ~ r'(k0)^2 / 2|r''(k0)| at a stationary point k* next to k0, which
+#: TANGENCY_TOL bounds by |r'(k0)| <~ 5.7e-5 at k0 = 2 (175 times below this)
+_K0_SEED_SLOPE = 1e-2
 
 
 #: relative tolerance of every root: four float64 ulps, as in scipy's brentq
@@ -235,62 +237,38 @@ def _stationary_point(k_seed: float, b: float, k0: float,
 def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     """Locate all zeros of r(.,b) on [k0/2, k_max].
 
-    r is scanned on the k0-aligned grid k0/2 + i k0/s, i = 0, 1, ..., below
-    k_max, with s = round(k0/0.01) (step 0.01 at k0 = 2), and at k_max
-    itself.  On that grid k - k0 is the same grid s points lower, so one
-    array evaluation of omega, on the grid extended down to -k0/2 plus
-    k_max and k_max - k0, gives both terms of r at every scan point.  Past
-    500 000 points s drops to the largest whole number that keeps the scan
-    under that cap, so the grid stays aligned and still reaches k_max.
+    The folds fix the zeros above k0: there is one, k1 = ``k1_of_b(k0, b)``,
+    exactly when 0 < b < b0, and none otherwise.  So r is scanned only from
+    k0/2 to just past k0, where a third fold can hold a pair of zeros (see
+    ``critical_bonds``), on the k0-aligned grid k0/2 + i k0/s, s =
+    round(k0/0.01), through the first point past k0 and one more.  There
+    k - k0 is the same grid s points lower, so one array call of omega gives
+    both of r's terms (302 points at k0 = 2).  Sign changes are solved by
+    Brent's method; a k1 past the scan is solved on the cell of the aligned
+    grid, continued to k_max, that holds ``k1_of_b``'s root, the cell a scan
+    of the whole window would bracket.  Double zeros come from a Newton
+    iteration on r' = 0 seeded at the scan's minima of |r| below 1e-4, at
+    k0/2 and, where |r'(k0)| < 1e-2, at k0.  k0 itself is always a zero.
 
-    Sign-change zeros are bracketed on the scan and bisected; tangential
-    (double) zeros — where r and its k-derivative vanish together — are found
-    by a Newton iteration on the stationarity condition seeded from scan
-    minima of |r| below 1e-4, plus explicit checks at the two symmetry points
-    k0/2 and k0 where folds occur.  k0 itself is always a zero and is
-    included analytically.
-
-    Raises ValueError when the scan tail has not settled into a monotone
-    approach of its limit, which signals that zeros may hide beyond k_max,
-    and when k_max lies so far out that even s = 1 exceeds the cap.
-
-    A transversal zero k1 is known only to within ZERO_XTOL +
-    4 eps_mach omega(k1) / |omega'(k1) - omega'(k1 - k0)|, the band over
-    which rounding flips r's sign (see ``ZERO_XTOL``); at k0 = 2 that band
-    is wider than ZERO_XTOL below b ~ 0.005.
+    Needs ``critical_bonds(k0)`` (k0 up to about 3.3).  Raises ValueError for
+    k_max <= k0, a negative or non-finite b, and k1 beyond k_max.  A zero k1
+    is known only to within ZERO_XTOL + 4 eps_mach omega(k1) /
+    |omega'(k1) - omega'(k1 - k0)| (see ``ZERO_XTOL``).
     """
     if not k_max > k0:
         raise ValueError(f"k_max={k_max} must exceed k0={k0}")
+    if not (b >= 0.0 and math.isfinite(b)):
+        raise ValueError(f"the Bond number must be finite and non-negative, got {b}")
+    bonds = critical_bonds(k0)
 
     lo = k0 / 2.0
-    s = min(max(1, round(k0 / _SCAN_STEP)),
-            math.floor((_SCAN_MAX_POINTS - 1) * k0 / (k_max - lo)))
-    if s < 1:
-        raise ValueError(
-            f"k_max={k_max} needs more than {_SCAN_MAX_POINTS} scan points at a "
-            f"step of k0={k0}"
-        )
+    s = max(1, round(k0 / _SCAN_STEP))
     h = k0 / s
-    n = math.ceil((k_max - lo) / h)  # aligned scan points below k_max
+    n = (s + 1) // 2 + 2  # scan points: through the first past k0, and one more
     grid = (lo - k0) + h * np.arange(n + s)
-    w = omega(np.concatenate([grid, (k_max - k0, k_max)]), b)
-    ks = np.append(grid[s:], k_max)
-    rv = np.append(w[s:n + s] - w[:n], w[-1] - w[-2]) - omega(k0, b)
-
-    # --- tail sanity: monotone and not heading toward an out-of-window zero
-    tail = rv[-max(10, rv.size // 50):]
-    diffs = np.diff(tail)
-    if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
-        raise ValueError(
-            f"k_max={k_max} too small: r is not yet monotone near the window end"
-        )
-    if (np.all(diffs >= 0) and rv[-1] < -TANGENCY_TOL) or (
-        np.all(diffs <= 0) and rv[-1] > TANGENCY_TOL
-    ):
-        raise ValueError(
-            f"k_max={k_max} too small: r is monotone but has not crossed its "
-            f"limit sign yet (r(k_max)={rv[-1]:.3e}); a zero may lie beyond"
-        )
+    w = omega(grid, b)
+    ks = grid[s:]
+    rv = w[s:] - w[:n] - omega(k0, b)
 
     rfun = _r_hat_scalar(b, k0)
     zeros: list[float] = [k0]
@@ -301,14 +279,28 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
         z = _brentq(rfun, ks[i], ks[i + 1], xtol=ZERO_XTOL)
         if abs(z - k0) > 1e-7:
             zeros.append(float(z))
+    if 0.0 < b < bonds.b0 and rv[-1] < 0.0:  # k1 lies past the scan
+        k1 = k1_of_b(k0, b)
+        if k1 > k_max:
+            raise ValueError(f"k_max={k_max} too small: the zero k1={k1:.6g} lies beyond it")
 
-    # --- tangential zeros: scan minima of |r| away from sign changes
+        def x(i: int) -> float:  # the aligned grid continued, rounded as ``grid`` is
+            return (lo - k0) + h * (i + s)
+
+        i = math.floor((k1 - lo) / h)  # the cell [x(i), x(i + 1)) holds k1
+        i += (x(i + 1) <= k1) - (x(i) > k1)
+        top = k_max if i + 1 >= math.ceil((k_max - lo) / h) else x(i + 1)
+        zeros.append(float(_brentq(rfun, x(i), top, xtol=ZERO_XTOL)))
+
+    # --- tangential zeros: seeds near k0 only where a double zero can sit there
     double_zeros: list[float] = []
     absr = np.abs(rv)
     near = np.flatnonzero(absr[1:-1] < 1e-4) + 1
     near = near[(absr[near] <= absr[near - 1]) & (absr[near] <= absr[near + 1])]
-    candidates = ks[near].tolist()
-    candidates.extend([k0 / 2.0, k0])  # the two fold locations
+    fold_at_k0 = abs(_r_hat_deriv(k0, b, k0)) < _K0_SEED_SLOPE
+    if not fold_at_k0:
+        near = near[np.abs(ks[near] - k0) > 0.75 * h]
+    candidates = ks[near].tolist() + [lo] + ([k0] if fold_at_k0 else [])
     for seed in candidates:
         ks_star = _stationary_point(seed, b, k0, lo, k_max)
         if ks_star is None:
@@ -355,9 +347,9 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
 
 @lru_cache(maxsize=64)
 def critical_bonds(k0: float) -> CriticalBonds:
-    """The two Bond numbers where the zero structure of r changes.
+    """The Bond numbers of the two folds of r's zero set at its symmetry points.
 
-    Both are fold points of the zero set:
+    Both are fold points of the zero set, at k0/2 and at k0:
 
     * at ``b1`` the mirror pair of extra zeros is born in a tangency at the
       symmetry point k0/2 (dr/dk vanishes there identically, so the fold
@@ -365,9 +357,14 @@ def critical_bonds(k0: float) -> CriticalBonds:
     * at ``b0`` the extra zero crosses the trivial zero at k0, where the fold
       reduces to dr/dk(k0, b) = 0 (r(k0, b) = 0 holds for every b).
 
+    The structure also changes at a third fold, inside (k0/2, k0), for k0
+    near 3: a pair of zeros lives there past b1, up to b ~ 0.1689 at k0 = 3
+    (b1 = 0.166978) and ~ 0.1531 at k0 = 3.3; k0 = 1 to 2.5 have none.
+
     Each scalar condition is solved by Brent's method on a sign-changing
     bracket to ``BOND_XTOL``; for k0 from 0.5 to 3 that lands within 1e-15
-    of the root (checked against 40-digit arithmetic).
+    of the root (checked against 40-digit arithmetic).  Past k0 ~ 3.3 the two
+    folds cross and the pair is refused (``CriticalBonds``).
     """
     if not k0 > 0:
         raise ValueError(f"k0 must be positive, got {k0}")
@@ -397,11 +394,12 @@ def k1_of_b(k0: float, b: float) -> float:
     """The resonant partner wavenumber: largest zero of r on (k0, inf).
 
     Exists exactly for 0 < b < b0(k0); decreasing in b and diverging like
-    1/b as b -> 0.  Cached on (k0, b), so ``stability``, ``default_params``
-    and their caller share one solve per Bond number.  The root is known
-    only to within ZERO_XTOL + 4 eps_mach omega(k1) / |omega'(k1) -
-    omega'(k1 - k0)| (see ``ZERO_XTOL``), so it may differ from the zero
-    ``find_zeros`` reports by that much.
+    1/b as b -> 0.  Cached on (k0, b), so ``stability``, ``default_params``,
+    ``find_zeros`` and their caller share one solve per Bond number.  The
+    root is known only to within ZERO_XTOL + 4 eps_mach omega(k1) /
+    |omega'(k1) - omega'(k1 - k0)| (see ``ZERO_XTOL``).  ``find_zeros``
+    solves again from this root's cell of its aligned grid, so the k1 it
+    reports may differ from this one by that much.
     """
     bonds = critical_bonds(k0)
     if not (0.0 < b < bonds.b0):

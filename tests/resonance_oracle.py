@@ -1,15 +1,18 @@
 """The tests' resonance references: the first ``find_zeros`` scan and the
 paper's hypotheses on omega.
 
-:func:`arcwave.resonance.find_zeros` scans r on a k0-aligned grid, where one
-array evaluation of omega gives both of r's terms.  ``find_zeros_linspace``
-is the scan it replaced: r_hat on a ``linspace`` of step at most 0.01 from
-k0/2 to k_max, omega evaluated separately at k and at k - k0, and the |r|
-minima found by comparing every interior point with its neighbours.  The
-bracketing, Brent solves, Newton refinement and classification are the
-production function's; only the scan and the minima search differ.
-``record_omega_arrays`` records the array calls of omega that a module
-makes, so tests can pin how many points the scan and ``delta0_for`` cost.
+:func:`arcwave.resonance.find_zeros` scans r only on [k0/2, k0] and takes
+the zero above k0 from the folds (``k1_of_b`` when 0 < b < b0, none
+otherwise).  ``find_zeros_linspace`` is its first form and now the only
+scan of the whole window: r_hat on a ``linspace`` of step at most 0.01 from
+k0/2 to k_max, omega evaluated separately at k and at k - k0, the |r|
+minima found by comparing every interior point with its neighbours, and a
+refusal when the tail of the window has not settled.  Its bracketing,
+Brent solves, Newton refinement and classification are those
+``find_zeros`` had then, so it certifies that the folds leave no zero
+above k0 unaccounted for.  ``record_omega_arrays`` records the array calls
+of omega that a module makes, so tests can pin how many points the scan
+and ``delta0_for`` cost.
 
 Two of the paper's hypotheses on omega are checked here as stated, since no
 production route needs them: ``inflection_points`` locates where omega

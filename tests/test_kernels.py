@@ -507,11 +507,21 @@ def test_first_block_rho_hat_is_its_kernel_ratio(l):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
-def test_first_block_rho_extremes_frozen():
-    """ROADMAP item 11's b = 0.05 row for j1 = -1: about 3.14 and 50.6."""
-    p = default_params(2.0, 0.05)
-    assert rho_extremes(-1, 0, p) == pytest.approx((1.0, 3.139441182566855), rel=1e-12)
-    assert rho_extremes(-1, 2, p) == pytest.approx((1.0, 50.64319155265893), rel=1e-12)
+def test_first_block_rho_extremes_fall_to_one_as_b_vanishes():
+    """ROADMAP item 11's j1 = -1 columns: the weight's minimum is 1 and both
+    maxima fall monotonically toward 1 as b -> 0, (l = 0, l = 2) = (3.14,
+    50.6) at b = 0.05 down to (1.05, 1.13) at b = 0.001."""
+    frozen = {0.05: (3.139441182566855, 50.64319155265893),
+              0.02: (1.836703528702124, 6.887565775556377),
+              0.01: (1.4294639956132693, 2.9235999809163937),
+              0.001: (1.0483686489550714, 1.1343916467873862)}
+    for b, maxima in frozen.items():
+        p = default_params(2.0, b)
+        for l, hi in zip((0, 2), maxima):
+            assert rho_extremes(-1, l, p) == pytest.approx((1.0, hi), rel=1e-12), (b, l)
+    for i in (0, 1):
+        column = [maxima[i] for maxima in frozen.values()]
+        assert all(a > c > 1.0 for a, c in zip(column, column[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -629,6 +639,17 @@ def test_delta1_for_known_cases():
     assert delta1_for(2.0, 4.3001037060984473) == pytest.approx(0.860871329513806, rel=1e-9)
     # tight gap: formula floor kicks in rather than going nonpositive
     assert delta1_for(2.0, 2.12) >= 0.05
+
+
+def test_kernel_params_refuse_the_band_just_below_b0():
+    """At k0 = 2, k1 - k0 falls to 0.1058 at b = 0.21990, where delta1_for's
+    admissibility bound reaches 0.055: every b from there up to b0 = 0.22408
+    is refused, although k1 exists."""
+    KernelParams(K0, 0.21989, 0.1)
+    for b in (0.21991, 0.224):
+        assert 0.0 < b < critical_bonds(K0).b0
+        with pytest.raises(ValueError, match="sits too close to k0"):
+            KernelParams(K0, b, 0.1)
 
 
 def test_default_params_fills_the_band_fields():

@@ -1,7 +1,5 @@
 """Resonance geometry: critical Bond numbers, zero structure, stability."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -48,6 +46,13 @@ INFLECTION_TABLE = {
 }
 B_CURVATURE_FLAT = 0.080808958177103266   # omega''(2, b) = 0
 B_SECOND_HARMONIC = 0.11220496039122606   # omega(4, b) = 2*omega(2, b)
+
+
+def k1_band(k0: float, b: float, k1: float) -> float:
+    """Width over which rounding flips r's sign around k1: four ulps of
+    omega(k1) over r's slope there (see ``ZERO_XTOL``)."""
+    slope = abs(omega_deriv(k1, b, 1) - omega_deriv(k1 - k0, b, 1))
+    return 4 * np.finfo(float).eps * omega(k1, b) / slope
 
 
 def test_r_hat_vanishes_at_k0_and_is_vectorized():
@@ -197,15 +202,22 @@ class TestFindZeros:
     def test_unsettled_tail_raises(self):
         # at b=1e-4 the first nontrivial zero sits near k=2146; a window that
         # stops at 100 must refuse rather than report "no zeros"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lies beyond it"):
             find_zeros(K0, 1e-4, 100.0)
 
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             find_zeros(K0, 0.2, 1.5)
-        # past 500 000 points even a step of k0 is too many
-        with pytest.raises(ValueError, match="scan points"):
-            find_zeros(K0, 0.2, 2e6)
+
+    @pytest.mark.parametrize("k0,b,match", [
+        (K0, -0.1, "finite and non-negative"),
+        (K0, float("nan"), "finite and non-negative"),
+        # the folds b0 < b1 exist only up to k0 ~ 3.3 (critical_bonds)
+        (3.5, 0.1, "0 < b0 < b1 < 1/3"),
+    ])
+    def test_refusals(self, k0, b, match):
+        with pytest.raises(ValueError, match=match):
+            find_zeros(k0, b, 60.0)
 
     @pytest.mark.parametrize("b", BOND_SWEEP_ANCHORS + (
         BONDS.b0, BONDS.b1, (BONDS.b0 + BONDS.b1) / 2, 1 / 4.25))
@@ -221,45 +233,82 @@ class TestFindZeros:
         assert np.max(np.abs(np.subtract(got.zeros + got.double_zeros,
                                          ref.zeros + ref.double_zeros))) <= ZERO_XTOL
 
-    def test_one_omega_call_on_the_aligned_grid(self, monkeypatch):
-        """At b = 0.002 (k1 = 110) the scan is one array call of omega on the
-        n aligned points below k_max, the s = 200 points below them and the
-        pair (k_max - k0, k_max); every other evaluation is scalar."""
-        b = 0.002
-        k_max = 1.25 * k1_of_b(K0, b) + 5.0
+    def test_the_folds_fix_the_zeros_above_k0(self):
+        """``find_zeros`` scans only [k0/2, k0] and takes the zero above k0
+        from the folds: k1 when 0 < b < b0, none otherwise.  Against the
+        linspace scan of the whole window, at k0 = 1, 2 and 3 on Bond
+        numbers from 1e-3 to 0.35, at 0, through both folds, mid-band and (at
+        k0 = 3) the third fold's pair: the same classification, zero and
+        double-zero counts, every zero within ZERO_XTOL, k1 within
+        ZERO_XTOL plus its rounding band."""
+        for k0 in (1.0, 2.0, 3.0):
+            bonds = critical_bonds(k0)
+            bs = np.geomspace(1e-3, 0.35, 100).tolist() + [
+                0.0, bonds.b0, bonds.b1, (bonds.b0 + bonds.b1) / 2, 0.1675, 0.1685]
+            for b in bs:
+                in_band = 0.0 < b < bonds.b0
+                k_max = 1.25 * k1_of_b(k0, b) + 5.0 if in_band else 30.0 * k0
+                got, ref = find_zeros(k0, b, k_max), find_zeros_linspace(k0, b, k_max)
+                assert got.classification is ref.classification, (k0, b)
+                assert len(got.zeros) == len(ref.zeros), (k0, b)
+                assert len(got.double_zeros) == len(ref.double_zeros), (k0, b)
+                assert (got.k1 is None) == (not in_band), (k0, b)
+                tol = np.full(len(got.zeros), ZERO_XTOL)
+                if in_band:
+                    tol[-1] += k1_band(k0, b, got.k1)
+                assert np.all(np.abs(np.subtract(got.zeros, ref.zeros)) <= tol), (k0, b)
+                assert np.max(np.abs(np.subtract(got.double_zeros, ref.double_zeros)),
+                              initial=0.0) <= ZERO_XTOL, (k0, b)
+
+    def test_third_fold_pair_inside_the_scan(self):
+        """At k0 = 3 a third fold, inside (k0/2, k0), keeps two zeros there
+        up to b ~ 0.1689, past b1 = 0.166978; the folds at k0/2 and k0 alone
+        would miss them.  Both against 40-digit mpmath roots of r."""
+        mp = pytest.importorskip("mpmath")
+        k0, b = 3.0, 0.1675
+        rep = find_zeros(k0, b, 90.0)
+        assert critical_bonds(k0).b1 < b
+        assert rep.classification is Classification.EXTRA_ZERO_PAIR
+        assert rep.k1 is None and rep.double_zeros == ()
+        with mp.workdps(40):
+            def w(x):
+                return mp.sign(x) * mp.sqrt((x + b * x**3) * mp.tanh(x))
+
+            def r(k):
+                return w(k) - w(k - k0) - w(mp.mpf(k0))
+
+            want = [float(mp.findroot(r, mp.mpf(z))) for z in (1.82085, 2.67226)]
+        assert rep.zeros[2] == k0
+        assert np.max(np.abs(np.subtract(rep.zeros[:2], want))) <= 1e-9
+
+    @pytest.mark.parametrize("b,k_max", [(0.2, 60.0), (0.002, 143.0), (0.28, 300.0),
+                                         (1e-4, 6000.0)])
+    def test_one_omega_call_of_302_points(self, monkeypatch, b, k_max):
+        """Whatever k_max, the scan is one array call of omega on the 102
+        aligned points from k0/2 to k0 + 0.01 and the s = 200 points below
+        them; every other evaluation is scalar."""
         calls = record_omega_arrays(monkeypatch, resonance)
         find_zeros(K0, b, k_max)
-        n = math.ceil((k_max - K0 / 2) / 0.01)
-        assert [a.size for a in calls] == [n + 200 + 2]
-
-    def test_point_cap_keeps_the_grid_aligned(self, monkeypatch):
-        """b = 1e-4 with k_max = 6000 needs 600 000 points at step 0.01, so
-        the cap coarsens the step to k0/s with a smaller whole s.  The grid
-        still starts at k0/2, pairs each k with k - k0 exactly s points
-        lower and ends at k_max.
-
-        k1 ≈ 2146 is defined only to about 7e-10 here: r's three omega terms
-        are near 1e3 and its slope is 3.2e-4, so r changes sign about a
-        hundred times across that width from rounding alone.  The tolerance
-        on k1 is four ulps of omega(k1) over the slope, not ZERO_XTOL."""
-        b, k_max = 1e-4, 6000.0
-        k1 = k1_of_b(K0, b)
-        calls = record_omega_arrays(monkeypatch, resonance)
-        got = find_zeros(K0, b, k_max)
-        (x,) = calls
-        assert x[-2:].tolist() == [k_max - K0, k_max]
-        grid = x[:-2]
-        h = grid[1] - grid[0]
-        s = round(K0 / h)
-        n = grid.size - s
-        assert s < 200 and s * h == pytest.approx(K0, rel=1e-15)
-        assert n + 1 <= 500_000
-        assert np.max(np.abs(grid[s:] - grid[:n] - K0)) < 1e-9
+        (grid,) = calls
+        s = 200
+        assert grid.size == 302
         assert grid[s] == pytest.approx(K0 / 2, abs=1e-12)
-        assert grid[-1] < k_max <= grid[-1] + h
-        slope = abs(omega_deriv(k1, b, 1) - omega_deriv(k1 - K0, b, 1))
-        assert abs(got.k1 - k1) <= ZERO_XTOL + 4 * np.finfo(float).eps * omega(k1, b) / slope
-        assert got.classification is find_zeros_linspace(K0, b, k_max).classification
+        assert grid[-1] == pytest.approx(K0 + 0.01, abs=1e-12)
+        assert np.max(np.abs(grid[s:] - grid[:-s] - K0)) < 1e-9
+
+    def test_far_k1_is_k1_of_b_within_its_rounding_band(self):
+        """k1 ≈ 2146 at b = 1e-4 is defined only to about 7e-10: r's three
+        omega terms are near 1e3 and its slope is 3.2e-4, so r changes sign
+        about a hundred times across that width from rounding alone.  The
+        zero solved on its aligned cell is ``k1_of_b``'s root to within four
+        ulps of omega(k1) over the slope, not ZERO_XTOL."""
+        b = 1e-4
+        k1 = k1_of_b(K0, b)
+        got = find_zeros(K0, b, 6000.0)
+        assert got.classification is Classification.TWO_ZEROS
+        assert got.zeros == (K0, got.k1)
+        assert abs(got.k1 - k1) <= ZERO_XTOL + k1_band(K0, b, k1)
+        assert k1_band(K0, b, k1) > 100 * ZERO_XTOL
 
 
 class TestStability:
