@@ -31,6 +31,74 @@ def r_hat(k, b, k0=K0):
     return omega(k, b) - omega(k - k0, b) - omega(k0, b)
 
 
+#: carriers whose critical Bond numbers the tests freeze
+BOND_K0S = ("0.1", "0.3", "0.5", "1", "1.25", "2", "2.5", "3", "3.3")
+
+
+def closed_form_bonds(k0):
+    """(b0, b1) from the closed forms of ``arcwave.resonance.critical_bonds``."""
+    t, T, S = mp.tanh(k0 / 2), mp.tanh(k0), mp.sech(k0) ** 2
+    b1 = 4 * t**2 / (k0**2 * (3 - t**2))
+    P, a = T + k0 * S, 3 * T + k0 * S
+    lin, const = 2 * P * a - 4 * k0 * T, P**2 - 4 * k0 * T
+    x = (-lin + mp.sqrt(lin**2 - 4 * a**2 * const)) / (2 * a**2)
+    return x / k0**2, b1
+
+
+def findroot_bonds(k0):
+    """(b0, b1) as roots of omega'(k0, b) = 1 and 2 omega(k0/2, b) = omega(k0, b)."""
+    b1 = mp.findroot(lambda b: 2 * omega(k0 / 2, b) - omega(k0, b), mp.mpf("0.2"))
+    b0 = mp.findroot(lambda b: omega_d(k0, b, 1) - 1, mp.mpf("0.2"))
+    return b0, b1
+
+
+def fold_zero(k0, b):
+    """The zero of r next to k0 at a b near b0, bracketed around the fold's
+    estimate k0 + d, d = -2 r'(k0) / r''(k0) (above k0 for b < b0, below
+    it for b > b0)."""
+    d = -2 * (omega_d(k0, b, 1) - 1) / omega_d(k0, b, 2)
+    ends = sorted([k0 + d / 2, k0 + 2 * d])
+    return mp.findroot(lambda k: r_hat(k, b, k0), tuple(ends), solver="anderson")
+
+
+def fold_values():
+    """What the fold tests of tests/test_resonance.py freeze, at 40 digits.
+
+    Their Bond numbers are float64 expressions: b0 (1 -+ 10^-x) with b0 the
+    correctly rounded root (arcwave's is within 4 ulps of it, which moves
+    the zeros printed here by under 1e-14), and 0.33 and 0.21 from
+    ``np.linspace(0, 0.35, 36)``; each is taken at its exact binary value.
+    """
+    with mp.workdps(40):
+        print("\n== critical Bond numbers: closed forms beside findroot ==")
+        bonds = {}
+        for k0s in BOND_K0S:
+            k0 = mp.mpf(k0s)
+            cb0, cb1 = closed_form_bonds(k0)
+            fb0, fb1 = findroot_bonds(k0)
+            bonds[k0s] = float(fb0)
+            print(f"k0={k0s}: b0 = {float(fb0)!r} (closed - findroot {mp.nstr(cb0 - fb0, 3)})"
+                  f"  b1 = {float(fb1)!r} (closed - findroot {mp.nstr(cb1 - fb1, 3)})")
+
+        print("\n== k1 just below b0: b = b0 (1 - 10^-x) ==")
+        for k0s in ("0.5", "1", "1.25", "2"):
+            for x in (5, 6, 7, 8):
+                b = bonds[k0s] * (1.0 - 10.0**-x)
+                k1 = fold_zero(mp.mpf(k0s), mp.mpf(b))
+                print(f"k0={k0s} x={x}: b = {b!r}  k1 = {float(k1)!r}")
+
+        print("\n== the extra zero just above b0: b = b0 (1 + 1e-3) ==")
+        for k0s in ("1", "2"):
+            b = bonds[k0s] * (1.0 + 1e-3)
+            z = fold_zero(mp.mpf(k0s), mp.mpf(b))
+            print(f"k0={k0s}: b = {b!r}  zero = {float(z)!r}")
+
+        print("\n== zeros within 0.01 of k0 that a linspace scan of step 0.01 misses ==")
+        for k0s, b in (("0.3", 0.33), ("2.2", 0.21)):
+            z = fold_zero(mp.mpf(k0s), mp.mpf(b))
+            print(f"k0={k0s} b={b!r}: zero = {float(z)!r}")
+
+
 def main():
     print("== dispersion point values ==")
     print("omega(2,0)      =", mp.nstr(omega(2, mp.mpf(0)), 17))
@@ -107,6 +175,8 @@ def main():
     b2om = mp.findroot(lambda b: omega(2 * K0, b) - 2 * omega(K0, b), mp.mpf("0.24"))
     print("b(2om) =", mp.nstr(b2om, 17))
     print("check: omega(4,b)-2omega(2,b) =", mp.nstr(omega(4, b2om) - 2 * omega(2, b2om), 5))
+
+    fold_values()
 
 
 if __name__ == "__main__":

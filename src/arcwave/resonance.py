@@ -43,8 +43,6 @@ __all__ = [
 #: at b = 1e-4); sampled around k1, r changes sign 7 times over 1.7e-12 at
 #: b = 0.002 and 105 times over 7.4e-10 at b = 1e-4 (k1 = 2145.69)
 ZERO_XTOL = 1e-12
-#: tolerance for the critical Bond numbers
-BOND_XTOL = 1e-15
 #: |r| threshold below which a stationary point counts as a double zero
 TANGENCY_TOL = 1e-8
 #: nominal scan step of ``find_zeros``, which scans at k0/s, s = round(k0/_SCAN_STEP)
@@ -238,17 +236,19 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     """Locate all zeros of r(.,b) on [k0/2, k_max].
 
     The folds fix the zeros above k0: there is one, k1 = ``k1_of_b(k0, b)``,
-    exactly when 0 < b < b0, and none otherwise.  So r is scanned only from
-    k0/2 to just past k0, where a third fold can hold a pair of zeros (see
-    ``critical_bonds``), on the k0-aligned grid k0/2 + i k0/s, s =
-    round(k0/0.01), through the first point past k0 and one more.  There
-    k - k0 is the same grid s points lower, so one array call of omega gives
-    both of r's terms (302 points at k0 = 2).  Sign changes are solved by
-    Brent's method; a k1 past the scan is solved on the cell of the aligned
-    grid, continued to k_max, that holds ``k1_of_b``'s root, the cell a scan
-    of the whole window would bracket.  Double zeros come from a Newton
-    iteration on r' = 0 seeded at the scan's minima of |r| below 1e-4, at
-    k0/2 and, where |r'(k0)| < 1e-2, at k0.  k0 itself is always a zero.
+    exactly when 0 < b < b0, and none otherwise; the report's k1 is that
+    cached root.  So r is scanned only from k0/2 to just past k0, where a
+    third fold can hold a pair of zeros (see ``critical_bonds``), on the
+    k0-aligned grid k0/2 + i k0/s, s = round(k0/0.01), through the first
+    point past k0 and one more.  There k - k0 is the same grid s points
+    lower, so one array call of omega gives both of r's terms (302 points at
+    k0 = 2).  k0 itself is a zero for every b, so only the cells below the
+    last scan point under k0 are bracketed, and sign changes there are
+    solved by Brent's method.  Just past b0 the extra zero can sit between
+    that point and k0, where r(k0) = 0 hides it; it is bracketed between the
+    point and the stationary point of r next to k0.  Double zeros come from
+    a Newton iteration on r' = 0 seeded at the scan's minima of |r| below
+    1e-4, at k0/2 and, where |r'(k0)| < 1e-2, at k0.
 
     Needs ``critical_bonds(k0)`` (k0 up to about 3.3).  Raises ValueError for
     k_max <= k0, a negative or non-finite b, and k1 beyond k_max.  A zero k1
@@ -269,40 +269,34 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     w = omega(grid, b)
     ks = grid[s:]
     rv = w[s:] - w[:n] - omega(k0, b)
+    j = (s - 1) // 2  # ks[j] is the last scan point below k0
 
     rfun = _r_hat_scalar(b, k0)
-    zeros: list[float] = [k0]
+    fold_at_k0 = abs(_r_hat_deriv(k0, b, k0)) < _K0_SEED_SLOPE
+    k_star = _stationary_point(k0, b, k0, lo, k_max) if fold_at_k0 else None
 
-    # --- transversal zeros by bracketing
-    sign_change = np.where(rv[:-1] * rv[1:] < 0.0)[0]
-    for i in sign_change:
-        z = _brentq(rfun, ks[i], ks[i + 1], xtol=ZERO_XTOL)
-        if abs(z - k0) > 1e-7:
-            zeros.append(float(z))
-    if 0.0 < b < bonds.b0 and rv[-1] < 0.0:  # k1 lies past the scan
-        k1 = k1_of_b(k0, b)
+    # --- transversal zeros: bracketed below k0, from the folds above it
+    cells = [(ks[i], ks[i + 1]) for i in np.flatnonzero(rv[:j] * rv[1:j + 1] < 0.0)]
+    if k_star is not None and ks[j] < k_star < k0:
+        r_star = rfun(k_star)
+        if abs(r_star) > TANGENCY_TOL and rfun(ks[j]) * r_star < 0.0:
+            cells.append((ks[j], k_star))
+    zeros = [k0] + [float(_brentq(rfun, a, c, xtol=ZERO_XTOL)) for a, c in cells]
+    k1 = k1_of_b(k0, b) if 0.0 < b < bonds.b0 else None
+    if k1 is not None:
         if k1 > k_max:
             raise ValueError(f"k_max={k_max} too small: the zero k1={k1:.6g} lies beyond it")
-
-        def x(i: int) -> float:  # the aligned grid continued, rounded as ``grid`` is
-            return (lo - k0) + h * (i + s)
-
-        i = math.floor((k1 - lo) / h)  # the cell [x(i), x(i + 1)) holds k1
-        i += (x(i + 1) <= k1) - (x(i) > k1)
-        top = k_max if i + 1 >= math.ceil((k_max - lo) / h) else x(i + 1)
-        zeros.append(float(_brentq(rfun, x(i), top, xtol=ZERO_XTOL)))
+        zeros.append(k1)
 
     # --- tangential zeros: seeds near k0 only where a double zero can sit there
     double_zeros: list[float] = []
     absr = np.abs(rv)
     near = np.flatnonzero(absr[1:-1] < 1e-4) + 1
     near = near[(absr[near] <= absr[near - 1]) & (absr[near] <= absr[near + 1])]
-    fold_at_k0 = abs(_r_hat_deriv(k0, b, k0)) < _K0_SEED_SLOPE
     if not fold_at_k0:
         near = near[np.abs(ks[near] - k0) > 0.75 * h]
-    candidates = ks[near].tolist() + [lo] + ([k0] if fold_at_k0 else [])
-    for seed in candidates:
-        ks_star = _stationary_point(seed, b, k0, lo, k_max)
+    stationary = [_stationary_point(seed, b, k0, lo, k_max) for seed in ks[near].tolist() + [lo]]
+    for ks_star in stationary + [k_star]:
         if ks_star is None:
             continue
         if abs(rfun(ks_star)) > TANGENCY_TOL:
@@ -332,7 +326,6 @@ def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
         cls = Classification.EXTRA_ZERO_PAIR
     else:
         cls = Classification.ONLY_K0
-    k1 = max(above) if above else None
 
     return ResonanceReport(
         k0=k0, b=b, zeros=zeros_sorted, double_zeros=doubles_sorted,
@@ -361,32 +354,36 @@ def critical_bonds(k0: float) -> CriticalBonds:
     near 3: a pair of zeros lives there past b1, up to b ~ 0.1689 at k0 = 3
     (b1 = 0.166978) and ~ 0.1531 at k0 = 3.3; k0 = 1 to 2.5 have none.
 
-    Each scalar condition is solved by Brent's method on a sign-changing
-    bracket to ``BOND_XTOL``; for k0 from 0.5 to 3 that lands within 1e-15
-    of the root (checked against 40-digit arithmetic).  Past k0 ~ 3.3 the two
+    Both conditions have closed forms in b.  With t = tanh(k0/2), T = tanh
+    k0 and S = sech^2 k0 = 1 - T^2, squaring 2 omega(k0/2) = omega(k0) is linear in b:
+    b1 = (2t - T) / (k0^2 (T - t/2)), which T = 2t/(1 + t^2) turns into
+    b1 = 4 t^2 / (k0^2 (3 - t^2)), free of cancellation.  With G = (k + b
+    k^3) tanh k, omega'(k0) = 1 is G' = 2 sqrt(G); squared, it is quadratic
+    in x = b k0^2,
+
+        a^2 x^2 + (2 P a - 4 k0 T) x + (P^2 - 4 k0 T) = 0,
+
+    P = T + k0 S, a = 3T + k0 S, and b0 is its root with G' = P + a x > 0,
+    the positive one: the constant term is 4 k0 T (omega'(k0, 0)^2 - 1) < 0.
+    That term, of order k0^4 for small k0, is summed as (T - k0)^2 - k0 T^2
+    (k0 (2 - T^2) + 2T), and the root is taken by the stable quadratic
+    formula, so b0 and b1 land within 4 ulps of 40-digit arithmetic for k0
+    from 0.5 to 3.3 and within 8 at k0 = 0.1 and 0.3.  Past k0 ~ 3.3 the two
     folds cross and the pair is refused (``CriticalBonds``).
     """
     if not k0 > 0:
         raise ValueError(f"k0 must be positive, got {k0}")
+    t = math.tanh(k0 / 2.0)
+    b1 = 4.0 * t * t / (k0 * k0 * (3.0 - t * t))
 
-    def at_half(b: float) -> float:
-        return r_hat(k0 / 2.0, b, k0)
-
-    def slope_at_k0(b: float) -> float:
-        return _r_hat_deriv(k0, b, k0)
-
-    third = 1.0 / 3.0
-    blo, bhi = 1e-12, third - 1e-12
-    if at_half(blo) * at_half(bhi) > 0:
-        trace = [(bb, at_half(bb)) for bb in np.linspace(0.01, third - 0.01, 9)]
-        raise ValueError(f"failed to bracket b1 for k0={k0}; scan trace {trace}")
-    b1 = _brentq(at_half, blo, bhi, xtol=BOND_XTOL)
-
-    if slope_at_k0(blo) * slope_at_k0(bhi) > 0:
-        trace = [(bb, slope_at_k0(bb)) for bb in np.linspace(0.01, third - 0.01, 9)]
-        raise ValueError(f"failed to bracket b0 for k0={k0}; scan trace {trace}")
-    b0 = _brentq(slope_at_k0, blo, bhi, xtol=BOND_XTOL)
-    return CriticalBonds(b0=float(b0), b1=float(b1))
+    T = math.tanh(k0)
+    S = 1.0 - T * T
+    P, a = T + k0 * S, 3.0 * T + k0 * S
+    lin = 2.0 * P * a - 4.0 * k0 * T
+    const = (T - k0) ** 2 - k0 * T * T * (k0 * (2.0 - T * T) + 2.0 * T)
+    root = math.sqrt(lin * lin - 4.0 * a * a * const)
+    x = -2.0 * const / (lin + root) if lin >= 0.0 else (root - lin) / (2.0 * a * a)
+    return CriticalBonds(b0=x / (k0 * k0), b1=b1)
 
 
 @lru_cache(maxsize=256)
@@ -395,11 +392,16 @@ def k1_of_b(k0: float, b: float) -> float:
 
     Exists exactly for 0 < b < b0(k0); decreasing in b and diverging like
     1/b as b -> 0.  Cached on (k0, b), so ``stability``, ``default_params``,
-    ``find_zeros`` and their caller share one solve per Bond number.  The
-    root is known only to within ZERO_XTOL + 4 eps_mach omega(k1) /
-    |omega'(k1) - omega'(k1 - k0)| (see ``ZERO_XTOL``).  ``find_zeros``
-    solves again from this root's cell of its aligned grid, so the k1 it
-    reports may differ from this one by that much.
+    ``find_zeros`` and their caller share one solve per Bond number, and
+    ``find_zeros`` reports this root as its k1.  The root is known only to
+    within ZERO_XTOL + 4 eps_mach omega(k1) / |omega'(k1) - omega'(k1 - k0)|
+    (see ``ZERO_XTOL``).  The bracket starts at k0 (1 + 1e-9) unless r
+    there is not below -4 eps_mach omega(k0), its rounding, as happens
+    within about 1e-7 relative below b0.  Then it starts halfway to the
+    fold's estimate k0 + d, d = -2 r'(k0) / r''(k0), where r is lowest.
+    Where r is rounding noise even there, or d has lost its sign to it (b
+    within rounding of b0), the root is k0 + d, and no less than k0 (1 +
+    1e-9): k1 is then known only to more than its distance from k0.
     """
     bonds = critical_bonds(k0)
     if not (0.0 < b < bonds.b0):
@@ -409,6 +411,11 @@ def k1_of_b(k0: float, b: float) -> float:
 
     rfun = _r_hat_scalar(b, k0)
     lo = k0 * (1.0 + 1e-9)
+    if not rfun(lo) < -4.0 * np.finfo(float).eps * omega(k0, b):
+        gap = -2.0 * _r_hat_deriv(k0, b, k0) / omega_deriv(k0, b, 2)
+        if not (gap > 0.0 and rfun(k0 + gap / 2.0) < 0.0):
+            return max(k0 + gap, lo)
+        lo = k0 + gap / 2.0
     hi = k0 + 1.0
     while rfun(hi) < 0.0:
         hi = k0 + 2.0 * (hi - k0)

@@ -122,6 +122,9 @@ sys.setprofile(None)
 REACH_ALLOWLIST = {
     # the per-call first-block kernel gets a production role in ROADMAP item 14
     "kernels.py:n_hat",
+    # the vectorized r of the public API: the tests' references and ``twi`` use
+    # it, while the scan and the Brent solves evaluate r on their own routes
+    "resonance.py:r_hat",
     # reached only in the forked children of a scan, which the profile does not follow
     "sim.py:_bin_child",
     # the three-wave ODEs wait for ROADMAP item 7 to check the triad verdict

@@ -47,6 +47,42 @@ INFLECTION_TABLE = {
 B_CURVATURE_FLAT = 0.080808958177103266   # omega''(2, b) = 0
 B_SECOND_HARMONIC = 0.11220496039122606   # omega(4, b) = 2*omega(2, b)
 
+# frozen against 40-digit mpmath by scripts/derive_reference_values.py: (b0, b1)
+# per carrier, the roots of omega'(k0, b) = 1 and 2 omega(k0/2, b) = omega(k0, b)
+BONDS_TABLE = {
+    0.1: (0.3329631283476913, 0.3330556482416613),
+    0.3: (0.33001388190787956, 0.33084090045244385),
+    0.5: (0.32418802425989396, 0.32644815365051927),
+    1.0: (0.2984797821313382, 0.3065584392738852),
+    1.25: (0.2811600572854652, 0.2924533432287147),
+    2.0: (0.2240838468714964, 0.23968256539411076),
+    2.5: (0.18990302137366058, 0.2019520625279437),
+    3.0: (0.16184895826930168, 0.16697816029043128),
+    3.3: (0.1478762904840614, 0.1482792786757008),
+}
+# k1 at b = b0 (1 - 10^-x), keyed (k0, x), with b0 the correctly rounded root;
+# critical_bonds' b0 is within 4 ulps of it, which moves k1 by under 1e-14
+K1_NEAR_B0 = {
+    (0.5, 5): 0.5001796146948179, (0.5, 6): 0.5000179672244269,
+    (0.5, 7): 0.5000017967800332, (0.5, 8): 0.5000001796785809,
+    (1.0, 5): 1.000092323712679, (1.0, 6): 1.000009233132755,
+    (1.0, 7): 1.0000009233208922, (1.0, 8): 1.0000000923321672,
+    (1.25, 5): 1.2500768714019412, (1.25, 6): 1.250007687574997,
+    (1.25, 7): 1.2500007687618473, (1.25, 8): 1.2500000768762283,
+    (2.0, 5): 2.000060815341033, (2.0, 6): 2.0000060817649357,
+    (2.0, 7): 2.000000608178802, (2.0, 8): 2.000000060817904,
+}
+# the extra zero at b = b0 (1 + 1e-3), inside the last scan cell below k0
+ZERO_PAST_B0 = {1.0: 0.9906805292311575, 2.0: 1.9938923394084769}
+# (k0, b) where the linspace scan misses a zero within one of its 0.01 steps
+# of k0: the zero, and the classification find_zeros gives with it.  At
+# (0.3, 0.33) it is k1, 1.25e-3 above k0, and r dips only to -5.6e-10 between
+# them, inside TANGENCY_TOL, so the dip also counts as a double zero
+ORACLE_BLIND = {
+    (0.3, 0.33): (0.30125483825365684, Classification.TANGENCY),
+    (2.2, 0.21): (2.1922999592032046, Classification.EXTRA_ZERO_PAIR),
+}
+
 
 def k1_band(k0: float, b: float, k1: float) -> float:
     """Width over which rounding flips r's sign around k1: four ulps of
@@ -108,6 +144,26 @@ class TestCriticalBonds:
         with pytest.raises(ValueError):
             CriticalBonds(b0=0.25, b1=0.23)
 
+    @pytest.mark.parametrize("k0", sorted(BONDS_TABLE))
+    def test_closed_forms_match_mpmath(self, k0):
+        """Within 4 ulps from k0 = 0.5 to 3.3 and 8 below, where the constant
+        term of b0's quadratic is of order k0^4: summed as P^2 - 4 k0 T it
+        would put b0 160 ulps off at k0 = 0.1."""
+        got = critical_bonds(k0)
+        for value, want in zip((got.b0, got.b1), BONDS_TABLE[k0]):
+            assert abs(value - want) <= (4 if k0 >= 0.5 else 8) * np.spacing(want), (value, want)
+
+    def test_no_root_finder(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("critical_bonds ran a root finder")
+
+        monkeypatch.setattr(resonance, "_brentq", refuse)
+        critical_bonds.cache_clear()
+        try:
+            assert critical_bonds(1.7).b0 < critical_bonds(1.7).b1
+        finally:
+            critical_bonds.cache_clear()
+
 
 class TestK1:
     @pytest.mark.parametrize("b,expected", sorted(K1_TABLE.items()))
@@ -138,6 +194,18 @@ class TestK1:
     def test_k1_actually_solves(self):
         k1 = k1_of_b(K0, 0.07)
         assert r_hat(k1, 0.07, K0) == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("k0,x", sorted(K1_NEAR_B0))
+    def test_just_below_b0(self, k0, x):
+        """Within 1e-5 to 1e-8 relative below b0, k1 - k0 is 1.8e-4 down
+        to 6e-8, and r at k0 (1 + 1e-9) rounds to 0 or has the wrong sign
+        from about 1e-7 on.  k1 is still found, to within ZERO_XTOL plus
+        its rounding band (2-6 % of the gap at x = 7, more than it at x = 8)."""
+        b = critical_bonds(k0).b0 * (1.0 - 10.0**-x)
+        want = K1_NEAR_B0[k0, x]
+        k1 = k1_of_b(k0, b)
+        assert k1 > k0
+        assert abs(k1 - want) <= ZERO_XTOL + k1_band(k0, b, want)
 
 
 class TestInflectionPoints:
@@ -252,7 +320,7 @@ class TestFindZeros:
                 assert got.classification is ref.classification, (k0, b)
                 assert len(got.zeros) == len(ref.zeros), (k0, b)
                 assert len(got.double_zeros) == len(ref.double_zeros), (k0, b)
-                assert (got.k1 is None) == (not in_band), (k0, b)
+                assert got.k1 == (k1_of_b(k0, b) if in_band else None), (k0, b)
                 tol = np.full(len(got.zeros), ZERO_XTOL)
                 if in_band:
                     tol[-1] += k1_band(k0, b, got.k1)
@@ -300,15 +368,57 @@ class TestFindZeros:
         """k1 ≈ 2146 at b = 1e-4 is defined only to about 7e-10: r's three
         omega terms are near 1e3 and its slope is 3.2e-4, so r changes sign
         about a hundred times across that width from rounding alone.  The
-        zero solved on its aligned cell is ``k1_of_b``'s root to within four
-        ulps of omega(k1) over the slope, not ZERO_XTOL."""
+        report takes ``k1_of_b``'s root as it is, so the two agree bitwise."""
         b = 1e-4
         k1 = k1_of_b(K0, b)
         got = find_zeros(K0, b, 6000.0)
         assert got.classification is Classification.TWO_ZEROS
         assert got.zeros == (K0, got.k1)
-        assert abs(got.k1 - k1) <= ZERO_XTOL + k1_band(K0, b, k1)
+        assert got.k1 == k1
         assert k1_band(K0, b, k1) > 100 * ZERO_XTOL
+
+    @pytest.mark.parametrize("k0", sorted(ZERO_PAST_B0))
+    def test_zero_in_the_last_cell_below_k0(self, k0):
+        """At b = b0 (1 + 1e-3) the extra zero sits 0.0061 (k0 = 2) and
+        0.0093 (k0 = 1) below k0, inside the scan's last cell, where r(k0) = 0
+        hides the sign change.  It is found against 40-digit mpmath; the
+        linspace scan misses it too, so it is no reference here."""
+        b = critical_bonds(k0).b0 * (1.0 + 1e-3)
+        got = find_zeros(k0, b, 30.0 * k0)
+        assert got.classification is Classification.EXTRA_ZERO_PAIR
+        assert got.zeros[1] == k0 and got.k1 is None
+        assert abs(got.zeros[0] - ZERO_PAST_B0[k0]) <= 1e-9
+
+    @pytest.mark.parametrize("k0", [0.3, 0.7, 1.1, 2.2, 2.7, 3.1])
+    def test_other_carriers_match_the_linspace_reference(self, k0):
+        """Carriers off the round ones above, on 36 Bond numbers from 0 to
+        0.35: no Brent sign error (at k0 = 0.3 the aligned grid's point at
+        k0 is 0.30000000000000004, where r > 0 on the array route and < 0 on
+        the scalar one), and the linspace scan's classification, zero and
+        double-zero counts, zeros within ZERO_XTOL and k1 within ZERO_XTOL
+        plus its rounding band.  At the two points of ``ORACLE_BLIND`` the
+        scan misses a zero within one of its steps of k0: there that zero is
+        checked against 40-digit mpmath and the rest against the scan."""
+        bonds = critical_bonds(k0)
+        for b in np.linspace(0.0, 0.35, 36).tolist():
+            in_band = 0.0 < b < bonds.b0
+            k_max = 1.25 * k1_of_b(k0, b) + 5.0 if in_band else 30.0 * k0
+            got, ref = find_zeros(k0, b, k_max), find_zeros_linspace(k0, b, k_max)
+            zeros = list(got.zeros)
+            if (k0, b) in ORACLE_BLIND:
+                missed, cls = ORACLE_BLIND[k0, b]
+                i = int(np.argmin(np.abs(np.subtract(zeros, missed))))
+                assert abs(zeros.pop(i) - missed) <= 1e-9, (k0, b)
+                assert got.classification is cls, (k0, b)
+            else:
+                assert got.classification is ref.classification, (k0, b)
+            assert len(zeros) == len(ref.zeros), (k0, b)
+            assert len(got.double_zeros) == len(ref.double_zeros), (k0, b)
+            assert got.k1 == (k1_of_b(k0, b) if in_band else None), (k0, b)
+            tol = [ZERO_XTOL + (k1_band(k0, b, z) if z == got.k1 else 0.0) for z in zeros]
+            assert np.all(np.abs(np.subtract(zeros, ref.zeros)) <= tol), (k0, b)
+            assert np.max(np.abs(np.subtract(got.double_zeros, ref.double_zeros)),
+                          initial=0.0) <= ZERO_XTOL, (k0, b)
 
 
 class TestStability:
@@ -393,18 +503,20 @@ class TestBrentPort:
         monkeypatch.setattr(resonance, "_brentq", both)
         monkeypatch.setattr(resonance_oracle, "_brentq", both)  # inflection_points
         # a warm cache would let these solves skip the comparison
-        resonance.critical_bonds.cache_clear()
         resonance.k1_of_b.cache_clear()
         try:
-            for k0 in (1.0, 2.0, 3.0):
-                resonance.critical_bonds(k0)
             for b in (0.002, 0.01, 0.05, 0.1, 0.15, 0.2, 0.23, 0.25, 0.3):
                 inflection_points(b)
                 find_zeros(K0, b, 60.0 if b >= 0.01 else 300.0)
                 if b < B0_K0_2:
                     k1_of_b(K0, b)
+            # both folds' brackets next to k0, and the third fold's pair
+            for k0 in (1.0, 2.0):
+                b0 = critical_bonds(k0).b0
+                k1_of_b(k0, b0 * (1.0 - 1e-7))
+                find_zeros(k0, b0 * (1.0 + 1e-3), 30.0 * k0)
+            find_zeros(3.0, 0.1675, 90.0)
         finally:
-            resonance.critical_bonds.cache_clear()
             resonance.k1_of_b.cache_clear()
         assert len(seen) >= 30 and sum(seen) > 300
 
