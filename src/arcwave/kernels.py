@@ -8,9 +8,9 @@ symbol evaluated from analytic formulas in the wavenumbers:
 * ``second_block_symbol``: the full second-block cross kernel, composite
   carrier included.
 
-The triad coefficients of :func:`arcwave.resonance.stability` and
-:func:`arcwave.twi.twi_coeffs`, the normal-form kernels ``n_hat`` and the
-reweighting ``rho_hat`` all evaluate these symbols.  The tests check them
+The triad coefficients of :func:`arcwave.resonance.stability`, the
+normal-form kernels ``n_hat`` and the reweighting ``rho_hat`` all evaluate
+these symbols.  The tests check them
 against an independent route: extraction from
 :class:`arcwave.equations.TruncatedSystem` on a grid, kept in the test
 suite's ``kernel_oracle`` module, and mpmath values from

@@ -28,7 +28,6 @@ __all__ = [
     "CriticalBonds",
     "StabilityVerdict",
     "Classification",
-    "r_hat",
     "find_zeros",
     "critical_bonds",
     "k1_of_b",
@@ -175,22 +174,12 @@ class StabilityVerdict:
 # --------------------------------------------------------------------------
 
 
-def r_hat(k, b: float, k0: float):
-    """r(k,b) = omega(k,b) - omega(k-k0,b) - omega(k0,b).
-
-    Vectorized in k; a float k stays a float, so root finders take the
-    scalar route of ``omega``.
-    """
-    if not isinstance(k, (float, int)):
-        k = np.asarray(k)
-    return omega(k, b) - omega(k - k0, b) - omega(k0, b)
-
-
 def _r_hat_scalar(b: float, k0: float) -> Callable[[float], float]:
-    """``r_hat(., b, k0)`` for a float k, with omega(k0, b) evaluated once.
+    """r(., b) for a float k, with omega(k0, b) evaluated once.
 
-    The operations are r_hat's, in its order, so values are bitwise equal;
-    this is the function every Brent solve in k iterates.
+    The operations are those of r's definition, in its order, so values are
+    bitwise those of the vectorized r on a float k; this is the function
+    every Brent solve in k iterates.
     """
     w0 = omega(k0, b)
 

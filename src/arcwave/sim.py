@@ -99,36 +99,74 @@ class SimConfig:
 class SimState:
     """Four real fields plus the clock.
 
-    ``matrix`` is a read-only copy of the (4, n) coefficients in component
-    order (-1, +1, -2, +2); code that edits a state's coefficients copies
-    them first.  A state hashes and compares by identity.
+    A state stores one array, ``half``: a read-only copy of the ``rfft``
+    half spectra, (4, n//2 + 1), of the fields in component order
+    (-1, +1, -2, +2), the layout ``run`` marches.  ``matrix`` is their
+    full (4, n) layout, expanded by conjugation (``spectral.full_spectrum``)
+    into a fresh read-only array on each access and never kept on the
+    state, so a state holds half the bytes of its full layout.
+    ``from_matrix`` makes a state from full-layout coefficients.  A state
+    hashes and compares by identity.
     """
 
     grid: Grid1D
-    matrix: np.ndarray
+    half: np.ndarray
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.shape != (4, self.grid.n_points):
+        half = np.array(self.half, dtype=np.complex128)
+        expected = (4, self.grid.n_points // 2 + 1)
+        if half.shape != expected:
             raise ValueError(
-                f"state matrix has shape {mat.shape}, expected (4, {self.grid.n_points})")
+                f"state half spectrum has shape {half.shape}, expected {expected}")
+        half.setflags(write=False)
+        object.__setattr__(self, "half", half)
+
+    @classmethod
+    def from_matrix(cls, grid: Grid1D, matrix: np.ndarray, t: float = 0.0) -> SimState:
+        """The state of full-layout (4, n) coefficients of four real fields.
+
+        It keeps columns 0..n/2.  The columns at -k must be the conjugates
+        of those at k to round-off, four ulps of the largest coefficient
+        (a packet realized on a scan grid is off by far less than one); a
+        matrix off by more is refused, naming its defect, since those
+        columns would otherwise be dropped unread.
+        """
+        mat = np.asarray(matrix, dtype=np.complex128)
+        n = grid.n_points
+        if mat.shape != (4, n):
+            raise ValueError(f"state matrix has shape {mat.shape}, expected (4, {n})")
+        mirror = np.conj(mat[:, n // 2 - 1: 0: -1])
+        defect = np.max(np.abs(mat[:, n // 2 + 1:] - mirror), initial=0.0)
+        bound = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(mat), initial=0.0)
+        if not defect <= bound:
+            raise ValueError(
+                f"state matrix is not real: its columns at -k differ from the "
+                f"conjugates of those at k by up to {defect:.6g}, above the "
+                f"round-off bound {bound:.6g}")
+        return cls(grid, half_spectrum(mat), t)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full-layout (4, n) coefficients: a fresh read-only expansion."""
+        mat = full_spectrum(self.half, self.grid.n_points)
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        return mat
 
     def reality_defect(self) -> float:
         """max |c(-k) - conj(c(k))| over the four fields (0 when exactly real).
 
-        The term at -k has the modulus of the term at k, so the columns of
-        the half spectrum, k = 0 .. k_Nyquist, hold every value of the max.
+        In ``matrix`` the term at -k is the conjugate of the term at k for
+        0 < k < k_Nyquist, so only columns 0 and n/2, each its own mirror,
+        can be off: the max of |c - conj(c)| over them.
         """
-        flipped = np.conj(self.matrix.take(half_spectrum(self.grid._conjugate_index), axis=-1))
-        return float(np.max(np.abs(half_spectrum(self.matrix) - flipped)))
+        edges = self.half[:, [0, -1]]
+        return float(np.max(np.abs(edges - np.conj(edges))))
 
 
 def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
     """Realize the packet on the run grid at t = 0."""
-    return SimState(config.grid, build(packet, config.grid, 0.0), 0.0)
+    return SimState.from_matrix(config.grid, build(packet, config.grid, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +257,18 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0) -> SimRu
     """March the state to t_end; optionally keep every ``sample_every``-th state.
 
     The loop (``_march``) carries the four real fields as ``rfft`` half
-    spectra; this wrapper expands them to the full-layout (4, n) matrices of
-    :class:`SimState` s only at the samples and the final state, by
-    conjugation (no transform), so the zero mode is copied bitwise and a state that starts real stays
-    exactly real.  The Nyquist column keeps its initial value (see
-    ``TruncatedSystem.half_linear_symbols``).  A non-finite state aborts the
-    run with the step index.
+    spectra, the layout a :class:`SimState` stores, so each sample and the
+    final state wrap the half spectra it yields as they are, with no
+    full-layout expansion.  The zero mode is copied bitwise and the Nyquist
+    column keeps its initial value (see ``TruncatedSystem.half_linear_symbols``),
+    so every state has the initial state's reality defect: 0 for one that
+    starts real.  A non-finite state aborts the run with the step index.
     """
     if initial.grid.n_points != config.n or initial.grid.length != config.length:
         raise ValueError("initial state lives on a different grid than the config")
     samples = [initial] + [
-        SimState(config.grid, full_spectrum(U, config.n), t)
-        for t, U in _march(config.system, half_spectrum(initial.matrix), initial.t,
+        SimState(config.grid, U, t)
+        for t, U in _march(config.system, initial.half, initial.t,
                            config.dt, config.n_steps, sample_every)]
     return SimRun(config=config, samples=tuple(samples), final=samples[-1])
 
@@ -687,7 +725,8 @@ def _energy_shared(state: SimState, packet: WavePacket,
     scale, inv_ik = _error_tables(grid, params)
     # the packet's realization and its lead band psi_plus, from one assembly
     first, lead = first_block(packet, grid, state.t, packet.profiles)
-    R = (state.matrix[2:] - slave_second_block(grid, first, packet.params.b)) * scale
+    R = (full_spectrum(state.half[2:], n)
+         - slave_second_block(grid, first, packet.params.b)) * scale
 
     # physical psi_plus; psi_minus is its complex conjugate there
     psi_plus = np.fft.ifft(lead, norm="forward")
@@ -718,7 +757,7 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     depend on l), is computed once per (state, packet, params) and shared
     by the orders asked for next: ``_energy_shared`` is an ``lru_cache`` of
     the latest two, keyed on the identity of the state and the packet.
-    That is safe because both are immutable, ``SimState.matrix``,
+    That is safe because both are immutable, ``SimState.half``,
     ``EnvelopeField.values`` and the correction profiles being read-only
     copies; a new state or packet object, even with equal content, is
     realized afresh.  The packet is realized by one

@@ -25,9 +25,9 @@ import numpy as np
 from arcwave.dispersion import k0_symbol, omega, omega_deriv, sigma, sigma_inv
 from arcwave.equations import TruncatedSystem
 from arcwave.kernels import KernelParams, _check_pair, rho_hat
-from arcwave.resonance import r_hat
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from fourier import commutator, ik_power, mode, mode_index, product
+from twi_oracle import r_hat
 
 #: a bilinear map op(grid, f, g) of full-layout coefficient arrays on ``grid``
 BilinearOperator = Callable[[Grid1D, np.ndarray, np.ndarray], np.ndarray]

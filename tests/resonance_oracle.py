@@ -36,8 +36,8 @@ from arcwave.resonance import (
     _r_hat_deriv,
     _r_hat_scalar,
     _stationary_point,
-    r_hat,
 )
+from twi_oracle import r_hat
 
 #: the ``bond-sweep`` benchmark's Bond numbers before their +-1 % jitter:
 #: two above b1, two in (b0, b1) and fifteen in (0, b0) down to 0.002

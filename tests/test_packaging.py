@@ -117,19 +117,12 @@ for name, w in workloads.WORKLOADS.items():
 sys.setprofile(None)
 """
 
-#: defs of src/arcwave that no production route calls, each kept on purpose;
-#: a file name alone allows every def in it
+#: defs of src/arcwave that no production route calls, each kept on purpose
 REACH_ALLOWLIST = {
     # the per-call first-block kernel gets a production role in ROADMAP item 14
     "kernels.py:n_hat",
-    # the vectorized r of the public API: the tests' references and ``twi`` use
-    # it, while the scan and the Brent solves evaluate r on their own routes
-    "resonance.py:r_hat",
     # reached only in the forked children of a scan, which the profile does not follow
     "sim.py:_bin_child",
-    # the three-wave ODEs wait for ROADMAP item 7 to check the triad verdict
-    # on the PDE (item 8)
-    "twi.py",
 }
 
 
@@ -177,9 +170,8 @@ def test_src_holds_only_production_routes():
                                     check=True, capture_output=True, text=True).stdout)
     assert out["failed"] == []
     ran = {(Path(name).name, line) for name, line in out["ran"]}
-    never = sorted(name for key, name in _source_defs().items()
-                   if key not in ran and name.split(":")[0] not in REACH_ALLOWLIST)
-    assert never == sorted(name for name in REACH_ALLOWLIST if ":" in name)
+    never = sorted(name for key, name in _source_defs().items() if key not in ran)
+    assert never == sorted(REACH_ALLOWLIST)
 
 
 def test_readme_test_nodes_exist():

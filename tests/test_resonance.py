@@ -13,13 +13,13 @@ from arcwave.resonance import (
     critical_bonds,
     find_zeros,
     k1_of_b,
-    r_hat,
     stability,
 )
 import resonance_oracle
 from kernel_oracle import r_general
 from resonance_oracle import (BOND_SWEEP_ANCHORS, find_zeros_linspace, inflection_points,
                               nonresonance_check, record_omega_arrays)
+from twi_oracle import r_hat
 
 K0 = 2.0
 

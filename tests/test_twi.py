@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arcwave.twi import (
+from twi_oracle import (
     TWICoeffs,
     TWIState,
     Trajectory,

@@ -1,4 +1,10 @@
-"""Resonant-triad amplitude dynamics.
+"""The tests' triad references: the vectorized resonance function and the
+resonant-triad amplitude dynamics.
+
+``r_hat`` is r(k, b) = omega(k, b) - omega(k - k0, b) - omega(k0, b) on
+arrays, the form the linspace scan, the first ``delta0_for`` and the triad
+coefficients below read; ``arcwave.resonance`` evaluates r on its own
+scalar and aligned-grid routes.
 
 Three complex amplitudes riding the carriers of a resonant triad
 (k_0', k_1', k_2') with k_0' + k_1' + k_2' = 0 and matching frequency sum
@@ -12,7 +18,8 @@ first-component evolution equation at the exact triad points (kernel
 extraction from the equations is their test oracle); the single-mode
 subspaces are fixed points, and the ratio c1/c2 decides whether the
 (A0, 0, 0) subspace is stable (ratio < 0) or sheds energy into the partner
-modes (ratio > 0).
+modes (ratio > 0).  No production route integrates them: they are the
+reference the PDE's triad verdict is to be checked against.
 """
 
 from __future__ import annotations
@@ -22,19 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import first_block_symbol
-from .resonance import r_hat
+from arcwave.dispersion import omega
+from arcwave.kernels import first_block_symbol
 
-__all__ = [
-    "TWIState",
-    "TWICoeffs",
-    "Trajectory",
-    "twi_coeffs",
-    "conserved_E",
-    "default_dt",
-    "integrate",
-    "m0_growth_factor",
-]
+
+def r_hat(k, b: float, k0: float):
+    """r(k,b) = omega(k,b) - omega(k-k0,b) - omega(k0,b).
+
+    Vectorized in k; a float k stays a float, so root finders take the
+    scalar route of ``omega``.
+    """
+    if not isinstance(k, (float, int)):
+        k = np.asarray(k)
+    return omega(k, b) - omega(k - k0, b) - omega(k0, b)
+
 
 BLOWUP_THRESHOLD = 1e6
 RESONANCE_WARN_TOL = 1e-6
