@@ -1,7 +1,7 @@
 """Right-hand side of the quadratic-truncated diagonalized evolution system.
 
-The state has four components, stored as a (4, n) array of Fourier
-coefficients in the order
+The state has four components, the Fourier coefficients of four real
+fields in the order
 
     index 0: u_{-1}    index 1: u_{+1}    index 2: u_{-2}    index 3: u_{+2}
 
@@ -24,9 +24,11 @@ this at machine level: ik = 0 at k = 0).
 The constraint relations that tie the second block to the first live here
 too, once: ``slave_second_block`` maps a first block to its slaved second
 block, and ``TruncatedSystem.consistency_defect`` measures how far a state
-is from that map, with the same product.  Both read the multiplier tables
-of a ``TruncatedSystem``; the map reads those of ``default_system(grid, b)``,
-the one cached 2/3-rule system per (grid, b).
+is from that map, with the same product.  Both take and return ``rfft``
+half spectra, the layout the time loop carries, and form their product with
+real transforms.  Both read the multiplier tables of a ``TruncatedSystem``;
+the map reads those of ``default_system(grid, b)``, the one cached
+2/3-rule system per (grid, b).
 
 This module is deliberately free of any closed-form interaction symbols: the
 kernel-extraction machinery treats the functions here as a black box and
@@ -43,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dispersion import omega, sigma
-from .spectral import Grid1D, full_spectrum, half_spectrum
+from .spectral import Grid1D, half_spectrum
 
 __all__ = ["TruncatedSystem", "default_system", "slave_second_block"]
 
@@ -51,8 +53,9 @@ __all__ = ["TruncatedSystem", "default_system", "slave_second_block"]
 def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
     """Constraint map: the second block u_{-/+2} slaved to the first block u_{-/+1}.
 
-    ``first`` holds the full-layout coefficients of u_{-1} and u_{+1} of real
-    fields, shape (..., 2, n); the result has the same shape.  With
+    ``first`` holds the ``rfft`` half spectra of u_{-1} and u_{+1}, real
+    fields, shape (..., 2, n//2 + 1); the result has the same shape, and
+    every column is the one the full-layout map gives at that k.  With
     s = u_{-} + u_{+} and d = u_{-} - u_{+} per block, the map is
 
         d2 = d1'',    s2 = s1'' - (K0 s1 * sigma^{-1} d2)',
@@ -62,11 +65,13 @@ def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
     those of ``default_system(grid, b)``.
     """
     system = default_system(grid, b)
+    ik, ik2 = half_spectrum(system._ik), half_spectrum(system._ik2)
+    keep = half_spectrum(system.keep_mask)
     s1 = first[..., 0, :] + first[..., 1, :]
-    d2 = (first[..., 0, :] - first[..., 1, :]) * system._ik2
+    d2 = (first[..., 0, :] - first[..., 1, :]) * ik2
     # np.where, not consistency_defect's * keep_mask: they differ in signed zeros
-    prod = np.where(system.keep_mask, system._constraint_product(s1, d2), 0.0)
-    s2 = s1 * system._ik2 - prod * system._ik
+    prod = np.where(keep, system._constraint_product(s1, d2), 0.0)
+    s2 = s1 * ik2 - prod * ik
     return np.stack([0.5 * (s2 + d2), 0.5 * (s2 - d2)], axis=-2)
 
 
@@ -343,29 +348,27 @@ class TruncatedSystem:
     # ------------------------------------------------- consistency relations
 
     def _constraint_product(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Product K0 f * sigma^{-1} g of real fields, full-layout (..., n), not dealiased.
+        """Product K0 f * sigma^{-1} g of real fields, not dealiased.
 
-        Formed with real transforms on the half spectrum, so the result is
-        exactly Hermitian.
+        f, g and the result are ``rfft`` half spectra (..., n//2 + 1); the
+        product is formed with real transforms.
         """
-        n = self.grid.n_points
-        pf, pg = np.fft.irfft(np.array([half_spectrum(self._K0) * half_spectrum(f),
-                                        half_spectrum(self._sig_inv) * half_spectrum(g)]),
-                              n, norm="forward")
-        return full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
+        pf, pg = np.fft.irfft(np.array([half_spectrum(self._K0) * f,
+                                        half_spectrum(self._sig_inv) * g]),
+                              self.grid.n_points, norm="forward")
+        return np.fft.rfft(pf * pg, norm="forward")
 
     def consistency_defect(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals of the two constraints tying the second block to the first.
 
-        Returns coefficient arrays of
+        ``state`` holds the ``rfft`` half spectra of the four real fields,
+        (4, n//2 + 1).  Returns the half spectra of
 
             dalpha^{-1} sigma^{-1} d2 - sigma^{-1} dalpha d1
             dalpha^{-2} s2 - s1 + dalpha^{-1}(K0 s1 * sigma^{-1} d2)
 
         which vanish (up to the dropped cubic remainders) on solutions whose
         second block is slaved to the first (:func:`slave_second_block`).
-        The four fields must be real: the product is formed with real
-        transforms.
 
         The truncated flow is tangent to the zero set of both relations to
         quadratic order: from a slaved zero-mean first block of amplitude a
@@ -382,11 +385,13 @@ class TruncatedSystem:
         d1 = u_m1 - u_p1
         s2 = u_m2 + u_p2
         d2 = u_m2 - u_p2
+        ik, inv_ik, sig_inv = (half_spectrum(self._ik), half_spectrum(self._inv_ik),
+                               half_spectrum(self._sig_inv))
 
-        first = self._inv_ik * self._sig_inv * d2 - self._sig_inv * self._ik * d1
+        first = inv_ik * sig_inv * d2 - sig_inv * ik * d1
 
-        prod = self._constraint_product(s1, d2) * self.keep_mask
-        second = self._inv_ik2 * s2 - s1 + self._inv_ik * prod
+        prod = self._constraint_product(s1, d2) * half_spectrum(self.keep_mask)
+        second = half_spectrum(self._inv_ik2) * s2 - s1 + inv_ik * prod
         # the relation is only meaningful mode-by-mode away from k=0, where
         # the antiderivatives are defined
         first[0] = 0.0

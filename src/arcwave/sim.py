@@ -104,8 +104,7 @@ class SimState:
     (-1, +1, -2, +2), the layout ``run`` marches.  ``matrix`` is their
     full (4, n) layout, expanded by conjugation (``spectral.full_spectrum``)
     into a fresh read-only array on each access and never kept on the
-    state, so a state holds half the bytes of its full layout.
-    ``from_matrix`` makes a state from full-layout coefficients.  A state
+    state, so a state holds half the bytes of its full layout.  A state
     hashes and compares by identity.
     """
 
@@ -121,30 +120,6 @@ class SimState:
                 f"state half spectrum has shape {half.shape}, expected {expected}")
         half.setflags(write=False)
         object.__setattr__(self, "half", half)
-
-    @classmethod
-    def from_matrix(cls, grid: Grid1D, matrix: np.ndarray, t: float = 0.0) -> SimState:
-        """The state of full-layout (4, n) coefficients of four real fields.
-
-        It keeps columns 0..n/2.  The columns at -k must be the conjugates
-        of those at k to round-off, four ulps of the largest coefficient
-        (a packet realized on a scan grid is off by far less than one); a
-        matrix off by more is refused, naming its defect, since those
-        columns would otherwise be dropped unread.
-        """
-        mat = np.asarray(matrix, dtype=np.complex128)
-        n = grid.n_points
-        if mat.shape != (4, n):
-            raise ValueError(f"state matrix has shape {mat.shape}, expected (4, {n})")
-        mirror = np.conj(mat[:, n // 2 - 1: 0: -1])
-        defect = np.max(np.abs(mat[:, n // 2 + 1:] - mirror), initial=0.0)
-        bound = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(mat), initial=0.0)
-        if not defect <= bound:
-            raise ValueError(
-                f"state matrix is not real: its columns at -k differ from the "
-                f"conjugates of those at k by up to {defect:.6g}, above the "
-                f"round-off bound {bound:.6g}")
-        return cls(grid, half_spectrum(mat), t)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -165,8 +140,8 @@ class SimState:
 
 
 def packet_initial_state(packet: WavePacket, config: SimConfig) -> SimState:
-    """Realize the packet on the run grid at t = 0."""
-    return SimState.from_matrix(config.grid, build(packet, config.grid, 0.0), 0.0)
+    """Realize the packet on the run grid at t = 0: its half spectra from ``build``."""
+    return SimState(config.grid, build(packet, config.grid, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +340,27 @@ class ErrorScanResult:
     template: ScanTemplate
 
 
+def _column_weights(grid: Grid1D) -> np.ndarray:
+    """How often each ``rfft`` half-spectrum column counts in a norm of real
+    fields: 2 between k = 0 and Nyquist, where the column also stands for
+    -k, and 1 at those two, each its own mirror."""
+    columns = np.full(grid.n_points // 2 + 1, 2.0)
+    columns[[0, -1]] = 1.0
+    return columns
+
+
 def _h2_weight(grid: Grid1D) -> np.ndarray:
-    """The H2 weight (1 + k^2)^2 of ``_block_norms``, built once per run."""
-    return (1.0 + grid.wavenumbers**2) ** 2
+    """The weights of ``_block_norms`` on half-spectrum columns, built once per
+    run: row 0 the column weights (L2), row 1 those times (1 + k^2)^2 (H2)."""
+    columns = _column_weights(grid)
+    return np.array([columns, columns * (1.0 + half_spectrum(grid.wavenumbers) ** 2) ** 2])
 
 
 def _block_norms(diff: np.ndarray, grid: Grid1D, w: np.ndarray) -> tuple[float, float]:
     """L2 norm of the first block (rows 0-1), H2 norm of the second (rows 2-3),
-    with w = ``_h2_weight(grid)``."""
-    first = grid.length * np.sum(np.abs(diff[:2]) ** 2)
-    second = grid.length * np.sum(w * np.abs(diff[2:]) ** 2)
+    of half spectra diff, (4, n//2 + 1), with w = ``_h2_weight(grid)``."""
+    first = grid.length * np.sum(w[0] * np.abs(diff[:2]) ** 2)
+    second = grid.length * np.sum(w[1] * np.abs(diff[2:]) ** 2)
     return float(np.sqrt(first)), float(np.sqrt(second))
 
 
@@ -396,12 +382,13 @@ def _scan_config(eps: float, template: ScanTemplate) -> SimConfig:
 def _scan_problem(eps: float, template: ScanTemplate
                   ) -> tuple[SimConfig, WavePacket, np.ndarray]:
     """The run of one scan row: its config, the packet, and the packet's
-    initial (4, n) state with the modes outside the keep mask zeroed."""
+    initial half spectra, (4, n//2 + 1), with the modes outside the keep
+    mask zeroed."""
     config = _scan_config(eps, template)
     A = _sech_envelope(Grid1D(template.n_env, eps * config.length))
     packet = wave_packet(A, eps, config.model, corrections=template.corrections)
     U0 = build(packet, config.grid, 0.0)
-    U0[:, ~config.system.keep_mask] = 0.0
+    U0[:, ~half_spectrum(config.system.keep_mask)] = 0.0
     return config, packet, U0
 
 
@@ -409,7 +396,7 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
     config, packet, U0 = _scan_problem(eps, template)
     grid = config.grid
     coeffs = nls_coefficients(template.k0, template.b)
-    keep = config.system.keep_mask
+    keep = half_spectrum(config.system.keep_mask)
     n_steps = config.n_steps
     block = max(1, n_steps // template.n_samples)
     w = _h2_weight(grid)
@@ -419,9 +406,9 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
     flagged = False
     done = 0
     A_now = packet.A
-    # only the autonomous first block is marched
-    for t, V in _march(config.system, half_spectrum(U0[:2]), 0.0, config.dt,
-                       n_steps, block):
+    # only the autonomous first block is marched; every array below is a
+    # half spectrum
+    for t, V in _march(config.system, U0[:2], 0.0, config.dt, n_steps, block):
         todo = min(block, n_steps - done)
         done += todo
         # advance the envelope over the same slow-time window
@@ -433,8 +420,7 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
                                  corrections=template.corrections)
         ref = build(comparison, grid, t)
         ref[:, ~keep] = 0.0
-        marched = full_spectrum(V, config.n)
-        state = np.concatenate([marched, slave_second_block(grid, marched, template.b)])
+        state = np.concatenate([V, slave_second_block(grid, V, template.b)])
         state[:, ~keep] = 0.0
         first, second = _block_norms(state - ref, grid, w)
         err = math.hypot(first, second)
@@ -593,8 +579,11 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
     once the data carry a mean, since both constraint relations drop k = 0
     (``TruncatedSystem.consistency_defect``).  The recorded
     error is the worst sampled distance in the mixed (L2, H2) norm, with the
-    per-block sups alongside (:class:`ScanRow`); the slope is fitted to
-    log sup_error against log eps.
+    per-block sups alongside (:class:`ScanRow`).  Packets, the re-slaved
+    state and the norms all stay on ``rfft`` half spectra, the layout the
+    march yields.  The slope is the least-squares slope of log sup_error
+    against log eps, in closed form from centred sums, so a scan calls no
+    linear-algebra routine.
 
     A row whose error exceeds the approximation's own size at some sample
     is flagged (instability or horizon too long), and a scan with a flagged
@@ -626,9 +615,11 @@ def error_scan(eps_list: tuple[float, ...] = (0.15, 0.10, 0.07),
             "approximation's size): " + "; ".join(
                 f"eps={row.eps}: error {row.sup_error:.6g}, size {row.approx_size:.6g}"
                 for row in flagged))
-    log_eps = np.log([row.eps for row in rows])
-    log_err = np.log([row.sup_error for row in rows])
-    slope = float(np.polyfit(log_eps, log_err, 1)[0])
+    log_eps = [math.log(row.eps) for row in rows]
+    log_err = [math.log(row.sup_error) for row in rows]
+    mean_eps, mean_err = math.fsum(log_eps) / len(rows), math.fsum(log_err) / len(rows)
+    slope = (math.fsum((x - mean_eps) * (y - mean_err) for x, y in zip(log_eps, log_err))
+             / math.fsum((x - mean_eps) ** 2 for x in log_eps))
     return ErrorScanResult(rows=rows, slope=slope, template=template)
 
 
@@ -644,12 +635,15 @@ def consistency_residual(state: SimState, b: float) -> tuple[float, float]:
     the system whose tables the constraint map reads, so its product is
     dealiased by the 2/3 rule alone: a run's band mask
     (``SimConfig.band_halfwidth``) is not applied, and a band-restricted run
-    is measured against the unrestricted constraint relations.
+    is measured against the unrestricted constraint relations.  The defects
+    are formed on the state's half spectra and their norms weigh each column
+    for k and -k.
     """
-    first, second = default_system(state.grid, b).consistency_defect(state.matrix)
+    first, second = default_system(state.grid, b).consistency_defect(state.half)
     L = state.grid.length
-    return (float(np.sqrt(L * np.sum(np.abs(first) ** 2))),
-            float(np.sqrt(L * np.sum(np.abs(second) ** 2))))
+    columns = _column_weights(state.grid)
+    return (float(np.sqrt(L * np.sum(columns * np.abs(first) ** 2))),
+            float(np.sqrt(L * np.sum(columns * np.abs(second) ** 2))))
 
 
 @lru_cache(maxsize=16)
@@ -673,10 +667,9 @@ def _n_hat_table(grid: Grid1D, params: KernelParams) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _error_tables(grid: Grid1D, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only theta^{-1}/eps^{5/2}, which rescales the second-block error,
-    and the symbol 1/(ik) (0 at k = 0) on the half spectrum."""
-    k = grid.wavenumbers
-    scale = theta_inv_hat(k, params.eps, params.delta0) / params.eps**2.5
-    kh = half_spectrum(k)
+    and the symbol 1/(ik) (0 at k = 0), both on the half spectrum."""
+    kh = half_spectrum(grid.wavenumbers)
+    scale = theta_inv_hat(kh, params.eps, params.delta0) / params.eps**2.5
     inv_ik = np.where(kh == 0.0, 0.0, -1j / np.where(kh == 0.0, 1.0, kh))
     for table in (scale, inv_ik):
         table.setflags(write=False)
@@ -725,13 +718,12 @@ def _energy_shared(state: SimState, packet: WavePacket,
     scale, inv_ik = _error_tables(grid, params)
     # the packet's realization and its lead band psi_plus, from one assembly
     first, lead = first_block(packet, grid, state.t, packet.profiles)
-    R = (full_spectrum(state.half[2:], n)
-         - slave_second_block(grid, first, packet.params.b)) * scale
+    R_half = (state.half[2:] - slave_second_block(grid, first, packet.params.b)) * scale
+    R = full_spectrum(R_half, n)
 
     # physical psi_plus; psi_minus is its complex conjugate there
     psi_plus = np.fft.ifft(lead, norm="forward")
     # the real fields R and dalpha^{-1} R in physical space, (slot, j2, n)
-    R_half = half_spectrum(R)
     fields = np.fft.irfft(np.array([R_half, inv_ik * R_half]), n, norm="forward")
     # coefficients of psi_plus * field, one row per (slot, j2)
     plus = np.fft.fft(psi_plus * fields, norm="forward").reshape(4, n)
@@ -762,10 +754,10 @@ def energy_diagnostic(state: SimState, packet: WavePacket, l: int,
     copies; a new state or packet object, even with equal content, is
     realized afresh.  The packet is realized by one
     ``wavepacket.first_block`` call, whose first block gives the packet's
-    second block through ``equations.slave_second_block`` (as ``build``
-    does) and whose lead band is the carrier psi_plus; nothing else is
-    cached.  The kernel tables are cached per (grid, params), the weights
-    per (grid, params, l).
+    second block through ``equations.slave_second_block`` (as
+    ``build`` does) and whose lead band is the carrier psi_plus; nothing
+    else is cached.  The kernel tables are cached per (grid, params), the
+    weights per (grid, params, l).
 
     ``params`` must be the packet's: KernelParams of another (k0, b, eps)
     raise, since their weights would measure another configuration.

@@ -7,6 +7,12 @@ in both first-block components, and the second block slaved through the
 constraint map so the initial data sits on the consistency manifold of the
 truncated system.
 
+The four components are real fields, so ``first_block`` and ``build``
+assemble only their ``rfft`` half spectra, columns 0..n/2, the layout of
+the time loop and of the constraint map; the lead band ``first_block`` also
+returns is a complex field and keeps the full (n,) layout, which the energy
+diagnostic's carrier pairing reads.
+
 The two-scale composition A(eps*(alpha - cg*t)) is evaluated spectrally:
 the envelope grid is required to nest exactly (L_envelope = eps * L_carrier),
 which turns slow-variable sampling into an index shift plus a phase — no
@@ -150,8 +156,8 @@ def _band_coefficients(grid: Grid1D, env: Grid1D, profiles: np.ndarray,
 
 def first_block(packet: WavePacket, grid: Grid1D, t: float,
                 profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(..., 2, n) coefficients of u_{-/+1} carried by a profile stack, linear
-    in it, and the stack's lead band, (..., n).
+    """``rfft`` half spectra (..., 2, n//2 + 1) of u_{-/+1} carried by a
+    profile stack, linear in it, and the stack's lead band, (..., n).
 
     Each profile G rides its harmonic l (see ``_HARMONICS``) as
     G(eps*(alpha - cg*t)) * e^{il(k0*alpha - omega0*t)} plus the complex
@@ -165,6 +171,11 @@ def first_block(packet: WavePacket, grid: Grid1D, t: float,
     of the carrier band, so the order-eps part of u_{-1} is
     eps * (psi_plus + conj(psi_plus(-k))).
 
+    Column k of the result pairs the bands at k with the conjugates of
+    those at -k, one sum per column, so it is column k of the assembly on
+    every column of the full layout; the columns at -k, conjugates of these
+    for real fields, are not formed.
+
     With ``packet.profiles`` this is the packet's realization: ``build``
     slaves the second block to the first block, and
     ``sim.energy_diagnostic`` does the same and also pairs the error with
@@ -173,27 +184,30 @@ def first_block(packet: WavePacket, grid: Grid1D, t: float,
     p = packet.params
     j0 = _check_nesting(packet, grid)
     eps, w0 = packet.eps, p.omega0
-    conj = grid._conjugate_index
+    h = grid.n_points // 2 + 1
+    conj = grid._conjugate_index[:h]
     bands = _band_coefficients(grid, packet.A.grid, profiles, j0, p.cg, t)
 
-    rows = np.zeros(profiles.shape[:-2] + (2, grid.n_points), dtype=complex)
+    rows = np.zeros(profiles.shape[:-2] + (2, h), dtype=complex)
     carrier = bands[..., 0, :] * np.exp(-1j * w0 * t)
-    rows[..., 0, :] += eps * (carrier + np.conj(carrier.take(conj, axis=-1)))
+    rows[..., 0, :] += eps * (carrier[..., :h] + np.conj(carrier.take(conj, axis=-1)))
     if profiles.shape[-2] > 1:
         mean = bands[..., 1::2, :]
         harm = bands[..., 2::2, :] * np.exp(-2j * w0 * t)
-        rows += eps**2 * (0.5 * (mean + np.conj(mean.take(conj, axis=-1)))
-                          + harm + np.conj(harm.take(conj, axis=-1)))
+        rows += eps**2 * (0.5 * (mean[..., :h] + np.conj(mean.take(conj, axis=-1)))
+                          + harm[..., :h] + np.conj(harm.take(conj, axis=-1)))
     return rows, carrier
 
 
 def build(packet: WavePacket, grid: Grid1D, t: float = 0.0) -> np.ndarray:
     """Realize the packet on the carrier grid at time t.
 
-    Returns the (4, n) coefficients of the four real components in the order
-    u_{-1}, u_{+1}, u_{-2}, u_{+2}: the first block from the profiles, the
-    second slaved to it by :func:`arcwave.equations.slave_second_block`.
-    The result is a fresh array.
+    Returns the ``rfft`` half spectra, (4, n//2 + 1), of the four real
+    components in the order u_{-1}, u_{+1}, u_{-2}, u_{+2}: the first block
+    from the profiles (:func:`first_block`), and the second block slaved to
+    it by :func:`arcwave.equations.slave_second_block`.  That is the layout
+    a ``sim.SimState`` stores and the time loop marches.  The result is a
+    fresh array.
     """
     first, _ = first_block(packet, grid, t, packet.profiles)
     return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])

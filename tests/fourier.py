@@ -2,14 +2,16 @@
 
 An array holds the full-layout coefficients of one field on a
 :class:`arcwave.spectral.Grid1D`: f(alpha) = sum_k c(k) e^{i k alpha}, so
-``c = fft(samples)/n`` in numpy's transform ordering.
+``c = fft(samples)/n`` in numpy's transform ordering.  ``state_from_matrix``
+hands four such real fields to a run state, which stores their half spectra.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from arcwave.spectral import Grid1D
+from arcwave.sim import SimState
+from arcwave.spectral import Grid1D, half_spectrum
 
 
 def mode_index(grid: Grid1D, k: float) -> int:
@@ -64,3 +66,27 @@ def hermitian_part(grid: Grid1D, c: np.ndarray) -> np.ndarray:
     nyq = grid.n_points // 2
     out[nyq] = out[nyq].real
     return out
+
+
+def state_from_matrix(grid: Grid1D, matrix: np.ndarray, t: float = 0.0) -> SimState:
+    """The run state of full-layout (4, n) coefficients of four real fields.
+
+    It keeps columns 0..n/2.  The columns at -k must be the conjugates of
+    those at k to round-off, four ulps of the largest coefficient (a packet
+    composed in the full layout on a scan grid is off by far less than one);
+    a matrix off by more is refused, naming its defect, since those columns
+    would otherwise be dropped unread.
+    """
+    mat = np.asarray(matrix, dtype=np.complex128)
+    n = grid.n_points
+    if mat.shape != (4, n):
+        raise ValueError(f"state matrix has shape {mat.shape}, expected (4, {n})")
+    mirror = np.conj(mat[:, n // 2 - 1: 0: -1])
+    defect = np.max(np.abs(mat[:, n // 2 + 1:] - mirror), initial=0.0)
+    bound = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(mat), initial=0.0)
+    if not defect <= bound:
+        raise ValueError(
+            f"state matrix is not real: its columns at -k differ from the "
+            f"conjugates of those at k by up to {defect:.6g}, above the "
+            f"round-off bound {bound:.6g}")
+    return SimState(grid, half_spectrum(mat), t)

@@ -8,8 +8,11 @@ equation, and ``residual`` measures the defect of the four evolution
 equations at t = 0 against it.  ``residual_orders`` fits the decay of that
 defect in eps for sech packets, with and without the quadratic corrections.
 ``carrier_halves`` reads the O(1) halves of the leading carrier band off the
-packet's band assembly.  No production route needs these; the tests hold
-them.
+packet's band assembly.  ``full_layout_first_block`` and
+``full_layout_build`` compose the realization in the full layout, every
+column including those at -k, the reference for the half spectra of
+``first_block`` and ``build``.  No production route needs these; the tests
+hold them.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from arcwave.equations import slave_second_block
+from arcwave.equations import default_system, slave_second_block
 from arcwave.nls import EnvelopeField, nls_coefficients, second_order_coefficients
 from arcwave.sim import SimConfig, _sech_envelope, scan_grid_length
-from arcwave.spectral import Grid1D
-from arcwave.wavepacket import _HARMONICS, WavePacket, build, first_block, wave_packet
+from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
+from arcwave.wavepacket import (_HARMONICS, WavePacket, _band_coefficients, _check_nesting,
+                                 build, first_block, wave_packet)
 from kernel_oracle import full_rhs
 
 
@@ -43,9 +47,10 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float) -> np.ndar
     tau-derivative follows the modulation equation, whose coefficients
     ``nls_coefficients`` derives for the packet's (k0, b); the corrections'
     follow by differentiating their algebraic definitions.  The first block
-    is the band assembly of these derivative profiles.  The second block is the
-    derivative of the constraint map along the first block's; the map is
-    quadratic, so that derivative is the polarization (S(u + du) - S(u - du))/2.
+    is the full-layout band assembly of these derivative profiles.  The
+    second block is the derivative of the constraint map along the first
+    block's; the map is quadratic, so that derivative is the polarization
+    (S(u + du) - S(u - du))/2.
     """
     p = packet.params
     env = packet.A.grid
@@ -67,9 +72,58 @@ def build_time_derivative(packet: WavePacket, grid: Grid1D, t: float) -> np.ndar
                          c.c_p0 * mod2, c.c_p2 * 2 * a * a_tau]
     d_profiles = np.array([d_dt(g, g_tau, ell) for g, g_tau, ell
                            in zip(profiles, profiles_tau, _HARMONICS)])
-    (u, du), _ = first_block(packet, grid, t, np.array([profiles, d_profiles]))
-    plus, minus = slave_second_block(grid, np.array([u + du, u - du]), p.b)
-    return np.concatenate([du, 0.5 * (plus - minus)])
+    u, du = full_layout_first_block(packet, grid, t, np.array([profiles, d_profiles]))
+    plus, minus = slave_second_block(grid, half_spectrum(np.array([u + du, u - du])), p.b)
+    return np.concatenate([du, full_spectrum(0.5 * (plus - minus), grid.n_points)])
+
+
+def full_layout_first_block(packet: WavePacket, grid: Grid1D, t: float,
+                            profiles: np.ndarray) -> np.ndarray:
+    """(..., 2, n) coefficients of u_{-/+1} carried by a profile stack: the
+    band assembly of ``first_block`` formed on every column of the full layout.
+
+    Column k pairs the bands at k with the conjugates of those at -k by the
+    operations ``first_block`` applies, so ``first_block`` must give its
+    columns 0..n/2 bit for bit.  Its columns at -k are the conjugates of
+    those at k only to round-off: the sums there associate in another order.
+    """
+    p = packet.params
+    j0 = _check_nesting(packet, grid)
+    eps, w0 = packet.eps, p.omega0
+    conj = grid._conjugate_index
+    bands = _band_coefficients(grid, packet.A.grid, profiles, j0, p.cg, t)
+
+    rows = np.zeros(profiles.shape[:-2] + (2, grid.n_points), dtype=complex)
+    carrier = bands[..., 0, :] * np.exp(-1j * w0 * t)
+    rows[..., 0, :] += eps * (carrier + np.conj(carrier.take(conj, axis=-1)))
+    if profiles.shape[-2] > 1:
+        mean = bands[..., 1::2, :]
+        harm = bands[..., 2::2, :] * np.exp(-2j * w0 * t)
+        rows += eps**2 * (0.5 * (mean + np.conj(mean.take(conj, axis=-1)))
+                          + harm + np.conj(harm.take(conj, axis=-1)))
+    return rows
+
+
+def full_layout_build(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
+    """The packet realized in the full (4, n) layout: ``full_layout_first_block``,
+    then the constraint map written out on full-layout arrays.
+
+    It uses the tables and operations of ``build``, column by column, so
+    ``build`` must give its columns 0..n/2 bit for bit.  Its columns at -k
+    are the conjugates of those at k only to round-off.
+    """
+    system = default_system(grid, packet.params.b)
+    n = grid.n_points
+    first = full_layout_first_block(packet, grid, t, packet.profiles)
+    s1 = first[0] + first[1]
+    d2 = (first[0] - first[1]) * system._ik2
+    pf, pg = np.fft.irfft(np.array([half_spectrum(system._K0) * half_spectrum(s1),
+                                    half_spectrum(system._sig_inv) * half_spectrum(d2)]),
+                          n, norm="forward")
+    prod = full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
+    prod = np.where(system.keep_mask, prod, 0.0)
+    s2 = s1 * system._ik2 - prod * system._ik
+    return np.concatenate([first, [0.5 * (s2 + d2), 0.5 * (s2 - d2)]])
 
 
 def carrier_halves(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
@@ -108,7 +162,8 @@ def residual(packet: WavePacket, config: SimConfig) -> ResidualNorms:
     same truncated system.
     """
     grid = config.grid
-    tendency = full_rhs(config.system, build(packet, grid, 0.0))
+    U = full_spectrum(build(packet, grid, 0.0), grid.n_points)
+    tendency = full_rhs(config.system, U)
     defect = tendency - build_time_derivative(packet, grid, 0.0)
     norms = np.sqrt(grid.length * np.sum(np.abs(defect) ** 2, axis=1))
     return ResidualNorms(*(float(v) for v in norms))

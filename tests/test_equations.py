@@ -148,20 +148,20 @@ def test_consistency_defect_vanishes_on_slaved_states():
     rng = np.random.default_rng(21)
     system = TruncatedSystem(GRID, BOND)
     state = slaved_state(rng, GRID, BOND)
-    first, second = system.consistency_defect(state)
+    first, second = system.consistency_defect(half_spectrum(state))
     assert np.max(np.abs(first)) < 1e-15
     assert np.max(np.abs(second)) < 1e-15
 
 
 def test_slave_second_block_matches_the_field_route_and_batches():
-    # the production map against the complex-transform route of
-    # ``slaved_state``, and a stack of first blocks mapped row by row
+    # the production map on half spectra against the complex-transform
+    # route of ``slaved_state``, and a stack of first blocks mapped row by row
     rng = np.random.default_rng(23)
-    state = slaved_state(rng, GRID, BOND)
+    state = half_spectrum(slaved_state(rng, GRID, BOND))
     got = slave_second_block(GRID, state[:2], BOND)
-    assert got.shape == (2, GRID.n_points)
+    assert got.shape == (2, GRID.n_points // 2 + 1)
     assert np.max(np.abs(got - state[2:])) < 1e-14 * np.max(np.abs(state[2:]))
-    other = random_real_state(rng)[:2]
+    other = half_spectrum(random_real_state(rng))[:2]
     stacked = slave_second_block(GRID, np.array([state[:2], other]), BOND)
     assert stacked[0].tobytes() == got.tobytes()
     assert stacked[1].tobytes() == slave_second_block(GRID, other, BOND).tobytes()
@@ -171,7 +171,7 @@ def test_consistency_defect_detects_unslaved_state():
     rng = np.random.default_rng(22)
     system = TruncatedSystem(GRID, BOND)
     state = random_real_state(rng, scale=0.1)
-    first, second = system.consistency_defect(state)
+    first, second = system.consistency_defect(half_spectrum(state))
     assert np.max(np.abs(first)) > 1e-4
 
 

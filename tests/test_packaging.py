@@ -148,30 +148,59 @@ def _source_defs() -> dict[tuple[str, int], str]:
     return defs
 
 
+def _replay_production_routes(profile: str) -> dict:
+    """Replay ``PRODUCTION_ROUTES`` under a profile function in a fresh
+    interpreter, so that every lru cache starts cold as in the benchmark's
+    workers.
+
+    ``profile`` is code that defines ``profile(frame, event, arg)`` and the
+    set ``seen`` it adds to; ``sys.argv[1]`` is src/arcwave.  Returns the
+    sorted ``seen`` and the operations that failed.
+    """
+    src = Path(arcwave.__path__[0])
+    code = ("import json, sys\n" + profile + PRODUCTION_ROUTES +
+            "print(json.dumps({'seen': sorted(seen), 'failed': failed}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src.parent), str(ROOT / "benchmark"), os.environ.get("PYTHONPATH", "")]))
+    return json.loads(subprocess.run([sys.executable, "-c", code, str(src)], env=env,
+                                     check=True, capture_output=True, text=True).stdout)
+
+
 def test_src_holds_only_production_routes():
     """Every def in src/arcwave runs on a production route, or is allowed.
 
-    A fresh interpreter, so that every lru cache starts cold as in the
-    benchmark's workers, replays the workloads' rounds under
-    ``sys.setprofile`` and reports the code objects of src/arcwave that were
-    entered, and the operations that failed.
+    The replay reports the code objects of src/arcwave that were entered,
+    and the operations that failed.
     """
-    src = Path(arcwave.__path__[0])
-    code = ("import json, sys\n"
-            "ran = set()\n"
-            "def profile(frame, event, arg):\n"
-            "    if event == 'call' and frame.f_code.co_filename.startswith(sys.argv[1]):\n"
-            "        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n"
-            + PRODUCTION_ROUTES +
-            "print(json.dumps({'ran': sorted(ran), 'failed': failed}))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src.parent), str(ROOT / "benchmark"), os.environ.get("PYTHONPATH", "")]))
-    out = json.loads(subprocess.run([sys.executable, "-c", code, str(src)], env=env,
-                                    check=True, capture_output=True, text=True).stdout)
+    out = _replay_production_routes(
+        "seen = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_filename.startswith(sys.argv[1]):\n"
+        "        seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n")
     assert out["failed"] == []
-    ran = {(Path(name).name, line) for name, line in out["ran"]}
+    ran = {(Path(name).name, line) for name, line in out["seen"]}
     never = sorted(name for key, name in _source_defs().items() if key not in ran)
     assert never == sorted(REACH_ALLOWLIST)
+
+
+def test_production_routes_call_no_linear_algebra():
+    """No workload round calls into ``numpy.linalg`` or ``numpy.polyfit``.
+
+    The scan's slope is a closed-form least-squares fit, so a round never
+    touches the LAPACK code that a fit through ``polyfit`` would page in.
+    """
+    out = _replay_production_routes(
+        "import os, numpy\n"
+        "numpy_dir = os.path.dirname(numpy.__file__) + os.sep\n"
+        "linalg_dir = os.path.dirname(numpy.linalg.__file__) + os.sep\n"
+        "seen = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and (code.co_filename.startswith(linalg_dir) or (\n"
+        "            code.co_name == 'polyfit' and code.co_filename.startswith(numpy_dir))):\n"
+        "        seen.add(code.co_filename.removeprefix(numpy_dir) + ':' + code.co_name)\n")
+    assert out["failed"] == []
+    assert out["seen"] == []
 
 
 def test_readme_test_nodes_exist():

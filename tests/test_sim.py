@@ -32,9 +32,9 @@ from arcwave.sim import (
 )
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from arcwave.wavepacket import build, wave_packet
-from fourier import hermitian_part, ik_power, mode_index
+from fourier import hermitian_part, ik_power, mode_index, state_from_matrix
 from kernel_oracle import full_rhs, rho_extremes
-from packet_oracle import residual, residual_orders
+from packet_oracle import full_layout_build, residual, residual_orders
 
 K0 = 2.0
 EPS = 0.1
@@ -51,7 +51,7 @@ def random_state(grid, scale, seed):
              + 1j * rng.normal(size=grid.n_points)) * scale
         c[~grid.dealias_keep] = 0.0
         rows.append(hermitian_part(grid, c))
-    return SimState.from_matrix(grid, np.array(rows), t=0.0)
+    return state_from_matrix(grid, np.array(rows), t=0.0)
 
 
 def sech_envelope_on(n, length):
@@ -145,14 +145,14 @@ def test_config_derived_objects():
 def test_state_rejects_wrong_shape_matrix(shape):
     grid = Grid1D(64, 8 * np.pi)
     with pytest.raises(ValueError, match="shape"):
-        SimState.from_matrix(grid, np.zeros(shape))
+        state_from_matrix(grid, np.zeros(shape))
     with pytest.raises(ValueError, match="shape"):  # a half spectrum is (4, 33)
         SimState(grid, np.zeros(shape))
 
 
 def test_state_matrix_is_a_read_only_copy():
     mat = np.zeros((4, 64), dtype=complex)
-    state = SimState.from_matrix(Grid1D(64, 8 * np.pi), mat)
+    state = state_from_matrix(Grid1D(64, 8 * np.pi), mat)
     mat[0, 1] = 1.0
     assert state.matrix[0, 1] == 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -164,21 +164,23 @@ def test_state_matrix_is_a_read_only_copy():
 def test_state_refuses_a_matrix_that_is_not_real():
     # a state keeps columns 0..n/2 only, so columns at -k that are not the
     # conjugates of those at k would be dropped unread; round-off is let
-    # through (the scan's packet is off by 4e-19)
+    # through (the scan's packet composed in the full layout is off by 4e-19)
     grid = Grid1D(64, 8 * np.pi)
     real = random_state(grid, 1.0, seed=5).matrix
     for scale in (1.0, 1e-9):
         bad = scale * real
         bad[1, 60] += 0.25 * scale
         with pytest.raises(ValueError, match=rf"not real: .* by up to {0.25 * scale:.6g},"):
-            SimState.from_matrix(grid, bad)
+            state_from_matrix(grid, bad)
         off = scale * real
         off[1, 60] *= 1.0 + np.finfo(float).eps
-        assert np.array_equal(SimState.from_matrix(grid, off).half, half_spectrum(off))
-    config, _, U0 = sim._scan_problem(0.2, ScanTemplate())
-    mirror = np.conj(U0.take(config.grid._conjugate_index, axis=-1))
-    assert 0.0 < np.max(np.abs(U0 - mirror)) < 1e-18
-    assert np.array_equal(SimState.from_matrix(config.grid, U0).half, half_spectrum(U0))
+        assert np.array_equal(state_from_matrix(grid, off).half, half_spectrum(off))
+    config, packet, U0 = sim._scan_problem(0.2, ScanTemplate())
+    full = full_layout_build(packet, config.grid, 0.0)
+    full[:, ~config.system.keep_mask] = 0.0
+    mirror = np.conj(full.take(config.grid._conjugate_index, axis=-1))
+    assert 0.0 < np.max(np.abs(full - mirror)) < 1e-18
+    assert np.array_equal(state_from_matrix(config.grid, full).half, U0)
 
 
 def test_reality_defect_is_the_full_layout_formula():
@@ -227,7 +229,7 @@ def test_run_states_hold_only_their_half_spectrum():
 
 def test_rhs_zero_state_is_zero():
     config = good_config()
-    state = SimState.from_matrix(config.grid, np.zeros((4, config.n)))
+    state = state_from_matrix(config.grid, np.zeros((4, config.n)))
     assert np.all(full_rhs(config.system, state.matrix) == 0.0)
 
 
@@ -243,7 +245,7 @@ def test_rhs_single_carrier_mode_matches_closed_form(b):
     U = np.zeros((4, 256), dtype=complex)
     U[0, mode_index(grid, K0)] = 0.5
     U[0, mode_index(grid, -K0)] = 0.5
-    state = SimState.from_matrix(grid, U, 0.0)
+    state = state_from_matrix(grid, U, 0.0)
     quad = full_rhs(config.system, state.matrix)
     quad -= config.system.linear_symbols * U  # strip the linear part
 
@@ -315,7 +317,7 @@ def test_mode_zero_is_conserved_exactly():
     state = random_state(config.grid, 0.02, seed=29)
     mat = state.matrix.copy()
     mat[:, 0] = np.array([0.125, -0.5, 0.25, 1.0])
-    state = SimState.from_matrix(config.grid, mat, 0.0)
+    state = state_from_matrix(config.grid, mat, 0.0)
     out = run(config, state)
     assert np.array_equal(out.final.matrix[:, 0], mat[:, 0])
 
@@ -328,7 +330,7 @@ def test_run_samples_are_exactly_real_with_the_zero_mode_bitwise(monitored_run):
     mat = random_state(config.grid, 0.02, seed=31).matrix.copy()
     mat[:, 0] = np.array([0.125, -0.5, 0.25, 1.0])
     mat[:, 64] = np.array([0.5, -0.25, 0.125, 2.0])
-    out = run(config, SimState.from_matrix(config.grid, mat, 0.0), sample_every=7)
+    out = run(config, state_from_matrix(config.grid, mat, 0.0), sample_every=7)
     packet_run = monitored_run["run"]
     U0 = packet_run.samples[0].matrix
     for s in out.samples[1:]:
@@ -343,6 +345,15 @@ def test_packet_initial_state_is_exactly_real(monitored_run):
     # the slaved second block is formed with real transforms
     state = packet_initial_state(monitored_run["packet"], monitored_run["config"])
     assert state.reality_defect() == 0.0
+
+
+def test_packet_initial_state_holds_the_full_layout_columns(monitored_run):
+    # the state wraps build's half spectra: bitwise columns 0..n/2 of the
+    # packet composed in the full layout
+    config = monitored_run["config"]
+    state = packet_initial_state(monitored_run["packet"], config)
+    want = half_spectrum(full_layout_build(monitored_run["packet"], config.grid, 0.0))
+    assert state.half.tobytes() == want.tobytes()
 
 
 def test_reality_preserved_over_many_steps():
@@ -382,7 +393,7 @@ def test_first_block_march_is_bitwise_rows_0_1_of_the_four_component_run(b):
     # a packet (second block slaved) and from a random state (not slaved)
     packet_config, _, U0 = sim._scan_problem(0.2, replace(FAST_TEMPLATE, b=b))
     random_config = good_config(b=b, t_end=2.0)
-    cases = ((packet_config, SimState.from_matrix(packet_config.grid, U0, 0.0), 7),
+    cases = ((packet_config, SimState(packet_config.grid, U0, 0.0), 7),
              (random_config, random_state(random_config.grid, 0.02, seed=37), 3))
     for config, state, every in cases:
         out = run(config, state, sample_every=every)
@@ -520,10 +531,10 @@ def free_scan_rows(eps_list, template):
     rows = []
     for eps in eps_list:
         config, packet, U0 = sim._scan_problem(eps, template)
-        grid, keep = config.grid, config.system.keep_mask
+        grid, keep = config.grid, half_spectrum(config.system.keep_mask)
         coeffs = nls_coefficients(template.k0, template.b)
         block = max(1, config.n_steps // template.n_samples)
-        out = run(config, SimState.from_matrix(grid, U0, 0.0), sample_every=block)
+        out = run(config, SimState(grid, U0, 0.0), sample_every=block)
         A_now, prev_t = packet.A, 0.0
         w = sim._h2_weight(grid)
         err, size = 0.0, sim._split_norm(U0, grid, w)
@@ -537,13 +548,22 @@ def free_scan_rows(eps_list, template):
                                     config.model, corrections=template.corrections)
             ref = build(reference, grid, s.t)
             ref[:, ~keep] = 0.0
-            err = max(err, sim._split_norm(s.matrix - ref, grid, w))
+            err = max(err, sim._split_norm(s.half - ref, grid, w))
             size = max(size, sim._split_norm(ref, grid, w))
         rows.append((err, size))
     return rows
 
 
+def assert_slope_is_the_polyfit(result):
+    """The closed-form slope of ``error_scan`` is numpy's least-squares fit
+    of log sup_error against log eps through its rows, to 1e-14."""
+    log_eps = np.log([row.eps for row in result.rows])
+    log_err = np.log([row.sup_error for row in result.rows])
+    assert result.slope == pytest.approx(np.polyfit(log_eps, log_err, 1)[0], rel=1e-14)
+
+
 def assert_scan_rows(result, eps, first, second, mixed, sizes, slope):
+    assert_slope_is_the_polyfit(result)
     rows = result.rows
     assert [row.eps for row in rows] == list(eps)
     assert [row.first_block_error for row in rows] == pytest.approx(first, rel=1e-9)
@@ -625,7 +645,7 @@ def test_small_amplitude_first_block_error_is_the_third_order_dispersion_floor(m
                         lambda grid: EnvelopeField(grid, 1e-3 * envelope(grid).values))
     eps, template = 0.10, ScanTemplate(tau0=0.5)
     config, _, U0 = sim._scan_problem(eps, template)
-    initial = np.sqrt(config.length * np.sum(np.abs(U0[:2]) ** 2))
+    initial = np.sqrt(config.length * np.sum(np.abs(full_spectrum(U0[:2], config.n)) ** 2))
     row = sim._scan_single(eps, template)
     K = np.linspace(-40.0, 40.0, 80001)
     power = 1.0 / np.cosh(0.5 * np.pi * K) ** 2
@@ -648,9 +668,10 @@ def test_free_second_block_constraint_defect_collapses_at_fixed_slow_time():
         config = replace(config, t_end=0.05 / eps**2)
         first0, _ = config.system.consistency_defect(U0)
         assert np.max(np.abs(first0)) < 1e-15 * np.max(np.abs(U0[0]))
-        final = run(config, SimState.from_matrix(config.grid, U0, 0.0)).final
-        first, _ = config.system.consistency_defect(final.matrix)
-        ratios.append(float(np.linalg.norm(first) / np.linalg.norm(final.matrix[0])))
+        final = run(config, SimState(config.grid, U0, 0.0)).final
+        first, _ = config.system.consistency_defect(final.half)
+        ratios.append(float(np.linalg.norm(full_spectrum(first, config.n))
+                            / np.linalg.norm(final.matrix[0])))
     assert ratios == pytest.approx([1.084747454505155, 0.7538750203055976], rel=1e-9)
     assert 0.5 <= min(ratios) and max(ratios) <= 1.5
 
@@ -726,6 +747,7 @@ def test_error_scan_forked_rows_equal_the_one_process_rows(monkeypatch, eps, cpu
     assert [row.eps for row in forked.rows] == list(eps)
     assert forked.rows == inline.rows
     assert forked.slope == inline.slope
+    assert_slope_is_the_polyfit(forked)
     assert_no_child_left()
 
 
@@ -859,7 +881,7 @@ def test_residual_orders_frozen():
 
 def test_consistency_zero_state():
     grid = Grid1D(128, 8 * np.pi)
-    state = SimState.from_matrix(grid, np.zeros((4, grid.n_points)))
+    state = state_from_matrix(grid, np.zeros((4, grid.n_points)))
     assert consistency_residual(state, BOND) == (0.0, 0.0)
 
 
@@ -869,9 +891,8 @@ def test_constraint_map_and_consistency_residual_share_the_default_system(monkey
     monkeypatch.setattr(TruncatedSystem, "_constraint_product",
                         lambda self, f, g: seen.append(self) or product(self, f, g))
     grid = Grid1D(64, 8 * np.pi)
-    first = random_state(grid, 1e-2, seed=3).matrix[:2]
-    state = SimState.from_matrix(
-        grid, np.concatenate([first, slave_second_block(grid, first, BOND)]))
+    first = random_state(grid, 1e-2, seed=3).half[:2]
+    state = SimState(grid, np.concatenate([first, slave_second_block(grid, first, BOND)]))
     consistency_residual(state, BOND)
     system = default_system(Grid1D(64, 8 * np.pi), BOND)
     assert len(seen) == 2
@@ -920,13 +941,15 @@ def constraint_drift_rates(amplitude, keep_mean):
     half[:, 0] = rng.normal(size=2) if keep_mean else 0.0
     first = full_spectrum(half, grid.n_points)
     first *= amplitude / np.max(np.abs(np.fft.ifft(first[0], norm="forward")))
-    U = np.concatenate([first, slave_second_block(grid, first, 0.0)])
+    n = grid.n_points
+    U = np.concatenate([first, full_spectrum(
+        slave_second_block(grid, half_spectrum(first), 0.0), n)])
     F = full_rhs(system, U)
     h = 0.1
-    plus = system.consistency_defect(U + h * F)
-    minus = system.consistency_defect(U - h * F)
-    return np.array([np.linalg.norm((p - m) / (2.0 * h)) for p, m in zip(plus, minus)]
-                    ) / np.linalg.norm(U[0])
+    plus = system.consistency_defect(half_spectrum(U + h * F))
+    minus = system.consistency_defect(half_spectrum(U - h * F))
+    return np.array([np.linalg.norm(full_spectrum((p - m) / (2.0 * h), n))
+                     for p, m in zip(plus, minus)]) / np.linalg.norm(U[0])
 
 
 def test_truncated_flow_is_tangent_to_the_constraint_manifold_to_quadratic_order():
@@ -953,13 +976,14 @@ def test_packet_constraint_drift_rate_falls_like_eps_squared():
         config = SimConfig(eps=eps, k0=K0, b=0.0, n=2048, length=L, dt=1.0, t_end=0.0)
         packet = wave_packet(sech_envelope_on(256, eps * L), eps, config.model,
                              corrections=True)
-        U = build(packet, config.grid, 0.0)
+        U = full_spectrum(build(packet, config.grid, 0.0), config.n)
         system = config.system
         F = full_rhs(system, U)
         h = 0.1
-        _, plus = system.consistency_defect(U + h * F)
-        _, minus = system.consistency_defect(U - h * F)
-        rates.append(np.linalg.norm((plus - minus) / (2.0 * h)) / np.linalg.norm(U[0]))
+        _, plus = system.consistency_defect(half_spectrum(U + h * F))
+        _, minus = system.consistency_defect(half_spectrum(U - h * F))
+        rates.append(np.linalg.norm(full_spectrum((plus - minus) / (2.0 * h), config.n))
+                     / np.linalg.norm(U[0]))
     assert rates == pytest.approx([2.463209968754558, 0.435360941480837,
                                   0.09650585218441912], rel=1e-9)
     ratios = np.array(rates[:-1]) / np.array(rates[1:])  # 5.66, 4.51
@@ -1166,8 +1190,8 @@ def _perturbed_state_and_plain(config, packet, params, seed, l):
         c *= np.exp(-0.1 * np.abs(k))
         c[~grid.dealias_keep] = 0.0
         pert.append(hermitian_part(grid, c))
-    state = SimState.from_matrix(grid, base.matrix + np.array(pert), 0.0)
-    approx = build(packet, grid, 0.0)
+    state = state_from_matrix(grid, base.matrix + np.array(pert), 0.0)
+    approx = full_spectrum(build(packet, grid, 0.0), config.n)
     t_inv = theta_inv_hat(k, config.eps, params.delta0)
     dl = (1j * k) ** l
     plain = 0.0
@@ -1274,7 +1298,7 @@ def modified_energy_oracle(state, packet, l, params):
     grid, t = state.grid, state.t
     k, n, eps = grid.wavenumbers, grid.n_points, packet.eps
     p = packet.params
-    R = (state.matrix[2:] - build(packet, grid, t)[2:]) * theta_inv_hat(
+    R = (state.matrix[2:] - full_spectrum(build(packet, grid, t)[2:], n)) * theta_inv_hat(
         k, eps, params.delta0) / eps**2.5
     j0 = round(p.k0 / grid.fundamental)
     env = packet.A.grid

@@ -17,17 +17,19 @@ from hypothesis import strategies as st
 from arcwave.dispersion import ModelParams
 from arcwave.equations import TruncatedSystem, slave_second_block
 from arcwave.nls import EnvelopeField, nls_coefficients, second_order_coefficients
-from arcwave.spectral import Grid1D
+from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from arcwave.wavepacket import (
     _HARMONICS,
     _band_coefficients,
     band_mask,
     build,
+    first_block,
     second_order_corrections,
     wave_packet,
 )
 from fourier import mode_index
-from packet_oracle import build_time_derivative, carrier_halves, envelope_rhs
+from packet_oracle import (build_time_derivative, carrier_halves, envelope_rhs,
+                           full_layout_build, full_layout_first_block)
 
 EPS = 0.1
 PARAMS = ModelParams(k0=2.0, b=0.05)
@@ -82,10 +84,10 @@ def band_by_band_first_block(packet, grid, t, lead, corrections):
 
 
 def band_masked(packet, grid, t=0.0):
-    """The packet's first block at t with the modes outside the DELTA0 bands
-    zeroed, and the second block slaved to it."""
+    """The half spectra of the packet's first block at t with the modes
+    outside the DELTA0 bands zeroed, and the second block slaved to it."""
     first = build(packet, grid, t)[:2]
-    first[:, ~band_mask(grid, packet.params.k0, DELTA0)] = 0.0
+    first[:, ~half_spectrum(band_mask(grid, packet.params.k0, DELTA0))] = 0.0
     return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
 
 
@@ -129,8 +131,9 @@ class TestRealization:
         sec = packet.profiles[1:] if corrections else None
         for t in (0.0, 1.3):
             first = band_by_band_first_block(packet, CARRIER, t, a, sec)
+            first_half = half_spectrum(first)
             want = np.concatenate(
-                [first, slave_second_block(CARRIER, first, PARAMS.b)])
+                [first_half, slave_second_block(CARRIER, first_half, PARAMS.b)])
             assert build(packet, CARRIER, t).tobytes() == want.tobytes()
 
             lead = per_mode_band(CARRIER, ENVELOPE, a, 1, 112, PARAMS.cg, t)
@@ -156,10 +159,40 @@ class TestRealization:
                                   in zip(sec, sec_tau, (0, 2, 0, 2))])
             du = band_by_band_first_block(packet, CARRIER, t, d_dt(a, a_tau, 1), d_sec)
             plus, minus = slave_second_block(
-                CARRIER, np.array([first + du, first - du]), PARAMS.b)
-            want = np.concatenate([du, 0.5 * (plus - minus)])
+                CARRIER, half_spectrum(np.array([first + du, first - du])), PARAMS.b)
+            want = np.concatenate([du, full_spectrum(0.5 * (plus - minus), CARRIER.n_points)])
             got = build_time_derivative(packet, CARRIER, t)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [0.0, 0.05])
+    @pytest.mark.parametrize("corrections", [False, True])
+    def test_half_spectra_are_bitwise_the_full_layout_columns(self, b, corrections):
+        """``build`` returns the (4, n//2 + 1) half spectra: bitwise columns
+        0..n/2 of ``first_block`` followed by the constraint map written out
+        on the full layout."""
+        params = ModelParams(k0=PARAMS.k0, b=b)
+        packet = wave_packet(sech_envelope(), EPS, params, corrections=corrections)
+        for t in (0.0, 1.3):
+            got = build(packet, CARRIER, t)
+            assert got.shape == (4, CARRIER.n_points // 2 + 1)
+            want = half_spectrum(full_layout_build(packet, CARRIER, t))
+            assert got.tobytes() == want.tobytes()
+
+    def test_first_block_is_bitwise_the_full_layout_columns(self):
+        """``first_block`` forms columns 0..n/2 only, bitwise those of the
+        assembly on the full layout, for stacks of one, of five and of two
+        times five profiles, and its lead band keeps the full layout."""
+        packet = wave_packet(sech_envelope(), EPS, PARAMS)
+        rng = np.random.default_rng(3)
+        for shape in ((1,), (5,), (2, 5)):
+            profiles = (rng.normal(size=shape + (256,))
+                        + 1j * rng.normal(size=shape + (256,)))
+            for t in (0.0, 1.3):
+                rows, lead = first_block(packet, CARRIER, t, profiles)
+                assert rows.shape == shape[:-1] + (2, CARRIER.n_points // 2 + 1)
+                assert lead.shape == shape[:-1] + (CARRIER.n_points,)
+                want = full_layout_first_block(packet, CARRIER, t, profiles)
+                assert rows.tobytes() == half_spectrum(want).tobytes()
 
     def test_packet_profiles_are_read_only(self):
         packet = wave_packet(sech_envelope(), EPS, PARAMS)
@@ -183,8 +216,12 @@ class TestRealization:
     def test_realized_fields_are_real(self):
         packet = wave_packet(sech_envelope(), EPS, PARAMS)
         u = build(packet, CARRIER, 0.6)
-        assert u.shape == (4, CARRIER.n_points)
-        assert_rows_real(u, CARRIER, 1e-14)
+        assert u.shape == (4, CARRIER.n_points // 2 + 1)
+        # build keeps columns 0..n/2 of this composition, which is lossless
+        # only because its columns at -k are the conjugates of those at k
+        assert_rows_real(full_layout_build(packet, CARRIER, 0.6), CARRIER, 1e-14)
+        # of the half spectra only columns 0 and n/2 can be off
+        assert_rows_real(full_spectrum(u, CARRIER.n_points), CARRIER, 1e-14)
 
     def test_carrier_halves_are_the_leading_band(self):
         """Row 1 is the conjugate flip of row 0, and eps times their sum is
@@ -194,7 +231,7 @@ class TestRealization:
         assert halves.shape == (2, CARRIER.n_points)
         assert np.array_equal(halves[1], np.conj(halves[0][CARRIER._conjugate_index]))
         u_m1 = build(packet, CARRIER, 0.6)[0]
-        assert (EPS * (halves[0] + halves[1])).tobytes() == u_m1.tobytes()
+        assert half_spectrum(EPS * (halves[0] + halves[1])).tobytes() == u_m1.tobytes()
 
     def test_positive_component_needs_corrections(self):
         """Without the quadratic response there is nothing of order eps in u_{+1}."""
@@ -207,7 +244,7 @@ class TestRealization:
         c0 = 0.8 - 0.3j
         t = 0.7
         packet = wave_packet(EnvelopeField(ENVELOPE, np.full(256, c0)), EPS, PARAMS)
-        u_m1, u_p1 = build(packet, CARRIER, t)[:2]
+        u_m1, u_p1 = full_spectrum(build(packet, CARRIER, t)[:2], CARRIER.n_points)
         k0, w0 = PARAMS.k0, PARAMS.omega0
         c = second_order_coefficients(k0, PARAMS.b)
         def at(k):
@@ -232,7 +269,7 @@ class TestRealization:
         t = 2.1
         A = random_envelope(ENVELOPE, 11)
         packet = wave_packet(A, EPS, PARAMS, corrections=False)
-        u_m1 = build(packet, CARRIER, t)[0]
+        u_m1 = full_spectrum(build(packet, CARRIER, t)[0], CARRIER.n_points)
 
         g = np.fft.fft(A.values) / ENVELOPE.n_points
         kappa = ENVELOPE.mode_numbers * CARRIER.fundamental
@@ -255,7 +292,7 @@ class TestSlaving:
     def test_block_difference_relation(self):
         packet = wave_packet(sech_envelope(), EPS, PARAMS, corrections=False)
         u_m1, u_p1, u_m2, u_p2 = build(packet, CARRIER, 0.0)
-        rhs = (1j * CARRIER.wavenumbers) ** 2 * (u_m1 - u_p1)
+        rhs = (1j * half_spectrum(CARRIER.wavenumbers)) ** 2 * (u_m1 - u_p1)
         assert np.max(np.abs((u_m2 - u_p2) - rhs)) < 1e-16
 
 
@@ -283,7 +320,7 @@ class TestCorrections:
         rotated = EnvelopeField(ENVELOPE, A.values * np.exp(1j * phi))
         base = build(wave_packet(A, EPS, PARAMS), CARRIER, 0.0)
         rot = build(wave_packet(rotated, EPS, PARAMS), CARRIER, 0.0)
-        k = CARRIER.wavenumbers
+        k = half_spectrum(CARRIER.wavenumbers)
         lead = np.abs(k - PARAMS.k0) <= 0.5
         harm = np.abs(k - 2 * PARAMS.k0) <= 0.5
         mean = np.abs(k) <= 0.5
@@ -305,8 +342,8 @@ class TestTruncation:
         # The slaved block contains first-block products, so its support sits in
         # the doubled bands around harmonics up to |l| = 4 (up to the roundoff
         # scatter of the physical-space product).
-        k = CARRIER.wavenumbers
-        wide = np.zeros(CARRIER.n_points, dtype=bool)
+        k = half_spectrum(CARRIER.wavenumbers)
+        wide = np.zeros(k.size, dtype=bool)
         for ell in range(-4, 5):
             wide |= np.abs(k - ell * PARAMS.k0) <= 2 * DELTA0 + 1e-12
         for row in u[2:]:
@@ -327,8 +364,8 @@ class TestTruncation:
         for eps, n_carrier in ((0.1, 1024), (0.05, 2048)):
             carrier = Grid1D(n_carrier, L_env / eps)
             packet = wave_packet(A, eps, PARAMS, corrections=False)
-            full = build(packet, carrier, 0.0)
-            cut = band_masked(packet, carrier)
+            full = full_spectrum(build(packet, carrier, 0.0), n_carrier)
+            cut = full_spectrum(band_masked(packet, carrier), n_carrier)
 
             diff = np.sqrt(sum(
                 np.sum(np.abs(a - b) ** 2)
@@ -386,7 +423,7 @@ class TestTimeDerivative:
 
         plus = build(packet_at(+h), CARRIER, t + h)
         minus = build(packet_at(-h), CARRIER, t - h)
-        exact = build_time_derivative(packet_at(0.0), CARRIER, t)
+        exact = half_spectrum(build_time_derivative(packet_at(0.0), CARRIER, t))
         for i in range(4):
             fd = (plus[i] - minus[i]) * (1.0 / (2.0 * h))
             assert np.max(np.abs(fd - exact[i])) < 1e-7
@@ -417,7 +454,9 @@ def test_random_packets_are_real_and_slaved(seed, eps, with_corrections):
                          corrections=with_corrections)
     u = build(packet, carrier, 0.25)
     system = TruncatedSystem(carrier, PARAMS.b)
-    assert_rows_real(u, carrier, 1e-13)
+    assert u.shape == (4, carrier.n_points // 2 + 1)
+    assert_rows_real(full_layout_build(packet, carrier, 0.25), carrier, 1e-13)
+    assert_rows_real(full_spectrum(u, carrier.n_points), carrier, 1e-13)
     d1_defect, d2_defect = system.consistency_defect(u)
     assert np.max(np.abs(d1_defect)) < 1e-12
     assert np.max(np.abs(d2_defect)) < 1e-12
