@@ -61,6 +61,44 @@ def fold_zero(k0, b):
     return mp.findroot(lambda k: r_hat(k, b, k0), tuple(ends), solver="anderson")
 
 
+def partner(k0, b):
+    """k1: the zero of q(k) = r(k)/(k - k0) above k0, bracketed from k0, where
+    q is omega'(k0) - 1 < 0 for b < b0, to where q turns positive."""
+    def q(k):
+        return r_hat(k, b, k0) / (k - k0)
+
+    lo, hi = k0 * (1 + mp.mpf(10) ** -30), k0 + 1
+    while q(hi) < 0:
+        hi = k0 + 2 * (hi - k0)
+    return mp.findroot(q, (lo, hi), solver="anderson")
+
+
+#: carriers of the frozen k1 table, and the exponents x of b = b0 (1 - 10^-x)
+K1_K0S = ("0.5", "1", "1.25", "2", "3")
+K1_XS = (5, 6, 7, 8, 9, 10)
+#: Bond numbers of the table's small-b side, besides 0.1 b0
+K1_SMALL_BS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+def k1_table(bonds):
+    """k1 at 50 digits, keyed (k0, x) for b = b0 (1 - 10^-x) with b0 the
+    correctly rounded root, and (k0, b) for b = 0.1 b0 and ``K1_SMALL_BS``;
+    each b is the float64 expression's exact binary value, printed beside
+    its k1 as the dict literals that tests/test_resonance.py freezes."""
+    with mp.workdps(50):
+        print("\n== k1 just below b0: {(k0, x): (b, k1)}, b = b0 (1 - 10^-x) ==")
+        for k0s in K1_K0S:
+            for x in K1_XS:
+                b = bonds[k0s] * (1.0 - 10.0**-x)
+                k1 = partner(mp.mpf(k0s), mp.mpf(b))
+                print(f"    ({float(k0s)!r}, {x}): ({b!r}, {float(k1)!r}),")
+        print("\n== k1 at small b: {(k0, b): k1}, b = 0.1 b0 and " f"{K1_SMALL_BS} ==")
+        for k0s in K1_K0S:
+            for b in (0.1 * bonds[k0s],) + K1_SMALL_BS:
+                k1 = partner(mp.mpf(k0s), mp.mpf(b))
+                print(f"    ({float(k0s)!r}, {b!r}): {float(k1)!r},")
+
+
 def fold_values():
     """What the fold tests of tests/test_resonance.py freeze, at 40 digits.
 
@@ -80,12 +118,7 @@ def fold_values():
             print(f"k0={k0s}: b0 = {float(fb0)!r} (closed - findroot {mp.nstr(cb0 - fb0, 3)})"
                   f"  b1 = {float(fb1)!r} (closed - findroot {mp.nstr(cb1 - fb1, 3)})")
 
-        print("\n== k1 just below b0: b = b0 (1 - 10^-x) ==")
-        for k0s in ("0.5", "1", "1.25", "2"):
-            for x in (5, 6, 7, 8):
-                b = bonds[k0s] * (1.0 - 10.0**-x)
-                k1 = fold_zero(mp.mpf(k0s), mp.mpf(b))
-                print(f"k0={k0s} x={x}: b = {b!r}  k1 = {float(k1)!r}")
+        k1_table(bonds)
 
         print("\n== the extra zero just above b0: b = b0 (1 + 1e-3) ==")
         for k0s in ("1", "2"):

@@ -21,9 +21,9 @@ exactly.  All functions accept scalars or arrays.
 
 ``omega``, ``omega_deriv``, ``sigma`` and ``sigma_inv`` evaluate the same
 closed forms by one of two routes.  A Python float (``np.float64`` included)
-or int goes through ``math`` and returns a float: this is the route of every
-Brent and Newton iteration in ``resonance``, at about a hundredth of the
-cost of a numpy call.  Anything else, 0-d arrays included, goes through
+or int goes through ``math`` and returns a float: this is the route of the
+Newton iterations in ``resonance``, at about a hundredth of the cost of a
+numpy call.  Anything else, 0-d arrays included, goes through
 numpy on one path: the closed form on every point, then the series written
 over the points below the cut.  omega itself forms no sech^2: only the
 derivatives use it.  ``math`` and numpy may round tanh, cosh and powers

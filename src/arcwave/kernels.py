@@ -19,13 +19,14 @@ suite's ``kernel_oracle`` module, and mpmath values from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .dispersion import k0_symbol, omega, omega_deriv, sigma, sigma_inv
-from .resonance import critical_bonds, k1_of_b
+from .resonance import has_partner, k1_of_b, q_hat
 
 __all__ = [
     "KernelParams",
@@ -81,7 +82,7 @@ class KernelParams:
             raise ValueError(f"k0 must be positive, got {self.k0}")
         if self.b < 0.0:
             raise ValueError(f"Bond number must be nonnegative, got {self.b}")
-        k1 = k1_of_b(self.k0, self.b) if 0.0 < self.b < critical_bonds(self.k0).b0 else None
+        k1 = k1_of_b(self.k0, self.b) if has_partner(self.k0, self.b) else None
         object.__setattr__(self, "k1", k1)
         object.__setattr__(self, "delta1", delta1_for(self.k0, k1) if k1 is not None else 0.5)
         object.__setattr__(self, "delta0", delta0_for(self.k0, self.b))
@@ -564,27 +565,27 @@ def delta0_for(k0: float, b: float) -> float:
     stays above a tenth of its limiting slope |omega'(k0) - 1| times the
     distance, on 400 points to each side.
 
-    omega is odd bit for bit, so r_hat on the four windows kk, -kk, k0 + kk
-    and k0 - kk needs omega on kk, k0 + kk and k0 - kk only: each candidate
-    evaluates omega once, on those 1200 points stacked, and the windows at
-    kk and k0 - kk (likewise -kk and k0 + kk) share their r_hat values.
-    Raises ValueError at a group-velocity degeneracy omega'(k0) = 1, where
-    no linear margin exists, and when no candidate above 1e-6 k0 passes.
+    That is |q(k0 +- kk)| >= 0.1 |omega'(k0) - 1| for q = r_hat/(k - k0)
+    (``resonance.q_hat``), on the windows k0 + kk and k0 - kk, with q of the
+    sign of q(k0) = omega'(k0) - 1 throughout, so that no zero of r_hat lies
+    between two window points; r_hat is even about k0/2 and omega is odd, so
+    the windows at -kk and kk are their mirror images.  Each candidate
+    evaluates q once, on those 800 points stacked.  Raises ValueError at a
+    group-velocity degeneracy omega'(k0) = 1, where no linear margin exists,
+    and when no candidate above 1e-6 k0 passes.
     """
-    slope = abs(float(omega_deriv(k0, b, 1)) - 1.0)
+    q0 = float(omega_deriv(k0, b, 1)) - 1.0
+    slope = abs(q0)
     if slope < 1e-12:
         raise ValueError(
             f"group-velocity degeneracy at (k0={k0}, b={b}): no linear margin exists"
         )
 
-    w0 = omega(k0, b)
     delta = k0 / 20.0 * 0.999
     while delta > 1e-6 * k0:
         kk = np.linspace(1e-9, delta, 400)
-        w_kk, w_plus, w_minus = omega(np.concatenate([kk, k0 + kk, k0 - kk]), b).reshape(3, -1)
-        # r_hat at kk and at k0 - kk, then at -kk and at k0 + kk
-        r = np.array([w_kk + w_minus, w_plus - w_kk]) - w0
-        if np.all(np.abs(r) >= 0.1 * slope * kk):
+        q = q_hat(np.concatenate([k0 + kk, k0 - kk]), b, k0)
+        if np.all(math.copysign(1.0, q0) * q >= 0.1 * slope):
             return float(delta)
         delta *= 0.9
     raise ValueError(f"no admissible delta0 found for (k0={k0}, b={b})")

@@ -5,10 +5,13 @@ For a carrier wavenumber ``k0`` the central object is
     r(k, b) = omega(k, b) - omega(k - k0, b) - omega(k0, b)
 
 whose nontrivial zeros mark wavenumbers that exchange energy with the carrier
-at leading order.  The module locates those zeros, classifies the zero
-structure as the Bond number varies, computes the two critical Bond numbers
-of the folds (tangencies of r) at the symmetry points k0/2 and k0, and
-issues the stability verdict for the carrier.
+at leading order.  r vanishes at k0 for every b, and for large k it is a
+difference of numbers of size omega(k), so every zero is sought on the
+divided difference q(k) = r(k)/(k - k0), evaluated without cancellation,
+with q(k0) = omega'(k0) - 1.  The module locates the zeros, classifies the
+zero structure as the Bond number varies, computes the two critical Bond
+numbers of the folds (tangencies of r) at the symmetry points k0/2 and k0,
+and issues the stability verdict for the carrier.
 """
 
 from __future__ import annotations
@@ -21,35 +24,29 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dispersion import omega, omega_deriv
+from .dispersion import omega_deriv
 
 __all__ = [
     "ResonanceReport",
     "CriticalBonds",
     "StabilityVerdict",
     "Classification",
+    "q_hat",
     "find_zeros",
     "critical_bonds",
     "k1_of_b",
+    "has_partner",
     "stability",
 ]
 
-#: Brent tolerance for zeros in k.  A zero k1 is known only to within
-#: ZERO_XTOL + 4 eps_mach omega(k1) / |omega'(k1) - omega'(k1 - k0)|: r sums
-#: three omega terms of size omega(k1) and its slope there is small, so
-#: rounding alone flips r's sign across a band around k1.  At k0 = 2 the
-#: second term passes ZERO_XTOL below b ~ 0.005 (7.2e-12 at b = 0.002, 2.7e-9
-#: at b = 1e-4); sampled around k1, r changes sign 7 times over 1.7e-12 at
-#: b = 0.002 and 105 times over 7.4e-10 at b = 1e-4 (k1 = 2145.69)
-ZERO_XTOL = 1e-12
-#: |r| threshold below which a stationary point counts as a double zero
-TANGENCY_TOL = 1e-8
-#: nominal scan step of ``find_zeros``, which scans at k0/s, s = round(k0/_SCAN_STEP)
+#: |q| at or below which q vanishes to rounding: q's terms are slopes of
+#: order one, and at the folds' double zeros |q| is at most 5.6e-16 for k0
+#: from 0.1 to 3.3.  A stationary point of r where |q| is this small is a
+#: double zero, and b with |q(k0)| this small lies within rounding of b0
+TANGENCY_TOL = 1e-14
+#: nominal step of the scan of ``find_zeros``, which splits [k0/2, k0] into
+#: round(k0/(2 _SCAN_STEP)) equal cells
 _SCAN_STEP = 0.01
-#: |r'(k0)| from which on ``find_zeros`` seeds no Newton search at k0: there
-#: |r(k*)| ~ r'(k0)^2 / 2|r''(k0)| at a stationary point k* next to k0, which
-#: TANGENCY_TOL bounds by |r'(k0)| <~ 5.7e-5 at k0 = 2 (175 times below this)
-_K0_SEED_SLOPE = 1e-2
 
 
 #: relative tolerance of every root: four float64 ulps, as in scipy's brentq
@@ -174,19 +171,60 @@ class StabilityVerdict:
 # --------------------------------------------------------------------------
 
 
-def _r_hat_scalar(b: float, k0: float) -> Callable[[float], float]:
-    """r(., b) for a float k, with omega(k0, b) evaluated once.
+def _slope(k, c: float, sinhc, b: float, xp):
+    """Divided difference of omega = sqrt(G), G = (k + b k^3) tanh k, between
+    k and c > 0, given sinhc = sinh(k - c)/(k - c); k is a float with ``xp``
+    = math or an array with ``xp`` = numpy, c a float either way.
 
-    The operations are those of r's definition, in its order, so values are
-    bitwise those of the vectorized r on a float k; this is the function
-    every Brent solve in k iterates.
+    It is [(1 + b(k^2 + kc + c^2)) tanh k + (c + b c^3) sinhc/(cosh k cosh
+    c)] / (omega(k) + omega(c)), the cosh product written with exp(-k) and
+    exp(-c) so that it cannot overflow, and omega(k) taken from the same
+    tanh k.
     """
-    w0 = omega(k0, b)
+    tk, ek, ec = xp.tanh(k), xp.exp(-k), math.exp(-c)
+    num = ((1.0 + b * (k * (k + c) + c * c)) * tk
+           + (c + b * c**3) * sinhc * 4.0 * ek * ec / ((1.0 + ek * ek) * (1.0 + ec * ec)))
+    return num / (xp.sqrt((k + b * k**3) * tk) + math.sqrt((c + b * c**3) * math.tanh(c)))
 
-    def r(k: float) -> float:
-        return omega(k, b) - omega(k - k0, b) - w0
 
-    return r
+def _q_scalar(k: float, b: float, k0: float) -> float:
+    """q at a float k > 0, on ``math``.  For |m| < k0, m = k - k0, it is the
+    divided difference between k and k0 minus omega(m)/m = sqrt((1 + b m^2)
+    tanh(m)/m), where sinh(m)/m and tanh(m)/m are 1 at m = 0; for |m| >= k0,
+    it is (k0 times the divided difference between k and m, minus
+    omega(k0))/m."""
+    m = k - k0
+    if abs(m) < k0:
+        return (_slope(k, k0, math.sinh(m) / m if m else 1.0, b, math)
+                - math.sqrt((1.0 + b * m * m) * (math.tanh(m) / m if m else 1.0)))
+    return (k0 * _slope(k, m, math.sinh(k0) / k0, b, math)
+            - math.sqrt((k0 + b * k0**3) * math.tanh(k0))) / m
+
+
+def _q_array(k: np.ndarray, b: float, k0: float) -> np.ndarray:
+    """q on points k within k0 of k0: ``_q_scalar``'s near form, operation
+    for operation, on numpy."""
+    m = k - k0
+    if not np.all(np.abs(m) < k0):
+        raise ValueError(f"the array route of q takes only points within k0={k0} of k0")
+    with np.errstate(invalid="ignore"):
+        sinhc = np.where(m == 0.0, 1.0, np.sinh(m) / m)
+        tanhc = np.where(m == 0.0, 1.0, np.tanh(m) / m)
+    return _slope(k, k0, sinhc, b, np) - np.sqrt((1.0 + b * m * m) * tanhc)
+
+
+def q_hat(k, b: float, k0: float):
+    """q(k) = r(k)/(k - k0), with q(k0) = omega'(k0) - 1, for k > 0.
+
+    Both closed forms (``_q_scalar``) are free of cancellation: r's terms of
+    size omega(k) never meet, and the trivial zero at k0 is divided out.  A
+    Python float or int takes the ``math`` route and returns a float;
+    anything else is evaluated as a float64 array by the near form alone
+    (``_q_array``), so its points must lie within k0 of k0.
+    """
+    if isinstance(k, (float, int)):
+        return _q_scalar(float(k), b, k0)
+    return _q_array(np.asarray(k, dtype=np.float64), b, k0)
 
 
 def _r_hat_deriv(k: float, b: float, k0: float) -> float:
@@ -224,94 +262,62 @@ def _stationary_point(k_seed: float, b: float, k0: float,
 def find_zeros(k0: float, b: float, k_max: float) -> ResonanceReport:
     """Locate all zeros of r(.,b) on [k0/2, k_max].
 
-    The folds fix the zeros above k0: there is one, k1 = ``k1_of_b(k0, b)``,
-    exactly when 0 < b < b0, and none otherwise; the report's k1 is that
-    cached root.  So r is scanned only from k0/2 to just past k0, where a
-    third fold can hold a pair of zeros (see ``critical_bonds``), on the
-    k0-aligned grid k0/2 + i k0/s, s = round(k0/0.01), through the first
-    point past k0 and one more.  There k - k0 is the same grid s points
-    lower, so one array call of omega gives both of r's terms (302 points at
-    k0 = 2).  k0 itself is a zero for every b, so only the cells below the
-    last scan point under k0 are bracketed, and sign changes there are
-    solved by Brent's method.  Just past b0 the extra zero can sit between
-    that point and k0, where r(k0) = 0 hides it; it is bracketed between the
-    point and the stationary point of r next to k0.  Double zeros come from
-    a Newton iteration on r' = 0 seeded at the scan's minima of |r| below
-    1e-4, at k0/2 and, where |r'(k0)| < 1e-2, at k0.
+    k0 is a zero for every b, by definition.  The folds fix the zeros above
+    k0: there is one, k1 = ``k1_of_b(k0, b)``, exactly when 0 < b < b0
+    outside the rounding of b0, and none otherwise; the report's k1 is that
+    cached root.  Below k0 a third fold can hold a pair of zeros (see
+    ``critical_bonds``), so q is scanned once on [k0/2, k0], on
+    round(k0/0.02) equal cells with k0 the last grid point (101 points at
+    k0 = 2), and every sign change that q's scalar route confirms at the
+    cell's ends is solved by Brent's method.  A double zero of r is one
+    where q vanishes to rounding (``TANGENCY_TOL``): at k0, where q(k0) =
+    omega'(k0) - 1 crosses 0 at the fold b0, at k0/2, which r' = 0 makes a
+    stationary point of r for every b, or at a stationary point of r found
+    by Newton's method from a scan minimum of |q| below 1e-4.  It replaces
+    the zeros within 1e-6 of it.
 
     Needs ``critical_bonds(k0)`` (k0 up to about 3.3).  Raises ValueError for
-    k_max <= k0, a negative or non-finite b, and k1 beyond k_max.  A zero k1
-    is known only to within ZERO_XTOL + 4 eps_mach omega(k1) /
-    |omega'(k1) - omega'(k1 - k0)| (see ``ZERO_XTOL``).
+    k_max <= k0, a negative or non-finite b, and k1 beyond k_max.
     """
     if not k_max > k0:
         raise ValueError(f"k_max={k_max} must exceed k0={k0}")
     if not (b >= 0.0 and math.isfinite(b)):
         raise ValueError(f"the Bond number must be finite and non-negative, got {b}")
-    bonds = critical_bonds(k0)
+    critical_bonds(k0)  # refuses a k0 past the crossing of the folds
 
-    lo = k0 / 2.0
-    s = max(1, round(k0 / _SCAN_STEP))
-    h = k0 / s
-    n = (s + 1) // 2 + 2  # scan points: through the first past k0, and one more
-    grid = (lo - k0) + h * np.arange(n + s)
-    w = omega(grid, b)
-    ks = grid[s:]
-    rv = w[s:] - w[:n] - omega(k0, b)
-    j = (s - 1) // 2  # ks[j] is the last scan point below k0
+    ks = np.linspace(k0 / 2.0, k0, max(1, round(k0 / (2.0 * _SCAN_STEP))) + 1)
+    qv = q_hat(ks, b, k0)
 
-    rfun = _r_hat_scalar(b, k0)
-    fold_at_k0 = abs(_r_hat_deriv(k0, b, k0)) < _K0_SEED_SLOPE
-    k_star = _stationary_point(k0, b, k0, lo, k_max) if fold_at_k0 else None
+    def q(k: float) -> float:
+        return q_hat(k, b, k0)
 
-    # --- transversal zeros: bracketed below k0, from the folds above it
-    cells = [(ks[i], ks[i + 1]) for i in np.flatnonzero(rv[:j] * rv[1:j + 1] < 0.0)]
-    if k_star is not None and ks[j] < k_star < k0:
-        r_star = rfun(k_star)
-        if abs(r_star) > TANGENCY_TOL and rfun(ks[j]) * r_star < 0.0:
-            cells.append((ks[j], k_star))
-    zeros = [k0] + [float(_brentq(rfun, a, c, xtol=ZERO_XTOL)) for a, c in cells]
-    k1 = k1_of_b(k0, b) if 0.0 < b < bonds.b0 else None
+    # a cell's end where q is at rounding level can round to either sign on
+    # the two routes, so Brent gets only the cells whose ends differ on its own
+    cells = [(ks[i], ks[i + 1]) for i in np.flatnonzero(qv[:-1] * qv[1:] < 0.0).tolist()]
+    zeros = [k0] + [_brentq(q, lo, hi, xtol=BRENT_RTOL * k0)
+                    for lo, hi in cells if q(lo) * q(hi) < 0.0]
+    k1 = k1_of_b(k0, b) if has_partner(k0, b) else None
     if k1 is not None:
         if k1 > k_max:
             raise ValueError(f"k_max={k_max} too small: the zero k1={k1:.6g} lies beyond it")
         zeros.append(k1)
 
-    # --- tangential zeros: seeds near k0 only where a double zero can sit there
+    absq = np.abs(qv)
+    seeds = ks[1:-1][(absq[1:-1] <= absq[:-2]) & (absq[1:-1] <= absq[2:]) & (absq[1:-1] < 1e-4)]
     double_zeros: list[float] = []
-    absr = np.abs(rv)
-    near = np.flatnonzero(absr[1:-1] < 1e-4) + 1
-    near = near[(absr[near] <= absr[near - 1]) & (absr[near] <= absr[near + 1])]
-    if not fold_at_k0:
-        near = near[np.abs(ks[near] - k0) > 0.75 * h]
-    stationary = [_stationary_point(seed, b, k0, lo, k_max) for seed in ks[near].tolist() + [lo]]
-    for ks_star in stationary + [k_star]:
-        if ks_star is None:
-            continue
-        if abs(rfun(ks_star)) > TANGENCY_TOL:
-            continue
-        if any(abs(ks_star - d) < 1e-6 for d in double_zeros):
-            continue
-        is_transversal = any(
-            abs(ks_star - z) < 1e-6 and abs(_r_hat_deriv(z, b, k0)) > 1e-6
-            for z in zeros
-        )
-        if is_transversal:
-            continue
-        double_zeros.append(float(ks_star))
-        if not any(abs(ks_star - z) < 1e-6 for z in zeros):
-            zeros.append(float(ks_star))
-
-    zeros_sorted = tuple(sorted(zeros))
+    for z in [k0, k0 / 2.0] + [_stationary_point(s, b, k0, k0 / 2.0, k0) for s in seeds]:
+        if z is not None and abs(q(z)) <= TANGENCY_TOL and all(
+                abs(z - d) >= 1e-6 for d in double_zeros):
+            double_zeros.append(float(z))
+    zeros_sorted = tuple(sorted({*double_zeros, *(
+        float(z) for z in zeros if all(abs(z - d) >= 1e-6 for d in double_zeros))}))
     doubles_sorted = tuple(sorted(double_zeros))
 
-    above = [z for z in zeros_sorted if z > k0 + 1e-7]
-    below = [z for z in zeros_sorted if z < k0 - 1e-7]
     if doubles_sorted:
         cls = Classification.TANGENCY
-    elif above:
+    elif k1 is not None:
         cls = Classification.TWO_ZEROS
-    elif below:
+    elif zeros_sorted[0] < k0:
         cls = Classification.EXTRA_ZERO_PAIR
     else:
         cls = Classification.ONLY_K0
@@ -375,42 +381,41 @@ def critical_bonds(k0: float) -> CriticalBonds:
     return CriticalBonds(b0=x / (k0 * k0), b1=b1)
 
 
+def has_partner(k0: float, b: float) -> bool:
+    """True when r has its zero k1 above k0: for 0 < b < b0 with q(k0) =
+    omega'(k0) - 1 below -``TANGENCY_TOL``.  Within rounding of b0 below it
+    q(k0) rounds to as much as +2.2e-16 (k0 = 0.5 and 2, one ulp below b0),
+    and k1 cannot be told from k0: there, as at b0, r has a double zero at
+    k0 and no partner.  The one test of the band for every caller."""
+    return 0.0 < b < critical_bonds(k0).b0 and q_hat(k0, b, k0) < -TANGENCY_TOL
+
+
 @lru_cache(maxsize=256)
 def k1_of_b(k0: float, b: float) -> float:
     """The resonant partner wavenumber: largest zero of r on (k0, inf).
 
-    Exists exactly for 0 < b < b0(k0); decreasing in b and diverging like
-    1/b as b -> 0.  Cached on (k0, b), so ``stability``, ``default_params``,
-    ``find_zeros`` and their caller share one solve per Bond number, and
-    ``find_zeros`` reports this root as its k1.  The root is known only to
-    within ZERO_XTOL + 4 eps_mach omega(k1) / |omega'(k1) - omega'(k1 - k0)|
-    (see ``ZERO_XTOL``).  The bracket starts at k0 (1 + 1e-9) unless r
-    there is not below -4 eps_mach omega(k0), its rounding, as happens
-    within about 1e-7 relative below b0.  Then it starts halfway to the
-    fold's estimate k0 + d, d = -2 r'(k0) / r''(k0), where r is lowest.
-    Where r is rounding noise even there, or d has lost its sign to it (b
-    within rounding of b0), the root is k0 + d, and no less than k0 (1 +
-    1e-9): k1 is then known only to more than its distance from k0.
+    Exists exactly for 0 < b < b0(k0), outside the rounding of b0 (see
+    ``has_partner``); decreasing in b and diverging like 1/b as b -> 0.
+    Cached on (k0, b), so ``stability``, ``default_params``, ``find_zeros``
+    and their caller share one solve per Bond number, and ``find_zeros``
+    reports this root as its k1.  It is one Brent solve of q from k0, where
+    q < 0, to relative tolerance ``BRENT_RTOL``.
     """
-    bonds = critical_bonds(k0)
-    if not (0.0 < b < bonds.b0):
+    if not has_partner(k0, b):
         raise ValueError(
-            f"k1 exists only for Bond numbers in (0, b0={bonds.b0:.6g}); got {b}"
+            f"k1 exists only for Bond numbers in (0, b0={critical_bonds(k0).b0!r}) "
+            f"outside the rounding of b0; got {b!r}"
         )
 
-    rfun = _r_hat_scalar(b, k0)
-    lo = k0 * (1.0 + 1e-9)
-    if not rfun(lo) < -4.0 * np.finfo(float).eps * omega(k0, b):
-        gap = -2.0 * _r_hat_deriv(k0, b, k0) / omega_deriv(k0, b, 2)
-        if not (gap > 0.0 and rfun(k0 + gap / 2.0) < 0.0):
-            return max(k0 + gap, lo)
-        lo = k0 + gap / 2.0
+    def q(k: float) -> float:
+        return q_hat(k, b, k0)
+
     hi = k0 + 1.0
-    while rfun(hi) < 0.0:
+    while q(hi) < 0.0:
         hi = k0 + 2.0 * (hi - k0)
         if hi > 1e9:
             raise ValueError(f"no sign change located below k={hi:.3g}")
-    return float(_brentq(rfun, lo, hi, xtol=ZERO_XTOL, maxiter=200))
+    return float(_brentq(q, k0, hi, xtol=BRENT_RTOL * k0))
 
 
 # --------------------------------------------------------------------------
@@ -431,11 +436,11 @@ def stability(k0: float, b: float) -> StabilityVerdict:
     it is not the largest wavenumber of its triad — is evaluated alongside
     and reported as ``characterization_agrees``.
 
-    Outside (0, b0) there is no resonant partner above k0 and the carrier is
-    reported stable by absence of extra resonances.
+    Outside (0, b0), and within rounding of b0 below it (``has_partner``),
+    there is no resonant partner above k0 and the carrier is reported stable
+    by absence of extra resonances.
     """
-    bonds = critical_bonds(k0)
-    if not (0.0 < b < bonds.b0):
+    if not has_partner(k0, b):
         return StabilityVerdict(
             stable=True, ratio=None, characterization_agrees=True,
             reason="no resonant partner above k0 for this Bond number",

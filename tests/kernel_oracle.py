@@ -352,10 +352,14 @@ def delta0_per_combo(k0: float, b: float) -> float:
     windows, then ``r_general`` window by window for each sign combination
     (j1, j2, ell) whose k = 0 limit does not vanish, each call evaluating
     omega afresh.  The candidates, errors and first check are the production
-    function's, which must return the same float; the second check, which
-    production does not make, shows by that equality that it decides
-    nothing."""
-    slope = abs(float(omega_deriv(k0, b, 1)) - 1.0)
+    function's, read on r_hat itself, which must keep on each window the sign
+    q(k0) = omega'(k0) - 1 gives it there, times -1 on kk and k0 - kk.  The
+    second check, which production does not make, shows by the equality of
+    the two floats that it decides nothing.  Within about 1e-6 relative of
+    b0, r_hat at kk = 1e-9 is rounding noise, and this scan fails candidates
+    that production's q passes."""
+    q0 = float(omega_deriv(k0, b, 1)) - 1.0
+    slope = abs(q0)
     if slope < 1e-12:
         raise ValueError(
             f"group-velocity degeneracy at (k0={k0}, b={b}): no linear margin exists"
@@ -372,7 +376,8 @@ def delta0_per_combo(k0: float, b: float) -> float:
     while delta > 1e-6 * k0:
         kk = np.linspace(1e-9, delta, 400)
         windows = r_hat(np.array([kk, -kk, k0 + kk, k0 - kk]), b, k0)
-        ok = np.all(np.abs(windows) >= 0.1 * slope * kk)
+        sides = np.copysign(1.0, q0) * np.array([[-1.0], [1.0], [1.0], [-1.0]])
+        ok = np.all(sides * windows >= 0.1 * slope * kk)
         if ok:
             window = np.linspace(-delta, delta, 401)
             for (j1, j2, ell), r0 in limits.items():

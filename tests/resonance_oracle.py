@@ -1,18 +1,22 @@
 """The tests' resonance references: the first ``find_zeros`` scan and the
 paper's hypotheses on omega.
 
-:func:`arcwave.resonance.find_zeros` scans r only on [k0/2, k0] and takes
-the zero above k0 from the folds (``k1_of_b`` when 0 < b < b0, none
-otherwise).  ``find_zeros_linspace`` is its first form and now the only
-scan of the whole window: r_hat on a ``linspace`` of step at most 0.01 from
-k0/2 to k_max, omega evaluated separately at k and at k - k0, the |r|
-minima found by comparing every interior point with its neighbours, and a
-refusal when the tail of the window has not settled.  Its bracketing,
-Brent solves, Newton refinement and classification are those
-``find_zeros`` had then, so it certifies that the folds leave no zero
-above k0 unaccounted for.  ``record_omega_arrays`` records the array calls
-of omega that a module makes, so tests can pin how many points the scan
-and ``delta0_for`` cost.
+:func:`arcwave.resonance.find_zeros` scans q = r/(k - k0) only on [k0/2,
+k0] and takes the zero above k0 from the folds (``k1_of_b`` when 0 < b <
+b0, none otherwise).  ``find_zeros_linspace`` is its first form and now the
+only scan of the whole window, on r itself: r_hat on a ``linspace`` of step
+at most 0.01 from k0/2 to k_max, omega evaluated separately at k and at k -
+k0, the |r| minima found by comparing every interior point with its
+neighbours, and a refusal when the tail of the window has not settled.  Its
+naive r (``twi_oracle.r_hat``), tolerances, bracketing, Brent solves,
+Newton refinement and classification are those ``find_zeros`` had then, so
+it certifies that the folds leave no zero above k0 unaccounted for.  It
+inherits that method's limits: a zero within one step of k0 shows no sign
+change, a root near k1 is known only to ZERO_XTOL plus the band over which
+rounding flips r's sign (4 eps omega(k1)/|r'(k1)|), and TANGENCY_TOL is
+absolute on r.  ``record_q_arrays`` records the array calls of q that a
+module makes, so tests can pin how many points the scan and ``delta0_for``
+cost.
 
 Two of the paper's hypotheses on omega are checked here as stated, since no
 production route needs them: ``inflection_points`` locates where omega
@@ -28,16 +32,18 @@ import numpy as np
 
 from arcwave.dispersion import omega, omega_deriv
 from arcwave.resonance import (
-    TANGENCY_TOL,
-    ZERO_XTOL,
     Classification,
     ResonanceReport,
     _brentq,
     _r_hat_deriv,
-    _r_hat_scalar,
     _stationary_point,
 )
 from twi_oracle import r_hat
+
+#: the linspace scan's Brent tolerance in k, and the |r| below which its
+#: stationary points count as double zeros
+ZERO_XTOL = 1e-12
+TANGENCY_TOL = 1e-8
 
 #: the ``bond-sweep`` benchmark's Bond numbers before their +-1 % jitter:
 #: two above b1, two in (b0, b1) and fifteen in (0, b0) down to 0.002
@@ -46,18 +52,18 @@ BOND_SWEEP_ANCHORS = (0.30, 0.26, 0.236, 0.228, 0.2, 0.144, 0.104, 0.075, 0.056,
                       0.0029, 0.0020)
 
 
-def record_omega_arrays(monkeypatch, module) -> list[np.ndarray]:
-    """Patch ``module.omega`` to copy each array argument into the list it
+def record_q_arrays(monkeypatch, module) -> list[np.ndarray]:
+    """Patch ``module.q_hat`` to copy each array argument into the list it
     returns; float arguments (the scalar route) pass unrecorded."""
     calls: list[np.ndarray] = []
-    real = module.omega
+    real = module.q_hat
 
-    def recorded(k, b):
+    def recorded(k, b, k0):
         if not isinstance(k, (float, int)):
             calls.append(np.array(k))
-        return real(k, b)
+        return real(k, b, k0)
 
-    monkeypatch.setattr(module, "omega", recorded)
+    monkeypatch.setattr(module, "q_hat", recorded)
     return calls
 
 
@@ -85,7 +91,9 @@ def find_zeros_linspace(k0: float, b: float, k_max: float) -> ResonanceReport:
             f"limit sign yet (r(k_max)={rv[-1]:.3e}); a zero may lie beyond"
         )
 
-    rfun = _r_hat_scalar(b, k0)
+    def rfun(k: float) -> float:
+        return r_hat(k, b, k0)
+
     zeros: list[float] = [k0]
     for i in np.where(rv[:-1] * rv[1:] < 0.0)[0]:
         z = _brentq(rfun, ks[i], ks[i + 1], xtol=ZERO_XTOL)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from arcwave import sim
-from arcwave.dispersion import k0_symbol, sigma_inv
+from arcwave.dispersion import k0_symbol, omega, omega_deriv, sigma_inv
 from arcwave.equations import TruncatedSystem
 from arcwave.kernels import (
     KernelParams,
@@ -30,7 +30,7 @@ from arcwave.kernels import (
     xi_hat,
     zeta_hat,
 )
-from arcwave.resonance import critical_bonds, k1_of_b, stability
+from arcwave.resonance import critical_bonds, find_zeros, k1_of_b, stability
 from arcwave.spectral import Grid1D
 from fourier import mode_index
 from kernel_oracle import (
@@ -44,7 +44,7 @@ from kernel_oracle import (
     q_term_operator,
     rho_extremes,
 )
-from resonance_oracle import BOND_SWEEP_ANCHORS, record_omega_arrays
+from resonance_oracle import BOND_SWEEP_ANCHORS, record_q_arrays
 
 K0 = 2.0
 PARAMS_BAND = default_params(K0, 0.1)       # k1 ~ 4.3, resonant band active
@@ -581,11 +581,17 @@ def _bond_sweep_bonds(seed: int) -> list[float]:
     return [a * (1.0 + 0.01 * (2.0 * rng.random() - 1.0)) for a in BOND_SWEEP_ANCHORS]
 
 
-def _delta0_or_refusal(fn, b: float):
+def _delta0_or_refusal(fn, b: float, k0: float = K0):
     try:
-        return fn(K0, b)
+        return fn(k0, b)
     except ValueError as exc:
         return str(exc)
+
+
+def _gap_to_the_zero_next_to_k0(k0: float, b: float) -> float:
+    """Distance from k0 to the nearest other zero of r (k1 below b0, the
+    extra zero above it)."""
+    return min(abs(z - k0) for z in find_zeros(k0, b, 100.0).zeros if z != k0)
 
 
 def test_delta0_is_bitwise_the_per_combo_scan():
@@ -607,6 +613,44 @@ def test_delta0_is_bitwise_the_per_combo_scan():
     assert any(isinstance(v, str) and "no admissible delta0" in v for v in got)
 
 
+@pytest.mark.parametrize("k0", [0.5, 1.0, 3.0])
+def test_delta0_next_to_b0_is_the_per_combo_scan_outside_r_hat_rounding(k0):
+    """On both sides of b0 on three more carriers the two scans return the
+    same float or refusal wherever r_hat's margin at the first window point,
+    0.1 |omega'(k0) - 1| 1e-9, exceeds its rounding eps omega(k0).  Inside
+    that band r_hat there is rounding noise: where the scans differ, the
+    r_hat scan refuses every candidate, and production's delta0 stays short
+    of r's zero next to k0."""
+    b0 = critical_bonds(k0).b0
+    near_b0 = np.geomspace(1e-9, 1e-2, 20)
+    for b in np.concatenate([b0 - near_b0, b0 + near_b0]).tolist():
+        got = _delta0_or_refusal(delta0_for, b, k0)
+        want = _delta0_or_refusal(delta0_per_combo, b, k0)
+        if got == want:
+            continue
+        margin = 0.1 * abs(omega_deriv(k0, b, 1) - 1.0) * 1e-9
+        assert margin < np.finfo(float).eps * omega(k0, b), b
+        assert isinstance(want, str) and "no admissible delta0" in want, b
+        assert isinstance(got, float) and got < _gap_to_the_zero_next_to_k0(k0, b), b
+
+
+@pytest.mark.parametrize("x", [1e-7, 1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_delta0_windows_hold_no_zero_next_to_b0(side, x):
+    """At b = b0 (1 -+ x) r has a zero about 6x k0/2 from k0, k1 below b0
+    and the extra zero above it, that the 400-point windows can step over
+    with |q| above the margin on every point.  q must keep the sign of
+    q(k0) on both windows, so delta0 stays short of the zero, and at x =
+    1e-7, where it lies within 1e-6 k0 of k0, no candidate passes."""
+    b = critical_bonds(K0).b0 * (1.0 + side * x)
+    gap = _gap_to_the_zero_next_to_k0(K0, b)
+    if gap < 1e-6 * K0:
+        with pytest.raises(ValueError, match="no admissible delta0"):
+            delta0_for(K0, b)
+    else:
+        assert 0.0 < delta0_for(K0, b) < gap
+
+
 def test_delta0_is_the_largest_passing_candidate():
     # candidates k0/20 * 0.999 * 0.9^i, formed by repeated multiplication
     candidates = [K0 / 20.0 * 0.999]
@@ -620,13 +664,13 @@ def test_delta0_is_the_largest_passing_candidate():
 
 @pytest.mark.parametrize("b,candidates", [(0.0, 1), (0.2269, 5)])
 def test_delta0_evaluates_omega_once_per_candidate(monkeypatch, b, candidates):
-    """Each candidate is one array call of omega on 1200 points: kk, k0 + kk
-    and k0 - kk, 400 each."""
+    """Each candidate is one array call of q, which forms omega on its
+    points itself, on 800 points: k0 + kk and k0 - kk, 400 each."""
     from arcwave import kernels
 
-    calls = record_omega_arrays(monkeypatch, kernels)
+    calls = record_q_arrays(monkeypatch, kernels)
     delta0_for(K0, b)
-    assert [a.size for a in calls] == [1200] * candidates
+    assert [a.size for a in calls] == [800] * candidates
 
 
 def test_delta0_refuses_degenerate_slope():

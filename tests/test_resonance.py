@@ -1,24 +1,26 @@
 """Resonance geometry: critical Bond numbers, zero structure, stability."""
 
+import math
+
 import numpy as np
 import pytest
 
 from arcwave import resonance
 from arcwave.dispersion import omega, omega_deriv
 from arcwave.resonance import (
-    ZERO_XTOL,
     Classification,
     CriticalBonds,
     ResonanceReport,
     critical_bonds,
     find_zeros,
     k1_of_b,
+    q_hat,
     stability,
 )
 import resonance_oracle
 from kernel_oracle import r_general
 from resonance_oracle import (BOND_SWEEP_ANCHORS, find_zeros_linspace, inflection_points,
-                              nonresonance_check, record_omega_arrays)
+                              nonresonance_check, record_q_arrays)
 from twi_oracle import r_hat
 
 K0 = 2.0
@@ -60,35 +62,96 @@ BONDS_TABLE = {
     3.0: (0.16184895826930168, 0.16697816029043128),
     3.3: (0.1478762904840614, 0.1482792786757008),
 }
-# k1 at b = b0 (1 - 10^-x), keyed (k0, x), with b0 the correctly rounded root;
-# critical_bonds' b0 is within 4 ulps of it, which moves k1 by under 1e-14
-K1_NEAR_B0 = {
-    (0.5, 5): 0.5001796146948179, (0.5, 6): 0.5000179672244269,
-    (0.5, 7): 0.5000017967800332, (0.5, 8): 0.5000001796785809,
-    (1.0, 5): 1.000092323712679, (1.0, 6): 1.000009233132755,
-    (1.0, 7): 1.0000009233208922, (1.0, 8): 1.0000000923321672,
-    (1.25, 5): 1.2500768714019412, (1.25, 6): 1.250007687574997,
-    (1.25, 7): 1.2500007687618473, (1.25, 8): 1.2500000768762283,
-    (2.0, 5): 2.000060815341033, (2.0, 6): 2.0000060817649357,
-    (2.0, 7): 2.000000608178802, (2.0, 8): 2.000000060817904,
+# k1 against 50-digit mpmath, frozen by scripts/derive_reference_values.py
+# (``k1_table``): just below b0, keyed (k0, x) for b = b0 (1 - 10^-x) with
+# b0 the correctly rounded root, as (b, k1); and at small b, keyed (k0, b)
+# for b = 0.1 b0 and 1e-2 to 1e-5.  Each b is a float64's exact value
+K1_BELOW_B0 = {
+    (0.5, 5): (0.32418478237965137, 0.5001796146948179),
+    (0.5, 6): (0.3241877000718697, 0.5000179672244269),
+    (0.5, 7): (0.32418799184109154, 0.5000017967800332),
+    (0.5, 8): (0.3241880210180137, 0.5000001796785809),
+    (0.5, 9): (0.32418802393570595, 0.5000000179678633),
+    (0.5, 10): (0.32418802422747517, 0.5000000017967862),
+    (1.0, 5): (0.2984767973335169, 1.000092323712679),
+    (1.0, 6): (0.2984794836515561, 1.000009233132755),
+    (1.0, 7): (0.29847975228336, 1.0000009233208922),
+    (1.0, 8): (0.29847977914654034, 1.0000000923321672),
+    (1.0, 9): (0.2984797818328584, 1.0000000092332186),
+    (1.0, 10): (0.29847978210149023, 1.0000000009233219),
+    (1.25, 5): (0.28115724568489237, 1.2500768714019412),
+    (1.25, 6): (0.28115977612540793, 1.250007687574997),
+    (1.25, 7): (0.28116002916945954, 1.2500007687618473),
+    (1.25, 8): (0.28116005447386466, 1.2500000768762283),
+    (1.25, 9): (0.2811600570043052, 1.250000007687623),
+    (1.25, 10): (0.2811600572573492, 1.2500000007687626),
+    (2.0, 5): (0.2240816060330277, 2.000060815341033),
+    (2.0, 6): (0.22408362278764954, 2.0000060817649357),
+    (2.0, 7): (0.22408382446311173, 2.000000608178802),
+    (2.0, 8): (0.22408384463065792, 2.000000060817904),
+    (2.0, 9): (0.22408384664741257, 2.00000000608179),
+    (2.0, 10): (0.22408384684908803, 2.000000000608179),
+    (3.0, 5): (0.161847339779719, 3.0000647703889225),
+    (3.0, 6): (0.16184879642034342, 3.000006477404738),
+    (3.0, 7): (0.16184894208440587, 3.000000647744132),
+    (3.0, 8): (0.1618489566508121, 3.0000000647744502),
+    (3.0, 9): (0.16184895810745273, 3.000000006477445),
+    (3.0, 10): (0.1618489582531168, 3.000000000647744),
+}
+K1_SMALL_B = {
+    (0.5, 0.0324188024259894): 13.641449151547748,
+    (0.5, 0.01): 42.16802011114932,
+    (0.5, 0.001): 411.9268757337996,
+    (0.5, 0.0001): 4108.871420209865,
+    (0.5, 1e-05): 41078.244738519505,
+    (1.0, 0.02984797821313382): 12.867328093696559,
+    (1.0, 0.01): 35.54347924484521,
+    (1.0, 0.001): 340.29459400748186,
+    (1.0, 0.0001): 3386.6846562019655,
+    (1.0, 1e-05): 33850.45226388924,
+    (1.25, 0.028116005728546525): 12.55542574435713,
+    (1.25, 0.01): 32.18629970309533,
+    (1.25, 0.001): 303.79206455702837,
+    (1.25, 0.0001): 3018.318868960906,
+    (1.25, 1e-05): 30163.397310246073,
+    (2.0, 0.022408384687149643): 12.286180643563497,
+    (2.0, 0.01): 24.41452284122766,
+    (2.0, 0.001): 217.58189579063972,
+    (2.0, 0.0001): 2145.690194240588,
+    (2.0, 1e-05): 21426.247375187468,
+    (3.0, 0.016184895826930168): 12.978154369092412,
+    (3.0, 0.01): 18.861047282614187,
+    (3.0, 0.001): 152.32952817208903,
+    (3.0, 0.0001): 1479.224069108254,
+    (3.0, 1e-05): 14746.637905350633,
 }
 # the extra zero at b = b0 (1 + 1e-3), inside the last scan cell below k0
 ZERO_PAST_B0 = {1.0: 0.9906805292311575, 2.0: 1.9938923394084769}
-# (k0, b) where the linspace scan misses a zero within one of its 0.01 steps
-# of k0: the zero, and the classification find_zeros gives with it.  At
-# (0.3, 0.33) it is k1, 1.25e-3 above k0, and r dips only to -5.6e-10 between
-# them, inside TANGENCY_TOL, so the dip also counts as a double zero
-ORACLE_BLIND = {
-    (0.3, 0.33): (0.30125483825365684, Classification.TANGENCY),
+# (k0, b) with a zero within one of the linspace scan's 0.01 steps of k0,
+# which that scan cannot see: the 40-digit mpmath zero, and find_zeros'
+# classification.  At (0.3, 0.33) the zero is k1, 1.25e-3 above k0
+NEXT_TO_K0 = {
+    (0.3, 0.33): (0.30125483825365684, Classification.TWO_ZEROS),
     (2.2, 0.21): (2.1922999592032046, Classification.EXTRA_ZERO_PAIR),
 }
 
 
-def k1_band(k0: float, b: float, k1: float) -> float:
-    """Width over which rounding flips r's sign around k1: four ulps of
-    omega(k1) over r's slope there (see ``ZERO_XTOL``)."""
-    slope = abs(omega_deriv(k1, b, 1) - omega_deriv(k1 - k0, b, 1))
-    return 4 * np.finfo(float).eps * omega(k1, b) / slope
+def assert_matches_linspace(got, ref, k0: float, b: float) -> None:
+    """The linspace scan's classification, zero and double-zero counts, and
+    its zeros up to k0 and double zeros within 1e-12.  Its k1 carries r's
+    rounding band and is not compared; the frozen tables check k1_of_b's
+    against mpmath.  At b1 the scan lists a Brent root beside its double
+    zero k0/2 (1.2e-7 from it at k0 = 1), so there the zeros are not
+    compared: ``test_the_double_zero_at_b1_is_half_k0`` checks them."""
+    assert got.classification is ref.classification, (k0, b)
+    assert len(got.zeros) == len(ref.zeros), (k0, b)
+    assert len(got.double_zeros) == len(ref.double_zeros), (k0, b)
+    if b == critical_bonds(k0).b1:
+        return
+    below = [z for z in got.zeros if z <= k0], [z for z in ref.zeros if z <= k0]
+    assert np.max(np.abs(np.subtract(below[0] + list(got.double_zeros),
+                                     below[1] + list(ref.double_zeros))),
+                  initial=0.0) <= 1e-12, (k0, b)
 
 
 def test_r_hat_vanishes_at_k0_and_is_vectorized():
@@ -195,17 +258,74 @@ class TestK1:
         k1 = k1_of_b(K0, 0.07)
         assert r_hat(k1, 0.07, K0) == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("k0,x", sorted(K1_NEAR_B0))
+    @pytest.mark.parametrize("k0,x", sorted(K1_BELOW_B0))
     def test_just_below_b0(self, k0, x):
-        """Within 1e-5 to 1e-8 relative below b0, k1 - k0 is 1.8e-4 down
-        to 6e-8, and r at k0 (1 + 1e-9) rounds to 0 or has the wrong sign
-        from about 1e-7 on.  k1 is still found, to within ZERO_XTOL plus
-        its rounding band (2-6 % of the gap at x = 7, more than it at x = 8)."""
-        b = critical_bonds(k0).b0 * (1.0 - 10.0**-x)
-        want = K1_NEAR_B0[k0, x]
+        """Within 1e-5 to 1e-10 relative below b0, k1 - k0 is 1.8e-4 down
+        to 6e-10.  One Brent solve of q from k0, where q(k0) = omega'(k0)
+        - 1 < 0, finds it within 1e-13 relative of mpmath (within 8e-14 at
+        k0 = 0.5, where omega'' is small at b0)."""
+        b, want = K1_BELOW_B0[k0, x]
         k1 = k1_of_b(k0, b)
         assert k1 > k0
-        assert abs(k1 - want) <= ZERO_XTOL + k1_band(k0, b, want)
+        assert k1 == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k0,b", sorted(K1_SMALL_B))
+    def test_small_bond_table(self, k0, b):
+        """Down to b = 1e-5 (k1 up to 4.1e4), where r's three omega terms
+        are near omega(k1) and its slope near 0: q keeps k1 within 1e-13
+        relative of mpmath."""
+        assert k1_of_b(k0, b) == pytest.approx(K1_SMALL_B[k0, b], rel=1e-13, abs=0.0)
+
+    def test_within_rounding_of_b0(self):
+        """One ulp below b0 at k0 = 2 (the correctly rounded b0, 1 ulp below
+        ``critical_bonds``'), q(k0) rounds to +2.2e-16, so k1 cannot be told
+        from k0.  The rule is that of b0 itself: k1_of_b refuses and names
+        the rounding, find_zeros reads the double zero at k0 and no k1, and
+        stability finds no partner."""
+        b0 = critical_bonds(K0).b0
+        assert q_hat(K0, np.nextafter(b0, 0.0), K0) >= 0.0
+        for b in (np.nextafter(b0, 0.0), b0):
+            with pytest.raises(ValueError, match="outside the rounding of b0"):
+                k1_of_b(K0, b)
+            rep = find_zeros(K0, b, 60.0)
+            assert (rep.zeros, rep.double_zeros, rep.k1) == ((K0,), (K0,), None)
+            assert rep.classification is Classification.TANGENCY
+            v = stability(K0, b)
+            assert v.stable and v.ratio is None and "no resonant partner" in v.reason
+
+
+class TestQ:
+    def test_matches_mpmath_on_both_routes(self):
+        """q = r/(k - k0) on both closed forms (|k - k0| below and above k0),
+        at k0 its limit omega'(k0) - 1, and out to k = 1e5: within 1e-15 of
+        50-digit mpmath relative to max(1, |q|), on the scalar route, and on
+        the array route at the points within k0 of k0, the only ones it
+        takes."""
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(50):
+            for k0 in (0.3, 1.0, 2.0, 3.0):
+                near = np.concatenate([np.linspace(k0 / 2, 1.9 * k0, 7), [k0]])
+                far = [2 * k0, 50.0, 1e5]
+                for b in (0.0, 1e-5, 0.05, 0.3):
+                    def w(x):
+                        x = mp.mpf(x)
+                        return mp.sign(x) * mp.sqrt((abs(x) + b * abs(x) ** 3) * mp.tanh(abs(x)))
+
+                    values = q_hat(near, b, k0).tolist() + [None] * len(far)
+                    for k, value in zip(near.tolist() + far, values):
+                        want = float(mp.diff(w, k0) - 1 if k == k0 else
+                                     (w(k) - w(mp.mpf(k) - k0) - w(k0)) / (mp.mpf(k) - k0))
+                        for got in (value, q_hat(k, b, k0)):
+                            if got is not None:
+                                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        assert worst <= 1e-15
+
+    def test_array_route_refuses_points_k0_from_k0(self):
+        with pytest.raises(ValueError, match="within k0"):
+            q_hat(np.array([1.5, 4.0]), 0.1, 2.0)
+        with pytest.raises(ValueError, match="within k0"):
+            q_hat(np.array([[2.0], [50.0]]), 0.1, 2.0)
 
 
 class TestInflectionPoints:
@@ -291,24 +411,18 @@ class TestFindZeros:
         BONDS.b0, BONDS.b1, (BONDS.b0 + BONDS.b1) / 2, 1 / 4.25))
     def test_aligned_scan_matches_the_linspace_reference(self, b):
         """The benchmark's anchors, both folds, mid-band and 1/4.25, with the
-        benchmark's window: the same classification, zero and double-zero
-        counts as the linspace scan, every zero within ZERO_XTOL."""
+        benchmark's window: the linspace scan's structure and zeros up to k0
+        (``assert_matches_linspace``)."""
         k_max = 1.25 * k1_of_b(K0, b) + 5.0 if 0.0 < b < BONDS.b0 else 60.0
-        got, ref = find_zeros(K0, b, k_max), find_zeros_linspace(K0, b, k_max)
-        assert got.classification is ref.classification
-        assert len(got.zeros) == len(ref.zeros)
-        assert len(got.double_zeros) == len(ref.double_zeros)
-        assert np.max(np.abs(np.subtract(got.zeros + got.double_zeros,
-                                         ref.zeros + ref.double_zeros))) <= ZERO_XTOL
+        assert_matches_linspace(find_zeros(K0, b, k_max), find_zeros_linspace(K0, b, k_max), K0, b)
 
     def test_the_folds_fix_the_zeros_above_k0(self):
         """``find_zeros`` scans only [k0/2, k0] and takes the zero above k0
         from the folds: k1 when 0 < b < b0, none otherwise.  Against the
         linspace scan of the whole window, at k0 = 1, 2 and 3 on Bond
         numbers from 1e-3 to 0.35, at 0, through both folds, mid-band and (at
-        k0 = 3) the third fold's pair: the same classification, zero and
-        double-zero counts, every zero within ZERO_XTOL, k1 within
-        ZERO_XTOL plus its rounding band."""
+        k0 = 3) the third fold's pair: its structure and zeros up to k0
+        (``assert_matches_linspace``), and k1 that of ``k1_of_b``."""
         for k0 in (1.0, 2.0, 3.0):
             bonds = critical_bonds(k0)
             bs = np.geomspace(1e-3, 0.35, 100).tolist() + [
@@ -316,17 +430,21 @@ class TestFindZeros:
             for b in bs:
                 in_band = 0.0 < b < bonds.b0
                 k_max = 1.25 * k1_of_b(k0, b) + 5.0 if in_band else 30.0 * k0
-                got, ref = find_zeros(k0, b, k_max), find_zeros_linspace(k0, b, k_max)
-                assert got.classification is ref.classification, (k0, b)
-                assert len(got.zeros) == len(ref.zeros), (k0, b)
-                assert len(got.double_zeros) == len(ref.double_zeros), (k0, b)
+                got = find_zeros(k0, b, k_max)
+                assert_matches_linspace(got, find_zeros_linspace(k0, b, k_max), k0, b)
                 assert got.k1 == (k1_of_b(k0, b) if in_band else None), (k0, b)
-                tol = np.full(len(got.zeros), ZERO_XTOL)
-                if in_band:
-                    tol[-1] += k1_band(k0, b, got.k1)
-                assert np.all(np.abs(np.subtract(got.zeros, ref.zeros)) <= tol), (k0, b)
-                assert np.max(np.abs(np.subtract(got.double_zeros, ref.double_zeros)),
-                              initial=0.0) <= ZERO_XTOL, (k0, b)
+
+    @pytest.mark.parametrize("k0", [0.5, 1.0, 2.0, 2.5, 3.0])
+    def test_the_double_zero_at_b1_is_half_k0(self, k0):
+        """At b1 r(k0/2) = 0, and r'(k0/2) = 0 for every b, so k0/2 is a
+        double zero: it is reported as itself in both tuples, with no Brent
+        root beside it (the scan of r listed 0.5000001171879608 at k0 = 1).
+        At k0 = 3 a zero of the third fold's pair sits at 2.72 besides."""
+        rep = find_zeros(k0, critical_bonds(k0).b1, 30.0 * k0)
+        assert rep.classification is Classification.TANGENCY
+        (double,) = rep.double_zeros
+        assert abs(double - k0 / 2) <= 1e-12
+        assert [z for z in rep.zeros if abs(z - k0 / 2) < 1e-6] == [double]
 
     def test_third_fold_pair_inside_the_scan(self):
         """At k0 = 3 a third fold, inside (k0/2, k0), keeps two zeros there
@@ -351,74 +469,110 @@ class TestFindZeros:
 
     @pytest.mark.parametrize("b,k_max", [(0.2, 60.0), (0.002, 143.0), (0.28, 300.0),
                                          (1e-4, 6000.0)])
-    def test_one_omega_call_of_302_points(self, monkeypatch, b, k_max):
-        """Whatever k_max, the scan is one array call of omega on the 102
-        aligned points from k0/2 to k0 + 0.01 and the s = 200 points below
-        them; every other evaluation is scalar."""
-        calls = record_omega_arrays(monkeypatch, resonance)
+    def test_one_q_array_call_of_101_points(self, monkeypatch, b, k_max):
+        """Whatever k_max, the scan is one array call of q on the 101 points
+        from k0/2 to k0 with k0 the last; every other evaluation is scalar."""
+        calls = record_q_arrays(monkeypatch, resonance)
         find_zeros(K0, b, k_max)
         (grid,) = calls
-        s = 200
-        assert grid.size == 302
-        assert grid[s] == pytest.approx(K0 / 2, abs=1e-12)
-        assert grid[-1] == pytest.approx(K0 + 0.01, abs=1e-12)
-        assert np.max(np.abs(grid[s:] - grid[:-s] - K0)) < 1e-9
+        assert grid.size == 101
+        assert (grid[0], grid[-1]) == (K0 / 2, K0)
+        assert np.max(np.abs(np.diff(grid) - 0.01)) < 1e-12
 
     def test_far_k1_is_k1_of_b_within_its_rounding_band(self):
-        """k1 ≈ 2146 at b = 1e-4 is defined only to about 7e-10: r's three
-        omega terms are near 1e3 and its slope is 3.2e-4, so r changes sign
-        about a hundred times across that width from rounding alone.  The
-        report takes ``k1_of_b``'s root as it is, so the two agree bitwise."""
+        """k1 ≈ 2146 at b = 1e-4: r's three omega terms are near 1e3 and its
+        slope is 3.2e-4, so rounding alone flips r's sign about a hundred
+        times over 7e-10 around k1.  q divides out k - k0 and sums no terms
+        of size omega(k1), so its rounding band is a few ulps: the report
+        takes ``k1_of_b``'s root as it is, within 1e-13 relative of mpmath."""
         b = 1e-4
-        k1 = k1_of_b(K0, b)
         got = find_zeros(K0, b, 6000.0)
         assert got.classification is Classification.TWO_ZEROS
         assert got.zeros == (K0, got.k1)
-        assert got.k1 == k1
-        assert k1_band(K0, b, k1) > 100 * ZERO_XTOL
+        assert got.k1 == k1_of_b(K0, b)
+        assert got.k1 == pytest.approx(K1_SMALL_B[K0, b], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k0", [0.5, 2.0])
+    def test_no_false_tangency_next_to_b0(self, k0):
+        """From 1e-5 down to 1e-13 relative of b0, r has two transversal
+        zeros next to k0: k1 above it below b0, the extra zero below it
+        above b0.  The scan of r counted the stationary point between them
+        as a double zero, since |r| there fell under its absolute 1e-8;
+        on q there is none until |q(k0)| is rounding, 1e-14 from b0."""
+        b0 = critical_bonds(k0).b0
+        for x in range(5, 14):
+            for sign, cls in ((-1.0, Classification.TWO_ZEROS),
+                              (1.0, Classification.EXTRA_ZERO_PAIR)):
+                rep = find_zeros(k0, b0 * (1.0 + sign * 10.0**-x), 30.0 * k0)
+                assert rep.classification is cls and rep.double_zeros == (), (x, sign)
+                assert len(rep.zeros) == 2 and k0 in rep.zeros, (x, sign)
+
+    @pytest.mark.parametrize("k0", [0.5, 1.0, 2.0, 2.3, 2.8, 3.1, 3.1999999999999997])
+    def test_no_bracket_refused_within_ulps_of_the_folds(self, k0):
+        """Within 8 ulps of b0 and of b1, q is at rounding level at the
+        scan's last point k0 or its first k0/2, where numpy and ``math`` can
+        round it to opposite signs: at k0 = 2.3, 2.8, 3.1 and 3.2 the array
+        scan showed a sign change in an end cell whose ends the scalar route
+        gives one sign, and Brent refused the bracket.  Brent gets only the
+        cells that change sign on its own route, and the fold is reported as
+        the double zero at k0 or at k0/2."""
+        bonds = critical_bonds(k0)
+        for fold, double in ((bonds.b0, k0), (bonds.b1, k0 / 2.0)):
+            b = fold
+            for _ in range(8):
+                b = math.nextafter(b, 0.0)
+            for _ in range(17):
+                rep = find_zeros(k0, b, 100.0)
+                assert rep.classification is Classification.TANGENCY, (fold, b)
+                assert double in rep.double_zeros and rep.k1 is None, (fold, b)
+                b = math.nextafter(b, 1.0)
 
     @pytest.mark.parametrize("k0", sorted(ZERO_PAST_B0))
     def test_zero_in_the_last_cell_below_k0(self, k0):
         """At b = b0 (1 + 1e-3) the extra zero sits 0.0061 (k0 = 2) and
-        0.0093 (k0 = 1) below k0, inside the scan's last cell, where r(k0) = 0
-        hides the sign change.  It is found against 40-digit mpmath; the
-        linspace scan misses it too, so it is no reference here."""
+        0.0093 (k0 = 1) below k0, inside the scan's last cell, where q(k0) =
+        omega'(k0) - 1 > 0 brackets it.  It is found against 40-digit
+        mpmath; the linspace scan of r misses it, so it is no reference
+        here."""
         b = critical_bonds(k0).b0 * (1.0 + 1e-3)
         got = find_zeros(k0, b, 30.0 * k0)
         assert got.classification is Classification.EXTRA_ZERO_PAIR
         assert got.zeros[1] == k0 and got.k1 is None
         assert abs(got.zeros[0] - ZERO_PAST_B0[k0]) <= 1e-9
 
+    @pytest.mark.parametrize("k0,b", sorted(NEXT_TO_K0))
+    def test_zeros_next_to_k0_match_mpmath(self, k0, b):
+        """A zero within 0.01 of k0: at (0.3, 0.33), 4e-5 below b0, it is
+        k1, and r dips to -5.6e-10 between k0 and k1, where q is -2e-6, no
+        double zero; at (2.2, 0.21), 1.3e-3 above b0, it is the extra zero
+        below k0.  Against 40-digit mpmath, within 1e-12 relative: q's slope
+        at the zero is only 1.4e-3 at (0.3, 0.33), so each ulp of q's
+        rounding moves the zero by 5e-13 relative there."""
+        zero, cls = NEXT_TO_K0[k0, b]
+        in_band = 0.0 < b < critical_bonds(k0).b0
+        got = find_zeros(k0, b, 1.25 * k1_of_b(k0, b) + 5.0 if in_band else 30.0 * k0)
+        assert got.classification is cls and got.double_zeros == ()
+        assert got.zeros == tuple(sorted((k0, got.zeros[got.zeros.index(k0) ^ 1])))
+        other = got.zeros[got.zeros.index(k0) ^ 1]
+        assert other == pytest.approx(zero, rel=1e-12, abs=0.0)
+        assert got.k1 == (other if in_band else None)
+
     @pytest.mark.parametrize("k0", [0.3, 0.7, 1.1, 2.2, 2.7, 3.1])
     def test_other_carriers_match_the_linspace_reference(self, k0):
         """Carriers off the round ones above, on 36 Bond numbers from 0 to
-        0.35: no Brent sign error (at k0 = 0.3 the aligned grid's point at
-        k0 is 0.30000000000000004, where r > 0 on the array route and < 0 on
-        the scalar one), and the linspace scan's classification, zero and
-        double-zero counts, zeros within ZERO_XTOL and k1 within ZERO_XTOL
-        plus its rounding band.  At the two points of ``ORACLE_BLIND`` the
-        scan misses a zero within one of its steps of k0: there that zero is
-        checked against 40-digit mpmath and the rest against the scan."""
+        0.35: no Brent sign error, and the linspace scan's structure and
+        zeros up to k0 (``assert_matches_linspace``), but at the two points
+        of ``NEXT_TO_K0``, where the scan cannot see a zero within its step
+        of k0 and ``test_zeros_next_to_k0_match_mpmath`` checks it."""
         bonds = critical_bonds(k0)
         for b in np.linspace(0.0, 0.35, 36).tolist():
+            if (k0, b) in NEXT_TO_K0:
+                continue
             in_band = 0.0 < b < bonds.b0
             k_max = 1.25 * k1_of_b(k0, b) + 5.0 if in_band else 30.0 * k0
-            got, ref = find_zeros(k0, b, k_max), find_zeros_linspace(k0, b, k_max)
-            zeros = list(got.zeros)
-            if (k0, b) in ORACLE_BLIND:
-                missed, cls = ORACLE_BLIND[k0, b]
-                i = int(np.argmin(np.abs(np.subtract(zeros, missed))))
-                assert abs(zeros.pop(i) - missed) <= 1e-9, (k0, b)
-                assert got.classification is cls, (k0, b)
-            else:
-                assert got.classification is ref.classification, (k0, b)
-            assert len(zeros) == len(ref.zeros), (k0, b)
-            assert len(got.double_zeros) == len(ref.double_zeros), (k0, b)
+            got = find_zeros(k0, b, k_max)
+            assert_matches_linspace(got, find_zeros_linspace(k0, b, k_max), k0, b)
             assert got.k1 == (k1_of_b(k0, b) if in_band else None), (k0, b)
-            tol = [ZERO_XTOL + (k1_band(k0, b, z) if z == got.k1 else 0.0) for z in zeros]
-            assert np.all(np.abs(np.subtract(zeros, ref.zeros)) <= tol), (k0, b)
-            assert np.max(np.abs(np.subtract(got.double_zeros, ref.double_zeros)),
-                          initial=0.0) <= ZERO_XTOL, (k0, b)
 
 
 class TestStability:

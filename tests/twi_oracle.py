@@ -3,8 +3,8 @@ resonant-triad amplitude dynamics.
 
 ``r_hat`` is r(k, b) = omega(k, b) - omega(k - k0, b) - omega(k0, b) on
 arrays, the form the linspace scan, the first ``delta0_for`` and the triad
-coefficients below read; ``arcwave.resonance`` evaluates r on its own
-scalar and aligned-grid routes.
+coefficients below read; ``arcwave.resonance`` seeks zeros on q = r/(k -
+k0) instead, in closed forms free of r's cancellation.
 
 Three complex amplitudes riding the carriers of a resonant triad
 (k_0', k_1', k_2') with k_0' + k_1' + k_2' = 0 and matching frequency sum
