@@ -79,14 +79,25 @@ def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
 class TruncatedSystem:
     """Precomputed multiplier tables and the nonlinearity for one (grid, b).
 
-    Every quadratic product is dealiased by the grid's 2/3-rule mask.
-    ``extra_keep`` intersects a caller-supplied mode mask (e.g. a union of
-    wave-packet bands) with that rule.  Long-horizon runs need it: the
-    quadratic symbols grow superlinearly in k, so once the coupling through
-    a carrier of size eps exceeds the dispersive detuning (which saturates
-    near omega(k0)), retained modes above a threshold ~ (1/eps)^{2/3} are
-    violently amplified; fixing the retained band keeps them out instead of
-    letting the band grow with n.
+    The nonlinearity is the Galerkin truncation onto the kept modes P
+    (``keep_mask``): ``evaluator`` computes P N(P U), the quadratic terms
+    of the state's kept modes, projected back onto them.  P is the grid's
+    2/3 rule, or its intersection with ``extra_keep``, a caller-supplied
+    mode mask (e.g. a union of wave-packet bands).  Long-horizon runs need
+    the latter: the quadratic symbols grow superlinearly in k, so once the
+    coupling through a carrier of size eps exceeds the dispersive detuning
+    (which saturates near omega(k0)), retained modes above a threshold
+    ~ (1/eps)^{2/3} are violently amplified; fixing the retained band keeps
+    them out instead of letting the band grow with n.
+
+    The kept modes lie in the half-spectrum columns 0..J, J + 1 =
+    ``band_columns``, so their products are exact on any grid of n_p >= 3J + 1
+    points (Orszag's 3/2 rule): ``transform_length`` is the smallest even
+    2^a 3^b 5^c >= 3J + 1, capped at n.  Under the 2/3 rule alone n_p = n
+    for every power-of-two n; a band mask shrinks it (300 for n = 512 and
+    bands |k -/+ l k0| <= 0.9 around k0 = 2 on L = 40 pi).  The modes above
+    J feel no quadratic term, so ``sim._march`` advances them by their
+    linear phase alone.
 
     Round-off grows with the band as well: the coefficient-space
     multipliers reach |ik * ik * sigma| ~ 5e10 at k ~ 1365 (n = 4096,
@@ -150,15 +161,17 @@ class TruncatedSystem:
 
     @cached_property
     def _pre(self) -> np.ndarray:
-        """Multipliers of the 11 precursors of ``evaluator``, on 0 <= k < k_Nyquist;
-        the first three are the first block's."""
+        """Multipliers of the 11 precursors of ``evaluator``, on 0 <= k < k_Nyquist,
+        zero outside ``keep_mask`` (the input projection P); the first three
+        are the first block's."""
         m = self.grid.n_points // 2
         ik, K0, sig_inv, inv_ik = (self._ik[:m], self._K0[:m], self._sig_inv[:m],
                                    self._inv_ik[:m])
         one = np.ones(m, dtype=np.complex128)
-        return np.array([one, K0, sig_inv, one, sig_inv, inv_ik**2, inv_ik,
-                         K0 * inv_ik, inv_ik * sig_inv, K0 * inv_ik * sig_inv,
-                         K0 * ik * sig_inv])
+        pre = np.array([one, K0, sig_inv, one, sig_inv, inv_ik**2, inv_ik,
+                        K0 * inv_ik, inv_ik * sig_inv, K0 * inv_ik * sig_inv,
+                        K0 * ik * sig_inv])
+        return pre * self.keep_mask[:m]
 
     #: row of (s1, d1, s2, d2) each precursor multiplier acts on; the first
     #: block's three precursors come first and read only s1 and d1
@@ -193,11 +206,39 @@ class TruncatedSystem:
 
     @cached_property
     def keep_mask(self) -> np.ndarray:
-        """Boolean mask of the modes the quadratic terms are allowed to feed."""
+        """Boolean mask of the kept modes, P: the only modes the quadratic
+        terms read (``_pre``) and the only ones they feed (``_post``)."""
         keep = self.grid.dealias_keep
         if self.extra_keep is not None:
             keep = keep & self.extra_keep.astype(bool)
         return keep
+
+    @cached_property
+    def band_columns(self) -> int:
+        """J + 1: the half-spectrum columns 0..J hold every kept mode.
+
+        The Nyquist column is never kept (the 2/3 rule drops it), so
+        J < n/2; J = 0 when no mode but the mean is kept.
+        """
+        kept = np.flatnonzero(half_spectrum(self.keep_mask))
+        return int(kept[-1]) + 1 if kept.size else 1
+
+    @cached_property
+    def transform_length(self) -> int:
+        """n_p: the smallest even 2^a 3^b 5^c >= 3J + 1, capped at n.
+
+        A product of two fields with modes |j| <= J has modes |j| <= 2J; on
+        n_p points the mode j aliases onto j -/+ n_p, which stays above J
+        whenever n_p >= 3J + 1, so the columns 0..J of the product are
+        exact.  2^a 3^b 5^c are the lengths pocketfft transforms fastest;
+        n_p is even, as n is.
+        """
+        n = self.grid.n_points
+        n_p = 3 * (self.band_columns - 1) + 1
+        n_p += n_p % 2
+        while n_p < n and not _is_five_smooth(n_p):
+            n_p += 2
+        return min(n_p, n)
 
     @cached_property
     def omega_values(self) -> np.ndarray:
@@ -227,23 +268,31 @@ class TruncatedSystem:
     def evaluator(self, rows: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """The quadratic part of d(state)/dt, bound to its own buffers.
 
-        Returns f(U, out), which writes the nonlinearity of the ``rfft`` half
-        spectra U, shape (rows, n//2 + 1), into ``out`` of that shape and
-        returns ``out``; see :func:`arcwave.spectral.half_spectrum`.  rows is
-        4 (u_{-/+1}, u_{-/+2}) or 2 (the first block u_{-/+1} alone).  The
-        linear part (see ``linear_symbols``) is handled separately so the
-        integrating-factor stepper can advance it exactly.  The tests'
-        kernel oracle takes complex full-layout states through it by
-        polarization.
+        Returns f(U, out), which writes P N(P U), the nonlinearity of the
+        kept modes of the ``rfft`` half spectra U, into ``out`` and returns
+        ``out``; see :func:`arcwave.spectral.half_spectrum`.  rows is 4
+        (u_{-/+1}, u_{-/+2}) or 2 (the first block u_{-/+1} alone).  U is
+        (rows, w) with w >= J + 1 = ``band_columns``, of which only the
+        columns 0..J are read: the kept modes lie there, and ``_pre``, zero
+        outside ``keep_mask``, projects them.  ``out`` is (rows, J + 1), the
+        band the march runs its stages on, or (rows, n//2 + 1), whose
+        columns above J are written 0.  The linear part (see
+        ``linear_symbols``) is handled separately so the integrating-factor
+        stepper can advance it exactly.  The tests' kernel oracle takes
+        complex full-layout states through it by polarization.
+
+        The transforms have ``transform_length`` n_p points, the smallest
+        5-smooth even length that dealiases the kept band: n_p = n under
+        the 2/3 rule, where the evaluation is the full-grid one bit for bit
+        on states inside the band.
 
         The first block is autonomous: its products read only s1 and d1, so
         the 2-row product list is the prefix of the 4-row one (3 of the 11
         precursors, 3 of the 8 product sums) and gives rows 0-1 of the 4-row
         result bit for bit.
 
-        Nyquist column (index n//2): it lies outside every keep mask.  U's
-        Nyquist column is ignored, as if it were 0 (only its first n//2
-        columns are read), and the output's is 0.
+        Nyquist column (index n//2): it lies outside every keep mask, above
+        J, so U's Nyquist column is never read, and the output's is 0.
 
         Each block is a common part plus or minus a difference part,
         n_{-/+1} = E1 -/+ X1 and n_{-/+2} = E2 -/+ X2, by two identities:
@@ -256,7 +305,8 @@ class TruncatedSystem:
 
         So each distinct product is formed once, and products sharing a
         coefficient-space multiplier are summed before the forward transform:
-        one ``irfft`` of 11 (3) precursors, one ``rfft`` of 8 (3) product sums.
+        one ``irfft`` of 11 (3) precursors, one ``rfft`` of 8 (3) product sums,
+        each of length n_p.
 
         The precursor, physical, product and spectrum buffers, and their row
         views, are allocated here, once; every evaluation overwrites them
@@ -276,45 +326,48 @@ class TruncatedSystem:
             raise ValueError(
                 f"the nonlinearity takes 4 components or the first block's 2, got {rows}")
         n_pre, n_post = (3, 3) if rows == 2 else (11, 8)
-        pre, source, post = self._pre[:n_pre], self._PRE_SOURCE[:n_pre], self._post[:n_post]
+        c, n_p = self.band_columns, self.transform_length
+        pre = np.ascontiguousarray(self._pre[:n_pre, :c])
+        post = np.ascontiguousarray(self._post[:n_post, :c])
+        source = self._PRE_SOURCE[:n_pre]
         left, right, scaled = self._PRODUCTS[rows]
-        n = self.grid.n_points
-        m = n // 2
-        sd = np.empty((rows, m), dtype=np.complex128)  # s1, d1 (, s2, d2)
-        spec_in = np.empty((n_pre, m), dtype=np.complex128)
-        phys = np.empty((n_pre, n))
+        sd = np.empty((rows, c), dtype=np.complex128)  # s1, d1 (, s2, d2)
+        spec_in = np.empty((n_pre, c), dtype=np.complex128)
+        phys = np.empty((n_pre, n_p))
         operands = np.concatenate([left, right])
-        LR = np.empty((len(operands), n))  # the left, then the right operands
+        LR = np.empty((len(operands), n_p))  # the left, then the right operands
         L, R = LR[: len(left)], LR[len(left):]
-        Q = np.empty((len(left), n))  # the products; the first rows sum them
-        spec = np.empty((n_post, m + 1), dtype=np.complex128)
+        Q = np.empty((len(left), n_p))  # the products; the first rows sum them
+        spec = np.empty((n_post, n_p // 2 + 1), dtype=np.complex128)
+        band = spec[:, :c]  # the product sums' columns 0..J
 
         s_rows, d_rows = sd[0::2], sd[1::2]
-        Q_rows, G = list(Q), list(spec)
+        Q_rows, G = list(Q), list(band)
         scaled_row = L[scaled] if scaled is not None else None
         # X of each block first sums G[1] + G[2] (and G[4] + G[5]) in one call;
         # then E = G[0] (G[3]) and X = G[1] (G[4]) give the outputs
-        x_first, x_second = spec[1: rows + 1: 3], spec[2: rows + 2: 3]
-        E_rows = spec[0: rows + rows // 2: 3]
-        X_rows = spec[1: rows + rows // 2 + 1: 3]
+        x_first, x_second = band[1: rows + 1: 3], band[2: rows + 2: 3]
+        E_rows = band[0: rows + rows // 2: 3]
+        X_rows = band[1: rows + rows // 2 + 1: 3]
         rfft_in = Q[:n_post]
-        out_shape = (rows, m + 1)
+        out_shapes = {(rows, c), (rows, self.grid.n_points // 2 + 1)}
         b = self.b
         mul, add, sub = np.multiply, np.add, np.subtract
 
         def f(U: np.ndarray, out: np.ndarray) -> np.ndarray:
-            if U.shape[:-1] != (rows,) or out.shape != out_shape:
+            if U.shape[:-1] != (rows,) or U.shape[-1] < c or out.shape not in out_shapes:
                 raise ValueError(
-                    f"evaluator bound to {out_shape}, got U {U.shape}, out {out.shape}")
-            # (s1, d1, s2, d2), then the precursors in coefficient space
-            minus, plus = U[0::2, :m], U[1::2, :m]
+                    f"evaluator bound to {sorted(out_shapes)}, got U {U.shape}, "
+                    f"out {out.shape}")
+            # (s1, d1, s2, d2), then the precursors of P U in coefficient space
+            minus, plus = U[0::2, :c], U[1::2, :c]
             add(minus, plus, out=s_rows)
             sub(minus, plus, out=d_rows)
             sd.take(source, axis=0, out=spec_in, mode="clip")
             mul(pre, spec_in, out=spec_in)
 
             # physical-space precursors and their products, all in one multiply
-            np.fft.irfft(spec_in, n, norm="forward", out=phys)
+            np.fft.irfft(spec_in, n_p, norm="forward", out=phys)
             phys.take(operands, axis=0, out=LR, mode="clip")
             if scaled_row is not None:
                 mul(b, scaled_row, out=scaled_row)
@@ -330,17 +383,19 @@ class TruncatedSystem:
                 sub(Q_rows[3], Q_rows[12], out=Q_rows[3])
                 add(Q_rows[4], Q_rows[13], out=Q_rows[4])
 
-            # product sums, one per coefficient-space multiplier (see _post)
+            # product sums, one per coefficient-space multiplier (see _post),
+            # projected by P on their columns 0..J
             np.fft.rfft(rfft_in, norm="forward", out=spec)
-            mul(post, spec, out=spec)
+            mul(post, band, out=band)
             # n_{-/+1} = E1 -/+ X1 with E1 = G[0], X1 = G[1] + G[2], and
             # n_{-/+2} = E2 -/+ X2 with E2 = G[3], X2 = G[4] + ... + G[7]
             add(x_first, x_second, out=x_first)
             if rows == 4:
                 add(G[4], G[6], out=G[4])
                 add(G[4], G[7], out=G[4])
-            sub(E_rows, X_rows, out=out[0::2])
-            add(E_rows, X_rows, out=out[1::2])
+            sub(E_rows, X_rows, out=out[0::2, :c])
+            add(E_rows, X_rows, out=out[1::2, :c])
+            out[:, c:] = 0.0
             return out
 
         return f
@@ -397,6 +452,14 @@ class TruncatedSystem:
         first[0] = 0.0
         second[0] = 0.0
         return first, second
+
+
+def _is_five_smooth(n: int) -> bool:
+    """Whether n has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 @lru_cache(maxsize=16)

@@ -43,7 +43,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run of the truncated model: physical and discretization choices."""
+    """One run of the truncated model: physical and discretization choices.
+
+    ``band_halfwidth`` keeps only the bands of that half-width around the
+    harmonics l*k0, |l| <= 2 (``wavepacket.band_mask``), inside the 2/3
+    rule: the run is then the Galerkin truncation P N(P U) onto them
+    (``TruncatedSystem``), whose products are formed on the smallest
+    5-smooth even grid of n_p >= 3J + 1 points that dealiases the top kept
+    column J (``TruncatedSystem.transform_length``, 300 for the monitored
+    run's n = 512), not on all n.  Modes outside the bands only turn by
+    their linear phase.  Without it every 2/3-rule mode is kept and n_p = n.
+    """
 
     eps: float
     k0: float
@@ -167,6 +177,12 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
         N3 = N(H U + dt/2 N2)          N4 = N(E U + dt H N3)
         U <- E U + dt/6 (E N1 + 2 H (N2 + N3) + N4)
 
+    N is the Galerkin truncation P N(P U) (``TruncatedSystem.evaluator``):
+    it reads only the kept modes, in the columns 0..J (J + 1 =
+    ``TruncatedSystem.band_columns``), and is 0 above J.  So the stages run
+    on columns 0..J alone, and each column above J, where the formulas
+    reduce to U <- E U, takes one multiply by E per step.
+
     The march binds one ``TruncatedSystem.evaluator`` and its own stage
     buffers once, and every step writes them in place, with the operations
     and operand orders of the formulas above, so the states are bitwise
@@ -174,35 +190,39 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     to this generator alone, so two marches on one system, in one thread or
     in two, do not disturb each other.
 
-    Aborts with the step index on the first non-finite coefficient, which in
-    practice means the quadratic terms have blown up (the linear part cannot:
-    its phases have modulus one).
+    Aborts with the step index on the first non-finite coefficient, in any
+    column, which in practice means the quadratic terms have blown up (the
+    linear part cannot: its phases have modulus one).
     """
     if sample_every < 0:
         raise ValueError(f"sample_every must be nonnegative, got {sample_every}")
     U = np.array(U, dtype=np.complex128)  # the state, advanced in place
     rows = U.shape[-2]
+    c = system.band_columns
     lam = system.half_linear_symbols[:rows]
+    e_tail = np.exp(lam[:, c:] * dt)
+    lam = lam[:, :c]
     e_full = np.exp(lam * dt)
     e_half = np.exp(lam * 0.5 * dt)
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     dt_e_half, two_e_half = dt * e_half, 2.0 * e_half
     nonlinear = system.evaluator(rows)
-    N1, N2, N3, N4, stage, tmp, eU = (np.empty_like(U) for _ in range(7))
+    band, tail = U[:, :c], U[:, c:]  # views: the stages advance band in place
+    N1, N2, N3, N4, stage, tmp, eU = (np.empty_like(band) for _ in range(7))
     finite = np.empty(U.shape, dtype=bool)
     mul, add = np.multiply, np.add
     t = t0
     for i in range(n_steps):
-        nonlinear(U, N1)
+        nonlinear(band, N1)
         mul(half_dt, N1, out=tmp)  # N2
-        add(U, tmp, out=tmp)
+        add(band, tmp, out=tmp)
         mul(e_half, tmp, out=stage)
         nonlinear(stage, N2)
-        mul(e_half, U, out=stage)  # N3
+        mul(e_half, band, out=stage)  # N3
         mul(half_dt, N2, out=tmp)
         add(stage, tmp, out=stage)
         nonlinear(stage, N3)
-        mul(e_full, U, out=eU)  # N4
+        mul(e_full, band, out=eU)  # N4
         mul(dt_e_half, N3, out=tmp)
         add(eU, tmp, out=stage)
         nonlinear(stage, N4)
@@ -212,7 +232,8 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
         add(tmp, N2, out=tmp)
         add(tmp, N4, out=tmp)
         mul(sixth_dt, tmp, out=tmp)
-        add(eU, tmp, out=U)
+        add(eU, tmp, out=band)
+        mul(e_tail, tail, out=tail)  # N = 0 above J
         t = t0 + (i + 1) * dt
         if not np.isfinite(U, out=finite).all():
             raise RuntimeError(f"non-finite state after step {i + 1} (t={t:.6g})")
@@ -277,7 +298,11 @@ class ScanTemplate:
     above them (threshold shrinking to ~(1/eps)^{2/3} as eps grows) or the
     sliver between the harmonic bands, so the restriction measures the
     modulation approximation instead of the cascade.  It feeds
-    :class:`SimConfig` unchanged.
+    :class:`SimConfig` unchanged: each row marches the Galerkin truncation
+    P N(P U) onto the kept bands, its products on n_p points, the smallest
+    5-smooth even n_p >= 3J + 1 for the top kept column J, capped at n
+    (``TruncatedSystem.transform_length``): 576, 864 and 1024 for the
+    default rows at eps 0.15, 0.10 and 0.07.
 
     The subspace is not the same for every eps: n is fixed while the domain
     grows like 1/eps, so the dealiasing edge (n/3) 2 pi/L falls.  With the
@@ -383,7 +408,13 @@ def _scan_problem(eps: float, template: ScanTemplate
                   ) -> tuple[SimConfig, WavePacket, np.ndarray]:
     """The run of one scan row: its config, the packet, and the packet's
     initial half spectra, (4, n//2 + 1), with the modes outside the keep
-    mask zeroed."""
+    mask zeroed.
+
+    The march would leave those modes to their linear phase alone (P N(P U)
+    reads none of them), but the zeroing must stay: ``_scan_single``
+    re-slaves the second block from the marched first block, and the slave
+    map reads every column of it.
+    """
     config = _scan_config(eps, template)
     A = _sech_envelope(Grid1D(template.n_env, eps * config.length))
     packet = wave_packet(A, eps, config.model, corrections=template.corrections)

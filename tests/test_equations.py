@@ -7,6 +7,7 @@ import pytest
 
 from arcwave.dispersion import k0_symbol, omega, sigma, sigma_inv
 from arcwave.equations import TruncatedSystem, slave_second_block
+from arcwave.sim import ScanTemplate, SimConfig, _scan_config, scan_grid_length
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from fourier import hermitian_part, ik_power, mode_index, product
 from kernel_oracle import COMPONENT_INDEX, full_nonlinear, nonlinear
@@ -30,6 +31,13 @@ def random_real_state(rng, grid=GRID, scale=1e-2):
         c[~grid.dealias_keep] = 0.0
         rows.append(hermitian_part(grid, c))
     return np.array(rows)
+
+
+def band_system(b):
+    """The bands |k -/+ 2| <= 0.9 inside the 2/3 rule at n = 1024, L = 16 pi:
+    the kept modes lie in columns 0..23, so n_p = 72."""
+    grid = Grid1D(n_points=1024, length=16 * np.pi)
+    return TruncatedSystem(grid, b, extra_keep=np.abs(np.abs(grid.wavenumbers) - 2.0) <= 0.9)
 
 
 def cross_value(system, j1, j2, l, m):
@@ -289,11 +297,11 @@ def reference_rtol(n, b, kind):
 
 def assert_matches_reference(out, grid, b, keep, state, rtol=1e-13):
     """``out`` is within ``rtol`` of the maximum of the term-by-term
-    reference, and its zero mode is exactly 0.  Bounds above 1e-13 compare
-    with the reference in long double, or in float64 without long-double
-    transforms."""
+    reference (its first rows, for the first block alone), and its zero
+    mode is exactly 0.  Bounds above 1e-13 compare with the reference in
+    long double, or in float64 without long-double transforms."""
     dtype = np.clongdouble if rtol > 1e-13 and LONG_DOUBLE_FFT else np.complex128
-    ref = reference_nonlinear(grid, b, keep, state, dtype)
+    ref = reference_nonlinear(grid, b, keep, state, dtype)[: len(out)]
     assert np.max(np.abs(out - ref)) <= rtol * np.max(np.abs(ref))
     assert np.all(out[:, 0] == 0.0)
 
@@ -324,13 +332,14 @@ def test_nonlinear_matches_term_by_term_reference(n, b):
 
 
 def test_nonlinear_matches_reference_on_band_restricted_mask():
-    grid = Grid1D(n_points=1024, length=16 * np.pi)
-    k = grid.wavenumbers
-    band = np.abs(np.abs(k) - 2.0) <= 0.9
-    system = TruncatedSystem(grid, 0.05, extra_keep=band)
+    # the Galerkin truncation P N(P U): the reference of the projected state
+    system = band_system(0.05)
+    grid = system.grid
+    assert system.transform_length == 72 < grid.n_points
     state = random_real_state(np.random.default_rng(4), grid)
     out = full_spectrum(nonlinear(system, half_spectrum(state)), grid.n_points)
-    assert_matches_reference(out, grid, 0.05, system.keep_mask, state)
+    projected = np.where(system.keep_mask, state, 0.0)
+    assert_matches_reference(out, grid, 0.05, system.keep_mask, projected)
 
 
 def test_full_nonlinear_of_hermitian_state_is_nonlinear_exactly():
@@ -380,12 +389,22 @@ def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     four(state, out)
     n = GRID.n_points
-    # 11 precursors in, 8 product sums out
-    assert calls == [("irfft", (11, n // 2)), ("rfft", (8, n))]
+    # 11 precursors in, columns 0..J = n//3 of the 2/3 rule, 8 product sums
+    # out, on the full grid (n_p = n under the 2/3 rule)
+    c = n // 3 + 1
+    assert (system.band_columns, system.transform_length) == (c, n)
+    assert calls == [("irfft", (11, c)), ("rfft", (8, n))]
     # the first block alone: 3 rows in, 3 rows out
     calls.clear()
     two(state[:2], out[:2])
-    assert calls == [("irfft", (3, n // 2)), ("rfft", (3, n))]
+    assert calls == [("irfft", (3, c)), ("rfft", (3, n))]
+    # a band system transforms its band's columns on its shorter grid
+    band = band_system(BOND)
+    f = band.evaluator(4)
+    state = half_spectrum(random_real_state(np.random.default_rng(9), band.grid))
+    calls.clear()
+    f(state, np.empty_like(state))
+    assert calls == [("irfft", (11, 24)), ("rfft", (8, 72))]
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +438,13 @@ def parent_nonlinear(system, state):
     return np.array([E1 - X1, E1 + X1, E2 - X2, E2 + X2])
 
 
-def first_block_systems():
-    grid = Grid1D(n_points=1024, length=16 * np.pi)
-    band = np.abs(np.abs(grid.wavenumbers) - 2.0) <= 0.9
+def first_block_systems(banded=(False, True)):
+    """Systems at n = 1024, L = 16 pi, b in (0, 0.05): the 2/3 rule alone
+    and ``band_system``."""
     for b in (0.0, 0.05):
-        for extra in (None, band):
-            yield TruncatedSystem(grid, b, extra_keep=extra)
+        for with_band in banded:
+            yield band_system(b) if with_band else TruncatedSystem(
+                Grid1D(n_points=1024, length=16 * np.pi), b)
 
 
 def test_first_block_nonlinear_is_rows_0_1_of_the_four_row_call():
@@ -444,12 +464,80 @@ def test_first_block_nonlinear_is_rows_0_1_of_the_four_row_call():
 
 
 def test_four_row_nonlinear_is_bitwise_the_parent_product_list():
+    # on the 2/3 rule alone the transforms keep the full grid, n_p = n, so
+    # the product list is the parent's bit for bit on states inside the band
+    # (a band system's shorter transforms are checked against the reference
+    # in test_band_evaluator_is_the_reference_of_the_projected_state)
     rng = np.random.default_rng(18)
-    for system in first_block_systems():
+    for system in first_block_systems(banded=(False,)):
         grid = system.grid
+        assert system.transform_length == grid.n_points
         for _ in range(3):
             state = half_spectrum(random_real_state(rng, grid, scale=0.1))
             assert np.array_equal(nonlinear(system, state), parent_nonlinear(system, state))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.05])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_band_evaluator_is_the_reference_of_the_projected_state(b, rows):
+    # P N(P U) on the band's n_p < n points is the term-by-term reference of
+    # the projected state on the full grid, and never reads the columns
+    # above J: NaN written there leaves the output unchanged
+    system = band_system(b)
+    grid = system.grid
+    c, n_p = system.band_columns, system.transform_length
+    assert (c, n_p) == (24, 72)
+    rng = np.random.default_rng(19 + rows)
+    for _ in range(3):
+        state = random_real_state(rng, grid, scale=0.1)
+        out = full_spectrum(nonlinear(system, half_spectrum(state)[:rows]), grid.n_points)
+        projected = np.where(system.keep_mask, state, 0.0)
+        assert_matches_reference(out, grid, b, system.keep_mask, projected,
+                                 reference_rtol(grid.n_points, b, "hermitian"))
+        assert np.all(out[:, ~system.keep_mask] == 0.0)
+        half = half_spectrum(state)[:rows].copy()
+        want = nonlinear(system, half)
+        half[:, c:] = np.nan
+        assert np.array_equal(nonlinear(system, half), want)
+
+
+def scan_row_system(eps):
+    return _scan_config(eps, ScanTemplate()).system
+
+
+def monitored_run_system():
+    return SimConfig(eps=0.1, k0=2.0, b=0.05, n=512, length=scan_grid_length(0.1, 12.0),
+                     dt=0.04, t_end=10.0, band_halfwidth=0.9).system
+
+
+def test_transform_length_is_the_smallest_dealiasing_five_smooth_even_length():
+    # n_p >= 3J + 1 dealiases the band's products; the band systems of the
+    # scan rows and of the monitored run shrink it, the 2/3 rule keeps n
+    cases = [(scan_row_system(0.15), 187, 576), (scan_row_system(0.10), 275, 864),
+             (scan_row_system(0.07), 342, 1024), (monitored_run_system(), 99, 300)]
+    for system, c, n_p in cases:
+        assert (system.band_columns, system.transform_length) == (c, n_p)
+        assert np.flatnonzero(half_spectrum(system.keep_mask))[-1] == c - 1
+    for n in 2 ** np.arange(4, 14):
+        system = TruncatedSystem(Grid1D(int(n), 2 * np.pi), BOND)
+        assert system.band_columns == n // 3 + 1
+        assert system.transform_length == n
+    # every even length between 3J + 1 and n_p has a prime factor above 5
+    for system, c, n_p in cases[:2] + cases[3:]:
+        assert n_p >= 3 * (c - 1) + 1
+        for m in range(3 * (c - 1) + 1, n_p):
+            if m % 2 == 0:
+                assert any(p > 5 for p in _prime_factors(m))
+
+
+def _prime_factors(m):
+    p, factors = 2, []
+    while p * p <= m:
+        while m % p == 0:
+            factors.append(p)
+            m //= p
+        p += 1
+    return factors + ([m] if m > 1 else [])
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5, 8])
