@@ -20,6 +20,8 @@ Run:  python3 scripts/derive_kernel_oracles.py
 
 import mpmath as mp
 
+from derive_reference_values import partner
+
 mp.mp.dps = 30
 
 I = mp.mpc(0, 1)
@@ -184,20 +186,20 @@ def ext(j1, l, m, b):
 
 
 def nontrivial_zero(k0, b):
-    """Bracketed bisection for a sign-change zero of the resonance function
-    away from the trivial zero at k0.  For small b the zero sits above k0;
-    between the two critical Bond numbers it sits in (k0/2, k0)."""
+    """A sign-change zero of the resonance function away from the trivial
+    zero at k0.  For 0 < b < b0 it sits above k0, the zero of r/(k - k0)
+    that ``derive_reference_values.partner`` brackets from k0; between the
+    two critical Bond numbers it sits in (k0/2, k0), found by bisection."""
+    k1 = partner(k0, b)
+    if k1 is not None:
+        return k1
 
     def r(k):
         return omega(k, b) - omega(k - k0, b) - omega(k0, b)
 
-    lo, hi = k0 * mp.mpf("1.000001"), 2 * k0
-    while r(lo) * r(hi) > 0 and hi < 10**7:
-        lo, hi = hi, 2 * hi
-    if r(lo) * r(hi) > 0:  # no zero above k0: look between k0/2 and k0
-        lo, hi = k0 / 2 + mp.mpf("1e-6"), k0 * (1 - mp.mpf("1e-6"))
-        if r(lo) * r(hi) > 0:
-            raise ValueError("no bracketed nontrivial zero")
+    lo, hi = k0 / 2 + mp.mpf("1e-6"), k0 * (1 - mp.mpf("1e-6"))
+    if r(lo) * r(hi) > 0:
+        raise ValueError("no bracketed nontrivial zero")
     for _ in range(200):
         mid = (lo + hi) / 2
         if r(lo) * r(mid) <= 0:

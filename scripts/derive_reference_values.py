@@ -57,18 +57,30 @@ def fold_zero(k0, b):
     estimate k0 + d, d = -2 r'(k0) / r''(k0) (above k0 for b < b0, below
     it for b > b0)."""
     d = -2 * (omega_d(k0, b, 1) - 1) / omega_d(k0, b, 2)
-    ends = sorted([k0 + d / 2, k0 + 2 * d])
-    return mp.findroot(lambda k: r_hat(k, b, k0), tuple(ends), solver="anderson")
+    return mp.findroot(lambda k: r_hat(k, b, k0), tuple(sorted([k0 + d / 2, k0 + 2 * d])),
+                       solver="anderson")
 
 
 def partner(k0, b):
-    """k1: the zero of q(k) = r(k)/(k - k0) above k0, bracketed from k0, where
-    q is omega'(k0) - 1 < 0 for b < b0, to where q turns positive."""
+    """k1: the zero of q(k) = r(k)/(k - k0) above k0, or None if q keeps its
+    sign up to 10^7 (b >= b0, or b = 0).
+
+    The bracket starts at k0 (1 + sqrt(eps)), eps the working precision's:
+    a number distinct from k0 at every precision, where q is
+    omega'(k0) - 1 < 0 for b < b0 up to an error of about sqrt(eps), and
+    below k1 for every b <= b0 (1 - 10^-10) at 30 digits (there
+    k1 - k0 >= 2e-10 k0 for k0 in [0.5, 3]).  Its upper end doubles its
+    distance from k0 until q turns positive.
+    """
     def q(k):
         return r_hat(k, b, k0) / (k - k0)
 
-    lo, hi = k0 * (1 + mp.mpf(10) ** -30), k0 + 1
+    lo, hi = k0 * (1 + mp.sqrt(mp.eps)), k0 + 1
+    if q(lo) >= 0:
+        return None
     while q(hi) < 0:
+        if hi > 10**7:
+            return None
         hi = k0 + 2 * (hi - k0)
     return mp.findroot(q, (lo, hi), solver="anderson")
 

@@ -8,11 +8,11 @@ fields in the order
 The four fields are real, so the time loop carries only their ``rfft`` half
 spectra, (4, n//2 + 1).  The nonlinearity has one entry point,
 ``TruncatedSystem.evaluator(rows)``, which binds the product list to its own
-buffers for states of that layout; the time loop binds one per march, and
-the tests' kernel extraction reaches the same product list with complex
-full-layout inputs by polarization (``full_nonlinear`` of the test suite's
-``kernel_oracle`` module).  The first block alone, (2, n//2 + 1), is
-accepted too: it is autonomous, and its products are the prefix of the list.
+buffers for the band of such states, their columns 0..J; the time loop binds
+one per march, and the tests' kernel extraction reaches the same product
+list with complex full-layout inputs by polarization (``full_nonlinear`` of
+the test suite's ``kernel_oracle`` module).  The first block alone, 2 rows,
+is accepted too: it is autonomous, and its products are the prefix of the list.
 
 The first block evolves under -/+ i*omega plus quadratic terms built from
 s1 = u_{-1}+u_{+1} and d1 = u_{-1}-u_{+1}; the second block sees additional
@@ -65,13 +65,11 @@ def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
     those of ``default_system(grid, b)``.
     """
     system = default_system(grid, b)
-    ik, ik2 = half_spectrum(system._ik), half_spectrum(system._ik2)
-    keep = half_spectrum(system.keep_mask)
     s1 = first[..., 0, :] + first[..., 1, :]
-    d2 = (first[..., 0, :] - first[..., 1, :]) * ik2
+    d2 = (first[..., 0, :] - first[..., 1, :]) * system._ik2
     # np.where, not consistency_defect's * keep_mask: they differ in signed zeros
-    prod = np.where(keep, system._constraint_product(s1, d2), 0.0)
-    s2 = s1 * ik2 - prod * ik
+    prod = np.where(system.keep_mask, system._constraint_product(s1, d2), 0.0)
+    s2 = s1 * system._ik2 - prod * system._ik
     return np.stack([0.5 * (s2 + d2), 0.5 * (s2 - d2)], axis=-2)
 
 
@@ -79,16 +77,20 @@ def slave_second_block(grid: Grid1D, first: np.ndarray, b: float) -> np.ndarray:
 class TruncatedSystem:
     """Precomputed multiplier tables and the nonlinearity for one (grid, b).
 
+    Every table, ``keep_mask`` and ``linear_symbols`` are on the ``rfft``
+    half spectrum: columns 0..n/2 of ``grid.wavenumbers``, -k_N at Nyquist.
+
     The nonlinearity is the Galerkin truncation onto the kept modes P
     (``keep_mask``): ``evaluator`` computes P N(P U), the quadratic terms
     of the state's kept modes, projected back onto them.  P is the grid's
     2/3 rule, or its intersection with ``extra_keep``, a caller-supplied
-    mode mask (e.g. a union of wave-packet bands).  Long-horizon runs need
-    the latter: the quadratic symbols grow superlinearly in k, so once the
-    coupling through a carrier of size eps exceeds the dispersive detuning
-    (which saturates near omega(k0)), retained modes above a threshold
-    ~ (1/eps)^{2/3} are violently amplified; fixing the retained band keeps
-    them out instead of letting the band grow with n.
+    mask of half-spectrum columns (e.g. ``wavepacket.band_mask``).
+    Long-horizon runs need the latter: the quadratic symbols grow
+    superlinearly in k, so once the coupling through a carrier of size eps
+    exceeds the dispersive detuning (which saturates near omega(k0)),
+    retained modes above a threshold ~ (1/eps)^{2/3} are violently
+    amplified; fixing the retained band keeps them out instead of letting
+    the band grow with n.
 
     The kept modes lie in the half-spectrum columns 0..J, J + 1 =
     ``band_columns``, so their products are exact on any grid of n_p >= 3J + 1
@@ -115,19 +117,16 @@ class TruncatedSystem:
     def __post_init__(self) -> None:
         if self.b < 0.0:
             raise ValueError(f"Bond number must be nonnegative, got {self.b}")
-        if self.extra_keep is not None:
-            if self.extra_keep.shape != (self.grid.n_points,):
-                raise ValueError("extra_keep must be one boolean per grid mode")
-            # the half-spectrum multipliers stand for modes k and -k at once
-            keep = self.extra_keep.astype(bool)
-            if not np.array_equal(keep, keep[self.grid._conjugate_index]):
-                raise ValueError("extra_keep must be symmetric under k -> -k")
+        expected = (self.grid.n_points // 2 + 1,)
+        if self.extra_keep is not None and self.extra_keep.shape != expected:
+            raise ValueError(f"extra_keep must have one entry per half-spectrum "
+                             f"column, {expected}, got {self.extra_keep.shape}")
 
     # ---------------------------------------------------------------- tables
 
     @cached_property
     def _k(self) -> np.ndarray:
-        return self.grid.wavenumbers
+        return half_spectrum(self.grid.wavenumbers)
 
     @cached_property
     def _ik(self) -> np.ndarray:
@@ -161,17 +160,15 @@ class TruncatedSystem:
 
     @cached_property
     def _pre(self) -> np.ndarray:
-        """Multipliers of the 11 precursors of ``evaluator``, on 0 <= k < k_Nyquist,
-        zero outside ``keep_mask`` (the input projection P); the first three
-        are the first block's."""
-        m = self.grid.n_points // 2
-        ik, K0, sig_inv, inv_ik = (self._ik[:m], self._K0[:m], self._sig_inv[:m],
-                                   self._inv_ik[:m])
-        one = np.ones(m, dtype=np.complex128)
+        """Multipliers of the 11 precursors of ``evaluator``, zero outside
+        ``keep_mask`` (the input projection P); the first three are the
+        first block's."""
+        ik, K0, sig_inv, inv_ik = self._ik, self._K0, self._sig_inv, self._inv_ik
+        one = np.ones_like(ik)
         pre = np.array([one, K0, sig_inv, one, sig_inv, inv_ik**2, inv_ik,
                         K0 * inv_ik, inv_ik * sig_inv, K0 * inv_ik * sig_inv,
                         K0 * ik * sig_inv])
-        return pre * self.keep_mask[:m]
+        return pre * self.keep_mask
 
     #: row of (s1, d1, s2, d2) each precursor multiplier acts on; the first
     #: block's three precursors come first and read only s1 and d1
@@ -196,19 +193,19 @@ class TruncatedSystem:
 
     @cached_property
     def _post(self) -> np.ndarray:
-        """Multipliers of the product sums of ``evaluator`` on the half spectrum,
-        zero outside ``keep_mask``: E1, X1 (2), E2, X2 (4)."""
+        """Multipliers of the product sums of ``evaluator``, zero outside
+        ``keep_mask``: E1, X1 (2), E2, X2 (4)."""
         h = 0.5 * self._ik
         hs = h * self._sig
         hsK = hs * self._K0
         post = np.array([0.5 * h, hs, hsK, h, hs, self._ik * hs, hsK, self._ik * hsK])
-        return (post * self.keep_mask)[:, : self.grid.n_points // 2 + 1]
+        return post * self.keep_mask
 
     @cached_property
     def keep_mask(self) -> np.ndarray:
-        """Boolean mask of the kept modes, P: the only modes the quadratic
-        terms read (``_pre``) and the only ones they feed (``_post``)."""
-        keep = self.grid.dealias_keep
+        """Boolean mask of the kept modes, P, one per half-spectrum column: the
+        only modes the quadratic terms read (``_pre``) and feed (``_post``)."""
+        keep = half_spectrum(self.grid.dealias_keep)
         if self.extra_keep is not None:
             keep = keep & self.extra_keep.astype(bool)
         return keep
@@ -220,7 +217,7 @@ class TruncatedSystem:
         The Nyquist column is never kept (the 2/3 rule drops it), so
         J < n/2; J = 0 when no mode but the mean is kept.
         """
-        kept = np.flatnonzero(half_spectrum(self.keep_mask))
+        kept = np.flatnonzero(self.keep_mask)
         return int(kept[-1]) + 1 if kept.size else 1
 
     @cached_property
@@ -241,26 +238,18 @@ class TruncatedSystem:
         return min(n_p, n)
 
     @cached_property
-    def omega_values(self) -> np.ndarray:
-        return omega(self._k, self.b)
-
-    @cached_property
     def linear_symbols(self) -> np.ndarray:
-        """(4, n) array: the linear part of d/dt is linear_symbols * state."""
-        iw = 1j * self.omega_values
-        return np.array([-iw, iw, -iw, iw])
-
-    @cached_property
-    def half_linear_symbols(self) -> np.ndarray:
-        """``linear_symbols`` on the half spectrum, (4, n//2 + 1).
+        """(4, n//2 + 1) array: the linear part of d/dt is linear_symbols * state,
+        -/+ i omega(k) on the half spectra of u_{-/+1} and u_{-/+2}.
 
         The Nyquist column is 0: omega is odd, and an odd symbol maps the
         Nyquist mode of a real field, cos(k_N alpha), to a multiple of
         sin(k_N alpha), which vanishes at every grid point.  So that mode
         keeps its value; ``evaluator`` neither reads nor writes it either.
         """
-        lam = half_spectrum(self.linear_symbols).copy()
-        lam[:, self.grid.n_points // 2] = 0.0
+        iw = 1j * omega(self._k, self.b)
+        lam = np.array([-iw, iw, -iw, iw])
+        lam[:, -1] = 0.0
         return lam
 
     # ------------------------------------------------------------ evaluation
@@ -271,15 +260,14 @@ class TruncatedSystem:
         Returns f(U, out), which writes P N(P U), the nonlinearity of the
         kept modes of the ``rfft`` half spectra U, into ``out`` and returns
         ``out``; see :func:`arcwave.spectral.half_spectrum`.  rows is 4
-        (u_{-/+1}, u_{-/+2}) or 2 (the first block u_{-/+1} alone).  U is
-        (rows, w) with w >= J + 1 = ``band_columns``, of which only the
-        columns 0..J are read: the kept modes lie there, and ``_pre``, zero
-        outside ``keep_mask``, projects them.  ``out`` is (rows, J + 1), the
-        band the march runs its stages on, or (rows, n//2 + 1), whose
-        columns above J are written 0.  The linear part (see
-        ``linear_symbols``) is handled separately so the integrating-factor
-        stepper can advance it exactly.  The tests' kernel oracle takes
-        complex full-layout states through it by polarization.
+        (u_{-/+1}, u_{-/+2}) or 2 (the first block u_{-/+1} alone).  U and
+        ``out`` are exactly the band, (rows, J + 1), J + 1 = ``band_columns``:
+        the kept modes lie in the columns 0..J, ``_pre``, zero outside
+        ``keep_mask``, projects them, and the nonlinearity is 0 above J.
+        The linear part (see ``linear_symbols``) is handled separately so
+        the integrating-factor stepper can advance it exactly.  The tests'
+        kernel oracle takes complex full-layout states through it by
+        polarization.
 
         The transforms have ``transform_length`` n_p points, the smallest
         5-smooth even length that dealiases the kept band: n_p = n under
@@ -290,9 +278,6 @@ class TruncatedSystem:
         the 2-row product list is the prefix of the 4-row one (3 of the 11
         precursors, 3 of the 8 product sums) and gives rows 0-1 of the 4-row
         result bit for bit.
-
-        Nyquist column (index n//2): it lies outside every keep mask, above
-        J, so U's Nyquist column is never read, and the output's is 0.
 
         Each block is a common part plus or minus a difference part,
         n_{-/+1} = E1 -/+ X1 and n_{-/+2} = E2 -/+ X2, by two identities:
@@ -350,17 +335,16 @@ class TruncatedSystem:
         E_rows = band[0: rows + rows // 2: 3]
         X_rows = band[1: rows + rows // 2 + 1: 3]
         rfft_in = Q[:n_post]
-        out_shapes = {(rows, c), (rows, self.grid.n_points // 2 + 1)}
         b = self.b
         mul, add, sub = np.multiply, np.add, np.subtract
 
         def f(U: np.ndarray, out: np.ndarray) -> np.ndarray:
-            if U.shape[:-1] != (rows,) or U.shape[-1] < c or out.shape not in out_shapes:
+            if U.shape != (rows, c) or out.shape != (rows, c):
                 raise ValueError(
-                    f"evaluator bound to {sorted(out_shapes)}, got U {U.shape}, "
+                    f"evaluator bound to the band {(rows, c)}, got U {U.shape}, "
                     f"out {out.shape}")
             # (s1, d1, s2, d2), then the precursors of P U in coefficient space
-            minus, plus = U[0::2, :c], U[1::2, :c]
+            minus, plus = U[0::2], U[1::2]
             add(minus, plus, out=s_rows)
             sub(minus, plus, out=d_rows)
             sd.take(source, axis=0, out=spec_in, mode="clip")
@@ -393,9 +377,8 @@ class TruncatedSystem:
             if rows == 4:
                 add(G[4], G[6], out=G[4])
                 add(G[4], G[7], out=G[4])
-            sub(E_rows, X_rows, out=out[0::2, :c])
-            add(E_rows, X_rows, out=out[1::2, :c])
-            out[:, c:] = 0.0
+            sub(E_rows, X_rows, out=out[0::2])
+            add(E_rows, X_rows, out=out[1::2])
             return out
 
         return f
@@ -408,8 +391,7 @@ class TruncatedSystem:
         f, g and the result are ``rfft`` half spectra (..., n//2 + 1); the
         product is formed with real transforms.
         """
-        pf, pg = np.fft.irfft(np.array([half_spectrum(self._K0) * f,
-                                        half_spectrum(self._sig_inv) * g]),
+        pf, pg = np.fft.irfft(np.array([self._K0 * f, self._sig_inv * g]),
                               self.grid.n_points, norm="forward")
         return np.fft.rfft(pf * pg, norm="forward")
 
@@ -440,13 +422,12 @@ class TruncatedSystem:
         d1 = u_m1 - u_p1
         s2 = u_m2 + u_p2
         d2 = u_m2 - u_p2
-        ik, inv_ik, sig_inv = (half_spectrum(self._ik), half_spectrum(self._inv_ik),
-                               half_spectrum(self._sig_inv))
+        ik, inv_ik, sig_inv = self._ik, self._inv_ik, self._sig_inv
 
         first = inv_ik * sig_inv * d2 - sig_inv * ik * d1
 
-        prod = self._constraint_product(s1, d2) * half_spectrum(self.keep_mask)
-        second = half_spectrum(self._inv_ik2) * s2 - s1 + inv_ik * prod
+        prod = self._constraint_product(s1, d2) * self.keep_mask
+        second = self._inv_ik2 * s2 - s1 + inv_ik * prod
         # the relation is only meaningful mode-by-mode away from k=0, where
         # the antiderivatives are defined
         first[0] = 0.0

@@ -171,7 +171,8 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     ``sample_every`` raises on the first ``next``.  Each yielded U is a
     fresh array; the caller's U is not written.
 
-    One IFRK4 step from U, with E = e^{lam dt} and H = e^{lam dt/2}:
+    One IFRK4 step from U, with E = e^{lam dt} and H = e^{lam dt/2}, lam
+    the half-spectrum ``TruncatedSystem.linear_symbols`` (0 at Nyquist):
 
         N1 = N(U)                      N2 = N(H (U + dt/2 N1))
         N3 = N(H U + dt/2 N2)          N4 = N(E U + dt H N3)
@@ -179,9 +180,10 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
 
     N is the Galerkin truncation P N(P U) (``TruncatedSystem.evaluator``):
     it reads only the kept modes, in the columns 0..J (J + 1 =
-    ``TruncatedSystem.band_columns``), and is 0 above J.  So the stages run
-    on columns 0..J alone, and each column above J, where the formulas
-    reduce to U <- E U, takes one multiply by E per step.
+    ``TruncatedSystem.band_columns``), and is 0 above J, so the evaluator
+    maps the band, (r, J + 1), to the band.  The stages run on views of
+    columns 0..J alone, and each column above J, where the formulas reduce
+    to U <- E U, takes one multiply by E per step.
 
     The march binds one ``TruncatedSystem.evaluator`` and its own stage
     buffers once, and every step writes them in place, with the operations
@@ -199,7 +201,7 @@ def _march(system: TruncatedSystem, U: np.ndarray, t0: float, dt: float,
     U = np.array(U, dtype=np.complex128)  # the state, advanced in place
     rows = U.shape[-2]
     c = system.band_columns
-    lam = system.half_linear_symbols[:rows]
+    lam = system.linear_symbols[:rows]
     e_tail = np.exp(lam[:, c:] * dt)
     lam = lam[:, :c]
     e_full = np.exp(lam * dt)
@@ -256,7 +258,7 @@ def run(config: SimConfig, initial: SimState, *, sample_every: int = 0) -> SimRu
     spectra, the layout a :class:`SimState` stores, so each sample and the
     final state wrap the half spectra it yields as they are, with no
     full-layout expansion.  The zero mode is copied bitwise and the Nyquist
-    column keeps its initial value (see ``TruncatedSystem.half_linear_symbols``),
+    column keeps its initial value (see ``TruncatedSystem.linear_symbols``),
     so every state has the initial state's reality defect: 0 for one that
     starts real.  A non-finite state aborts the run with the step index.
     """
@@ -419,7 +421,7 @@ def _scan_problem(eps: float, template: ScanTemplate
     A = _sech_envelope(Grid1D(template.n_env, eps * config.length))
     packet = wave_packet(A, eps, config.model, corrections=template.corrections)
     U0 = build(packet, config.grid, 0.0)
-    U0[:, ~half_spectrum(config.system.keep_mask)] = 0.0
+    U0[:, ~config.system.keep_mask] = 0.0
     return config, packet, U0
 
 
@@ -427,7 +429,7 @@ def _scan_single(eps: float, template: ScanTemplate) -> ScanRow:
     config, packet, U0 = _scan_problem(eps, template)
     grid = config.grid
     coeffs = nls_coefficients(template.k0, template.b)
-    keep = half_spectrum(config.system.keep_mask)
+    keep = config.system.keep_mask
     n_steps = config.n_steps
     block = max(1, n_steps // template.n_samples)
     w = _h2_weight(grid)

@@ -28,7 +28,7 @@ import numpy as np
 from .dispersion import ModelParams
 from .equations import slave_second_block
 from .nls import EnvelopeField, second_order_coefficients
-from .spectral import Grid1D
+from .spectral import Grid1D, half_spectrum
 
 __all__ = [
     "WavePacket",
@@ -98,16 +98,17 @@ def wave_packet(A: EnvelopeField, eps: float, params: ModelParams,
     return WavePacket(eps=eps, params=params, A=A, profiles=profiles)
 
 
-def band_mask(grid: Grid1D, k0: float, delta0: float) -> np.ndarray:
-    """Boolean keep-mask: union of delta0-bands around the harmonics l*k0, |l| <= 2.
+def band_mask(grid: Grid1D, k0: float, halfwidth: float) -> np.ndarray:
+    """Boolean keep-mask: union of the bands |k - l*k0| <= halfwidth, |l| <= 2,
+    one per ``rfft`` half-spectrum column, (n//2 + 1,).
 
     A run keeps only these bands through ``sim.SimConfig.band_halfwidth``,
     which enters its ``TruncatedSystem.keep_mask``; ``build`` masks nothing.
     """
-    k = grid.wavenumbers
-    keep = np.zeros(grid.n_points, dtype=bool)
+    k = half_spectrum(grid.wavenumbers)
+    keep = np.zeros(k.shape, dtype=bool)
     for ell in range(-2, 3):
-        keep |= np.abs(k - ell * k0) <= delta0
+        keep |= np.abs(k - ell * k0) <= halfwidth
     return keep
 
 

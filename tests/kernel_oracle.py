@@ -78,14 +78,16 @@ def q13_closed(j1: int, j2: int, k, m, b: float):
 def nonlinear(system: TruncatedSystem, U: np.ndarray) -> np.ndarray:
     """The nonlinearity of half spectra U, (..., r, n//2 + 1), as a fresh array.
 
-    One ``system.evaluator(r)`` is bound and applied to each state of the
-    stack in turn.
+    One ``system.evaluator(r)`` is bound and applied to the band, the
+    columns 0..J, of each state of the stack in turn; the columns above J
+    of the result are 0.
     """
     f = system.evaluator(U.shape[-2])
+    c = system.band_columns
     flat = U.reshape((-1,) + U.shape[-2:])
-    out = np.empty(flat.shape, dtype=np.complex128)
+    out = np.zeros(flat.shape, dtype=np.complex128)
     for state, row in zip(flat, out):
-        f(state, row)
+        f(state[:, :c], row[:, :c])
     return out.reshape(U.shape)
 
 
@@ -109,7 +111,15 @@ def full_nonlinear(system: TruncatedSystem, state: np.ndarray) -> np.ndarray:
 
 def full_rhs(system: TruncatedSystem, state: np.ndarray) -> np.ndarray:
     """Linear plus nonlinear tendency on full-layout coefficients."""
-    return system.linear_symbols * state + full_nonlinear(system, state)
+    return full_linear_symbols(system) * state + full_nonlinear(system, state)
+
+
+def full_linear_symbols(system: TruncatedSystem) -> np.ndarray:
+    """The linear symbols -/+ i omega(k) on the full (4, n) layout, formed from
+    ``grid.wavenumbers``; the Nyquist column holds -/+ i omega(-k_N), not the
+    half layout's 0."""
+    iw = 1j * omega(system.grid.wavenumbers, system.b)
+    return np.array([-iw, iw, -iw, iw])
 
 
 @lru_cache(maxsize=64)

@@ -114,15 +114,17 @@ def full_layout_build(packet: WavePacket, grid: Grid1D, t: float) -> np.ndarray:
     """
     system = default_system(grid, packet.params.b)
     n = grid.n_points
+    ik = 1j * grid.wavenumbers  # the system's half-spectrum ik, on every column
+    ik2 = ik**2
     first = full_layout_first_block(packet, grid, t, packet.profiles)
     s1 = first[0] + first[1]
-    d2 = (first[0] - first[1]) * system._ik2
-    pf, pg = np.fft.irfft(np.array([half_spectrum(system._K0) * half_spectrum(s1),
-                                    half_spectrum(system._sig_inv) * half_spectrum(d2)]),
+    d2 = (first[0] - first[1]) * ik2
+    pf, pg = np.fft.irfft(np.array([system._K0 * half_spectrum(s1),
+                                    system._sig_inv * half_spectrum(d2)]),
                           n, norm="forward")
     prod = full_spectrum(np.fft.rfft(pf * pg, norm="forward"), n)
-    prod = np.where(system.keep_mask, prod, 0.0)
-    s2 = s1 * system._ik2 - prod * system._ik
+    prod = np.where(full_spectrum(system.keep_mask, n) != 0.0, prod, 0.0)
+    s2 = s1 * ik2 - prod * ik
     return np.concatenate([first, [0.5 * (s2 + d2), 0.5 * (s2 - d2)]])
 
 

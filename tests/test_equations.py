@@ -37,7 +37,13 @@ def band_system(b):
     """The bands |k -/+ 2| <= 0.9 inside the 2/3 rule at n = 1024, L = 16 pi:
     the kept modes lie in columns 0..23, so n_p = 72."""
     grid = Grid1D(n_points=1024, length=16 * np.pi)
-    return TruncatedSystem(grid, b, extra_keep=np.abs(np.abs(grid.wavenumbers) - 2.0) <= 0.9)
+    k = half_spectrum(grid.wavenumbers)
+    return TruncatedSystem(grid, b, extra_keep=np.abs(np.abs(k) - 2.0) <= 0.9)
+
+
+def full_keep(system):
+    """The system's keep mask on the full (n,) layout: column -k as column k."""
+    return full_spectrum(system.keep_mask, system.grid.n_points) != 0.0
 
 
 def cross_value(system, j1, j2, l, m):
@@ -107,8 +113,10 @@ def test_cross_part_is_symmetric_bilinear():
 
 
 def test_linear_symbols_signs():
+    # on the half spectrum, with the Nyquist column 0
     system = TruncatedSystem(GRID, 0.07)
-    w = omega(GRID.wavenumbers, 0.07)
+    w = omega(half_spectrum(GRID.wavenumbers), 0.07)
+    w[-1] = 0.0
     expected = np.array([-1j * w, 1j * w, -1j * w, 1j * w])
     assert np.array_equal(system.linear_symbols, expected)
 
@@ -188,9 +196,13 @@ def test_bond_number_validation():
         TruncatedSystem(GRID, -0.01)
 
 
-def test_asymmetric_extra_keep_is_rejected():
-    with pytest.raises(ValueError, match="symmetric"):
-        TruncatedSystem(GRID, BOND, extra_keep=GRID.wavenumbers > 0)
+def test_full_layout_extra_keep_is_rejected():
+    # extra_keep is one boolean per half-spectrum column; a full-layout mask
+    # is refused with the length it should have
+    m = GRID.n_points // 2 + 1
+    with pytest.raises(ValueError, match=rf"\({m},\), got \({GRID.n_points},\)"):
+        TruncatedSystem(GRID, BOND, extra_keep=np.ones(GRID.n_points, dtype=bool))
+    assert TruncatedSystem(GRID, BOND, extra_keep=np.ones(m, dtype=bool)).keep_mask.shape == (m,)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +336,10 @@ def test_nonlinear_matches_term_by_term_reference(n, b):
     hermitian = random_real_state(rng, grid)
     complex_state = random_complex_state(rng, grid)
     out = full_spectrum(nonlinear(system, half_spectrum(hermitian)), n)
-    assert_matches_reference(out, grid, b, system.keep_mask, hermitian,
+    assert_matches_reference(out, grid, b, full_keep(system), hermitian,
                              reference_rtol(n, b, "hermitian"))
     out = full_nonlinear(system, complex_state)
-    assert_matches_reference(out, grid, b, system.keep_mask, complex_state,
+    assert_matches_reference(out, grid, b, full_keep(system), complex_state,
                              reference_rtol(n, b, "complex"))
 
 
@@ -338,8 +350,8 @@ def test_nonlinear_matches_reference_on_band_restricted_mask():
     assert system.transform_length == 72 < grid.n_points
     state = random_real_state(np.random.default_rng(4), grid)
     out = full_spectrum(nonlinear(system, half_spectrum(state)), grid.n_points)
-    projected = np.where(system.keep_mask, state, 0.0)
-    assert_matches_reference(out, grid, 0.05, system.keep_mask, projected)
+    projected = np.where(full_keep(system), state, 0.0)
+    assert_matches_reference(out, grid, 0.05, full_keep(system), projected)
 
 
 def test_full_nonlinear_of_hermitian_state_is_nonlinear_exactly():
@@ -387,21 +399,21 @@ def test_nonlinear_is_one_batched_transform_each_way(monkeypatch):
     out = np.empty_like(state)
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    four(state, out)
     n = GRID.n_points
     # 11 precursors in, columns 0..J = n//3 of the 2/3 rule, 8 product sums
     # out, on the full grid (n_p = n under the 2/3 rule)
     c = n // 3 + 1
+    four(state[:, :c], out[:, :c])
     assert (system.band_columns, system.transform_length) == (c, n)
     assert calls == [("irfft", (11, c)), ("rfft", (8, n))]
     # the first block alone: 3 rows in, 3 rows out
     calls.clear()
-    two(state[:2], out[:2])
+    two(state[:2, :c], out[:2, :c])
     assert calls == [("irfft", (3, c)), ("rfft", (3, n))]
     # a band system transforms its band's columns on its shorter grid
     band = band_system(BOND)
     f = band.evaluator(4)
-    state = half_spectrum(random_real_state(np.random.default_rng(9), band.grid))
+    state = half_spectrum(random_real_state(np.random.default_rng(9), band.grid))[:, :24]
     calls.clear()
     f(state, np.empty_like(state))
     assert calls == [("irfft", (11, 24)), ("rfft", (8, 72))]
@@ -422,7 +434,7 @@ def parent_nonlinear(system, state):
     source = np.array([0, 0, 2, 1, 3, 1, 1, 1, 3, 3, 3])
     (P_s1, P_K0s1, P_sid1, P_s2, P_sid2, P_ia2s2, P_ia1s2, P_K0ia1s2,
      P_iasid2, P_K0iasid2, P_K0sid2a) = np.fft.irfft(
-         system._pre * sd[source], n, norm="forward")
+         system._pre[:, : n // 2] * sd[source], n, norm="forward")
     G = system._post * np.fft.rfft(np.array([
         P_K0s1 * P_K0s1 - P_s1 * P_s1,
         P_sid1 * P_s1,
@@ -491,10 +503,10 @@ def test_band_evaluator_is_the_reference_of_the_projected_state(b, rows):
     for _ in range(3):
         state = random_real_state(rng, grid, scale=0.1)
         out = full_spectrum(nonlinear(system, half_spectrum(state)[:rows]), grid.n_points)
-        projected = np.where(system.keep_mask, state, 0.0)
-        assert_matches_reference(out, grid, b, system.keep_mask, projected,
+        projected = np.where(full_keep(system), state, 0.0)
+        assert_matches_reference(out, grid, b, full_keep(system), projected,
                                  reference_rtol(grid.n_points, b, "hermitian"))
-        assert np.all(out[:, ~system.keep_mask] == 0.0)
+        assert np.all(out[:, ~full_keep(system)] == 0.0)
         half = half_spectrum(state)[:rows].copy()
         want = nonlinear(system, half)
         half[:, c:] = np.nan
@@ -517,7 +529,7 @@ def test_transform_length_is_the_smallest_dealiasing_five_smooth_even_length():
              (scan_row_system(0.07), 342, 1024), (monitored_run_system(), 99, 300)]
     for system, c, n_p in cases:
         assert (system.band_columns, system.transform_length) == (c, n_p)
-        assert np.flatnonzero(half_spectrum(system.keep_mask))[-1] == c - 1
+        assert np.flatnonzero(system.keep_mask)[-1] == c - 1
     for n in 2 ** np.arange(4, 14):
         system = TruncatedSystem(Grid1D(int(n), 2 * np.pi), BOND)
         assert system.band_columns == n // 3 + 1
@@ -560,7 +572,8 @@ def test_bound_evaluator_is_bitwise_nonlinear_call_after_call(rows):
     rng = np.random.default_rng(21)
     for system in first_block_systems():
         grid = system.grid
-        states = [half_spectrum(random_real_state(rng, grid, scale=0.1))[:rows]
+        c = system.band_columns
+        states = [half_spectrum(random_real_state(rng, grid, scale=0.1))[:rows, :c]
                   for _ in range(2)]
         f = system.evaluator(rows)
         out = np.empty_like(states[0])
@@ -573,14 +586,17 @@ def test_bound_evaluator_is_bitwise_nonlinear_call_after_call(rows):
 
 def test_bound_evaluator_refuses_other_shapes():
     system = TruncatedSystem(GRID, BOND)
-    m = GRID.n_points // 2
+    c = system.band_columns
     f = system.evaluator(2)
     with pytest.raises(ValueError, match="bound to"):
-        f(np.zeros((4, m + 1), dtype=complex), np.empty((2, m + 1), dtype=complex))
+        f(np.zeros((4, c), dtype=complex), np.empty((2, c), dtype=complex))
     with pytest.raises(ValueError, match="bound to"):
-        f(np.zeros((3, 2, m + 1), dtype=complex), np.empty((3, 2, m + 1), dtype=complex))
+        f(np.zeros((3, 2, c), dtype=complex), np.empty((3, 2, c), dtype=complex))
     with pytest.raises(ValueError, match="bound to"):
-        f(np.zeros((2, m + 1), dtype=complex), np.empty((2, m), dtype=complex))
+        f(np.zeros((2, c), dtype=complex), np.empty((2, c - 1), dtype=complex))
+    m = GRID.n_points // 2 + 1  # the whole half spectrum is not the band
+    with pytest.raises(ValueError, match="bound to"):
+        f(np.zeros((2, m), dtype=complex), np.empty((2, m), dtype=complex))
     with pytest.raises(ValueError, match="got 3"):
         system.evaluator(3)
 
@@ -591,7 +607,8 @@ def test_nonlinear_results_never_share_memory():
     # the state's fresh result, and only into their own outputs
     rng = np.random.default_rng(22)
     system = TruncatedSystem(GRID, BOND)
-    states = [half_spectrum(random_real_state(rng)) for _ in range(2)]
+    states = [half_spectrum(random_real_state(rng))[:, :system.band_columns]
+              for _ in range(2)]
     wanted = [nonlinear(system, state) for state in states]
     outs = [np.empty_like(state) for state in states]
     evaluators = [system.evaluator(4) for _ in states]

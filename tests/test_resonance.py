@@ -1,6 +1,9 @@
 """Resonance geometry: critical Bond numbers, zero structure, stability."""
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,20 @@ from resonance_oracle import (BOND_SWEEP_ANCHORS, find_zeros_linspace, inflectio
 from twi_oracle import r_hat
 
 K0 = 2.0
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _import_script(name):
+    """A module of ``scripts/``, imported with mpmath's global precision kept
+    (each script sets its own on import)."""
+    mp = pytest.importorskip("mpmath")
+    dps = mp.mp.dps
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(SCRIPTS))
+        mp.mp.dps = dps
 
 # frozen against a 30-digit independent root-finder
 B0_K0_2 = 0.2240838468714964
@@ -268,6 +285,19 @@ class TestK1:
         k1 = k1_of_b(k0, b)
         assert k1 > k0
         assert k1 == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_script_solver_just_below_b0_at_30_digits(self):
+        """The scripts' one k1 solver, ``derive_reference_values.partner``,
+        behind ``derive_kernel_oracles.nontrivial_zero`` and so behind the
+        benchmark's reference k1, brackets q from a lower end that 30 digits
+        tell apart from k0: it finds every k1 of the table within 1e-13."""
+        mp = pytest.importorskip("mpmath")
+        oracles = _import_script("derive_kernel_oracles")
+        with mp.workdps(30):
+            for (k0, x), (b, want) in sorted(K1_BELOW_B0.items()):
+                for solve in (oracles.nontrivial_zero, oracles.partner):
+                    k1 = float(solve(mp.mpf(k0), mp.mpf(b)))
+                    assert k1 == pytest.approx(want, rel=0.0, abs=1e-13), (k0, x)
 
     @pytest.mark.parametrize("k0,b", sorted(K1_SMALL_B))
     def test_small_bond_table(self, k0, b):

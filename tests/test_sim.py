@@ -33,7 +33,7 @@ from arcwave.sim import (
 from arcwave.spectral import Grid1D, full_spectrum, half_spectrum
 from arcwave.wavepacket import build, wave_packet
 from fourier import hermitian_part, ik_power, mode_index, state_from_matrix
-from kernel_oracle import full_rhs, rho_extremes
+from kernel_oracle import full_linear_symbols, full_rhs, rho_extremes
 from packet_oracle import full_layout_build, residual, residual_orders
 
 K0 = 2.0
@@ -132,7 +132,7 @@ def test_config_derived_objects():
     assert config.system.b == 0.05
     # the band mask restricts the retained modes to the packet bands
     masked = good_config(band_halfwidth=0.5)
-    k = masked.grid.wavenumbers
+    k = half_spectrum(masked.grid.wavenumbers)
     keep = masked.system.keep_mask
     in_band = np.zeros_like(keep)
     for ell in range(-2, 3):
@@ -177,7 +177,7 @@ def test_state_refuses_a_matrix_that_is_not_real():
         assert np.array_equal(state_from_matrix(grid, off).half, half_spectrum(off))
     config, packet, U0 = sim._scan_problem(0.2, ScanTemplate())
     full = full_layout_build(packet, config.grid, 0.0)
-    full[:, ~config.system.keep_mask] = 0.0
+    full[:, full_spectrum(config.system.keep_mask, config.n) == 0.0] = 0.0
     mirror = np.conj(full.take(config.grid._conjugate_index, axis=-1))
     assert 0.0 < np.max(np.abs(full - mirror)) < 1e-18
     assert np.array_equal(state_from_matrix(config.grid, full).half, U0)
@@ -247,7 +247,7 @@ def test_rhs_single_carrier_mode_matches_closed_form(b):
     U[0, mode_index(grid, -K0)] = 0.5
     state = state_from_matrix(grid, U, 0.0)
     quad = full_rhs(config.system, state.matrix)
-    quad -= config.system.linear_symbols * U  # strip the linear part
+    quad -= full_linear_symbols(config.system) * U  # strip the linear part
 
     assert np.max(np.abs(quad[:, 0])) == 0.0
     assert np.max(np.abs(quad[2:])) == 0.0  # second block untouched
@@ -264,7 +264,7 @@ def test_rhs_single_carrier_mode_matches_closed_form(b):
 def test_rhs_quadratic_part_scales_quadratically():
     config = good_config()
     state = random_state(config.grid, 1e-2, seed=17)
-    lam = config.system.linear_symbols
+    lam = full_linear_symbols(config.system)
 
     def quad(mat):
         return full_rhs(config.system, mat) - lam * mat
@@ -293,7 +293,7 @@ def test_linear_evolution_is_exact(monkeypatch):
     config = good_config(n=256, dt=0.05, t_end=10.0, b=0.13)
     state = random_state(config.grid, 0.5, seed=3)
     out = run(config, state)
-    exact = np.exp(config.system.linear_symbols * 10.0) * state.matrix
+    exact = np.exp(full_linear_symbols(config.system) * 10.0) * state.matrix
     assert np.max(np.abs(out.final.matrix - exact)) < 1e-10
 
 
@@ -391,12 +391,12 @@ def test_band_run_is_the_galerkin_truncation(monitored_run):
     # projected state; every other mode only turns by e^{lam dt} once a step
     config, packet = monitored_run["config"], monitored_run["packet"]
     initial = packet_initial_state(packet, config)
-    keep = half_spectrum(config.system.keep_mask)
+    keep = config.system.keep_mask
     assert np.any(initial.half[:, ~keep] != 0.0)
     projected = SimState(config.grid, np.where(keep, initial.half, 0.0), 0.0)
     samples = monitored_run["run"].samples
     twins = run(config, projected, sample_every=25).samples
-    e_step = np.exp(config.system.half_linear_symbols * config.dt)
+    e_step = np.exp(config.system.linear_symbols * config.dt)
     turned, steps = initial.half.copy(), 0
     assert len(samples) == len(twins) == 11
     for s, twin in zip(samples, twins):
@@ -553,7 +553,7 @@ def free_scan_rows(eps_list, template):
     rows = []
     for eps in eps_list:
         config, packet, U0 = sim._scan_problem(eps, template)
-        grid, keep = config.grid, half_spectrum(config.system.keep_mask)
+        grid, keep = config.grid, config.system.keep_mask
         coeffs = nls_coefficients(template.k0, template.b)
         block = max(1, config.n_steps // template.n_samples)
         out = run(config, SimState(grid, U0, 0.0), sample_every=block)
@@ -648,9 +648,9 @@ def test_default_scan_rows_keep_the_2k0_band_only_where_the_dealiasing_allows():
     kept, dealias = [], []
     for eps in (0.15, 0.10, 0.07):
         config = sim._scan_config(eps, template)
-        k = np.abs(config.grid.wavenumbers)
+        k = np.abs(half_spectrum(config.grid.wavenumbers))
         kept.append(float(k[config.system.keep_mask].max()))
-        dealias.append(float(k[config.grid.dealias_keep].max()))
+        dealias.append(float(k[half_spectrum(config.grid.dealias_keep)].max()))
     assert kept == pytest.approx([4.894736842105263, 4.892857142857143, 4.2625], rel=1e-12)
     assert dealias[2] == kept[2] < 2.0 * template.k0 + template.band_halfwidth - 0.6
     assert all(d > 2.0 * template.k0 + template.band_halfwidth for d in dealias[:2])

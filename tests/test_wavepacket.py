@@ -87,7 +87,7 @@ def band_masked(packet, grid, t=0.0):
     """The half spectra of the packet's first block at t with the modes
     outside the DELTA0 bands zeroed, and the second block slaved to it."""
     first = build(packet, grid, t)[:2]
-    first[:, ~half_spectrum(band_mask(grid, packet.params.k0, DELTA0))] = 0.0
+    first[:, ~band_mask(grid, packet.params.k0, DELTA0)] = 0.0
     return np.concatenate([first, slave_second_block(grid, first, packet.params.b)])
 
 
